@@ -3,12 +3,10 @@
 from .algebra import (
     DEFAULT_TERM_CAP,
     AffineForm,
-    FieldElement,
     MonomialIndex,
     PolySpace,
     PrimeField,
     SparsePoly,
-    identity_forms,
     is_prime,
 )
 from .circuits import (
@@ -21,8 +19,6 @@ from .circuits import (
     derive_seed,
     det_projection,
     iter_family,
-    pad_polynomial,
-    sample_family,
     sample_family_with_params,
     sps_build,
     validate_member,
@@ -35,11 +31,9 @@ from .meta import (
     RankMethodSpec,
     coordinate_meta,
     discriminant,
-    eval_meta,
     linear_meta,
     matrix_det,
     matrix_rank,
-    minor_meta,
     partials_matrix,
     rank_mod_p,
     shifted_partials_matrix,

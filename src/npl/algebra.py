@@ -2,8 +2,7 @@
 
 Representation notes:
 
-* Field values are canonical integers in ``[0, p)``.  ``FieldElement`` wraps a
-  value together with its field for scalar work; polynomial and matrix
+* Field values are canonical integers in ``[0, p)``; polynomial and matrix
   internals stay on raw ints for speed, with the field carried alongside.
 * A monomial is a tuple of non-negative exponents, one per variable.  A
   polynomial is a map from monomial to nonzero canonical coefficient; the
@@ -22,16 +21,11 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import (
-    ArityMismatch,
-    DivisionByZero,
-    FieldMismatch,
-    SpaceMismatch,
-    TermCapExceeded,
-)
+from .errors import ArityMismatch, FieldMismatch, SpaceMismatch, TermCapExceeded
 
 Exponents = Tuple[int, ...]
 
+# every product that grows past this many monomials raises TermCapExceeded
 DEFAULT_TERM_CAP = 1 << 20
 
 # Refuse to build index spaces whose dense dimension cannot be addressed.
@@ -74,118 +68,8 @@ class PrimeField:
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
-    def canon(self, x: int) -> int:
-        return x % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise DivisionByZero(f"inverse of 0 in F_{self.p}")
-        return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
-        return pow(a % self.p, e, self.p)
-
-    def elem(self, x: int) -> "FieldElement":
-        return FieldElement(self.canon(x), self)
-
     def __repr__(self) -> str:
         return f"F_{self.p}"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A canonical representative together with its field."""
-
-    value: int
-    field: PrimeField
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.field.p)
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field.p != self.field.p:
-                raise FieldMismatch(
-                    f"mixed fields F_{self.field.p} and F_{other.field.p}"
-                )
-            return other
-        if isinstance(other, int):
-            return FieldElement(other, self.field)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value + o.value, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value - o.value, self.field)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(o.value - self.value, self.field)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * o.value, self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * self.field.inv(o.value), self.field)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(o.value * self.field.inv(self.value), self.field)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value, self.field)
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.field.pow(self.value, e), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"F{self.field.p}({self.value})"
-
-
-def monomial_degree(e: Exponents) -> int:
-    return sum(e)
 
 
 def _num_monomials(v: int, d: int) -> int:
@@ -335,10 +219,6 @@ class AffineForm:
     def arity(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return self.const == 0
-
     def evaluate(self, point: Sequence[int]) -> int:
         if len(point) != len(self.coeffs):
             raise ArityMismatch(
@@ -361,36 +241,6 @@ class AffineForm:
         if self.const:
             terms[(0,) * v] = self.const
         return SparsePoly(self.field, v, terms)
-
-    def compose(self, inner: Sequence["AffineForm"]) -> "AffineForm":
-        """The affine form self(inner_0, ..., inner_{v-1})."""
-        if len(inner) != len(self.coeffs):
-            raise ArityMismatch("composition arity mismatch")
-        if not inner:
-            return self
-        p = self.field.p
-        w = inner[0].arity
-        for g in inner:
-            if g.field.p != p:
-                raise FieldMismatch("mixed fields in composition")
-            if g.arity != w:
-                raise ArityMismatch("inner forms have unequal arity")
-        coeffs = [0] * w
-        const = self.const
-        for c, g in zip(self.coeffs, inner):
-            const = (const + c * g.const) % p
-            for j, gj in enumerate(g.coeffs):
-                coeffs[j] = (coeffs[j] + c * gj) % p
-        return AffineForm(self.field, tuple(coeffs), const)
-
-
-def identity_forms(field: PrimeField, v: int) -> Tuple[AffineForm, ...]:
-    out = []
-    for i in range(v):
-        coeffs = [0] * v
-        coeffs[i] = 1
-        out.append(AffineForm(field, tuple(coeffs), 0))
-    return tuple(out)
 
 
 class SparsePoly:
@@ -527,7 +377,7 @@ class SparsePoly:
             self.field, self.v, {e: c * x for e, x in self._terms.items()}
         )
 
-    def mul(self, other: "SparsePoly", term_cap: int = DEFAULT_TERM_CAP) -> "SparsePoly":
+    def mul(self, other: "SparsePoly") -> "SparsePoly":
         self._check_compatible(other)
         p = self.field.p
         out: Dict[Exponents, int] = {}
@@ -539,9 +389,9 @@ class SparsePoly:
                     out[e] = s
                 elif e in out:
                     del out[e]
-            if len(out) > term_cap:
+            if len(out) > DEFAULT_TERM_CAP:
                 raise TermCapExceeded(
-                    f"product support passed {term_cap} monomials"
+                    f"product support passed {DEFAULT_TERM_CAP} monomials"
                 )
         return SparsePoly(self.field, self.v, out)
 
@@ -555,23 +405,23 @@ class SparsePoly:
             return self.scale(other)
         return NotImplemented
 
-    def pow(self, e: int, term_cap: int = DEFAULT_TERM_CAP) -> "SparsePoly":
+    def pow(self, e: int) -> "SparsePoly":
         if e < 0:
             raise ValueError("negative polynomial power")
         acc = SparsePoly.constant(self.field, self.v, 1)
         base = self
         while e:
             if e & 1:
-                acc = acc.mul(base, term_cap)
+                acc = acc.mul(base)
             e >>= 1
             if e:
-                base = base.mul(base, term_cap)
+                base = base.mul(base)
         return acc
 
     def __pow__(self, e: int) -> "SparsePoly":
         return self.pow(e)
 
-    # -- evaluation and substitution ------------------------------------
+    # -- evaluation -----------------------------------------------------
 
     def evaluate(self, point: Sequence[int]) -> int:
         if len(point) != self.v:
@@ -588,45 +438,6 @@ class SparsePoly:
                     t = t * pow(x, k, p) % p
             acc = (acc + t) % p
         return acc
-
-    def substitute(
-        self, maps: Sequence[AffineForm], term_cap: int = DEFAULT_TERM_CAP
-    ) -> "SparsePoly":
-        """Substitute an affine form for each variable."""
-        if len(maps) != self.v:
-            raise ArityMismatch(
-                f"polynomial in {self.v} variables, {len(maps)} substitution forms"
-            )
-        if self.v == 0:
-            return self
-        p = self.field.p
-        w = maps[0].arity
-        for g in maps:
-            if g.field.p != p:
-                raise FieldMismatch("substitution forms in a different field")
-            if g.arity != w:
-                raise ArityMismatch("substitution forms have unequal arity")
-        polys = [g.to_poly() for g in maps]
-        # per-variable power cache, filled on demand
-        powers: List[List[SparsePoly]] = [
-            [SparsePoly.constant(self.field, w, 1)] for _ in range(self.v)
-        ]
-        out = SparsePoly.zero(self.field, w)
-        for e, c in self._terms.items():
-            t = SparsePoly.constant(self.field, w, c)
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                cache = powers[i]
-                while len(cache) <= k:
-                    cache.append(cache[-1].mul(polys[i], term_cap))
-                t = t.mul(cache[k], term_cap)
-            out = out + t
-            if len(out._terms) > term_cap:
-                raise TermCapExceeded(
-                    f"substitution support passed {term_cap} monomials"
-                )
-        return out
 
     # -- serialization and dunder plumbing -------------------------------
 

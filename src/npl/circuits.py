@@ -19,7 +19,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
-    DEFAULT_TERM_CAP,
     AffineForm,
     Exponents,
     MonomialIndex,
@@ -37,11 +36,29 @@ FAMILY_CLASSES = ("det-projection", "sps", "sparse", "squares", "full-space")
 def derive_seed(seed: int, index: int) -> int:
     """Per-trial seed: base seed XOR trial index.
 
-    Trials in a batch draw from disjoint derived streams, so results do not
-    depend on execution order and a parallel runner would reproduce the
-    sequential answer exactly.
+    The trials of one run draw from distinct streams, so results do not
+    depend on execution order.  The mix is a plain XOR, so trial t of seed s
+    is the same stream as trial 0 of seed s ^ t: streams are disjoint within
+    a run, not across seeds.
     """
     return seed ^ index
+
+
+def _seeded_draws(
+    ranges: Sequence[int], trials: int, seed: int, salt: int = 0
+) -> Iterator[Tuple[int, ...]]:
+    """The points of a randomized run, one per trial.
+
+    Trial t draws one ``randrange(r)`` per range, in order, from its own
+    stream ``random.Random(derive_seed(derive_seed(seed, salt), t))``; a
+    nonzero salt gives a second set of streams under the same seed.
+    """
+    if trials < 1:
+        raise ValueError("at least one trial required")
+    base = derive_seed(seed, salt)
+    for t in range(trials):
+        rng = random.Random(derive_seed(base, t))
+        yield tuple(rng.randrange(r) for r in ranges)
 
 
 @dataclass(frozen=True)
@@ -114,7 +131,7 @@ class Circuit:
                 vals.append(vals[g[1]] * vals[g[2]] % p)
         return vals[self.out]
 
-    def expand(self, term_cap: int = DEFAULT_TERM_CAP) -> SparsePoly:
+    def expand(self) -> SparsePoly:
         """The polynomial the circuit computes, as an explicit term map."""
         polys: List[SparsePoly] = []
         for g in self.gates:
@@ -126,7 +143,7 @@ class Circuit:
             elif op == "add":
                 polys.append(polys[g[1]] + polys[g[2]])
             else:
-                polys.append(polys[g[1]].mul(polys[g[2]], term_cap))
+                polys.append(polys[g[1]].mul(polys[g[2]]))
         return polys[self.out]
 
     def to_json(self) -> dict:
@@ -186,23 +203,6 @@ class CircuitBuilder:
         neg = self.mul(self.const(-1), b)
         return self.add(a, neg)
 
-    def affine(self, form: AffineForm) -> int:
-        """Gate computing the given affine form of the circuit inputs."""
-        if form.arity != self.v:
-            raise ArityMismatch("affine form arity differs from circuit inputs")
-        acc: Optional[int] = None
-        for i, c in enumerate(form.coeffs):
-            if not c:
-                continue
-            g = self.inp(i)
-            if c != 1:
-                g = self.mul(self.const(c), g)
-            acc = g if acc is None else self.add(acc, g)
-        if form.const or acc is None:
-            g = self.const(form.const)
-            acc = g if acc is None else self.add(acc, g)
-        return acc
-
     def build(self, out: Optional[int] = None) -> Circuit:
         if out is None:
             out = len(self.gates) - 1
@@ -229,10 +229,6 @@ class AffineMatrixMap:
                     raise FieldMismatch("entry form in a different field")
                 if f.arity != self.v:
                     raise ArityMismatch("entry form arity differs from v")
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return all(f.is_homogeneous for row in self.entries for f in row)
 
     @classmethod
     def from_params(
@@ -276,9 +272,7 @@ class AffineMatrixMap:
         }
 
 
-def berkowitz_det(
-    mat: Sequence[Sequence[SparsePoly]], term_cap: int = DEFAULT_TERM_CAP
-) -> SparsePoly:
+def berkowitz_det(mat: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
     """Division-free determinant of a square matrix of polynomials.
 
     Uses the Berkowitz recursion on principal submatrices; all intermediate
@@ -304,7 +298,7 @@ def berkowitz_det(
         def dot(xs: Sequence[SparsePoly], ys: Sequence[SparsePoly]) -> SparsePoly:
             acc = SparsePoly.zero(fld, v)
             for x, y in zip(xs, ys):
-                acc = acc + x.mul(y, term_cap)
+                acc = acc + x.mul(y)
             return acc
 
         diags = [col]
@@ -320,7 +314,7 @@ def berkowitz_det(
             acc = SparsePoly.zero(fld, v)
             for j in range(min(i, m - 1) + 1):
                 if i - j < len(toep):
-                    acc = acc + toep[i - j].mul(sub_vec[j], term_cap)
+                    acc = acc + toep[i - j].mul(sub_vec[j])
             out.append(acc)
         return out
 
@@ -331,17 +325,14 @@ def berkowitz_det(
     return det
 
 
-def det_projection(L: AffineMatrixMap, term_cap: int = DEFAULT_TERM_CAP) -> SparsePoly:
+def det_projection(L: AffineMatrixMap) -> SparsePoly:
     """det(L(x)) as an explicit polynomial in the x variables."""
     mat = [[f.to_poly() for f in row] for row in L.entries]
-    return berkowitz_det(mat, term_cap)
+    return berkowitz_det(mat)
 
 
 def sps_build(
-    field: PrimeField,
-    v: int,
-    products: Sequence[Sequence[AffineForm]],
-    term_cap: int = DEFAULT_TERM_CAP,
+    field: PrimeField, v: int, products: Sequence[Sequence[AffineForm]]
 ) -> SparsePoly:
     """Sum over the given products of affine forms."""
     acc = SparsePoly.zero(field, v)
@@ -352,22 +343,9 @@ def sps_build(
                 raise FieldMismatch("form in a different field")
             if f.arity != v:
                 raise ArityMismatch("form arity differs from v")
-            term = term.mul(f.to_poly(), term_cap)
+            term = term.mul(f.to_poly())
         acc = acc + term
     return acc
-
-
-def pad_polynomial(
-    f: SparsePoly, form: AffineForm, e: int, term_cap: int = DEFAULT_TERM_CAP
-) -> SparsePoly:
-    """Multiply f by the e-th power of a homogeneous linear form."""
-    if e < 0:
-        raise ValueError("negative padding exponent")
-    if not form.is_homogeneous:
-        raise ValueError("padding form must be homogeneous linear")
-    if form.arity != f.v:
-        raise ArityMismatch("padding form arity differs from polynomial")
-    return f.mul(form.to_poly().pow(e, term_cap), term_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -510,12 +488,6 @@ class FamilyDescriptor:
             raise AssertionError("sampler produced an invalid member")
         return sample
 
-    def grid_size(self) -> int:
-        size = 1
-        for r in self.param_ranges():
-            size *= r
-        return size
-
     def to_json(self) -> dict:
         out = {
             "class": self.class_id,
@@ -595,14 +567,8 @@ def validate_member(desc: FamilyDescriptor, sample: FamilySample) -> bool:
 
 
 def sample_family_with_params(desc: FamilyDescriptor, seed: int) -> FamilySample:
-    rng = random.Random(seed)
-    params = tuple(rng.randrange(r) for r in desc.param_ranges())
-    return desc.member_from_params(params)
-
-
-def sample_family(desc: FamilyDescriptor, seed: int) -> SparsePoly:
     """Uniform member of the family; deterministic in (descriptor, seed)."""
-    return sample_family_with_params(desc, seed).poly
+    return desc.member_from_params(next(_seeded_draws(desc.param_ranges(), 1, seed)))
 
 
 def iter_family(desc: FamilyDescriptor) -> Iterator[FamilySample]:

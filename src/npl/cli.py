@@ -18,11 +18,11 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from . import __version__
-from .algebra import DEFAULT_TERM_CAP, MonomialIndex, PolySpace, PrimeField, SparsePoly
+from .algebra import PolySpace, PrimeField, SparsePoly
 from .circuits import Circuit, FamilyDescriptor
 from .errors import NplError
 from .ips import (
@@ -35,11 +35,11 @@ from .ips import (
 )
 from .meta import (
     CircuitMeta,
+    MinorMeta,
     MinorSelection,
     RankMethodSpec,
     coordinate_meta,
     discriminant,
-    minor_meta,
     partials_matrix,
     rank_mod_p,
     shifted_partials_matrix,
@@ -67,9 +67,7 @@ class ExperimentPlan:
     seed: int
     trials: int
     exhaustive: bool
-    term_cap: int
     enum_budget: int
-    jobs: int
     out: Optional[str]
     pretty: bool
     inputs: Tuple[Tuple[str, object], ...] = ()
@@ -87,9 +85,7 @@ class ExperimentPlan:
             "seed": self.seed,
             "trials": self.trials,
             "exhaustive": self.exhaustive,
-            "term_cap": self.term_cap,
             "enum_budget": self.enum_budget,
-            "jobs": self.jobs,
             "out": self.out,
             "pretty": self.pretty,
             "inputs": {k: v for k, v in self.inputs},
@@ -104,12 +100,8 @@ def _add_common(sub: argparse.ArgumentParser, default_field: int) -> None:
                      help=f"randomized trial budget (default {DEFAULT_TRIALS})")
     sub.add_argument("--exhaustive", action="store_true",
                      help="use exhaustive enumeration instead of sampling")
-    sub.add_argument("--term-cap", type=int, default=DEFAULT_TERM_CAP,
-                     help="monomial cap for symbolic expansion")
     sub.add_argument("--enum-budget", type=int, default=DEFAULT_ENUM_BUDGET,
                      help="point budget for exhaustive enumeration")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="worker cap; current engines run single-process")
     sub.add_argument("--out", type=str, default=None, help="also write the report here")
     sub.add_argument("--pretty", action="store_true", help="indent the JSON report")
 
@@ -204,9 +196,7 @@ def parse_plan(argv: Sequence[str], env: Optional[Mapping[str, str]] = None) -> 
         seed=ns.seed,
         trials=ns.trials,
         exhaustive=ns.exhaustive,
-        term_cap=ns.term_cap,
         enum_budget=ns.enum_budget,
-        jobs=ns.jobs,
         out=ns.out,
         pretty=ns.pretty,
         inputs=inputs,
@@ -234,9 +224,21 @@ def _parse_kv(text: str) -> Dict[str, int]:
     return out
 
 
-def _load_json(path: str):
+def _load_json(path: str, parse: Callable, field: Optional[int] = None):
+    """Read the JSON file at path and build an object from it with parse.
+
+    Valid JSON of the wrong shape is an input error that names the file, not
+    a crash.  Given a field, the object must live in F_field.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    try:
+        obj = parse(data)
+    except (TypeError, AttributeError, IndexError) as exc:
+        raise ValueError(f"{path}: malformed input: {exc}") from None
+    if field is not None and obj.field.p != field:
+        raise ValueError(f"{path}: field {obj.field.p} differs from plan field {field}")
+    return obj
 
 
 def _resolve_meta(spec: str, space: PolySpace, field: PrimeField):
@@ -252,7 +254,7 @@ def _resolve_meta(spec: str, space: PolySpace, field: PrimeField):
             shift=0,
             minor=MinorSelection(kind="leading", size=kv["r"] + 1),
         )
-        return minor_meta(rms, space, field)
+        return MinorMeta(rms, space, field)
     if spec.startswith("shifted-minor:"):
         kv = _parse_kv(spec.split(":", 1)[1])
         rms = RankMethodSpec(
@@ -261,15 +263,18 @@ def _resolve_meta(spec: str, space: PolySpace, field: PrimeField):
             shift=kv["l"],
             minor=MinorSelection(kind="leading", size=kv["r"] + 1),
         )
-        return minor_meta(rms, space, field)
+        return MinorMeta(rms, space, field)
     if spec.endswith(".json"):
-        data = _load_json(spec)
-        if "method" in data:
-            return minor_meta(RankMethodSpec.from_json(data), space, field)
-        if "gates" in data:
-            return CircuitMeta(space, Circuit.from_json(data))
-        raise ValueError(f"meta file {spec!r} is neither a rank spec nor a circuit")
+        return _load_json(spec, lambda data: _meta_from_json(data, spec, space, field))
     raise ValueError(f"unknown meta spec {spec!r}")
+
+
+def _meta_from_json(data, spec: str, space: PolySpace, field: PrimeField):
+    if "method" in data:
+        return MinorMeta(RankMethodSpec.from_json(data), space, field)
+    if "gates" in data:
+        return CircuitMeta(space, Circuit.from_json(data))
+    raise ValueError(f"meta file {spec!r} is neither a rank spec nor a circuit")
 
 
 def _resolve_family(spec: str, space: PolySpace, field: PrimeField) -> FamilyDescriptor:
@@ -287,16 +292,12 @@ def _resolve_family(spec: str, space: PolySpace, field: PrimeField) -> FamilyDes
         kv = _parse_kv(spec.split(":", 1)[1])
         return FamilyDescriptor("sparse", space, field, sparsity=kv["s"])
     if spec.endswith(".json"):
-        return FamilyDescriptor.from_json(_load_json(spec))
+        return _load_json(spec, FamilyDescriptor.from_json)
     raise ValueError(f"unknown family spec {spec!r}")
 
 
 def _run_pit(plan: ExperimentPlan) -> Tuple[dict, int]:
-    circuit = Circuit.from_json(_load_json(plan.input("circuit")))
-    if circuit.field.p != plan.field:
-        raise ValueError(
-            f"circuit field {circuit.field.p} differs from plan field {plan.field}"
-        )
+    circuit = _load_json(plan.input("circuit"), Circuit.from_json, plan.field)
     if plan.exhaustive:
         verdict = pit_exhaustive(circuit, enum_budget=plan.enum_budget)
     else:
@@ -327,11 +328,7 @@ def _run_audit(plan: ExperimentPlan) -> Tuple[dict, int]:
     space = _parse_space(plan.input("space"))
     T = _resolve_meta(plan.input("meta"), space, field)
     desc = _resolve_family(plan.input("family"), space, field)
-    hard = SparsePoly.from_json(_load_json(plan.input("hard")))
-    if hard.field.p != plan.field:
-        raise ValueError(
-            f"hard polynomial field {hard.field.p} differs from plan field {plan.field}"
-        )
+    hard = _load_json(plan.input("hard"), SparsePoly.from_json, plan.field)
     report = natural_proof_audit(
         T,
         desc,
@@ -346,11 +343,7 @@ def _run_audit(plan: ExperimentPlan) -> Tuple[dict, int]:
 
 
 def _run_rank(plan: ExperimentPlan) -> Tuple[dict, int]:
-    poly = SparsePoly.from_json(_load_json(plan.input("poly")))
-    if poly.field.p != plan.field:
-        raise ValueError(
-            f"polynomial field {poly.field.p} differs from plan field {plan.field}"
-        )
+    poly = _load_json(plan.input("poly"), SparsePoly.from_json, plan.field)
     k = plan.input("k")
     if plan.input("method") == "shifted":
         matrix = shifted_partials_matrix(poly, k, plan.input("shift"))
@@ -392,12 +385,8 @@ def _run_ips_verify(plan: ExperimentPlan) -> Tuple[dict, int]:
         with open(plan.input("cnf"), "r", encoding="utf-8") as fh:
             system = cnf_to_system(parse_dimacs(fh.read()), field)
     else:
-        system = PolynomialSystem.from_json(_load_json(plan.input("system")))
-        if system.field.p != plan.field:
-            raise ValueError(
-                f"system field {system.field.p} differs from plan field {plan.field}"
-            )
-    cert = GeometricCertificate.from_json(_load_json(plan.input("cert")))
+        system = _load_json(plan.input("system"), PolynomialSystem.from_json, plan.field)
+    cert = _load_json(plan.input("cert"), GeometricCertificate.from_json)
     config = PitConfig(
         mode="exhaustive" if plan.exhaustive else "schwartz-zippel",
         trials=plan.trials,

@@ -13,10 +13,6 @@ class FieldMismatch(NplError):
     """Operands live in different prime fields."""
 
 
-class DivisionByZero(NplError, ZeroDivisionError):
-    """Inversion or division of the zero element."""
-
-
 class SpaceMismatch(NplError):
     """A polynomial or vector does not fit the declared polynomial space."""
 
@@ -26,7 +22,7 @@ class ArityMismatch(NplError):
 
 
 class TermCapExceeded(NplError):
-    """A symbolic expansion grew past the configured monomial cap."""
+    """A symbolic expansion grew past the fixed monomial cap."""
 
 
 class DescriptorInvalid(NplError):

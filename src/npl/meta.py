@@ -51,6 +51,25 @@ def _derivative_factor(alpha: Exponents, tail: Exponents, p: int) -> int:
     return f
 
 
+def _derivative_cell(
+    label, m: Exponents, shift: int, p: int
+) -> Optional[Tuple[Exponents, int]]:
+    """Entry (label, m) of a derivative matrix is factor * coeff(f, source);
+    returns (source, factor), or None where the entry is identically zero.
+
+    A row label is a derivative alpha, or with a shift a pair (beta, alpha)
+    that stands for x^beta * d^alpha.
+    """
+    beta, alpha = label if shift else ((0,) * len(m), label)
+    tail = tuple(mi - bi for mi, bi in zip(m, beta))
+    if any(t < 0 for t in tail):
+        return None
+    factor = _derivative_factor(alpha, tail, p)
+    if factor == 0:
+        return None
+    return tuple(a + t for a, t in zip(alpha, tail)), factor
+
+
 @dataclass
 class CoeffMatrix:
     """A matrix whose entries are linear in the coefficients of f.
@@ -147,24 +166,19 @@ def _build_matrix(
     num_rows: List[Tuple[int, ...]] = []
     sym_rows: List[Tuple[Mapping[int, int], ...]] = []
     for label in rows:
-        if shift:
-            beta, alpha = label
-        else:
-            beta, alpha = (0,) * space.v, label
         num_row: List[int] = []
         sym_row: List[Mapping[int, int]] = []
         for m in cols:
-            tail = tuple(mi - bi for mi, bi in zip(m, beta))
-            if any(t < 0 for t in tail):
+            cell = _derivative_cell(label, m, shift, p)
+            if cell is None:
                 num_row.append(0)
                 if want_symbolic:
                     sym_row.append({})
                 continue
-            source = tuple(a + t for a, t in zip(alpha, tail))
-            factor = _derivative_factor(alpha, tail, p)
+            source, factor = cell
             num_row.append(factor * f.coefficient(source) % p)
             if want_symbolic:
-                sym_row.append({index.rank(source): factor} if factor else {})
+                sym_row.append({index.rank(source): factor})
         num_rows.append(tuple(num_row))
         if want_symbolic:
             sym_rows.append(tuple(sym_row))
@@ -377,24 +391,12 @@ class MinorMeta:
         p = field.p
         cells: List[Tuple[Optional[Tuple[int, int]], ...]] = []
         for r in sel_rows:
-            label = rows[r]
-            if shift:
-                beta, alpha = label
-            else:
-                beta, alpha = (0,) * space.v, label
             row_cells: List[Optional[Tuple[int, int]]] = []
             for c in sel_cols:
-                m = cols[c]
-                tail = tuple(mi - bi for mi, bi in zip(m, beta))
-                if any(t < 0 for t in tail):
-                    row_cells.append(None)
-                    continue
-                factor = _derivative_factor(alpha, tail, p)
-                if factor == 0:
-                    row_cells.append(None)
-                    continue
-                source = tuple(a + t for a, t in zip(alpha, tail))
-                row_cells.append((index.rank(source), factor))
+                cell = _derivative_cell(rows[r], cols[c], shift, p)
+                row_cells.append(
+                    None if cell is None else (index.rank(cell[0]), cell[1])
+                )
             cells.append(tuple(row_cells))
         self.spec = spec
         self.space = space
@@ -423,10 +425,6 @@ class MinorMeta:
         return matrix_det(rows, p)
 
 
-def minor_meta(spec: RankMethodSpec, space: PolySpace, field: PrimeField) -> MinorMeta:
-    return MinorMeta(spec, space, field)
-
-
 class CircuitMeta:
     """Meta-polynomial given by a circuit over the N meta-variables."""
 
@@ -450,10 +448,6 @@ class CircuitMeta:
                 f"expected {self.space.dimension} coefficients, got {len(cv)}"
             )
         return self.circuit.evaluate(cv)
-
-
-def eval_meta(T, cv: Sequence[int]) -> int:
-    return T.eval_at(cv)
 
 
 def discriminant(field: PrimeField) -> CircuitMeta:

@@ -15,11 +15,8 @@ Verdict witnesses are always re-evaluated before the verdict is built, so a
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .algebra import MonomialIndex, PolySpace, PrimeField, SparsePoly
 from .circuits import (
@@ -27,10 +24,9 @@ from .circuits import (
     Circuit,
     FamilyDescriptor,
     FamilySample,
-    derive_seed,
+    _seeded_draws,
     det_projection,
     iter_family,
-    sample_family_with_params,
 )
 from .errors import (
     ArityMismatch,
@@ -38,7 +34,6 @@ from .errors import (
     EnumerationBudgetExceeded,
     SpaceMismatch,
 )
-from .meta import eval_meta
 
 DEFAULT_TRIALS = 25
 DEFAULT_ENUM_BUDGET = 1_000_000
@@ -103,6 +98,8 @@ def pit_exhaustive(
     circuit: Circuit, enum_budget: int = DEFAULT_ENUM_BUDGET
 ) -> PitVerdict:
     """Evaluate the circuit on all of F_p^v.  Proof-grade either way."""
+    import numpy as np  # only this engine needs it; keeps it out of start-up
+
     p = circuit.field.p
     deg = circuit.formal_degree
     if p <= deg:
@@ -114,16 +111,19 @@ def pit_exhaustive(
         raise EnumerationBudgetExceeded(
             f"{total} points exceed the budget of {enum_budget}"
         )
-    # one value array per gate over the whole grid; the budget caps memory
-    idx = np.arange(total, dtype=np.int64)
-    vals: List[np.ndarray] = []
+    # one value array per gate over the whole grid; the budget caps memory.
+    # int64 holds every product of two residues only while (p-1)^2 < 2^63;
+    # above that the arrays hold exact Python ints.
+    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
+    idx = np.arange(total, dtype=dtype)
+    vals = []
     for g in circuit.gates:
         op = g[0]
         if op == "in":
             stride = p ** (circuit.v - 1 - g[1])
             vals.append((idx // stride) % p)
         elif op == "const":
-            vals.append(np.full(total, g[1], dtype=np.int64))
+            vals.append(np.full(total, g[1], dtype=dtype))
         elif op == "add":
             vals.append((vals[g[1]] + vals[g[2]]) % p)
         else:
@@ -137,33 +137,44 @@ def pit_exhaustive(
     return _nonzero_verdict(point, circuit.evaluate, deg, p)
 
 
+def _random_search(
+    f: Callable[[Sequence[int]], int],
+    ranges: Sequence[int],
+    degree_bound: int,
+    p: int,
+    trials: int,
+    seed: int,
+    bound_name: str,
+) -> PitVerdict:
+    """Evaluate f at the seeded trial points until one is nonzero."""
+    warnings: Tuple[str, ...] = ()
+    if p <= 2 * degree_bound:
+        warnings = (
+            f"field size {p} is at most twice the {bound_name} {degree_bound}; "
+            "per-trial error bound degraded",
+        )
+    for t, point in enumerate(_seeded_draws(ranges, trials, seed)):
+        if f(point):
+            return _nonzero_verdict(
+                point, f, degree_bound, p, trials=t + 1, warnings=warnings
+            )
+    return PitVerdict(
+        outcome=PROBABLY_ZERO,
+        degree_bound=degree_bound,
+        p=p,
+        trials=trials,
+        warnings=warnings,
+    )
+
+
 def pit_schwartz_zippel(
     circuit: Circuit, trials: int = DEFAULT_TRIALS, seed: int = 0
 ) -> PitVerdict:
     """Randomized identity test; deterministic function of the seed."""
-    if trials < 1:
-        raise ValueError("at least one trial required")
     p = circuit.field.p
-    deg = circuit.formal_degree
-    warnings: Tuple[str, ...] = ()
-    if p <= 2 * deg:
-        warnings = (
-            f"field size {p} is at most twice the formal degree {deg}; "
-            "per-trial error bound degraded",
-        )
-    for t in range(trials):
-        rng = random.Random(derive_seed(seed, t))
-        point = tuple(rng.randrange(p) for _ in range(circuit.v))
-        if circuit.evaluate(point) != 0:
-            return _nonzero_verdict(
-                point, circuit.evaluate, deg, p, trials=t + 1, warnings=warnings
-            )
-    return PitVerdict(
-        outcome=PROBABLY_ZERO,
-        degree_bound=deg,
-        p=p,
-        trials=trials,
-        warnings=warnings,
+    return _random_search(
+        circuit.evaluate, (p,) * circuit.v, circuit.formal_degree, p, trials, seed,
+        "formal degree",
     )
 
 
@@ -232,60 +243,35 @@ def det_coeff_generator(n: int, field: PrimeField) -> Generator:
     )
 
 
-def _probe_meta_nonzero(
-    T, trials: int, seed: int
-) -> Optional[Tuple[Tuple[int, ...], int]]:
-    """Randomized nonzero-ness probe for a meta-polynomial itself."""
-    p = T.field.p
-    N = T.space.dimension
-    for t in range(trials):
-        rng = random.Random(derive_seed(seed, t))
-        cv = tuple(rng.randrange(p) for _ in range(N))
-        val = eval_meta(T, cv)
-        if val:
-            return cv, val
-    return None
-
 _PROBE_TRIALS = 16
 _PROBE_SEED_SALT = 0x9E3779B9
+
+
+def _meta_looks_zero(T, seed: int) -> bool:
+    """Randomized probe of T itself: True when T vanished at every one of
+    _PROBE_TRIALS random coefficient vectors."""
+    cvs = _seeded_draws(
+        (T.field.p,) * T.space.dimension, _PROBE_TRIALS, seed, salt=_PROBE_SEED_SALT
+    )
+    return not any(T.eval_at(cv) for cv in cvs)
 
 
 def generator_pit(T, G: Generator, trials: int = DEFAULT_TRIALS, seed: int = 0) -> PitVerdict:
     """Identity test for the composition T(G(seed)) by random seed points."""
     if T.space != G.space or T.field.p != G.field.p:
         raise SpaceMismatch("meta-polynomial and generator target different spaces")
-    if trials < 1:
-        raise ValueError("at least one trial required")
     p = G.field.p
-    deg = T.degree_bound * G.coord_degree
-    warnings: Tuple[str, ...] = ()
-    if p <= 2 * deg:
-        warnings = (
-            f"field size {p} is at most twice the composed degree bound {deg}; "
-            "per-trial error bound degraded",
-        )
-    for t in range(trials):
-        rng = random.Random(derive_seed(seed, t))
-        point = tuple(rng.randrange(p) for _ in range(G.s))
-        val = eval_meta(T, G.evaluate(point))
-        if val:
-            return _nonzero_verdict(
-                point,
-                lambda pt: eval_meta(T, G.evaluate(pt)),
-                deg,
-                p,
-                trials=t + 1,
-                warnings=warnings,
-            )
-    probe = _probe_meta_nonzero(T, _PROBE_TRIALS, derive_seed(seed, _PROBE_SEED_SALT))
-    if probe is None:
-        warnings = warnings + (
-            "meta-polynomial may be identically zero "
-            f"(nonzero probe failed over {_PROBE_TRIALS} samples)",
-        )
-    return PitVerdict(
-        outcome=PROBABLY_ZERO, degree_bound=deg, p=p, trials=trials, warnings=warnings
+    verdict = _random_search(
+        lambda pt: T.eval_at(G.evaluate(pt)), (p,) * G.s,
+        T.degree_bound * G.coord_degree, p, trials, seed, "composed degree bound",
     )
+    if verdict.outcome == PROBABLY_ZERO and _meta_looks_zero(T, seed):
+        warning = (
+            "meta-polynomial may be identically zero "
+            f"(nonzero probe failed over {_PROBE_TRIALS} samples)"
+        )
+        verdict = replace(verdict, warnings=verdict.warnings + (warning,))
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +356,7 @@ def succinct_hitting_check(
                     f"family grid larger than the budget of {enum_budget} "
                     "and no witness found within it"
                 )
-            val = eval_meta(T, sample.poly.coeff_vector(index))
+            val = T.eval_at(sample.poly.coeff_vector(index))
             if val:
                 witness, witness_value = sample, val
                 break
@@ -378,10 +364,10 @@ def succinct_hitting_check(
         else:
             exhausted = True
     else:
-        for t in range(trials):
-            sample = sample_family_with_params(desc, derive_seed(seed, t))
+        for params in _seeded_draws(desc.param_ranges(), trials, seed):
+            sample = desc.member_from_params(params)
             examined += 1
-            val = eval_meta(T, sample.poly.coeff_vector(index))
+            val = T.eval_at(sample.poly.coeff_vector(index))
             if val:
                 if witness is None:
                     witness, witness_value = sample, val
@@ -391,13 +377,10 @@ def succinct_hitting_check(
                 zeros += 1
     degenerate = False
     if witness is None:
-        probe = _probe_meta_nonzero(
-            T, _PROBE_TRIALS, derive_seed(seed, _PROBE_SEED_SALT)
-        )
-        degenerate = probe is None
+        degenerate = _meta_looks_zero(T, seed)
     else:
         # re-check the witness before reporting it
-        if eval_meta(T, witness.poly.coeff_vector(index)) != witness_value:
+        if T.eval_at(witness.poly.coeff_vector(index)) != witness_value:
             raise AssertionError("witness failed its re-evaluation")
     return HitReport(
         meta_id=getattr(T, "meta_id", "meta"),
@@ -475,7 +458,7 @@ def natural_proof_audit(
         enum_budget=enum_budget,
         collect_stats=True,
     )
-    hard_value = eval_meta(T, hard_cv)
+    hard_value = T.eval_at(hard_cv)
     if evidence.outcome == "witness":
         classification = REFUTED
     elif hard_value == 0:

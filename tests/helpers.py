@@ -198,4 +198,4 @@ def binom(n: int, k: int) -> int:
 def affine_from_coeffs(
     field: PrimeField, coeffs: Sequence[int], const: int = 0
 ) -> AffineForm:
-    return AffineForm(field, tuple(field.canon(c) for c in coeffs), field.canon(const))
+    return AffineForm(field, tuple(coeffs), const)

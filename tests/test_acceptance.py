@@ -20,6 +20,7 @@ from npl import (
     Cnf,
     FamilyDescriptor,
     GeometricCertificate,
+    MinorMeta,
     MinorSelection,
     MonomialIndex,
     PitConfig,
@@ -31,11 +32,9 @@ from npl import (
     coordinate_meta,
     det_coeff_generator,
     discriminant,
-    eval_meta,
     generator_pit,
     linear_meta,
     matrix_rank,
-    minor_meta,
     natural_proof_audit,
     partials_matrix,
     pit_exhaustive,
@@ -97,15 +96,15 @@ def test_criterion_01_monomial_indexing():
 def test_criterion_02_discriminant_minor_identity():
     with criterion(2, "full 2x2 minor equals negated discriminant", 1.0):
         space = PolySpace(2, 2, True)
-        T = minor_meta(
+        T = MinorMeta(
             RankMethodSpec("partials", 1, 0, MinorSelection("leading", 2)),
             space,
             F7,
         )
         disc = discriminant(F7)
         for cv in itertools.product(range(7), repeat=3):
-            lhs = eval_meta(T, cv)
-            rhs = (-eval_meta(disc, cv)) % 7
+            lhs = T.eval_at(cv)
+            rhs = (-disc.eval_at(cv)) % 7
             assert lhs == rhs, cv
 
 
@@ -228,7 +227,7 @@ def test_criterion_06_generator_hitting():
         for i, T in enumerate(metas):
             v = generator_pit(T, g, trials=10**5, seed=6000 + i)
             if v.outcome == "proven-nonzero":
-                assert eval_meta(T, g.evaluate(v.witness)) == v.value != 0
+                assert T.eval_at(g.evaluate(v.witness)) == v.value != 0
                 hits += 1
         assert hits == 60, f"{hits}/60 hit"
 
@@ -243,7 +242,7 @@ def test_criterion_07_succinct_hitting_audit():
         vanish = succinct_hitting_check(squares, disc, exhaustive=True)
         assert vanish.outcome == "none-found"
         assert vanish.exhausted and vanish.zeros == vanish.examined == 49
-        assert eval_meta(disc, xy.coeff_vector(MonomialIndex(space))) == 1
+        assert disc.eval_at(xy.coeff_vector(MonomialIndex(space))) == 1
 
         report = natural_proof_audit(disc, squares, xy, exhaustive=True)
         assert report.classification == "valid-separation-instance"
@@ -254,7 +253,7 @@ def test_criterion_07_succinct_hitting_audit():
         assert flipped.classification == "refuted"
         w = SparsePoly.from_json(flipped.evidence.witness_poly)
         assert (
-            eval_meta(disc, w.coeff_vector(MonomialIndex(space)))
+            disc.eval_at(w.coeff_vector(MonomialIndex(space)))
             == flipped.evidence.witness_value
             != 0
         )
@@ -277,7 +276,7 @@ def test_criterion_08_toy_equivalence():
             else:
                 sel = MinorSelection("leading", 2)
                 key = "full"
-            metas[key] = minor_meta(
+            metas[key] = MinorMeta(
                 RankMethodSpec("partials", 1, 0, sel), space, F7
             )
         assert len(metas) == 5
@@ -287,7 +286,7 @@ def test_criterion_08_toy_equivalence():
         for key, T in metas.items():
             rep = succinct_hitting_check(squares, T, exhaustive=True)
             nonzero_somewhere = any(
-                eval_meta(T, cv) for cv in itertools.product(range(7), repeat=3)
+                T.eval_at(cv) for cv in itertools.product(range(7), repeat=3)
             )
             if rep.outcome == "none-found" and nonzero_somewhere:
                 side_a.add(key)

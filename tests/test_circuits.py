@@ -16,8 +16,6 @@ from npl import (
     derive_seed,
     det_projection,
     iter_family,
-    pad_polynomial,
-    sample_family,
     sample_family_with_params,
     sps_build,
     validate_member,
@@ -204,29 +202,6 @@ class TestBuilders:
         c3 = sps_build(F7, 2, [])
         assert c3.is_zero
 
-    def test_pad_worked(self):
-        f = SparsePoly.variable(F5, 2, 1)
-        ell = AffineForm(F5, (1, 0))
-        assert pad_polynomial(f, ell, 2) == SparsePoly(F5, 2, {(2, 1): 1})
-        assert pad_polynomial(f, ell, 0) == f
-        assert pad_polynomial(SparsePoly.zero(F5, 2), ell, 3).is_zero
-
-    def test_pad_pointwise_exhaustive(self):
-        f = SparsePoly(F5, 2, {(1, 1): 2, (0, 2): 3})
-        ell = AffineForm(F5, (1, 4))
-        padded = pad_polynomial(f, ell, 3)
-        for a in range(5):
-            for b in range(5):
-                want = (ell.evaluate((a, b)) ** 3 * f.evaluate((a, b))) % 5
-                assert padded.evaluate((a, b)) == want
-
-    def test_pad_rejects_inhomogeneous(self):
-        f = SparsePoly.variable(F5, 2, 0)
-        with pytest.raises(ValueError):
-            pad_polynomial(f, AffineForm(F5, (1, 0), 1), 1)
-        with pytest.raises(ValueError):
-            pad_polynomial(f, AffineForm(F5, (1, 0)), -1)
-
 
 class TestFamilies:
     def descriptors(self):
@@ -241,7 +216,7 @@ class TestFamilies:
 
     def test_sampling_deterministic(self):
         for desc in self.descriptors():
-            assert sample_family(desc, 42) == sample_family(desc, 42)
+            assert sample_family_with_params(desc, 42) == sample_family_with_params(desc, 42)
 
     def test_every_sample_validates(self):
         for desc in self.descriptors():
@@ -261,13 +236,13 @@ class TestFamilies:
     def test_det_projection_homogeneous_or_zero(self):
         desc = FamilyDescriptor("det-projection", PolySpace(2, 2, True), F7, n=2)
         for seed in range(100):
-            f = sample_family(desc, seed)
+            f = sample_family_with_params(desc, seed).poly
             assert f.is_zero or f.is_homogeneous(2)
 
     def test_iter_family_covers_grid(self):
         desc = FamilyDescriptor("squares", PolySpace(2, 2, True), F5)
         samples = list(iter_family(desc))
-        assert len(samples) == desc.grid_size() == 25
+        assert len(samples) == 25
         assert len({s.params for s in samples}) == 25
         for s in samples:
             assert validate_member(desc, s)
@@ -309,3 +284,58 @@ class TestSeedDerivation:
     def test_disjoint_streams(self):
         derived = {derive_seed(1234, t) for t in range(100)}
         assert len(derived) == 100
+
+
+def sympy_terms(expr, gens, p):
+    """{exponents: coefficient in [0, p)} of a sympy expression over GF(p);
+    sympy reports symmetric residues."""
+    import sympy
+
+    poly = sympy.Poly(expr, *gens, modulus=p)
+    return {e: c % p for e, c in poly.terms() if c % p}
+
+
+@pytest.mark.parametrize("p", (13, 2**61 - 1, 2**64 - 59))
+class TestAgainstSympy:
+    def test_berkowitz_det(self, p):
+        sympy = pytest.importorskip("sympy")
+        F = PrimeField(p)
+        rng = random.Random(p)
+        xs = sympy.symbols("x0:3")
+        for n in (3, 4):
+            forms = [
+                [AffineForm(F, tuple(rng.randrange(p) for _ in xs), rng.randrange(p))
+                 for _ in range(n)]
+                for _ in range(n)
+            ]
+            got = berkowitz_det([[f.to_poly() for f in row] for row in forms])
+            M = sympy.Matrix(n, n, lambda i, j: sum(
+                c * x for c, x in zip(forms[i][j].coeffs, xs)) + forms[i][j].const)
+            assert dict(got.terms) == sympy_terms(M.det(method="laplace"), xs, p)
+
+    def test_circuit_expand(self, p):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(p)
+        xs = sympy.symbols("x0:3")
+        for _ in range(10):
+            # operands from the last five gates keep the output deep
+            b = CircuitBuilder(PrimeField(p), 3)
+            gates = [(b.inp(i), 1) for i in range(3)] + [(b.const(rng.randrange(p)), 0)]
+            for _ in range(12):
+                (x, dx), (y, dy) = rng.sample(gates[-5:], 2)
+                if dx + dy <= 6 and rng.random() < 0.6:
+                    gates.append((b.mul(x, y), dx + dy))
+                else:
+                    gates.append((b.add(x, y), max(dx, dy)))
+            c = b.build()
+            vals = []
+            for g in c.gates:
+                if g[0] == "in":
+                    vals.append(xs[g[1]])
+                elif g[0] == "const":
+                    vals.append(sympy.Integer(g[1]))
+                elif g[0] == "add":
+                    vals.append(vals[g[1]] + vals[g[2]])
+                else:
+                    vals.append(vals[g[1]] * vals[g[2]])
+            assert dict(c.expand().terms) == sympy_terms(vals[c.out], xs, p)

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -224,11 +225,41 @@ class TestExitCodes:
              "--space", "nonsense", "--field", "7"),
             ("rank", "--poly", workdir / "phi.cnf", "--method", "partials",
              "--k", "1", "--field", "7"),
+            ("audit", "--meta", "disc", "--family", "full", "--space", "2:2",
+             "--field", "7", "--hard", workdir / "xy7.json", "--trials", "0"),
+            ("hit-check", "--meta", "disc", "--family", "squares",
+             "--space", "2:2", "--field", "7", "--trials", "-3"),
+        ]
+        # valid JSON of the wrong shape
+        malformed = {
+            "list.json": [1, 2],
+            "str.json": "abc",
+            "gates.json": {"p": 13, "v": 1, "gates": 5, "out": 0},
+            "terms.json": {"p": 7, "v": 2, "terms": 5},
+            "exps.json": {"p": 7, "v": 2, "terms": [{"e": 3, "c": 1}]},
+        }
+        for name, doc in malformed.items():
+            (workdir / name).write_text(json.dumps(doc))
+        for name in ("list.json", "str.json", "gates.json"):
+            cases.append(("pit", "--circuit", workdir / name, "--field", "13"))
+        for name in ("terms.json", "exps.json"):
+            cases.append(("rank", "--poly", workdir / name, "--k", "1", "--field", "7"))
+        bad = workdir / "list.json"
+        cases += [
+            ("audit", "--meta", "disc", "--family", "squares", "--space", "2:2",
+             "--field", "7", "--hard", bad),
+            ("hit-check", "--meta", "disc", "--family", bad, "--space", "2:2",
+             "--field", "7"),
+            ("ips-verify", "--cnf", workdir / "phi.cnf", "--cert", bad,
+             "--field", "13"),
+            ("ips-verify", "--system", bad, "--cert", workdir / "cert.json",
+             "--field", "13"),
         ]
         for argv in cases:
             code, _, err = run_cli(capsys, *argv)
             assert code == 2, argv
-            assert err.strip(), argv
+            assert len(err.strip().splitlines()) == 1, (argv, err)
+            assert "Traceback" not in err, argv
 
     def test_argparse_usage_error(self, workdir, capsys):
         assert run_cli(capsys, "pit")[0] == 2
@@ -320,6 +351,16 @@ class TestReports:
 
 
 class TestEntryPoint:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # numpy serves only the exhaustive grid, so start-up must not pay for it
+        env = dict(os.environ, PYTHONPATH=str(PYPROJECT.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import npl.cli, sys; assert 'numpy' not in sys.modules"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_module_invocation(self, workdir):
         proc = subprocess.run(
             [sys.executable, "-m", "npl", "gen", "--n", "2", "--field", "7"],

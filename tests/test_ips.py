@@ -223,6 +223,24 @@ class TestVerification:
         assert rep.relation_verdict.witness == (0,)
         assert rep.relation_verdict.value == 2
 
+    def test_relation_past_int64_rejected(self):
+        # y1^2 + 1 - y2 at the members (2^32, 1) is 2^64 = 8 mod 2^61 - 1
+        F = PrimeField(2**61 - 1)
+        members = []
+        for c in (2**32, 1):
+            b = CircuitBuilder(F, 0)
+            members.append(b.build(b.const(c)))
+        b = CircuitBuilder(F, 2)
+        y1 = b.inp(0)
+        cert = GeometricCertificate(
+            b.build(b.sub(b.add(b.mul(y1, y1), b.const(1)), b.inp(1)))
+        )
+        rep = verify_certificate(
+            PolynomialSystem(F, 0, tuple(members)), cert, PitConfig("exhaustive")
+        )
+        assert not rep.accepted and rep.failed_condition == 2
+        assert rep.relation_verdict.value == 8
+
     def test_randomized_grade_and_error_bound(self):
         rep = verify_certificate(
             self.hand_system(), self.hand_cert(),

@@ -7,6 +7,7 @@ import pytest
 from npl import (
     CircuitBuilder,
     CircuitMeta,
+    MinorMeta,
     MinorSelection,
     MonomialIndex,
     PolySpace,
@@ -15,11 +16,9 @@ from npl import (
     SparsePoly,
     coordinate_meta,
     discriminant,
-    eval_meta,
     linear_meta,
     matrix_det,
     matrix_rank,
-    minor_meta,
     partials_matrix,
     rank_mod_p,
     shifted_partials_matrix,
@@ -55,14 +54,14 @@ def quad(field, a, b, c):
 class TestDiscriminant:
     def test_worked_values(self):
         disc = discriminant(F7)
-        assert eval_meta(disc, [0, 1, 0]) == 1
-        assert eval_meta(disc, [1, 2, 1]) == 0
-        assert eval_meta(disc, [1, 0, 1]) == 3
+        assert disc.eval_at([0, 1, 0]) == 1
+        assert disc.eval_at([1, 2, 1]) == 0
+        assert disc.eval_at([1, 0, 1]) == 3
 
     def test_matches_closed_form_everywhere(self):
         disc = discriminant(F7)
         for a, b, c in itertools.product(range(7), repeat=3):
-            assert eval_meta(disc, [a, b, c]) == (b * b - 4 * a * c) % 7
+            assert disc.eval_at([a, b, c]) == (b * b - 4 * a * c) % 7
 
     def test_degree_bound(self):
         assert discriminant(F7).degree_bound == 2
@@ -246,33 +245,53 @@ class TestMatrixKernels:
                 rows.append([rng.randrange(7) for _ in range(cols)])
             assert matrix_rank(rows, 7) == row_rank(rows, 7)
 
+    @pytest.mark.parametrize("p", (13, 2**61 - 1, 2**64 - 59))
+    def test_rank_against_sympy(self, p):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        K = sympy.GF(p)
+        rng = random.Random(p)
+        for _ in range(10):
+            # B*C with B of shape (n, r) and C of shape (r, m) has rank <= r
+            n, m = rng.randrange(2, 7), rng.randrange(2, 7)
+            r = rng.randrange(1, min(n, m))
+            B = [[rng.randrange(p) for _ in range(r)] for _ in range(n)]
+            C = [[rng.randrange(p) for _ in range(m)] for _ in range(r)]
+            A = [
+                [sum(B[i][k] * C[k][j] for k in range(r)) % p for j in range(m)]
+                for i in range(n)
+            ]
+            want = DomainMatrix([[K(x) for x in row] for row in A], (n, m), K).rank()
+            assert matrix_rank(A, p) == want <= r
+
 
 class TestMinorMeta:
     def full_minor(self, field=F7):
         spec = RankMethodSpec("partials", 1, 0, MinorSelection("leading", 2))
-        return minor_meta(spec, SP22, field)
+        return MinorMeta(spec, SP22, field)
 
     def test_worked_values(self):
         T = self.full_minor()
-        assert eval_meta(T, [1, 2, 1]) == 0
-        assert eval_meta(T, [0, 1, 0]) == 6
-        lead1 = minor_meta(
+        assert T.eval_at([1, 2, 1]) == 0
+        assert T.eval_at([0, 1, 0]) == 6
+        lead1 = MinorMeta(
             RankMethodSpec("partials", 1, 0, MinorSelection("leading", 1)),
             SP22,
             F7,
         )
-        assert eval_meta(lead1, [1, 0, 0]) == 2
+        assert lead1.eval_at([1, 0, 0]) == 2
 
     def test_equals_negated_discriminant_everywhere(self):
         T = self.full_minor()
         disc = discriminant(F7)
         for cv in itertools.product(range(7), repeat=3):
-            assert eval_meta(T, cv) == (-eval_meta(disc, cv)) % 7
+            assert T.eval_at(cv) == (-disc.eval_at(cv)) % 7
 
     def test_degree_bound_is_minor_size(self):
         assert self.full_minor().degree_bound == 2
         spec = RankMethodSpec("partials", 1, 0, MinorSelection("leading", 1))
-        assert minor_meta(spec, SP22, F7).degree_bound == 1
+        assert MinorMeta(spec, SP22, F7).degree_bound == 1
 
     def test_degree_bound_honest_univariate_restriction(self):
         # along a random line the minor must interpolate as degree <= size
@@ -283,11 +302,11 @@ class TestMinorMeta:
         pts = []
         for t in range(T.degree_bound + 1):
             cv = [(b + t * d) % 101 for b, d in zip(base, direction)]
-            pts.append((t, eval_meta(T, cv)))
+            pts.append((t, T.eval_at(cv)))
         # Lagrange-extend to t = size+1 and compare
         t_next = T.degree_bound + 1
         cv = [(b + t_next * d) % 101 for b, d in zip(base, direction)]
-        want = eval_meta(T, cv)
+        want = T.eval_at(cv)
         acc = 0
         for i, (ti, yi) in enumerate(pts):
             num, den = yi, 1
@@ -300,7 +319,7 @@ class TestMinorMeta:
         assert acc == want
 
     def test_explicit_and_random_selection(self):
-        ex = minor_meta(
+        ex = MinorMeta(
             RankMethodSpec(
                 "partials", 1, 0,
                 MinorSelection("explicit", 1, rows=(1,), cols=(0,)),
@@ -309,30 +328,30 @@ class TestMinorMeta:
             F7,
         )
         # row d/dy, col x^2 of [[2a, b], [b, 2c]] is b
-        assert eval_meta(ex, [0, 3, 0]) == 3
-        r1 = minor_meta(
+        assert ex.eval_at([0, 3, 0]) == 3
+        r1 = MinorMeta(
             RankMethodSpec("partials", 1, 0, MinorSelection("random", 2, seed=4)),
             SP22,
             F7,
         )
-        r2 = minor_meta(
+        r2 = MinorMeta(
             RankMethodSpec("partials", 1, 0, MinorSelection("random", 2, seed=4)),
             SP22,
             F7,
         )
         assert r1.meta_id == r2.meta_id
         for cv in ((1, 2, 3), (0, 1, 0), (5, 5, 5)):
-            assert eval_meta(r1, cv) == eval_meta(r2, cv)
+            assert r1.eval_at(cv) == r2.eval_at(cv)
 
     def test_minor_out_of_range(self):
         with pytest.raises(MinorOutOfRange):
-            minor_meta(
+            MinorMeta(
                 RankMethodSpec("partials", 1, 0, MinorSelection("leading", 3)),
                 SP22,
                 F7,
             )
         with pytest.raises(MinorOutOfRange):
-            minor_meta(
+            MinorMeta(
                 RankMethodSpec(
                     "partials", 1, 0,
                     MinorSelection("explicit", 1, rows=(9,), cols=(0,)),
@@ -343,17 +362,17 @@ class TestMinorMeta:
 
     def test_arity_check(self):
         with pytest.raises(ArityMismatch):
-            eval_meta(self.full_minor(), [1, 2])
+            self.full_minor().eval_at([1, 2])
 
     def test_shifted_minor(self):
         spec = RankMethodSpec("shifted", 1, 1, MinorSelection("leading", 3))
-        T = minor_meta(spec, SP22, F7)
+        T = MinorMeta(spec, SP22, F7)
         assert T.degree_bound == 3
         f = SparsePoly(F7, 2, {(1, 1): 1})
         cv = f.coeff_vector(MonomialIndex(SP22))
         m = shifted_partials_matrix(f, 1, 1)
         want = matrix_det([row[:3] for row in m.entries[:3]], 7)
-        assert eval_meta(T, cv) == want
+        assert T.eval_at(cv) == want
 
     def test_spec_json_round_trip(self):
         for spec in (
@@ -372,13 +391,13 @@ class TestCircuitMeta:
         T = coordinate_meta(sp, F5, 3)
         cv = [0] * sp.dimension
         cv[3] = 2
-        assert eval_meta(T, cv) == 2
+        assert T.eval_at(cv) == 2
         assert T.degree_bound == 1
 
     def test_linear_meta(self):
         sp = PolySpace(2, 2, True)
         T = linear_meta(sp, F7, [1, 1, 1])
-        assert eval_meta(T, [1, 2, 3]) == 6
+        assert T.eval_at([1, 2, 3]) == 6
         assert T.degree_bound == 1
 
     def test_circuit_meta_arity_contract(self):

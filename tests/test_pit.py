@@ -6,6 +6,7 @@ from npl import (
     CircuitBuilder,
     FamilyDescriptor,
     MonomialIndex,
+    MinorMeta,
     MinorSelection,
     PolySpace,
     PrimeField,
@@ -15,10 +16,8 @@ from npl import (
     derive_seed,
     det_coeff_generator,
     discriminant,
-    eval_meta,
     generator_pit,
     linear_meta,
-    minor_meta,
     natural_proof_audit,
     pit_exhaustive,
     pit_schwartz_zippel,
@@ -46,7 +45,7 @@ def frobenius_gap_circuit(field):
     # x^2 - x vanishes on F_2 as a function yet is a nonzero polynomial
     b = CircuitBuilder(field, 1)
     sq = b.mul(b.inp(0), b.inp(0))
-    neg = b.mul(b.const(field.canon(-1)), b.inp(0))
+    neg = b.mul(b.const(field.p - 1), b.inp(0))
     return b.build(b.add(sq, neg))
 
 
@@ -54,7 +53,7 @@ def commutator_circuit(field):
     b = CircuitBuilder(field, 2)
     m1 = b.mul(b.inp(0), b.inp(1))
     m2 = b.mul(b.inp(1), b.inp(0))
-    neg = b.mul(b.const(field.canon(-1)), m2)
+    neg = b.mul(b.const(field.p - 1), m2)
     return b.build(b.add(m1, neg))
 
 
@@ -63,13 +62,13 @@ def det3_circuit(field):
     x = [b.inp(i) for i in range(9)]
 
     def m2(a, bb, c, d):
-        neg = b.mul(b.const(field.canon(-1)), b.mul(c, d))
+        neg = b.mul(b.const(field.p - 1), b.mul(c, d))
         return b.add(b.mul(a, bb), neg)
 
     t1 = b.mul(x[0], m2(x[4], x[8], x[5], x[7]))
     t2 = b.mul(x[1], m2(x[3], x[8], x[5], x[6]))
     t3 = b.mul(x[2], m2(x[3], x[7], x[4], x[6]))
-    neg_t2 = b.mul(b.const(field.canon(-1)), t2)
+    neg_t2 = b.mul(b.const(field.p - 1), t2)
     return b.build(b.add(b.add(t1, neg_t2), t3))
 
 
@@ -95,6 +94,24 @@ class TestExhaustiveEngine:
         c = commutator_circuit(F101)
         with pytest.raises(EnumerationBudgetExceeded):
             pit_exhaustive(c, enum_budget=100)
+
+    def test_residue_products_past_int64(self):
+        # 2^32 * 2^32 = 2^64 is 8 mod 2^61 - 1, and 0 once wrapped to int64
+        b = CircuitBuilder(PrimeField(2**61 - 1), 0)
+        big = b.const(2**32)
+        v = pit_exhaustive(b.build(b.mul(big, big)))
+        assert v.outcome == "proven-nonzero"
+        assert v.witness == () and v.value == 8
+
+    def test_modulus_past_int64(self):
+        F = PrimeField(2**64 - 59)
+        b = CircuitBuilder(F, 0)
+        big = b.const(2**63)
+        v = pit_exhaustive(b.build(b.mul(big, big)))
+        assert v.outcome == "proven-nonzero" and v.value == pow(2, 126, F.p)
+        b = CircuitBuilder(F, 0)
+        zero = b.build(b.add(b.const(F.p - 1), b.const(1)))
+        assert pit_exhaustive(zero).outcome == "proven-zero"
 
     def test_witness_reevaluates(self):
         rng = random.Random(2)
@@ -189,16 +206,16 @@ class TestGenerator:
         seed[0] = seed[12] = 1  # both diagonal entries read x1
         cv = g.evaluate(seed)
         T = coordinate_meta(g.space, F5, MonomialIndex(g.space).rank((2, 0, 0, 0)))
-        assert eval_meta(T, cv) == 1
+        assert T.eval_at(cv) == 1
         Tsum = linear_meta(g.space, F5, [1] * 10)
-        assert eval_meta(Tsum, cv) == 1
+        assert Tsum.eval_at(cv) == 1
 
     def test_generator_pit_finds_witness(self):
         g = det_coeff_generator(2, F5)
         T = coordinate_meta(g.space, F5, 0)
         v = generator_pit(T, g, trials=60, seed=1)
         assert v.outcome == "proven-nonzero"
-        assert eval_meta(T, g.evaluate(v.witness)) == v.value != 0
+        assert T.eval_at(g.evaluate(v.witness)) == v.value != 0
 
     def test_degenerate_meta_flagged(self):
         g = det_coeff_generator(2, F5)
@@ -236,7 +253,7 @@ class TestGenerator:
 class TestHittingCheck:
     def full_minor(self, field=F7):
         spec = RankMethodSpec("partials", 1, 0, MinorSelection("leading", 2))
-        return minor_meta(spec, SP22, field)
+        return MinorMeta(spec, SP22, field)
 
     def test_disc_respects_squares_exhaustively(self):
         r = succinct_hitting_check(
@@ -266,7 +283,7 @@ class TestHittingCheck:
         assert hit.outcome == "witness"
         f = SparsePoly.from_json(hit.witness_poly)
         idx = MonomialIndex(SP22)
-        assert eval_meta(T, f.coeff_vector(idx)) == hit.witness_value != 0
+        assert T.eval_at(f.coeff_vector(idx)) == hit.witness_value != 0
 
     def test_budget_semantics(self):
         squares = FamilyDescriptor("squares", SP22, F7)
@@ -323,8 +340,7 @@ class TestHittingCheck:
         assert r.zeros + sum(
             1
             for t in range(30)
-            if eval_meta(
-                discriminant(F7),
+            if discriminant(F7).eval_at(
                 sample_family_with_params(full, derive_seed(1, t)).poly.coeff_vector(
                     MonomialIndex(SP22)
                 ),
@@ -345,6 +361,12 @@ class TestHittingCheck:
         with pytest.raises(SpaceMismatch):
             succinct_hitting_check(desc, discriminant(F7), trials=2)
 
+    def test_trials_positive(self):
+        full = FamilyDescriptor("full-space", SP22, F7)
+        for trials in (0, -3):
+            with pytest.raises(ValueError):
+                succinct_hitting_check(full, discriminant(F7), trials=trials)
+
     def test_degenerate_meta_suspected(self):
         full = FamilyDescriptor("full-space", SP22, F7)
         Tzero = linear_meta(SP22, F7, [0, 0, 0])
@@ -354,6 +376,12 @@ class TestHittingCheck:
 
 
 class TestAudit:
+    def test_trials_positive(self):
+        full = FamilyDescriptor("full-space", SP22, F7)
+        xy = SparsePoly(F7, 2, {(1, 1): 1})
+        with pytest.raises(ValueError):
+            natural_proof_audit(discriminant(F7), full, xy, trials=0)
+
     def test_three_classifications(self):
         disc = discriminant(F7)
         xy = SparsePoly(F7, 2, {(1, 1): 1})
@@ -400,7 +428,7 @@ class TestToyEquivalence:
         for r in (0, 1):
             for c in (0, 1):
                 metas.append(
-                    minor_meta(
+                    MinorMeta(
                         RankMethodSpec(
                             "partials", 1, 0,
                             MinorSelection("explicit", 1, rows=(r,), cols=(c,)),
@@ -410,7 +438,7 @@ class TestToyEquivalence:
                     )
                 )
         metas.append(
-            minor_meta(
+            MinorMeta(
                 RankMethodSpec("partials", 1, 0, MinorSelection("leading", 2)),
                 SP22,
                 F7,
@@ -424,7 +452,7 @@ class TestToyEquivalence:
         for T in metas:
             report = succinct_hitting_check(squares, T, exhaustive=True)
             somewhere = any(
-                eval_meta(T, (a, b, c))
+                T.eval_at((a, b, c))
                 for a in range(7)
                 for b in range(7)
                 for c in range(7)
