@@ -31,6 +31,15 @@ DEFAULT_TERM_CAP = 1 << 20
 # Refuse to build index spaces whose dense dimension cannot be addressed.
 MAX_SPACE_DIM = 1 << 26
 
+
+def _json_int(value) -> int:
+    """An integer field of a JSON input.  A float, bool or string there is
+    malformed input, not a value to round or parse."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -120,7 +129,7 @@ class PolySpace:
         mode = data.get("mode", "homogeneous")
         if mode not in ("homogeneous", "at-most"):
             raise ValueError(f"unknown space mode {mode!r}")
-        return cls(int(data["v"]), int(data["d"]), mode == "homogeneous")
+        return cls(_json_int(data["v"]), _json_int(data["d"]), mode == "homogeneous")
 
     def __repr__(self) -> str:
         cmp = "" if self.homogeneous else "<="
@@ -451,12 +460,12 @@ class SparsePoly:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "SparsePoly":
-        field = PrimeField(int(data["p"]))
-        v = int(data["v"])
+        field = PrimeField(_json_int(data["p"]))
+        v = _json_int(data["v"])
         terms: Dict[Exponents, int] = {}
         for entry in data["terms"]:
-            e = tuple(int(x) for x in entry["e"])
-            terms[e] = terms.get(e, 0) + int(entry["c"])
+            e = tuple(_json_int(x) for x in entry["e"])
+            terms[e] = terms.get(e, 0) + _json_int(entry["c"])
         return cls(field, v, terms)
 
     def __eq__(self, other) -> bool:

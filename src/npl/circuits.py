@@ -13,7 +13,6 @@ preconditions on.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -25,6 +24,7 @@ from .algebra import (
     PolySpace,
     PrimeField,
     SparsePoly,
+    _json_int,
 )
 from .errors import ArityMismatch, DescriptorInvalid, FieldMismatch
 
@@ -159,20 +159,20 @@ class Circuit:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Circuit":
-        field = PrimeField(int(data["p"]))
-        v = int(data["v"])
+        field = PrimeField(_json_int(data["p"]))
+        v = _json_int(data["v"])
         gates: List[Gate] = []
         for idx, g in enumerate(data["gates"]):
             op = g.get("op")
             if op == "in":
-                gates.append(("in", int(g["i"])))
+                gates.append(("in", _json_int(g["i"])))
             elif op == "const":
-                gates.append(("const", int(g["c"]) % field.p))
+                gates.append(("const", _json_int(g["c"]) % field.p))
             elif op in ("add", "mul"):
-                gates.append((op, int(g["a"]), int(g["b"])))
+                gates.append((op, _json_int(g["a"]), _json_int(g["b"])))
             else:
                 raise ValueError(f"gate {idx}: unknown op {op!r}")
-        return cls(field, v, tuple(gates), int(data["out"]))
+        return cls(field, v, tuple(gates), _json_int(data["out"]))
 
 
 class CircuitBuilder:
@@ -509,8 +509,8 @@ class FamilyDescriptor:
         return cls(
             class_id=data["class"],
             space=PolySpace.from_json(data["space"]),
-            field=PrimeField(int(data["p"])),
-            n=int(data.get("n", 0)),
+            field=PrimeField(_json_int(data["p"])),
+            n=_json_int(data.get("n", 0)),
             top_fanin=data.get("top_fanin"),
             product_degrees=tuple(degs) if degs is not None else None,
             sparsity=data.get("sparsity"),
@@ -574,5 +574,17 @@ def sample_family_with_params(desc: FamilyDescriptor, seed: int) -> FamilySample
 def iter_family(desc: FamilyDescriptor) -> Iterator[FamilySample]:
     """Lazy walk over the full parameter grid in row-major order."""
     ranges = desc.param_ranges()
-    for params in itertools.product(*(range(r) for r in ranges)):
-        yield desc.member_from_params(params)
+    if not all(ranges):
+        return
+    # an odometer: itertools.product would first copy each range into a
+    # tuple of p entries, which no memory holds for p near 2^31
+    params = [0] * len(ranges)
+    while True:
+        yield desc.member_from_params(tuple(params))
+        i = len(params) - 1
+        while i >= 0 and params[i] == ranges[i] - 1:
+            params[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        params[i] += 1

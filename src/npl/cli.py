@@ -13,6 +13,7 @@ reject, 2 for usage errors and precondition failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -65,9 +66,10 @@ class ExperimentPlan:
     command: str
     field: int
     seed: int
-    trials: int
-    exhaustive: bool
-    enum_budget: int
+    # None on the commands that do not test for zero (rank, gen, ips-from-cnf)
+    trials: Optional[int]
+    exhaustive: Optional[bool]
+    enum_budget: Optional[int]
     out: Optional[str]
     pretty: bool
     inputs: Tuple[Tuple[str, object], ...] = ()
@@ -96,16 +98,21 @@ def _add_common(sub: argparse.ArgumentParser, default_field: int) -> None:
     sub.add_argument("--field", type=int, default=default_field,
                      help=f"prime modulus (default {default_field}, or ${FIELD_ENV_VAR})")
     sub.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
+    sub.add_argument("--out", type=str, default=None, help="also write the report here")
+    sub.add_argument("--pretty", action="store_true", help="indent the JSON report")
+
+
+def _add_proof_mode(sub: argparse.ArgumentParser) -> None:
+    """Flags of the commands that test for zero, by sampling or exhaustively."""
     sub.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                      help=f"randomized trial budget (default {DEFAULT_TRIALS})")
     sub.add_argument("--exhaustive", action="store_true",
                      help="use exhaustive enumeration instead of sampling")
     sub.add_argument("--enum-budget", type=int, default=DEFAULT_ENUM_BUDGET,
                      help="point budget for exhaustive enumeration")
-    sub.add_argument("--out", type=str, default=None, help="also write the report here")
-    sub.add_argument("--pretty", action="store_true", help="indent the JSON report")
 
 
+@functools.lru_cache(maxsize=4)
 def build_parser(default_field: int) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="npl",
@@ -116,6 +123,7 @@ def build_parser(default_field: int) -> argparse.ArgumentParser:
 
     p = sub.add_parser("pit", help="identity-test a circuit")
     p.add_argument("--circuit", required=True, help="circuit JSON file")
+    _add_proof_mode(p)
     _add_common(p, default_field)
 
     p = sub.add_parser("hit-check", help="search a family for a meta-polynomial witness")
@@ -124,6 +132,7 @@ def build_parser(default_field: int) -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    help="squares | full | detproj:n=K | sps:t=K | sparse:s=K | file.json")
     p.add_argument("--space", required=True, help="DEG:VARS or DEG:VARS:le")
+    _add_proof_mode(p)
     _add_common(p, default_field)
 
     p = sub.add_parser("audit", help="separation audit of meta vs family vs hard candidate")
@@ -131,6 +140,7 @@ def build_parser(default_field: int) -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--space", required=True, help="DEG:VARS or DEG:VARS:le")
     p.add_argument("--hard", required=True, help="polynomial JSON file")
+    _add_proof_mode(p)
     _add_common(p, default_field)
 
     p = sub.add_parser("rank", help="derivative-matrix rank of a polynomial")
@@ -153,6 +163,7 @@ def build_parser(default_field: int) -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--cnf", help="DIMACS CNF file, translated on the fly")
     group.add_argument("--system", help="polynomial system JSON file")
+    _add_proof_mode(p)
     _add_common(p, default_field)
 
     p = sub.add_parser("ips-from-cnf", help="translate a CNF into a polynomial system")
@@ -194,9 +205,9 @@ def parse_plan(argv: Sequence[str], env: Optional[Mapping[str, str]] = None) -> 
         command=ns.command,
         field=ns.field,
         seed=ns.seed,
-        trials=ns.trials,
-        exhaustive=ns.exhaustive,
-        enum_budget=ns.enum_budget,
+        trials=getattr(ns, "trials", None),
+        exhaustive=getattr(ns, "exhaustive", None),
+        enum_budget=getattr(ns, "enum_budget", None),
         out=ns.out,
         pretty=ns.pretty,
         inputs=inputs,
@@ -449,7 +460,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         # argparse usage failures (including --help, which exits 0)
         return int(exc.code or 0)
-    except (NplError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (NplError, ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"npl: error: {exc}", file=sys.stderr)
         return 2
     wall_ms = (time.perf_counter() - start) * 1000.0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import PrimeField
+from .algebra import PrimeField, _json_int
 from .circuits import Circuit, CircuitBuilder
 from .errors import ArityMismatch, ClauseTooWide, FieldMismatch
 from .pit import (
@@ -138,12 +138,12 @@ class PolynomialSystem:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "PolynomialSystem":
-        field = PrimeField(int(data["p"]))
+        field = PrimeField(_json_int(data["p"]))
         members = tuple(Circuit.from_json(c) for c in data["members"])
         labels = data.get("labels")
         return cls(
             field=field,
-            n=int(data["n"]),
+            n=_json_int(data["n"]),
             members=members,
             provenance=data.get("provenance", "raw"),
             labels=tuple(labels) if labels is not None else None,

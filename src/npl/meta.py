@@ -11,6 +11,11 @@ factors, which is why the field characteristic must exceed d.
 Every entry is therefore a scalar multiple of a single coefficient of f.
 That makes each entry a linear form in the N meta-variables, and every
 (r+1) x (r+1) minor a meta-polynomial of degree at most r+1.
+
+Ranks and determinants over F_p come from one elimination kernel on Python
+ints, without numpy: each row is one int with a slot of
+w = 2*bitlen(p) + bitlen(n_rows) + 1 bits per column, wide enough that the
+multiply-adds of elimination never carry across slots, for any prime.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .algebra import (
     PolySpace,
     PrimeField,
     SparsePoly,
+    _json_int,
 )
 from .circuits import Circuit, CircuitBuilder
 from .errors import (
@@ -215,58 +221,70 @@ def shifted_partials_matrix(
     return _build_matrix(f, sp, k, shift, dimension_cap)
 
 
+def _eliminate(rows: Sequence[Sequence[int]], p: int, square: bool) -> Tuple[int, int]:
+    """(rank, det) of rows over F_p by Gaussian elimination.
+
+    det means something for square input only: with ``square`` the
+    elimination stops at the first column without a pivot, where det is 0.
+    """
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if n_rows else 0
+    # Each row is one int with a w-bit slot per column, the current column in
+    # the lowest slot.  Entries are reduced into [0, p) when packed; after
+    # that only pivot rows are reduced.  Eliminating adds m * P to a row, m
+    # and the slots of the pivot row P below p, so a slot gains less than p^2
+    # per update and takes at most n_rows updates: it stays below
+    # p + n_rows * p^2 < 2^w, and no carry crosses into the next slot, for
+    # every prime.
+    w = 2 * p.bit_length() + n_rows.bit_length() + 1
+    mask = (1 << w) - 1
+    packed = []
+    for row in rows:
+        r = 0
+        for x in reversed(row):
+            r = r << w | x % p
+        packed.append(r)
+    rank, det = 0, 1
+    for col in range(n_cols):
+        for i, r in enumerate(packed):
+            a = (r & mask) % p
+            if a:
+                break
+        else:
+            if square:
+                return rank, 0
+            packed = [r >> w for r in packed]
+            continue
+        # moving the pivot above the i rows before it permutes with sign (-1)^i
+        if i & 1:
+            det = -det
+        det = det * a % p
+        rank += 1
+        r = packed.pop(i)
+        if not packed:
+            break
+        pivot = 0
+        for j in range(n_cols - col - 1, -1, -1):
+            pivot = pivot << w | (r >> j * w & mask) % p
+        inv = pow(a, -1, p)
+        # the lowest slot becomes c + (-c / a) * a, a multiple of p, and is dropped
+        packed = [
+            (r + (p - c) * inv % p * pivot if (c := (r & mask) % p) else r) >> w
+            for r in packed
+        ]
+    return rank, det % p
+
+
 def matrix_rank(rows: Sequence[Sequence[int]], p: int) -> int:
     """Exact rank over F_p by Gaussian elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(rank, n_rows):
-            if m[r][col] % p:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        m[rank] = [x * inv % p for x in m[rank]]
-        for r in range(n_rows):
-            if r != rank and m[r][col] % p:
-                c = m[r][col] % p
-                m[r] = [(x - c * y) % p for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    return _eliminate(rows, p, False)[0]
 
 
 def matrix_det(rows: Sequence[Sequence[int]], p: int) -> int:
-    m = [list(r) for r in rows]
-    n = len(m)
-    if any(len(r) != n for r in m):
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    det = 1
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] % p:
-                pivot = r
-                break
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col] % p
-        inv = pow(m[col][col], p - 2, p)
-        for r in range(col + 1, n):
-            if m[r][col] % p:
-                c = m[r][col] * inv % p
-                m[r] = [(x - c * y) % p for x, y in zip(m[r], m[col])]
-    return det % p
+    return _eliminate(rows, p, True)[1]
 
 
 def rank_mod_p(matrix: CoeffMatrix) -> int:
@@ -307,7 +325,7 @@ class MinorSelection:
         cols = data.get("cols")
         return cls(
             kind=data["kind"],
-            size=int(data["size"]),
+            size=_json_int(data["size"]),
             rows=tuple(rows) if rows is not None else None,
             cols=tuple(cols) if cols is not None else None,
             seed=data.get("seed"),
@@ -339,8 +357,8 @@ class RankMethodSpec:
     def from_json(cls, data: Mapping) -> "RankMethodSpec":
         return cls(
             method=data["method"],
-            k=int(data["k"]),
-            shift=int(data.get("shift", 0)),
+            k=_json_int(data["k"]),
+            shift=_json_int(data.get("shift", 0)),
             minor=MinorSelection.from_json(data["minor"]),
         )
 

@@ -106,11 +106,12 @@ def pit_exhaustive(
         raise CharacteristicTooSmall(
             f"exhaustive test needs p > formal degree; got p={p}, degree={deg}"
         )
-    total = p ** circuit.v
-    if total > enum_budget:
+    # p >= 2, so past the budget's bit length p^v exceeds it without being built
+    if circuit.v > enum_budget.bit_length() or p ** circuit.v > enum_budget:
         raise EnumerationBudgetExceeded(
-            f"{total} points exceed the budget of {enum_budget}"
+            f"{p}^{circuit.v} points exceed the budget of {enum_budget}"
         )
+    total = p ** circuit.v
     # one value array per gate over the whole grid; the budget caps memory.
     # int64 holds every product of two residues only while (p-1)^2 < 2^63;
     # above that the arrays hold exact Python ints.

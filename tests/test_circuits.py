@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -246,6 +247,15 @@ class TestFamilies:
         assert len({s.params for s in samples}) == 25
         for s in samples:
             assert validate_member(desc, s)
+
+    def test_iter_family_row_major_and_lazy(self):
+        desc = FamilyDescriptor("full-space", PolySpace(2, 1, True), F5)
+        assert [s.params for s in iter_family(desc)] == \
+            list(itertools.product(range(5), repeat=2))
+        # a grid of (2^61-1)^2 members starts at once, without building it
+        big = FamilyDescriptor("squares", PolySpace(2, 2, True), PrimeField(2**61 - 1))
+        walk = iter_family(big)
+        assert [next(walk).params for _ in range(3)] == [(0, 0), (0, 1), (0, 2)]
 
     def test_member_from_params_matches_iteration(self):
         desc = FamilyDescriptor("sparse", PolySpace(2, 2, True), F5, sparsity=1)

@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -110,6 +112,58 @@ class TestPlanParsing:
     def test_composite_field_rejected(self):
         with pytest.raises(ValueError):
             parse_plan(["gen", "--n", "2", "--field", "9"])
+
+    def test_successive_plans_share_no_values(self):
+        # the parser is built once per default field and reused
+        assert build_parser(DEFAULT_FIELD) is build_parser(DEFAULT_FIELD)
+        argvs = [
+            ["pit", "--circuit", "a.json", "--field", "13", "--trials", "9",
+             "--seed", "5", "--out", "r.json", "--pretty"],
+            ["pit", "--circuit", "b.json", "--exhaustive", "--enum-budget", "77"],
+            ["rank", "--poly", "f.json", "--k", "2", "--method", "shifted",
+             "--shift", "1", "--include-matrix"],
+            ["hit-check", "--meta", "disc", "--family", "full", "--space", "2:2"],
+            ["rank", "--poly", "g.json", "--k", "1"],
+            ["gen", "--n", "3"],
+            ["pit", "--circuit", "a.json"],
+        ]
+        plans = [parse_plan(argv, env={}) for argv in argvs]
+        a, b, rank1, hit, rank2, gen, a_again = plans
+        assert (a.trials, a.seed, a.out, a.pretty, a.exhaustive) == (9, 5, "r.json", True, False)
+        assert (b.trials, b.seed, b.out, b.pretty, b.field) == (25, 0, None, False, DEFAULT_FIELD)
+        assert (b.exhaustive, b.enum_budget) == (True, 77)
+        assert dict(rank1.inputs)["include_matrix"] is True
+        assert dict(rank2.inputs) == {"poly": "g.json", "method": "partials", "k": 1,
+                                      "shift": 0, "include_matrix": False}
+        assert (hit.exhaustive, hit.enum_budget, hit.trials) == (False, 1_000_000, 25)
+        assert dict(gen.inputs) == {"n": "3", "expand_max": 0}
+        assert a_again == parse_plan(["pit", "--circuit", "a.json"], env={})
+        assert (a_again.trials, a_again.seed, a_again.out, a_again.pretty) == (25, 0, None, False)
+
+    def test_proof_flags_only_where_read(self, workdir, capsys):
+        # --trials, --exhaustive and --enum-budget belong to the commands
+        # that test for zero; the others reject them and echo null
+        poly = workdir / "poly7.json"
+        cnf = workdir / "phi.cnf"
+        rejected = [
+            ("rank", "--poly", poly, "--k", "1", "--field", "7",
+             "--trials", "0", "--enum-budget", "-5"),
+            ("rank", "--poly", poly, "--k", "1", "--field", "7", "--exhaustive"),
+            ("gen", "--n", "2", "--trials", "3"),
+            ("ips-from-cnf", "--cnf", cnf, "--field", "13", "--trials", "-1"),
+        ]
+        for argv in rejected:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "unrecognized arguments" in err
+        for argv in (("rank", "--poly", poly, "--k", "1", "--field", "7", "--seed", "4"),
+                     ("gen", "--n", "2", "--seed", "4"),
+                     ("ips-from-cnf", "--cnf", cnf, "--field", "13", "--seed", "4")):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, argv
+            plan = json.loads(out)["body"]["plan"]
+            assert plan["seed"] == 4
+            assert plan["trials"] is plan["exhaustive"] is plan["enum_budget"] is None
 
     def test_parser_covers_all_commands(self):
         parser = build_parser(DEFAULT_FIELD)
@@ -361,6 +415,20 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_rank_leaves_numpy_unloaded(self, workdir):
+        # elimination runs on Python ints; -X importtime lists every import
+        env = dict(os.environ, PYTHONPATH=str(PYPROJECT.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "npl", "rank",
+             "--poly", str(workdir / "poly7.json"), "--k", "1", "--field", "7"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["body"]["result"]["rank"] == 2
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert "npl.meta" in imported
+        assert not [m for m in imported if m.split(".")[0] == "numpy"]
+
     def test_module_invocation(self, workdir):
         proc = subprocess.run(
             [sys.executable, "-m", "npl", "gen", "--n", "2", "--field", "7"],
@@ -404,3 +472,170 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
+
+
+# -- fuzzing ---------------------------------------------------------------------
+
+# values that are wrong for every field the loaders read: integer fields take
+# JSON integers only, and containers hold objects
+WRONG_TYPES = (None, "x", 1.5, True, [1], {"a": 1})
+# fields the loaders only carry along, and keys that have defaults
+METADATA = {"labels", "provenance"}
+OPTIONAL = {"mode", "shift", "provenance", "labels"}
+# integer fields that count or index something, and values outside any range
+COUNTS = {"p", "v", "n", "i", "a", "b", "out", "d", "k", "size", "e"}
+OUT_OF_RANGE = (-1, 2**63, 10**30)
+
+
+def _paths(doc, prefix=()):
+    """(path, value) for every node of a JSON document, root first."""
+    yield prefix, doc
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _with(doc, path, value=None, delete=False):
+    out = copy.deepcopy(doc)
+    if not path:
+        return value
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    if delete:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return out
+
+
+class TestFuzz:
+    """Seeded, deterministic mutations of valid command lines and inputs."""
+
+    @pytest.fixture()
+    def inputs(self, workdir, monkeypatch):
+        monkeypatch.chdir(workdir)
+        # a small default field, so that a mutation that drops --field does
+        # not start an exhaustive walk of a million members over F_(2^31-1)
+        monkeypatch.setenv("NPL_DEFAULT_FIELD", "7")
+        (workdir / "family.json").write_text(json.dumps(
+            {"class": "squares", "p": 7, "space": {"v": 2, "d": 2, "mode": "homogeneous"}}))
+        (workdir / "meta.json").write_text(json.dumps(
+            {"method": "partials", "k": 1, "shift": 0, "minor": {"kind": "leading", "size": 2}}))
+        # file -> command line that reads it, every other input valid
+        return {
+            "circ.json": lambda f: ["pit", "--circuit", f, "--field", "13", "--trials", "3"],
+            "zero.json": lambda f: ["pit", "--circuit", f, "--field", "13", "--exhaustive"],
+            "poly7.json": lambda f: ["rank", "--poly", f, "--k", "1", "--field", "7"],
+            "xy7.json": lambda f: ["audit", "--meta", "disc", "--family", "squares",
+                                   "--space", "2:2", "--field", "7", "--hard", f,
+                                   "--trials", "3"],
+            "cert.json": lambda f: ["ips-verify", "--cnf", "phi.cnf", "--cert", f,
+                                    "--field", "13", "--trials", "3"],
+            "sys.json": lambda f: ["ips-verify", "--system", f, "--cert", "cert.json",
+                                   "--field", "13", "--trials", "3"],
+            "family.json": lambda f: ["hit-check", "--meta", "disc", "--family", f,
+                                      "--space", "2:2", "--field", "7", "--trials", "3"],
+            "meta.json": lambda f: ["hit-check", "--meta", f, "--family", "squares",
+                                    "--space", "2:2", "--field", "7", "--trials", "3"],
+            "phi.cnf": lambda f: ["ips-from-cnf", "--cnf", f, "--field", "13"],
+        }
+
+    @staticmethod
+    def _assert_input_error(capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, (argv, out)
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("npl: error: "), (argv, err)
+
+    def test_malformed_files_exit_two(self, inputs, capsys):
+        rng = random.Random(1701)
+        cases = []
+        for name, argv in inputs.items():
+            assert run_cli(capsys, *argv(name))[0] in (0, 1), name
+            text = open(name, encoding="utf-8").read()
+            bad_texts = ["", "\x00", "nul", text + " x"]
+            if name.endswith(".json"):
+                # a proper prefix of a JSON object never closes it
+                bad_texts += [text[:rng.randrange(1, len(text))] for _ in range(4)]
+                doc = json.loads(text)
+                for path, node in _paths(doc):
+                    if METADATA & set(path):
+                        continue
+                    cases += [(name, _with(doc, path, v)) for v in WRONG_TYPES]
+                    if COUNTS & set(path[-2:]) and type(node) is int:
+                        cases += [(name, _with(doc, path, v)) for v in OUT_OF_RANGE]
+                    if path and isinstance(path[-1], str) and path[-1] not in OPTIONAL:
+                        cases.append((name, _with(doc, path, delete=True)))
+            else:
+                bad_texts += ["p cnf 1 2\n1 0\n", "p cnf 1 1\n2 0\n", "1 0\np cnf 1 1\n",
+                              "p cnf 1 1\n1\n", "p cnf 1 1\nx 0\n", "p cnf -1 0\n",
+                              "p cnf x 1\n1 0\n", "p cnf 1 1\np cnf 1 1\n1 0\n",
+                              "p cnf 4 1\n1 2 3 4 0\n"]
+            cases += [(name, t) for t in bad_texts]
+        for i, (name, content) in enumerate(cases):
+            bad = f"bad{i}-{name}"
+            with open(bad, "w", encoding="utf-8") as fh:
+                fh.write(content if isinstance(content, str) else json.dumps(content))
+            self._assert_input_error(capsys, inputs[name](bad))
+        with open("bytes.json", "wb") as fh:
+            fh.write(bytes(rng.randrange(128, 256) for _ in range(64)))
+        for name, argv in inputs.items():
+            self._assert_input_error(capsys, argv("bytes.json"))
+            self._assert_input_error(capsys, argv("missing.json"))
+        assert len(cases) > 300
+
+    def test_mutated_command_lines(self, inputs, capsys):
+        rng = random.Random(1717)
+        bases = [argv(name) for name, argv in inputs.items()] + [
+            ["gen", "--n", "2", "--expand-max", "2", "--field", "7"],
+            ["rank", "--poly", "poly7.json", "--k", "1", "--method", "shifted",
+             "--shift", "1", "--field", "7", "--include-matrix"],
+        ]
+        flags = sorted({t for argv in bases for t in argv if t.startswith("--")})
+        numbers = ["-1", "0", "1", "2", "3"]
+        values = numbers + sorted(inputs) + [
+            "", "x", "1.5", "2:2", "1:2", "2:x", "coord:1", "full",
+            "partials-minor:k=1,r=1", "shifted", "missing.json",
+        ]
+        tokens = flags + values + ["--help", "--version", "--nope", "pit", "rank"]
+
+        def value():
+            return rng.choice(numbers if rng.random() < 0.5 else values)
+
+        for _ in range(400):
+            argv = list(rng.choice(bases))
+            own = [t for t in argv if t.startswith("--")]
+            for _ in range(rng.randrange(1, 3)):
+                i = rng.randrange(1, len(argv) + 1)
+                # weighted toward whole flag/value pairs, which get past
+                # argparse more often than shuffled tokens do
+                kind = rng.choices(range(5), weights=(4, 3, 1, 1, 1))[0]
+                if kind == 0:  # a flag, mostly the command's own, with some value
+                    flag = rng.choice(own if rng.random() < 0.75 else flags)
+                    at = rng.choice([j for j in range(1, len(argv) + 1)
+                                     if j == len(argv) or argv[j].startswith("--")])
+                    argv[at:at] = [flag, value()]
+                elif kind == 1:  # the value of some flag
+                    at = [j for j in range(2, len(argv))
+                          if argv[j - 1].startswith("--") and not argv[j].startswith("--")]
+                    if at:
+                        argv[rng.choice(at)] = value()
+                elif kind == 2:
+                    argv.insert(rng.randrange(len(argv) + 1), rng.choice(tokens))
+                elif kind == 3 and i < len(argv):
+                    del argv[i]
+                elif i + 1 < len(argv):
+                    argv[i], argv[i + 1] = argv[i + 1], argv[i]
+            code, out, err = run_cli(capsys, *argv)
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err, argv
+            if code == 2:
+                # an argparse usage message, or the one-line diagnostic
+                last = err.strip().splitlines()[-1]
+                assert "error: " in last, (argv, err)
+                if not err.startswith("usage:"):
+                    assert err.count("\n") == 1 and last.startswith("npl: error: "), (argv, err)
+            elif "--help" not in argv and "--version" not in argv:
+                assert json.loads(out)["body"]["plan"]["command"] in argv, argv

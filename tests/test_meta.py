@@ -266,6 +266,79 @@ class TestMatrixKernels:
             assert matrix_rank(A, p) == want <= r
 
 
+class TestEliminationKernel:
+    """The packed-row kernel behind matrix_rank and matrix_det: slots must
+    not carry into each other for any prime, and det signs must follow the
+    row order."""
+
+    @pytest.mark.parametrize("p", (2, 13, 2**61 - 1, 2**64 - 59))
+    def test_carry_stress_all_entries_p_minus_one(self, p):
+        # every multiplier and pivot-row entry is p - 1, the largest a slot
+        # can gain per update
+        for n_rows, n_cols in ((300, 4), (4, 300)):
+            ones = [[p - 1] * n_cols for _ in range(n_rows)]
+            assert matrix_rank(ones, p) == row_rank(ones, p) == 1
+            # p - 2 on the diagonal: the leading block is -(J + I), of
+            # determinant (-1)^k (k + 1), a unit mod every p used here
+            full = [
+                [p - 2 if i == j else p - 1 for j in range(n_cols)]
+                for i in range(n_rows)
+            ]
+            assert matrix_rank(full, p) == row_rank(full, p) == 4
+        n = 40
+        square = [[p - 2 if i == j else p - 1 for j in range(n)] for i in range(n)]
+        assert matrix_rank(square, p) == row_rank(square, p)
+
+    @pytest.mark.parametrize("p", (13, 2**61 - 1, 2**64 - 59))
+    def test_det_against_sympy(self, p):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        K = sympy.GF(p)
+        rng = random.Random(p + 1)
+
+        def want(rows):
+            n = len(rows)
+            return int(DomainMatrix([[K(x) for x in r] for r in rows], (n, n), K).det()) % p
+
+        for n in range(1, 8):
+            for _ in range(4):
+                rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+                assert matrix_det(rows, p) == want(rows), (n, rows)
+            # rows of an upper-triangular matrix in shuffled order: each
+            # column has one candidate pivot, found at whatever position the
+            # shuffle put it, odd ones included
+            for _ in range(4):
+                upper = [
+                    [rng.randrange(1, p) if j == i else rng.randrange(p) if j > i else 0
+                     for j in range(n)]
+                    for i in range(n)
+                ]
+                rng.shuffle(upper)
+                assert matrix_det(upper, p) == want(upper), (n, upper)
+            singular = [[rng.randrange(p) for _ in range(n)] for _ in range(n - 1)]
+            singular.insert(rng.randrange(n), [0] * n)
+            assert matrix_det(singular, p) == 0 == want(singular)
+
+    def test_edge_cases(self):
+        p = 7
+        # entries are taken mod p, whatever their sign or size
+        assert matrix_rank([[-1, -2], [2, 4]], p) == 1
+        assert matrix_rank([[7, 14, -21]], p) == 0
+        assert matrix_det([[-1, 0], [0, -1]], p) == 1
+        for rows in ([[8, 1], [15, 2**80 + 1]], [[-6, 2**90], [3 - 7 * 10**30, 5]]):
+            assert matrix_det(rows, p) == int_cofactor_det(rows, p)
+        # zero-width rows and single rows
+        assert matrix_rank([(), ()], p) == 0
+        assert matrix_rank([[0, 0, 3]], p) == 1
+        assert matrix_rank([[0, 0, 0]], p) == 0
+        assert matrix_det([[3]], p) == 3
+        assert matrix_det([[-3]], p) == 4
+        assert matrix_det((), p) == 1
+        with pytest.raises(ValueError):
+            matrix_det([[1, 2]], p)
+
+
 class TestMinorMeta:
     def full_minor(self, field=F7):
         spec = RankMethodSpec("partials", 1, 0, MinorSelection("leading", 2))
