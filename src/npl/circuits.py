@@ -376,12 +376,15 @@ class FamilyDescriptor:
         if cid not in FAMILY_CLASSES:
             raise DescriptorInvalid(f"unknown family class {cid!r}")
         sp = self.space
+        # n is the matrix size of a det-projection; the other classes derive
+        # it (variables, fan-in or sparsity) and take 0 for "derive it"
+        n = self.n
         if cid == "squares":
             if not (sp.homogeneous and sp.d == 2):
                 raise DescriptorInvalid("squares family needs a homogeneous degree-2 space")
-            object.__setattr__(self, "n", self.n or sp.v)
+            n = sp.v
         elif cid == "full-space":
-            object.__setattr__(self, "n", self.n or sp.v)
+            n = sp.v
         elif cid == "det-projection":
             if self.n < 1:
                 raise DescriptorInvalid("det-projection needs matrix size n >= 1")
@@ -407,11 +410,14 @@ class FamilyDescriptor:
                 )
             object.__setattr__(self, "top_fanin", fanin)
             object.__setattr__(self, "product_degrees", degs)
-            object.__setattr__(self, "n", self.n or fanin)
+            n = fanin
         elif cid == "sparse":
             if self.sparsity is None or self.sparsity < 1:
                 raise DescriptorInvalid("sparse family needs sparsity >= 1")
-            object.__setattr__(self, "n", self.n or self.sparsity)
+            n = self.sparsity
+        if self.n not in (0, n):
+            raise DescriptorInvalid(f"{cid} family has n = {n}, not {self.n}")
+        object.__setattr__(self, "n", n)
 
     def param_ranges(self) -> Tuple[int, ...]:
         p = self.field.p
@@ -506,14 +512,15 @@ class FamilyDescriptor:
     @classmethod
     def from_json(cls, data: Mapping) -> "FamilyDescriptor":
         degs = data.get("product_degrees")
+        fanin, sparsity = data.get("top_fanin"), data.get("sparsity")
         return cls(
             class_id=data["class"],
             space=PolySpace.from_json(data["space"]),
             field=PrimeField(_json_int(data["p"])),
             n=_json_int(data.get("n", 0)),
-            top_fanin=data.get("top_fanin"),
-            product_degrees=tuple(degs) if degs is not None else None,
-            sparsity=data.get("sparsity"),
+            top_fanin=_json_int(fanin) if fanin is not None else None,
+            product_degrees=tuple(map(_json_int, degs)) if degs is not None else None,
+            sparsity=_json_int(sparsity) if sparsity is not None else None,
         )
 
 

@@ -140,12 +140,19 @@ class PolynomialSystem:
     def from_json(cls, data: Mapping) -> "PolynomialSystem":
         field = PrimeField(_json_int(data["p"]))
         members = tuple(Circuit.from_json(c) for c in data["members"])
+        provenance = data.get("provenance", "raw")
+        if not isinstance(provenance, str):
+            raise TypeError("provenance must be a string")
         labels = data.get("labels")
+        if labels is not None and not (
+            isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+        ):
+            raise TypeError("labels must be a list of strings")
         return cls(
             field=field,
             n=_json_int(data["n"]),
             members=members,
-            provenance=data.get("provenance", "raw"),
+            provenance=provenance,
             labels=tuple(labels) if labels is not None else None,
         )
 

@@ -12,6 +12,11 @@ Every entry is therefore a scalar multiple of a single coefficient of f.
 That makes each entry a linear form in the N meta-variables, and every
 (r+1) x (r+1) minor a meta-polynomial of degree at most r+1.
 
+A matrix is built from one pass over d^alpha f per alpha, with monomials
+keyed by packed ints so that adding exponents is adding keys; a shifted row
+x^beta * d^alpha f moves the alpha row by beta.  The symbolic form of a
+matrix is computed on first access only, and a rank never reads it.
+
 Ranks and determinants over F_p come from one elimination kernel on Python
 ints, without numpy: each row is one int with a slot of
 w = 2*bitlen(p) + bitlen(n_rows) + 1 bits per column, wide enough that the
@@ -22,6 +27,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from math import perm, prod
+from operator import mul
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -48,15 +56,6 @@ DEFAULT_DIMENSION_CAP = 4096
 SYMBOLIC_SPACE_CAP = 512
 
 
-def _derivative_factor(alpha: Exponents, tail: Exponents, p: int) -> int:
-    # coefficient picked up by d^alpha acting on x^(alpha+tail)
-    f = 1
-    for a, c in zip(alpha, tail):
-        for t in range(c + 1, c + a + 1):
-            f = f * t % p
-    return f
-
-
 def _derivative_cell(
     label, m: Exponents, shift: int, p: int
 ) -> Optional[Tuple[Exponents, int]]:
@@ -70,7 +69,8 @@ def _derivative_cell(
     tail = tuple(mi - bi for mi, bi in zip(m, beta))
     if any(t < 0 for t in tail):
         return None
-    factor = _derivative_factor(alpha, tail, p)
+    # d^alpha takes x^(alpha+tail) to prod (t+a)(t+a-1)...(t+1) x^tail
+    factor = prod(perm(t + a, a) for a, t in zip(alpha, tail)) % p
     if factor == 0:
         return None
     return tuple(a + t for a, t in zip(alpha, tail)), factor
@@ -81,20 +81,37 @@ class CoeffMatrix:
     """A matrix whose entries are linear in the coefficients of f.
 
     ``entries`` is the numeric instantiation at a concrete f.  ``symbolic``
-    (present for small spaces) gives each entry as a map
-    {meta_variable_rank: scalar}; instantiating it at a coefficient vector
-    must reproduce ``entries``.
+    gives each entry as a map {meta_variable_rank: scalar}, cell by cell from
+    ``_derivative_cell``; it is computed on first access, and is None for
+    spaces of dimension above SYMBOLIC_SPACE_CAP.  Instantiating it at a
+    coefficient vector must reproduce ``entries``.
     """
 
     field: PrimeField
     row_labels: Tuple
     col_labels: Tuple[Exponents, ...]
     entries: Tuple[Tuple[int, ...], ...]
-    symbolic: Optional[Tuple[Tuple[Mapping[int, int], ...], ...]] = None
+    space: PolySpace
+    shift: int
 
     @property
     def shape(self) -> Tuple[int, int]:
         return (len(self.row_labels), len(self.col_labels))
+
+    @cached_property
+    def symbolic(self) -> Optional[Tuple[Tuple[Mapping[int, int], ...], ...]]:
+        if self.space.dimension > SYMBOLIC_SPACE_CAP:
+            return None
+        index = MonomialIndex(self.space)
+        p = self.field.p
+        cells = (
+            (_derivative_cell(label, m, self.shift, p) for m in self.col_labels)
+            for label in self.row_labels
+        )
+        return tuple(
+            tuple({} if c is None else {index.rank(c[0]): c[1]} for c in row)
+            for row in cells
+        )
 
     def symbolic_value_at(self, cv: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
         if self.symbolic is None:
@@ -166,35 +183,49 @@ def _build_matrix(
     p = f.field.p
     _check_partials_preconditions(space, k, shift, p)
     rows, cols = _shifted_labels(space, k, shift, dimension_cap)
-    index = MonomialIndex(space)
-    want_symbolic = space.dimension <= SYMBOLIC_SPACE_CAP
+    v, d = space.v, space.d
+    # a monomial's key is one int with a base-(d+shift+1) digit per variable;
+    # no exponent of a column reaches the base, so adding keys never carries
+    weights = [(d + shift + 1) ** i for i in range(v)]
 
-    num_rows: List[Tuple[int, ...]] = []
-    sym_rows: List[Tuple[Mapping[int, int], ...]] = []
-    for label in rows:
-        num_row: List[int] = []
-        sym_row: List[Mapping[int, int]] = []
-        for m in cols:
-            cell = _derivative_cell(label, m, shift, p)
-            if cell is None:
-                num_row.append(0)
-                if want_symbolic:
-                    sym_row.append({})
-                continue
-            source, factor = cell
-            num_row.append(factor * f.coefficient(source) % p)
-            if want_symbolic:
-                sym_row.append({index.rank(source): factor})
-        num_rows.append(tuple(num_row))
-        if want_symbolic:
-            sym_rows.append(tuple(sym_row))
-    return CoeffMatrix(
-        field=f.field,
-        row_labels=rows,
-        col_labels=cols,
-        entries=tuple(num_rows),
-        symbolic=tuple(sym_rows) if want_symbolic else None,
-    )
+    def key(e: Exponents) -> int:
+        return sum(map(mul, e, weights))
+
+    coef = {key(e): c for e, c in f.terms.items()}
+    # fall[e][a] = e(e-1)...(e-a+1): d^alpha takes x^e to fall[e][a] x^(e-a)
+    fall = [[perm(e, a) % p for a in range(d + 1)] for e in range(d + 1)]
+    tails = cols
+    if shift:
+        tails = tuple(MonomialIndex(PolySpace(v, d - k, True)).monomials())
+    tail_keys = [key(t) for t in tails]
+
+    # one row of d^alpha f per alpha, indexed by the tail t of its monomials
+    derivs = tuple(dict.fromkeys(a for _, a in rows)) if shift else rows
+    alpha_rows = []
+    for alpha in derivs:
+        ka = key(alpha)
+        support = [(i, a) for i, a in enumerate(alpha) if a]
+        row = []
+        for t, kt in zip(tails, tail_keys):
+            c = coef.get(ka + kt, 0)
+            for i, a in support:
+                c *= fall[t[i] + a][a]
+            row.append(c % p)
+        alpha_rows.append(tuple(row))
+    entries = alpha_rows
+    if shift:
+        # row (beta, alpha) is x^beta * d^alpha f: tail t lands in column t+beta
+        col_at = {key(m): j for j, m in enumerate(cols)}
+        entries = []
+        for beta in dict.fromkeys(b for b, _ in rows):
+            kb = key(beta)
+            at = [col_at[kt + kb] for kt in tail_keys]
+            for arow in alpha_rows:
+                row = [0] * len(cols)
+                for j, c in zip(at, arow):
+                    row[j] = c
+                entries.append(tuple(row))
+    return CoeffMatrix(f.field, rows, cols, tuple(entries), space, shift)
 
 
 def partials_matrix(

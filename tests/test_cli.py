@@ -315,6 +315,39 @@ class TestExitCodes:
             assert len(err.strip().splitlines()) == 1, (argv, err)
             assert "Traceback" not in err, argv
 
+    def test_family_and_system_fields_are_checked(self, workdir, capsys):
+        space = {"v": 2, "d": 2, "mode": "homogeneous"}
+        cases = []
+        for i, family in enumerate((
+            {"class": "squares", "n": -1},
+            {"class": "squares", "n": 3},
+            {"class": "sparse", "sparsity": True},
+            {"class": "sps", "top_fanin": 1, "product_degrees": ["2"]},
+            {"class": "sps", "top_fanin": 1, "product_degrees": [2.9]},
+            {"class": "sps", "top_fanin": 1.0},
+        )):
+            (workdir / f"fam{i}.json").write_text(
+                json.dumps({**family, "p": 7, "space": space}))
+            cases.append(("hit-check", "--meta", "disc", "--family",
+                          workdir / f"fam{i}.json", "--space", "2:2", "--field", "7",
+                          "--trials", "3"))
+        system = json.loads((workdir / "sys.json").read_text())
+        for i, change in enumerate((
+            {"provenance": [1]},
+            {"provenance": None},
+            {"labels": [{}, 5]},
+            {"labels": "ab"},
+            {"labels": {"a": 1, "b": 2}},
+        )):
+            (workdir / f"sys{i}.json").write_text(json.dumps({**system, **change}))
+            cases.append(("ips-verify", "--system", workdir / f"sys{i}.json",
+                          "--cert", workdir / "cert.json", "--field", "13"))
+        for argv in cases:
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            lines = err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("npl: error: "), (argv, err)
+
     def test_argparse_usage_error(self, workdir, capsys):
         assert run_cli(capsys, "pit")[0] == 2
         assert run_cli(capsys, "no-such-command")[0] == 2
@@ -479,12 +512,18 @@ class TestEntryPoint:
 # values that are wrong for every field the loaders read: integer fields take
 # JSON integers only, and containers hold objects
 WRONG_TYPES = (None, "x", 1.5, True, [1], {"a": 1})
-# fields the loaders only carry along, and keys that have defaults
-METADATA = {"labels", "provenance"}
-OPTIONAL = {"mode", "shift", "provenance", "labels"}
+# fields the loaders only carry along: provenance and each label take any
+# string, and labels may be null
+CARRIED = {"labels", "provenance"}
+# keys that have defaults, and (file, key) pairs that do in that file only
+OPTIONAL = {"mode", "shift", "provenance", "labels", ("family.json", "n")}
 # integer fields that count or index something, and values outside any range
 COUNTS = {"p", "v", "n", "i", "a", "b", "out", "d", "k", "size", "e"}
 OUT_OF_RANGE = (-1, 2**63, 10**30)
+
+
+def _carried_ok(path, value):
+    return value is None if path[-1] == "labels" else isinstance(value, str)
 
 
 def _paths(doc, prefix=()):
@@ -520,7 +559,8 @@ class TestFuzz:
         # not start an exhaustive walk of a million members over F_(2^31-1)
         monkeypatch.setenv("NPL_DEFAULT_FIELD", "7")
         (workdir / "family.json").write_text(json.dumps(
-            {"class": "squares", "p": 7, "space": {"v": 2, "d": 2, "mode": "homogeneous"}}))
+            {"class": "squares", "p": 7, "n": 2,
+             "space": {"v": 2, "d": 2, "mode": "homogeneous"}}))
         (workdir / "meta.json").write_text(json.dumps(
             {"method": "partials", "k": 1, "shift": 0, "minor": {"kind": "leading", "size": 2}}))
         # file -> command line that reads it, every other input valid
@@ -561,12 +601,12 @@ class TestFuzz:
                 bad_texts += [text[:rng.randrange(1, len(text))] for _ in range(4)]
                 doc = json.loads(text)
                 for path, node in _paths(doc):
-                    if METADATA & set(path):
-                        continue
-                    cases += [(name, _with(doc, path, v)) for v in WRONG_TYPES]
+                    cases += [(name, _with(doc, path, v)) for v in WRONG_TYPES
+                              if not (CARRIED & set(path) and _carried_ok(path, v))]
                     if COUNTS & set(path[-2:]) and type(node) is int:
                         cases += [(name, _with(doc, path, v)) for v in OUT_OF_RANGE]
-                    if path and isinstance(path[-1], str) and path[-1] not in OPTIONAL:
+                    if path and isinstance(path[-1], str) and not (
+                            {path[-1], (name, path[-1])} & OPTIONAL):
                         cases.append((name, _with(doc, path, delete=True)))
             else:
                 bad_texts += ["p cnf 1 2\n1 0\n", "p cnf 1 1\n2 0\n", "1 0\np cnf 1 1\n",

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from math import comb
 
@@ -16,6 +17,7 @@ from npl import (
     SparsePoly,
     coordinate_meta,
     discriminant,
+    is_prime,
     linear_meta,
     matrix_det,
     matrix_rank,
@@ -23,6 +25,7 @@ from npl import (
     rank_mod_p,
     shifted_partials_matrix,
 )
+from npl.meta import _derivative_cell
 from npl.errors import (
     ArityMismatch,
     CharacteristicTooSmall,
@@ -32,6 +35,7 @@ from npl.errors import (
 )
 
 from helpers import (
+    exponents_of_degree,
     int_cofactor_det,
     poly_derivative_order,
     random_dense_poly,
@@ -214,6 +218,158 @@ class TestShiftedPartials:
                 g = shift_mono * poly_derivative_order(f, alpha)
                 for c, mono in enumerate(m.col_labels):
                     assert m.entries[r][c] == g.coefficient(mono)
+
+
+def _next_prime(n):
+    n += 1
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def _kernel_polys(rng, field, v, d):
+    """A dense and a sparse random f in Poly^d(v); the sparse one may be 0."""
+    exps = exponents_of_degree(v, d)
+    dense = SparsePoly(field, v, {e: rng.randrange(field.p) for e in exps})
+    sparse = SparsePoly(
+        field, v, {e: rng.randrange(field.p) for e in exps if rng.random() < 0.3}
+    )
+    return dense, sparse
+
+
+def _all_matrices(f, space):
+    for k in range(space.d + 1):
+        for shift in (0, 1, 2):
+            yield shift, shifted_partials_matrix(f, k, shift, space=space)
+
+
+def _cell_rule_entries(f, m, shift):
+    p = f.field.p
+    out = []
+    for label in m.row_labels:
+        row = []
+        for mono in m.col_labels:
+            cell = _derivative_cell(label, mono, shift, p)
+            row.append(0 if cell is None else cell[1] * f.coefficient(cell[0]) % p)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+# (v, d) pairs with v in 1..5 and d <= 6; with every k and shift 0..2 they
+# make about 70000 cells per polynomial and prime
+KERNEL_SPACES = ((1, 6), (2, 6), (3, 6), (4, 3), (4, 4), (5, 2), (5, 3))
+
+
+class TestBuildKernel:
+    """The packed-key build of derivative matrices against the single-cell
+    rule and, independently, against sympy's derivatives."""
+
+    @pytest.mark.parametrize("prime", ("next", 101, 2**61 - 1))
+    def test_cells_match_derivative_cell_rule(self, prime):
+        rng = random.Random(str(prime))
+        for v, d in KERNEL_SPACES:
+            field = PrimeField(_next_prime(d) if prime == "next" else prime)
+            space = PolySpace(v, d, True)
+            for f in _kernel_polys(rng, field, v, d):
+                for shift, m in _all_matrices(f, space):
+                    assert m.entries == _cell_rule_entries(f, m, shift)
+
+    @pytest.mark.parametrize("prime", ("next", 101, 2**61 - 1))
+    def test_rows_match_sympy_derivatives(self, prime):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(f"sympy/{prime}")
+        for v, d in ((1, 4), (2, 4), (3, 3)):
+            p = _next_prime(d) if prime == "next" else prime
+            xs = sympy.symbols(f"x0:{v}")
+            space = PolySpace(v, d, True)
+            for f in _kernel_polys(rng, PrimeField(p), v, d):
+                P = sympy.Poly(
+                    sum(c * sympy.prod(x**e for x, e in zip(xs, mono))
+                        for mono, c in f.terms.items()),
+                    *xs,
+                )
+                for shift, m in _all_matrices(f, space):
+                    for r, label in enumerate(m.row_labels):
+                        beta, alpha = label if shift else ((0,) * v, label)
+                        specs = [(x, a) for x, a in zip(xs, alpha) if a]
+                        g = P.diff(*specs) if specs else P
+                        g = g * sympy.Poly(
+                            sympy.prod(x**b for x, b in zip(xs, beta)), *xs
+                        )
+                        want = {e: c % p for e, c in g.terms() if c % p}
+                        for c, mono in enumerate(m.col_labels):
+                            assert m.entries[r][c] == want.get(mono, 0)
+
+    def test_maximal_exponent_in_a_key(self):
+        # x1^d with shift 2: the column x1^(d+2) puts the largest exponent
+        # any key holds in one digit
+        for v in (1, 2, 3):
+            for d in (1, 3, 6):
+                f = SparsePoly(F101, v, {(d,) + (0,) * (v - 1): 1})
+                for k in range(d + 1):
+                    m = shifted_partials_matrix(f, k, 2)
+                    assert m.entries == _cell_rule_entries(f, m, 2)
+                    zeros = (0,) * (v - 1)
+                    r = m.row_labels.index(((2,) + zeros, (k,) + zeros))
+                    c = m.col_labels.index((d - k + 2,) + zeros)
+                    assert m.entries[r][c] == comb(d, k) * math.factorial(k) % 101
+
+    def test_zero_polynomial_with_explicit_space(self):
+        space = PolySpace(3, 4, True)
+        zero = SparsePoly.zero(F101, 3)
+        other = random_dense_poly(random.Random(2), F101, 3, 4)
+        for shift in (0, 1, 2):
+            for k in range(5):
+                m = shifted_partials_matrix(zero, k, shift, space=space)
+                ref = shifted_partials_matrix(other, k, shift, space=space)
+                assert (m.row_labels, m.col_labels) == (ref.row_labels, ref.col_labels)
+                assert all(x == 0 for row in m.entries for x in row)
+                assert m.shape == (len(m.entries), len(m.entries[0]))
+
+    def test_dimension_cap_before_any_row(self, monkeypatch):
+        def no_labels(self):
+            raise AssertionError("labels enumerated before the dimension check")
+
+        monkeypatch.setattr(MonomialIndex, "monomials", no_labels)
+        f = random_dense_poly(random.Random(0), F101, 4, 4)
+        with pytest.raises(DimensionCapExceeded):
+            shifted_partials_matrix(f, 2, 3, dimension_cap=10)
+        with pytest.raises(DimensionCapExceeded):
+            partials_matrix(f, 2, dimension_cap=9)
+
+
+class TestLazySymbolic:
+    def test_built_on_first_access_and_matches_cells(self):
+        rng = random.Random(11)
+        for v, d, shift in ((2, 2, 0), (3, 4, 1), (4, 3, 2), (6, 5, 0), (5, 6, 0)):
+            space = PolySpace(v, d, True)
+            assert space.dimension <= 512
+            index = MonomialIndex(space)
+            f = random_dense_poly(rng, F101, v, d)
+            for k in range(d + 1):
+                m = shifted_partials_matrix(f, k, shift, space=space)
+                assert "symbolic" not in m.__dict__
+                want = tuple(
+                    tuple(
+                        {}
+                        if (cell := _derivative_cell(label, mono, shift, 101)) is None
+                        else {index.rank(cell[0]): cell[1]}
+                        for mono in m.col_labels
+                    )
+                    for label in m.row_labels
+                )
+                assert m.symbolic == want
+                assert "symbolic" in m.__dict__
+                assert m.symbolic_value_at(f.coeff_vector(index)) == m.entries
+
+    def test_none_above_cap(self):
+        f = SparsePoly(F101, 7, {(6,) + (0,) * 6: 1})
+        m = partials_matrix(f, 3)
+        assert PolySpace(7, 6, True).dimension > 512
+        assert "symbolic" not in m.__dict__
+        assert m.symbolic is None
+        with pytest.raises(ValueError):
+            m.symbolic_value_at([0] * 924)
 
 
 class TestMatrixKernels:

@@ -1,0 +1,37 @@
+"""The experiment scripts of the README run with their README arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (script and README arguments, its final summary line)
+SCRIPTS = [
+    (["rank_profile.py", "--vars", "3", "--degree", "2", "--samples", "25"],
+     "  dense    max  : [1, 3, 1]   within bound 0/25"),
+    (["generator_accounting.py", "--max-n", "6", "--expand-max", "4"],
+     "generic det_4 expands to 24 terms (expected 24): ok"),
+    (["discriminant_audit.py", "--field", "7"],
+     "full-space  -> refuted (witness params (0, 1, 0), value 1)"),
+]
+
+
+def test_readme_lists_these_commands():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for argv, _ in SCRIPTS:
+        assert "python3 scripts/" + " ".join(argv) in readme
+
+
+@pytest.mark.parametrize("argv, last_line", SCRIPTS, ids=[a[0] for a, _ in SCRIPTS])
+def test_script_runs(argv, last_line):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == last_line
