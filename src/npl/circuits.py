@@ -6,8 +6,9 @@ tuples, so circuits stay hashable and cheap to serialize.
 
 Formal degree is the usual syntactic bound: 1 for inputs, 0 for constants,
 max for addition, sum for multiplication.  It bounds the degree of the
-expanded polynomial and is what the identity-testing engines key their field
-preconditions on.
+expanded polynomial and is what the randomized identity test keys its error
+bound on.  The same rules applied to each variable bound the degree in that
+variable; the exhaustive identity test walks the grid those bounds give.
 """
 
 from __future__ import annotations
@@ -110,6 +111,28 @@ class Circuit:
             else:
                 degs.append(degs[g[1]] + degs[g[2]])
         return degs[self.out]
+
+    @functools.cached_property
+    def variable_degrees(self) -> Dict[int, int]:
+        """Formal degree of the output in each input, by the rules of
+        ``formal_degree`` applied per variable: {i: D_i} over the inputs the
+        output reaches; inputs it never reaches are absent (degree 0).  Each
+        gate keeps only the inputs it reaches, so many declared inputs cost
+        O(gates * support), not O(gates * v)."""
+        maps: List[Dict[int, int]] = []
+        for g in self.gates:
+            op = g[0]
+            if op == "in":
+                maps.append({g[1]: 1})
+            elif op == "const":
+                maps.append({})
+            else:
+                out = dict(maps[g[1]])
+                for i, d in maps[g[2]].items():
+                    e = out.get(i, 0)
+                    out[i] = max(e, d) if op == "add" else e + d
+                maps.append(out)
+        return maps[self.out]
 
     def evaluate(self, point: Sequence[int]) -> int:
         if len(point) != self.v:

@@ -1,13 +1,18 @@
 """Polynomial identity testing and coefficient-space hitting experiments.
 
-Two engines.  The exhaustive engine enumerates every point of F_p^v and is a
-proof either way, valid because a nonzero polynomial of total degree below p
-cannot vanish on all of F_p^v; it therefore requires p > formal degree.  The
-randomized engine samples points; a nonzero polynomial of degree d vanishes
-at a uniform point with probability at most d/p, so "probably zero" after t
-independent trials carries error at most (d/p)^t.  Fields larger than twice
-the degree keep the per-trial error below 1/2; smaller fields are allowed
-but the verdict records the degraded bound.
+Two engines.  The exhaustive engine is a proof either way.  It rests on the
+product-set lemma (DeMillo-Lipton, Schwartz, Zippel; Alon's Combinatorial
+Nullstellensatz, 1999): a polynomial of degree at most D_i in each x_i that
+vanishes on {0..D_0} x ... x {0..D_(v-1)} is zero, provided every D_i < p.
+The engine takes D_i to be the circuit's formal degree in x_i, so it needs
+only max D_i < p, and it evaluates the circuit at the prod(D_i + 1) points of
+that grid; an input the output never reaches takes the value 0 alone.  It
+runs on Python integers, exact for every prime, and the library needs no
+numpy.  The randomized engine samples points; a nonzero polynomial of degree
+d vanishes at a uniform point with probability at most d/p, so "probably
+zero" after t independent trials carries error at most (d/p)^t.  Fields
+larger than twice the degree keep the per-trial error below 1/2; smaller
+fields are allowed but the verdict records the degraded bound.
 
 Verdict witnesses are always re-evaluated before the verdict is built, so a
 "proven nonzero" object cannot exist with a stale or wrong witness.
@@ -15,6 +20,7 @@ Verdict witnesses are always re-evaluated before the verdict is built, so a
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -52,6 +58,9 @@ class PitVerdict:
     value: Optional[int] = None
     trials: Optional[int] = None
     warnings: Tuple[str, ...] = ()
+    # exhaustive verdicts only: the D_i and the size of the grid walked
+    variable_degrees: Optional[Tuple[int, ...]] = None
+    grid_points: Optional[int] = None
 
     @property
     def per_trial_error(self) -> Optional[str]:
@@ -60,7 +69,7 @@ class PitVerdict:
         return f"{min(self.degree_bound, self.p)}/{self.p}"
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "outcome": self.outcome,
             "degree_bound": self.degree_bound,
             "p": self.p,
@@ -70,6 +79,11 @@ class PitVerdict:
             "per_trial_error": self.per_trial_error,
             "warnings": list(self.warnings),
         }
+        if self.variable_degrees is not None:
+            out["variable_degrees"] = list(self.variable_degrees)
+        if self.grid_points is not None:
+            out["grid_points"] = self.grid_points
+        return out
 
 
 def _nonzero_verdict(
@@ -97,45 +111,35 @@ def _nonzero_verdict(
 def pit_exhaustive(
     circuit: Circuit, enum_budget: int = DEFAULT_ENUM_BUDGET
 ) -> PitVerdict:
-    """Evaluate the circuit on all of F_p^v.  Proof-grade either way."""
-    import numpy as np  # only this engine needs it; keeps it out of start-up
-
+    """Evaluate the circuit on the product grid prod {0..D_i}, D_i its
+    formal degree in x_i, in row-major order.  Proof-grade either way."""
     p = circuit.field.p
-    deg = circuit.formal_degree
-    if p <= deg:
-        raise CharacteristicTooSmall(
-            f"exhaustive test needs p > formal degree; got p={p}, degree={deg}"
-        )
-    # p >= 2, so past the budget's bit length p^v exceeds it without being built
-    if circuit.v > enum_budget.bit_length() or p ** circuit.v > enum_budget:
+    for i, d in sorted(circuit.variable_degrees.items()):
+        if d >= p:
+            raise CharacteristicTooSmall(
+                f"exhaustive test needs p > the degree of every variable; "
+                f"got p={p}, degree {d} in x{i}"
+            )
+    # every point spells out all v coordinates, so v itself is held to the budget
+    if circuit.v > enum_budget:
         raise EnumerationBudgetExceeded(
-            f"{p}^{circuit.v} points exceed the budget of {enum_budget}"
+            f"{circuit.v} inputs exceed the budget of {enum_budget}"
         )
-    total = p ** circuit.v
-    # one value array per gate over the whole grid; the budget caps memory.
-    # int64 holds every product of two residues only while (p-1)^2 < 2^63;
-    # above that the arrays hold exact Python ints.
-    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
-    idx = np.arange(total, dtype=dtype)
-    vals = []
-    for g in circuit.gates:
-        op = g[0]
-        if op == "in":
-            stride = p ** (circuit.v - 1 - g[1])
-            vals.append((idx // stride) % p)
-        elif op == "const":
-            vals.append(np.full(total, g[1], dtype=dtype))
-        elif op == "add":
-            vals.append((vals[g[1]] + vals[g[2]]) % p)
-        else:
-            vals.append((vals[g[1]] * vals[g[2]]) % p)
-    out = vals[circuit.out]
-    nz = np.nonzero(out)[0]
-    if nz.size == 0:
-        return PitVerdict(outcome=PROVEN_ZERO, degree_bound=deg, p=p)
-    q = int(nz[0])
-    point = tuple((q // p ** (circuit.v - 1 - i)) % p for i in range(circuit.v))
-    return _nonzero_verdict(point, circuit.evaluate, deg, p)
+    degrees = tuple(circuit.variable_degrees.get(i, 0) for i in range(circuit.v))
+    points = 1
+    for d in degrees:
+        points *= d + 1
+        if points > enum_budget:
+            raise EnumerationBudgetExceeded(
+                f"the grid of prod(D_i + 1) points exceeds the budget of "
+                f"{enum_budget}"
+            )
+    grid = {"variable_degrees": degrees, "grid_points": points}
+    deg = circuit.formal_degree
+    for point in itertools.product(*(range(d + 1) for d in degrees)):
+        if circuit.evaluate(point):
+            return replace(_nonzero_verdict(point, circuit.evaluate, deg, p), **grid)
+    return PitVerdict(outcome=PROVEN_ZERO, degree_bound=deg, p=p, **grid)
 
 
 def _random_search(

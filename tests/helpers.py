@@ -171,6 +171,25 @@ def random_circuit(
     return b.build(rng.randrange(len(degrees)))
 
 
+def distributivity_circuit(
+    rng: random.Random, field: PrimeField, v: int, identity: bool
+) -> Circuit:
+    """(A + B) C - A C - B C + s D for random products of two linear forms
+    A, B, C, D: identically zero with s = 0.  The shape of the exhaustive
+    benchmark's pit circuits, built here from the circuit builder."""
+    b = CircuitBuilder(field, v)
+
+    def form() -> int:
+        acc = b.mul(b.const(rng.randrange(1, field.p)), b.inp(0))
+        for i in range(1, v):
+            acc = b.add(acc, b.mul(b.const(rng.randrange(1, field.p)), b.inp(i)))
+        return acc
+
+    a, bb, c, d = (b.mul(form(), form()) for _ in range(4))
+    out = b.sub(b.sub(b.mul(b.add(a, bb), c), b.mul(a, c)), b.mul(bb, c))
+    return b.build(b.add(out, b.mul(b.const(0 if identity else 1), d)))
+
+
 def truth_assignments(n: int) -> Iterator[Tuple[int, ...]]:
     return itertools.product((0, 1), repeat=n)
 

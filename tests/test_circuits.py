@@ -23,7 +23,7 @@ from npl import (
 )
 from npl.errors import DescriptorInvalid, TermCapExceeded
 
-from helpers import cofactor_det, random_circuit
+from helpers import cofactor_det, distributivity_circuit, random_circuit
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -305,6 +305,57 @@ def sympy_terms(expr, gens, p):
     return {e: c % p for e, c in poly.terms() if c % p}
 
 
+def sympy_value(circuit, xs):
+    """The circuit's output as a sympy expression in the symbols xs."""
+    import sympy
+
+    vals = []
+    for g in circuit.gates:
+        if g[0] == "in":
+            vals.append(xs[g[1]])
+        elif g[0] == "const":
+            vals.append(sympy.Integer(g[1]))
+        elif g[0] == "add":
+            vals.append(vals[g[1]] + vals[g[2]])
+        else:
+            vals.append(vals[g[1]] * vals[g[2]])
+    return vals[circuit.out]
+
+
+class TestVariableDegrees:
+    def test_worked(self):
+        b = CircuitBuilder(F7, 4)
+        x, y = b.inp(0), b.inp(2)
+        c = b.build(b.add(b.mul(b.mul(x, x), y), b.mul(b.const(3), x)))
+        assert c.variable_degrees == {0: 2, 2: 1}
+        assert c.formal_degree == 3
+        # syntactic, like formal_degree: x - x keeps degree 1 in x
+        b = CircuitBuilder(F7, 2)
+        assert b.build(b.sub(b.inp(1), b.inp(1))).variable_degrees == {1: 1}
+        b = CircuitBuilder(F7, 2)
+        assert b.build(b.mul(b.const(2), b.const(3))).variable_degrees == {}
+
+    def test_bounds_every_expansion(self):
+        # the exhaustive identity test is a proof only if these bounds hold
+        try:
+            import sympy
+        except ImportError:
+            sympy = None
+        rng = random.Random(1999)
+        circuits = [random_circuit(rng, F, rng.randrange(1, 5), 10, 5)
+                    for F in (F5, F7, F13) for _ in range(100)]
+        circuits += [distributivity_circuit(rng, PrimeField(p), v, identity)
+                     for v, p in ((3, 47), (4, 17)) for identity in (True, False)]
+        for c in circuits:
+            bound = [c.variable_degrees.get(i, 0) for i in range(c.v)]
+            for e in c.expand().terms:
+                assert all(a <= d for a, d in zip(e, bound)), (c, e)
+            if sympy is not None:
+                xs = sympy.symbols(f"x0:{c.v}")
+                poly = sympy.Poly(sympy_value(c, xs), *xs, modulus=c.field.p)
+                assert all(poly.degree(x) <= d for x, d in zip(xs, bound)), c
+
+
 @pytest.mark.parametrize("p", (13, 2**61 - 1, 2**64 - 59))
 class TestAgainstSympy:
     def test_berkowitz_det(self, p):
@@ -338,14 +389,4 @@ class TestAgainstSympy:
                 else:
                     gates.append((b.add(x, y), max(dx, dy)))
             c = b.build()
-            vals = []
-            for g in c.gates:
-                if g[0] == "in":
-                    vals.append(xs[g[1]])
-                elif g[0] == "const":
-                    vals.append(sympy.Integer(g[1]))
-                elif g[0] == "add":
-                    vals.append(vals[g[1]] + vals[g[2]])
-                else:
-                    vals.append(vals[g[1]] * vals[g[2]])
-            assert dict(c.expand().terms) == sympy_terms(vals[c.out], xs, p)
+            assert dict(c.expand().terms) == sympy_terms(sympy_value(c, xs), xs, p)

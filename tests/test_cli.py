@@ -1,3 +1,4 @@
+import ast
 import copy
 import json
 import os
@@ -439,7 +440,7 @@ class TestReports:
 
 class TestEntryPoint:
     def test_cli_import_leaves_numpy_unloaded(self):
-        # numpy serves only the exhaustive grid, so start-up must not pay for it
+        # nothing in the library uses numpy, so start-up must not pay for it
         env = dict(os.environ, PYTHONPATH=str(PYPROJECT.parent / "src"))
         proc = subprocess.run(
             [sys.executable, "-c",
@@ -461,6 +462,43 @@ class TestEntryPoint:
         imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
         assert "npl.meta" in imported
         assert not [m for m in imported if m.split(".")[0] == "numpy"]
+
+    def test_library_imports_no_numpy(self):
+        for path in sorted((PYPROJECT.parent / "src" / "npl").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not [n for n in names if n.split(".")[0] == "numpy"], path
+
+    def test_exhaustive_proofs_without_numpy(self, workdir):
+        # a None entry in sys.modules makes every import of numpy fail
+        script = ("import sys; sys.modules['numpy'] = None; "
+                  "from npl.cli import main; sys.exit(main(sys.argv[1:]))")
+        env = dict(os.environ, PYTHONPATH=str(PYPROJECT.parent / "src"))
+        cases = (
+            (["pit", "--circuit", "circ.json"], 1, "proven-nonzero"),
+            (["pit", "--circuit", "zero.json"], 0, "proven-zero"),
+            (["ips-verify", "--cnf", "phi.cnf", "--cert", "cert.json"], 0, "proven-zero"),
+            (["ips-verify", "--system", "sat.json", "--cert", "bad_cert.json"], 1,
+             "proven-nonzero"),
+        )
+        for argv, code, outcome in cases:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *argv, "--field", "13", "--exhaustive"],
+                capture_output=True, text=True, env=env, cwd=workdir,
+            )
+            assert proc.returncode == code, (argv, proc.stderr)
+            result = json.loads(proc.stdout)["body"]["result"]
+            if argv[0] == "pit":
+                verdict = result["verdict"]
+            else:
+                verdict = result["verification"]["conditions"]["polynomial_relation"]["verdict"]
+            assert verdict["outcome"] == outcome, argv
+            assert verdict["grid_points"] >= 1
 
     def test_module_invocation(self, workdir):
         proc = subprocess.run(

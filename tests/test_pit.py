@@ -1,8 +1,11 @@
+import itertools
+import math
 import random
 
 import pytest
 
 from npl import (
+    Circuit,
     CircuitBuilder,
     FamilyDescriptor,
     MonomialIndex,
@@ -30,7 +33,7 @@ from npl.errors import (
     SpaceMismatch,
 )
 
-from helpers import random_circuit
+from helpers import distributivity_circuit, random_circuit
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -72,6 +75,14 @@ def det3_circuit(field):
     return b.build(b.add(b.add(t1, neg_t2), t3))
 
 
+def splice(b, c):
+    """Copy circuit c's gates onto builder b; returns the index of its output."""
+    base = len(b.gates)
+    for g in c.gates:
+        b.gates.append(g if len(g) == 2 else (g[0], g[1] + base, g[2] + base))
+    return base + c.out
+
+
 class TestExhaustiveEngine:
     def test_char_precondition(self):
         with pytest.raises(CharacteristicTooSmall):
@@ -93,7 +104,7 @@ class TestExhaustiveEngine:
     def test_budget_precondition(self):
         c = commutator_circuit(F101)
         with pytest.raises(EnumerationBudgetExceeded):
-            pit_exhaustive(c, enum_budget=100)
+            pit_exhaustive(c, enum_budget=3)
 
     def test_residue_products_past_int64(self):
         # 2^32 * 2^32 = 2^64 is 8 mod 2^61 - 1, and 0 once wrapped to int64
@@ -120,6 +131,84 @@ class TestExhaustiveEngine:
             v = pit_exhaustive(c)
             if v.outcome == "proven-nonzero":
                 assert c.evaluate(v.witness) == v.value != 0
+
+    def test_budget_boundary(self, monkeypatch):
+        # the grid is {0,1} x {0,1}: 4 points, whatever the field
+        c = commutator_circuit(F101)
+        v = pit_exhaustive(c, enum_budget=4)
+        assert (v.outcome, v.variable_degrees, v.grid_points) == ("proven-zero", (1, 1), 4)
+        assert v.to_json()["variable_degrees"] == [1, 1]
+        assert v.to_json()["grid_points"] == 4
+
+        def no_evaluation(self, point):
+            raise AssertionError("a point was evaluated past the budget")
+
+        monkeypatch.setattr(Circuit, "evaluate", no_evaluation)
+        with pytest.raises(EnumerationBudgetExceeded):
+            pit_exhaustive(c, enum_budget=3)
+
+    def test_per_variable_precondition(self):
+        # x^3 y^3 has formal degree 6 >= 5 but degree 3 < 5 in each variable
+        b = CircuitBuilder(F5, 2)
+        x3 = b.mul(b.mul(b.inp(0), b.inp(0)), b.inp(0))
+        y3 = b.mul(b.mul(b.inp(1), b.inp(1)), b.inp(1))
+        xy = b.mul(x3, y3)
+        v = pit_exhaustive(b.build(xy))
+        assert v.outcome == "proven-nonzero" and v.witness == (1, 1) and v.value == 1
+        assert (v.degree_bound, v.variable_degrees, v.grid_points) == (6, (3, 3), 16)
+        assert pit_exhaustive(b.build(b.sub(xy, b.mul(y3, x3)))).outcome == "proven-zero"
+        # x^5 y over F_5: degree 5 in x0 is refused by name
+        b = CircuitBuilder(F5, 2)
+        x = b.inp(0)
+        x5 = b.mul(b.mul(b.mul(x, x), b.mul(x, x)), x)
+        with pytest.raises(CharacteristicTooSmall, match="degree 5 in x0"):
+            pit_exhaustive(b.build(b.mul(x5, b.inp(1))))
+
+    def test_unreached_inputs_take_zero_only(self):
+        # 40 declared inputs, two of them used: a 6-point grid, not 101^40;
+        # each point spells out all 40 coordinates, so the budget caps v too
+        b = CircuitBuilder(F101, 40)
+        c = b.build(b.add(b.mul(b.inp(7), b.inp(7)), b.inp(30)))
+        v = pit_exhaustive(c, enum_budget=40)
+        assert v.outcome == "proven-nonzero" and v.grid_points == 6
+        assert v.witness == (0,) * 30 + (1,) + (0,) * 9
+        assert v.variable_degrees == (0,) * 7 + (2,) + (0,) * 22 + (1,) + (0,) * 9
+        with pytest.raises(EnumerationBudgetExceeded, match="40 inputs"):
+            pit_exhaustive(c, enum_budget=39)
+
+    def test_verdict_matches_full_grid(self):
+        # against a walk of all of F_p^v, which decides zero-ness whenever
+        # every degree is below p; the witness is the first nonzero point
+        # of the degree grid in row-major order
+        rng = random.Random(1701)
+        for field in (F5, F7, F13):
+            p = field.p
+            for _ in range(40):
+                v = rng.randrange(1, 4)
+                a, bb, cc = (random_circuit(rng, field, v, 8, p - 1) for _ in range(3))
+                b = CircuitBuilder(field, v)
+                x, y, z = (splice(b, c) for c in (a, bb, cc))
+                distributes = b.sub(b.sub(b.mul(b.add(x, y), z), b.mul(x, z)), b.mul(y, z))
+                xyz = b.mul(b.mul(x, y), z)
+                for c in (a, b.build(distributes), b.build(b.add(distributes, xyz)),
+                          distributivity_circuit(rng, field, v, rng.random() < 0.5)):
+                    self._check_against_full_grid(c)
+
+    @staticmethod
+    def _check_against_full_grid(c):
+        p = c.field.p
+        degrees = [c.variable_degrees.get(i, 0) for i in range(c.v)]
+        if max(degrees) >= p:
+            with pytest.raises(CharacteristicTooSmall):
+                pit_exhaustive(c)
+            return
+        full = itertools.product(range(p), repeat=c.v)
+        nonzero = any(c.evaluate(pt) for pt in full)
+        v = pit_exhaustive(c)
+        assert v.outcome == ("proven-nonzero" if nonzero else "proven-zero")
+        grid = itertools.product(*(range(d + 1) for d in degrees))
+        assert v.witness == next((pt for pt in grid if c.evaluate(pt)), None)
+        assert v.grid_points == math.prod(d + 1 for d in degrees)
 
 
 class TestSchwartzZippel:
