@@ -113,26 +113,60 @@ class Circuit:
         return degs[self.out]
 
     @functools.cached_property
+    def _live(self) -> Tuple[int, ...]:
+        """Indices of the gates the output depends on, ascending; O(gates)."""
+        live = [False] * (self.out + 1)
+        live[self.out] = True
+        for idx in range(self.out, -1, -1):
+            g = self.gates[idx]
+            if live[idx] and g[0] in ("add", "mul"):
+                live[g[1]] = live[g[2]] = True
+        return tuple(idx for idx, on in enumerate(live) if on)
+
+    @functools.cached_property
+    def support(self) -> Tuple[int, ...]:
+        """The inputs the output reaches, ascending; O(gates)."""
+        return tuple(sorted({self.gates[idx][1] for idx in self._live
+                             if self.gates[idx][0] == "in"}))
+
+    @functools.cached_property
     def variable_degrees(self) -> Dict[int, int]:
         """Formal degree of the output in each input, by the rules of
-        ``formal_degree`` applied per variable: {i: D_i} over the inputs the
-        output reaches; inputs it never reaches are absent (degree 0).  Each
-        gate keeps only the inputs it reaches, so many declared inputs cost
-        O(gates * support), not O(gates * v)."""
-        maps: List[Dict[int, int]] = []
-        for g in self.gates:
+        ``formal_degree`` applied per variable: {i: D_i >= 1} over the
+        ``support``; other inputs are absent (degree 0).  Only the gates the
+        output depends on are visited, and each keeps only the inputs it
+        reaches, so the pass costs O(gates * |support|), whatever v is."""
+        maps: Dict[int, Dict[int, int]] = {}
+        for idx in self._live:
+            g = self.gates[idx]
             op = g[0]
             if op == "in":
-                maps.append({g[1]: 1})
+                maps[idx] = {g[1]: 1}
             elif op == "const":
-                maps.append({})
+                maps[idx] = {}
             else:
                 out = dict(maps[g[1]])
                 for i, d in maps[g[2]].items():
                     e = out.get(i, 0)
                     out[i] = max(e, d) if op == "add" else e + d
-                maps.append(out)
+                maps[idx] = out
         return maps[self.out]
+
+    def on_support(self) -> "Circuit":
+        """The same polynomial over ``len(support)`` inputs: only the gates
+        the output depends on, with input x_(support[j]) renamed x_j."""
+        var = {i: j for j, i in enumerate(self.support)}
+        pos = {idx: k for k, idx in enumerate(self._live)}
+        gates: List[Gate] = []
+        for idx in self._live:
+            g = self.gates[idx]
+            if g[0] == "in":
+                gates.append(("in", var[g[1]]))
+            elif g[0] == "const":
+                gates.append(g)
+            else:
+                gates.append((g[0], pos[g[1]], pos[g[2]]))
+        return Circuit(self.field, len(var), tuple(gates), len(gates) - 1)
 
     def evaluate(self, point: Sequence[int]) -> int:
         if len(point) != self.v:

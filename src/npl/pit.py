@@ -6,8 +6,9 @@ Nullstellensatz, 1999): a polynomial of degree at most D_i in each x_i that
 vanishes on {0..D_0} x ... x {0..D_(v-1)} is zero, provided every D_i < p.
 The engine takes D_i to be the circuit's formal degree in x_i, so it needs
 only max D_i < p, and it evaluates the circuit at the prod(D_i + 1) points of
-that grid; an input the output never reaches takes the value 0 alone.  It
-runs on Python integers, exact for every prime, and the library needs no
+that grid; an input the output never reaches takes the value 0 alone, so
+the walk runs on the circuit restricted to the inputs it reaches.  It runs
+on Python integers, exact for every prime, and the library needs no
 numpy.  The randomized engine samples points; a nonzero polynomial of degree
 d vanishes at a uniform point with probability at most d/p, so "probably
 zero" after t independent trials carries error at most (d/p)^t.  Fields
@@ -112,32 +113,53 @@ def pit_exhaustive(
     circuit: Circuit, enum_budget: int = DEFAULT_ENUM_BUDGET
 ) -> PitVerdict:
     """Evaluate the circuit on the product grid prod {0..D_i}, D_i its
-    formal degree in x_i, in row-major order.  Proof-grade either way."""
+    formal degree in x_i, in row-major order.  Proof-grade either way.
+
+    ``enum_budget`` caps the grid points and the v coordinates that the
+    verdict lists.  The walk runs on ``circuit.on_support()``, so each point
+    costs the gates the output depends on, not v; refusals come before any
+    point is evaluated."""
     p = circuit.field.p
-    for i, d in sorted(circuit.variable_degrees.items()):
-        if d >= p:
+    support = circuit.support
+    # each reached input has D_i >= 1, so the grid has 2^|support| points at
+    # least; refusing here bounds the degree pass by O(gates * log budget)
+    if 1 << len(support) > enum_budget:
+        raise EnumerationBudgetExceeded(
+            f"{len(support)} reached inputs give a grid past the budget of "
+            f"{enum_budget}"
+        )
+    degrees = circuit.variable_degrees
+    for i in support:
+        if degrees[i] >= p:
             raise CharacteristicTooSmall(
                 f"exhaustive test needs p > the degree of every variable; "
-                f"got p={p}, degree {d} in x{i}"
+                f"got p={p}, degree {degrees[i]} in x{i}"
             )
-    # every point spells out all v coordinates, so v itself is held to the budget
+    # the verdict lists all v coordinates (and re-checks its witness at them)
     if circuit.v > enum_budget:
         raise EnumerationBudgetExceeded(
             f"{circuit.v} inputs exceed the budget of {enum_budget}"
         )
-    degrees = tuple(circuit.variable_degrees.get(i, 0) for i in range(circuit.v))
     points = 1
-    for d in degrees:
-        points *= d + 1
+    for i in support:
+        points *= degrees[i] + 1
         if points > enum_budget:
             raise EnumerationBudgetExceeded(
                 f"the grid of prod(D_i + 1) points exceeds the budget of "
                 f"{enum_budget}"
             )
-    grid = {"variable_degrees": degrees, "grid_points": points}
+    grid = {
+        "variable_degrees": tuple(degrees.get(i, 0) for i in range(circuit.v)),
+        "grid_points": points,
+    }
     deg = circuit.formal_degree
-    for point in itertools.product(*(range(d + 1) for d in degrees)):
-        if circuit.evaluate(point):
+    reduced = circuit.on_support()
+    for x in itertools.product(*(range(degrees[i] + 1) for i in support)):
+        if reduced.evaluate(x):
+            # inputs outside the support take the value 0 alone
+            point = [0] * circuit.v
+            for i, xi in zip(support, x):
+                point[i] = xi
             return replace(_nonzero_verdict(point, circuit.evaluate, deg, p), **grid)
     return PitVerdict(outcome=PROVEN_ZERO, degree_bound=deg, p=p, **grid)
 

@@ -335,6 +335,32 @@ class TestVariableDegrees:
         b = CircuitBuilder(F7, 2)
         assert b.build(b.mul(b.const(2), b.const(3))).variable_degrees == {}
 
+    def test_dead_gates_and_on_support(self):
+        # gates the output does not depend on add nothing to the degrees,
+        # and the circuit over the support computes the same values
+        rng = random.Random(2024)
+        for _ in range(100):
+            v = rng.randrange(1, 6)
+            dead = random_circuit(rng, F7, v, 6, 4)
+            live = random_circuit(rng, F7, v, 6, 4)
+            b = CircuitBuilder(F7, v)
+            base = len(dead.gates)
+            b.gates.extend(dead.gates)
+            for g in live.gates:
+                b.gates.append(g if len(g) == 2 else (g[0], g[1] + base, g[2] + base))
+            c = b.build(base + live.out)
+            assert c.variable_degrees == live.variable_degrees
+            assert c.support == tuple(sorted(live.variable_degrees))
+            reduced = c.on_support()
+            assert reduced.v == len(c.support)
+            assert len(reduced.gates) <= len(live.gates)
+            for _ in range(5):
+                x = [rng.randrange(7) for _ in c.support]
+                point = [rng.randrange(7) for _ in range(v)]
+                for i, xi in zip(c.support, x):
+                    point[i] = xi
+                assert reduced.evaluate(x) == c.evaluate(point)
+
     def test_bounds_every_expansion(self):
         # the exhaustive identity test is a proof only if these bounds hold
         try:

@@ -166,7 +166,7 @@ class TestExhaustiveEngine:
 
     def test_unreached_inputs_take_zero_only(self):
         # 40 declared inputs, two of them used: a 6-point grid, not 101^40;
-        # each point spells out all 40 coordinates, so the budget caps v too
+        # the verdict lists all 40 coordinates, so the budget caps v too
         b = CircuitBuilder(F101, 40)
         c = b.build(b.add(b.mul(b.inp(7), b.inp(7)), b.inp(30)))
         v = pit_exhaustive(c, enum_budget=40)
@@ -175,6 +175,52 @@ class TestExhaustiveEngine:
         assert v.variable_degrees == (0,) * 7 + (2,) + (0,) * 22 + (1,) + (0,) * 9
         with pytest.raises(EnumerationBudgetExceeded, match="40 inputs"):
             pit_exhaustive(c, enum_budget=39)
+
+    def test_walk_costs_the_support_not_v(self, monkeypatch):
+        # a million declared inputs and a 2^12-point grid: every point but
+        # the witness's re-evaluation has the 12 coordinates of the support
+        b = CircuitBuilder(F101, 10**6)
+        out = b.inp(0)
+        for i in range(1, 12):
+            out = b.mul(out, b.inp(i))
+        dead = b.add(b.inp(500_000), b.inp(999_999))
+        c = b.build(out)
+        lengths = []
+        evaluate = Circuit.evaluate
+
+        def recorded(self, point):
+            lengths.append(len(point))
+            # only the witness's re-evaluation spells out all v coordinates
+            assert len(point) == 12 or lengths[:-1] == [12] * 2**12
+            return evaluate(self, point)
+
+        monkeypatch.setattr(Circuit, "evaluate", recorded)
+        v = pit_exhaustive(c)
+        assert v.outcome == "proven-nonzero" and v.grid_points == 2**12
+        assert v.witness == (1,) * 12 + (0,) * (10**6 - 12)
+        assert lengths == [12] * 2**12 + [10**6]
+        assert dead not in c._live
+
+    def test_reached_inputs_refused_before_degree_pass(self):
+        # each reached input has degree >= 1, so r of them need 2^r points
+        b = CircuitBuilder(F7, 5)
+        out = b.inp(0)
+        for i in range(1, 5):
+            out = b.add(out, b.inp(i))
+        c = b.build(out)
+        with pytest.raises(EnumerationBudgetExceeded, match="5 reached inputs"):
+            pit_exhaustive(c, enum_budget=31)
+        assert "variable_degrees" not in c.__dict__
+        assert pit_exhaustive(c, enum_budget=32).grid_points == 32
+        # ten thousand reached inputs are refused without a degree map each
+        b = CircuitBuilder(F7, 10**4)
+        out = b.inp(0)
+        for i in range(1, 10**4):
+            out = b.add(out, b.inp(i))
+        c = b.build(out)
+        with pytest.raises(EnumerationBudgetExceeded, match="10000 reached inputs"):
+            pit_exhaustive(c)
+        assert "variable_degrees" not in c.__dict__
 
     def test_verdict_matches_full_grid(self):
         # against a walk of all of F_p^v, which decides zero-ness whenever
