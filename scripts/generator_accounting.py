@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Seed-length accounting for the determinant-coefficient generator.
+"""Seed-length accounting for the determinant-coefficient generator, the
+homogeneous det-projection family on n^2 variables.
 
 Shows how the seed length s = n^4 stays polynomial while the ambient
 coefficient dimension N = C(n^2 + n - 1, n) explodes, and optionally checks
@@ -11,7 +12,11 @@ import json
 from fractions import Fraction
 from math import factorial
 
-from npl import PrimeField, det_coeff_generator
+from npl import FamilyDescriptor, PolySpace, PrimeField
+
+
+def det_generator(n, field):
+    return FamilyDescriptor("det-projection", PolySpace(n * n, n, True), field, n=n)
 
 
 def main():
@@ -27,8 +32,8 @@ def main():
     rows = []
     prev = None
     for n in range(2, args.max_n + 1):
-        g = det_coeff_generator(n, field)
-        s, N = g.s, g.space.dimension
+        g = det_generator(n, field)
+        s, N = len(g.param_ranges()), g.space.dimension
         growth = None
         if prev is not None:
             growth = {
@@ -40,18 +45,17 @@ def main():
 
     checks = []
     for n in range(2, args.expand_max + 1):
-        g = det_coeff_generator(n, field)
-        seed = [0] * g.s
+        g = det_generator(n, field)
+        seed = [0] * len(g.param_ranges())
         for i in range(n):
             for j in range(n):
                 seed[(i * n + j) * (n * n) + i * n + j] = 1
-        cv = g.evaluate(seed)
-        nonzero = [x for x in cv if x]
+        terms = len(g.member_from_params(seed).poly.terms)
         checks.append({
             "n": n,
-            "generic_terms": len(nonzero),
+            "generic_terms": terms,
             "expected": factorial(n),
-            "ok": len(nonzero) == factorial(n),
+            "ok": terms == factorial(n),
         })
 
     if args.json:

@@ -18,7 +18,6 @@ from .circuits import (
     berkowitz_det,
     derive_seed,
     det_projection,
-    iter_family,
     sample_family_with_params,
     sps_build,
     validate_member,
@@ -42,10 +41,8 @@ from .pit import (
     DEFAULT_ENUM_BUDGET,
     DEFAULT_TRIALS,
     AuditReport,
-    Generator,
     HitReport,
     PitVerdict,
-    det_coeff_generator,
     generator_pit,
     natural_proof_audit,
     pit_exhaustive,

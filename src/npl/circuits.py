@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -414,10 +414,13 @@ def sps_build(
 class FamilyDescriptor:
     """A named, finitely parameterized class of polynomials in one space.
 
-    Every member is determined by a tuple of small integer parameters, one
-    value per slot of ``param_ranges``.  Random sampling draws that tuple
-    uniformly; exhaustive enumeration walks the full product grid.  Samplers
-    keep degenerate draws (the zero polynomial is a legitimate member).
+    The family is a map G from parameter tuples, one value per slot of
+    ``param_ranges``, to members: ``member_from_params`` evaluates it.  For
+    every class but sparse, each coefficient of G(params) is a polynomial of
+    total degree ``param_degree`` in the parameters, so the family is also a
+    generator, a candidate succinct hitting set.  Random sampling draws the
+    tuple uniformly; exhaustive enumeration walks the full product grid.
+    Degenerate draws are kept (the zero polynomial is a legitimate member).
     """
 
     class_id: str
@@ -494,7 +497,25 @@ class FamilyDescriptor:
         N = sp.dimension
         return (N,) * self.sparsity + (p,) * self.sparsity  # type: ignore[operator]
 
+    @property
+    def param_degree(self) -> Optional[int]:
+        """Total degree in the parameters of every coefficient of a member:
+        the degree of the map G from parameters to coefficient vectors.
+        None for sparse families, whose rank parameters are not polynomial."""
+        cid = self.class_id
+        if cid == "squares":
+            return 2
+        if cid == "full-space":
+            return 1
+        if cid == "det-projection":
+            return self.n  # each term of det reads one parameter from n entries
+        if cid == "sps":
+            return max(self.product_degrees, default=0)  # type: ignore[arg-type]
+        return None
+
     def member_from_params(self, params: Sequence[int]) -> "FamilySample":
+        """G(params): the member those parameters name, checked against the
+        declared space by ``validate_member``."""
         ranges = self.param_ranges()
         if len(params) != len(ranges):
             raise ArityMismatch(
@@ -505,48 +526,32 @@ class FamilyDescriptor:
                 raise ValueError(f"parameter {x} outside its range [0, {r})")
         fld, sp = self.field, self.space
         cid = self.class_id
-        witness: dict
         if cid == "squares":
-            form = AffineForm(fld, tuple(params), 0)
-            poly = form.to_poly().pow(2)
-            witness = {"form": list(form.coeffs)}
+            poly = AffineForm(fld, tuple(params), 0).to_poly().pow(2)
         elif cid == "full-space":
-            idx = MonomialIndex(sp)
-            poly = SparsePoly.from_coeff_vector(fld, idx, list(params))
-            witness = {"vector": list(params)}
+            poly = SparsePoly.from_coeff_vector(fld, MonomialIndex(sp), list(params))
         elif cid == "det-projection":
-            L = AffineMatrixMap.from_params(
+            poly = det_projection(AffineMatrixMap.from_params(
                 fld, self.n, sp.v, list(params), sp.homogeneous
-            )
-            poly = det_projection(L)
-            witness = {"matrix_map": L.to_json()}
+            ))
         elif cid == "sps":
-            products = []
-            pos = 0
+            # one homogeneous linear form per v consecutive parameters
+            forms = [AffineForm(fld, tuple(params[i : i + sp.v]), 0)
+                     for i in range(0, len(params), sp.v)]
+            products, pos = [], 0
             for deg in self.product_degrees:  # type: ignore[union-attr]
-                forms = []
-                for _ in range(deg):
-                    forms.append(
-                        AffineForm(fld, tuple(params[pos : pos + sp.v]), 0)
-                    )
-                    pos += sp.v
-                products.append(forms)
+                products.append(forms[pos : pos + deg])
+                pos += deg
             poly = sps_build(fld, sp.v, products)
-            witness = {
-                "products": [[list(f.coeffs) for f in forms] for forms in products]
-            }
-        else:  # sparse
+        else:  # sparse: s monomial ranks, then their s coefficients
             s = self.sparsity
             idx = MonomialIndex(sp)
             terms: Dict[Exponents, int] = {}
-            entries = []
             for rank, coeff in zip(params[:s], params[s:]):
                 e = idx.unrank(rank)
                 terms[e] = terms.get(e, 0) + coeff
-                entries.append([rank, coeff])
             poly = SparsePoly(fld, sp.v, terms)
-            witness = {"entries": entries}
-        sample = FamilySample(self, poly, tuple(params), witness)
+        sample = FamilySample(self, poly, tuple(params))
         if not validate_member(self, sample):
             raise AssertionError("sampler produced an invalid member")
         return sample
@@ -586,69 +591,17 @@ class FamilySample:
     descriptor: FamilyDescriptor
     poly: SparsePoly
     params: Tuple[int, ...]
-    witness: Mapping = dc_field(default_factory=dict)
 
 
 def validate_member(desc: FamilyDescriptor, sample: FamilySample) -> bool:
-    """Re-derive the polynomial from its construction witness and check the
-    declared space.  Samplers run this before returning anything."""
-    poly = sample.poly
-    if not poly.fits_space(desc.space):
+    """Structural check of a member: it lies in the declared space, and a
+    sparse member has at most s terms.  ``member_from_params`` runs this on
+    every member it builds."""
+    if not sample.poly.fits_space(desc.space):
         return False
-    fld, sp = desc.field, desc.space
-    cid = desc.class_id
-    w = sample.witness
-    if cid == "squares":
-        form = AffineForm(fld, tuple(w["form"]), 0)
-        return form.to_poly().pow(2) == poly
-    if cid == "full-space":
-        idx = MonomialIndex(sp)
-        return SparsePoly.from_coeff_vector(fld, idx, list(w["vector"])) == poly
-    if cid == "det-projection":
-        data = w["matrix_map"]
-        rows = tuple(
-            tuple(
-                AffineForm(fld, tuple(cell["coeffs"]), cell["const"])
-                for cell in row
-            )
-            for row in data["entries"]
-        )
-        L = AffineMatrixMap(fld, desc.n, sp.v, rows)
-        return det_projection(L) == poly and len(poly.terms) <= sp.dimension
-    if cid == "sps":
-        products = [
-            [AffineForm(fld, tuple(coeffs), 0) for coeffs in forms]
-            for forms in w["products"]
-        ]
-        return sps_build(fld, sp.v, products) == poly
-    # sparse
-    idx = MonomialIndex(sp)
-    terms: Dict[Exponents, int] = {}
-    for rank, coeff in w["entries"]:
-        e = idx.unrank(rank)
-        terms[e] = terms.get(e, 0) + coeff
-    return SparsePoly(fld, sp.v, terms) == poly and len(poly.terms) <= desc.sparsity
+    return desc.class_id != "sparse" or len(sample.poly.terms) <= desc.sparsity
 
 
 def sample_family_with_params(desc: FamilyDescriptor, seed: int) -> FamilySample:
     """Uniform member of the family; deterministic in (descriptor, seed)."""
     return desc.member_from_params(next(_seeded_draws(desc.param_ranges(), 1, seed)))
-
-
-def iter_family(desc: FamilyDescriptor) -> Iterator[FamilySample]:
-    """Lazy walk over the full parameter grid in row-major order."""
-    ranges = desc.param_ranges()
-    if not all(ranges):
-        return
-    # an odometer: itertools.product would first copy each range into a
-    # tuple of p entries, which no memory holds for p near 2^31
-    params = [0] * len(ranges)
-    while True:
-        yield desc.member_from_params(tuple(params))
-        i = len(params) - 1
-        while i >= 0 and params[i] == ranges[i] - 1:
-            params[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        params[i] += 1

@@ -16,7 +16,6 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
 import time
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from . import __version__
 from .algebra import PolySpace, PrimeField, SparsePoly
-from .circuits import Circuit, FamilyDescriptor
+from .circuits import Circuit, FamilyDescriptor, sample_family_with_params
 from .errors import NplError
 from .ips import (
     GeometricCertificate,
@@ -48,7 +47,6 @@ from .meta import (
 from .pit import (
     DEFAULT_ENUM_BUDGET,
     DEFAULT_TRIALS,
-    det_coeff_generator,
     natural_proof_audit,
     pit_exhaustive,
     pit_schwartz_zippel,
@@ -312,7 +310,8 @@ def _run_pit(plan: ExperimentPlan) -> Tuple[dict, int]:
     if plan.exhaustive:
         verdict = pit_exhaustive(circuit, enum_budget=plan.enum_budget)
     else:
-        verdict = pit_schwartz_zippel(circuit, trials=plan.trials, seed=plan.seed)
+        verdict = pit_schwartz_zippel(circuit, trials=plan.trials, seed=plan.seed,
+                                      enum_budget=plan.enum_budget)
     code = 1 if verdict.outcome == "proven-nonzero" else 0
     return {"verdict": verdict.to_json()}, code
 
@@ -374,18 +373,21 @@ def _run_rank(plan: ExperimentPlan) -> Tuple[dict, int]:
 
 
 def _run_gen(plan: ExperimentPlan) -> Tuple[dict, int]:
+    """Seed-length accounting of the determinant generator, which is the
+    homogeneous det-projection family on n^2 variables."""
     field = PrimeField(plan.field)
     sizes = [int(x) for x in str(plan.input("n")).split(",") if x.strip()]
     expand_max = plan.input("expand_max")
     rows = []
     for n in sizes:
-        gen = det_coeff_generator(n, field)
-        row: dict = {"n": n, "seed_length": gen.s, "dimension": gen.space.dimension}
+        if not 1 <= n <= 6:
+            raise ValueError("determinant generator supported for 1 <= n <= 6")
+        desc = FamilyDescriptor("det-projection", PolySpace(n * n, n, True), field, n=n)
+        row: dict = {"n": n, "seed_length": len(desc.param_ranges()),
+                     "dimension": desc.space.dimension}
         if n <= expand_max:
-            rng = random.Random(plan.seed)
-            seed_vals = [rng.randrange(field.p) for _ in range(gen.s)]
-            cv = gen.evaluate(seed_vals)
-            row["sample_nonzero_coords"] = sum(1 for c in cv if c)
+            sample = sample_family_with_params(desc, plan.seed)
+            row["sample_nonzero_coords"] = len(sample.poly.terms)
         rows.append(row)
     return {"generators": rows}, 0
 

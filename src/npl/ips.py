@@ -302,7 +302,8 @@ def verify_certificate(
     if config.mode == "exhaustive":
         verdict = pit_exhaustive(composed, enum_budget=config.enum_budget)
     else:
-        verdict = pit_schwartz_zippel(composed, trials=config.trials, seed=config.seed)
+        verdict = pit_schwartz_zippel(composed, trials=config.trials, seed=config.seed,
+                                      enum_budget=config.enum_budget)
     if verdict.outcome == PROVEN_ZERO:
         return VerificationReport(
             accepted=True,

@@ -23,21 +23,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
-from .algebra import MonomialIndex, PolySpace, PrimeField, SparsePoly
-from .circuits import (
-    AffineMatrixMap,
-    Circuit,
-    FamilyDescriptor,
-    FamilySample,
-    _seeded_draws,
-    det_projection,
-    iter_family,
-)
+from .algebra import MonomialIndex, SparsePoly
+from .circuits import Circuit, FamilyDescriptor, FamilySample, _seeded_draws
 from .errors import (
-    ArityMismatch,
     CharacteristicTooSmall,
+    DescriptorInvalid,
     EnumerationBudgetExceeded,
     SpaceMismatch,
 )
@@ -195,78 +187,23 @@ def _random_search(
 
 
 def pit_schwartz_zippel(
-    circuit: Circuit, trials: int = DEFAULT_TRIALS, seed: int = 0
+    circuit: Circuit,
+    trials: int = DEFAULT_TRIALS,
+    seed: int = 0,
+    enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> PitVerdict:
-    """Randomized identity test; deterministic function of the seed."""
+    """Randomized identity test; deterministic function of the seed.
+
+    Each point lists all v coordinates, so v past ``enum_budget`` is refused
+    before any draw."""
+    if circuit.v > enum_budget:
+        raise EnumerationBudgetExceeded(
+            f"{circuit.v} inputs exceed the budget of {enum_budget}"
+        )
     p = circuit.field.p
     return _random_search(
         circuit.evaluate, (p,) * circuit.v, circuit.formal_degree, p, trials, seed,
         "formal degree",
-    )
-
-
-# ---------------------------------------------------------------------------
-# seeded generators
-# ---------------------------------------------------------------------------
-
-
-class Generator:
-    """A polynomial map from s seed values to a coefficient vector.
-
-    Each output coordinate is a polynomial of degree at most ``coord_degree``
-    in the seeds; for the determinant generator this holds by construction,
-    since every coefficient of det(L(x)) is a degree-n polynomial in the
-    entries of the coefficient matrix of L.
-    """
-
-    def __init__(
-        self,
-        s: int,
-        space: PolySpace,
-        field: PrimeField,
-        coord_degree: int,
-        fn: Callable[[Sequence[int]], List[int]],
-        gen_id: str,
-    ):
-        self.s = s
-        self.space = space
-        self.field = field
-        self.coord_degree = coord_degree
-        self._fn = fn
-        self.gen_id = gen_id
-
-    def evaluate(self, seed_values: Sequence[int]) -> List[int]:
-        if len(seed_values) != self.s:
-            raise ArityMismatch(
-                f"generator takes {self.s} seed values, got {len(seed_values)}"
-            )
-        p = self.field.p
-        cv = self._fn([x % p for x in seed_values])
-        if len(cv) != self.space.dimension:
-            raise AssertionError("generator produced a vector of the wrong length")
-        return cv
-
-
-def det_coeff_generator(n: int, field: PrimeField) -> Generator:
-    """Seeds are the n^2 x n^2 coefficient matrix of a homogeneous linear
-    matrix map L in n^2 variables; the output is coeff(det(L(x)))."""
-    if not 1 <= n <= 6:
-        raise ValueError("determinant generator supported for 1 <= n <= 6")
-    v = n * n
-    space = PolySpace(v, n, True)
-    index = MonomialIndex(space)
-
-    def fn(params: Sequence[int]) -> List[int]:
-        L = AffineMatrixMap.from_params(field, n, v, list(params), homogeneous=True)
-        return det_projection(L).coeff_vector(index)
-
-    return Generator(
-        s=n ** 4,
-        space=space,
-        field=field,
-        coord_degree=n,
-        fn=fn,
-        gen_id=f"det-coeff:n={n}",
     )
 
 
@@ -283,14 +220,23 @@ def _meta_looks_zero(T, seed: int) -> bool:
     return not any(T.eval_at(cv) for cv in cvs)
 
 
-def generator_pit(T, G: Generator, trials: int = DEFAULT_TRIALS, seed: int = 0) -> PitVerdict:
-    """Identity test for the composition T(G(seed)) by random seed points."""
-    if T.space != G.space or T.field.p != G.field.p:
-        raise SpaceMismatch("meta-polynomial and generator target different spaces")
-    p = G.field.p
+def generator_pit(
+    T, desc: FamilyDescriptor, trials: int = DEFAULT_TRIALS, seed: int = 0
+) -> PitVerdict:
+    """Identity test of T o G, G the family's map from parameters to
+    coefficient vectors, at seeded random parameter points.  Each coefficient
+    of G has degree ``desc.param_degree``, so T o G has degree at most
+    deg(T) times that."""
+    _check_spaces(desc, T)
+    if desc.param_degree is None:
+        raise DescriptorInvalid(
+            f"{desc.class_id} family parameters do not enter polynomially"
+        )
+    index = MonomialIndex(desc.space)
     verdict = _random_search(
-        lambda pt: T.eval_at(G.evaluate(pt)), (p,) * G.s,
-        T.degree_bound * G.coord_degree, p, trials, seed, "composed degree bound",
+        lambda pt: T.eval_at(desc.member_from_params(pt).poly.coeff_vector(index)),
+        desc.param_ranges(), T.degree_bound * desc.param_degree, desc.field.p,
+        trials, seed, "composed degree bound",
     )
     if verdict.outcome == PROBABLY_ZERO and _meta_looks_zero(T, seed):
         warning = (
@@ -349,6 +295,25 @@ def _check_spaces(desc: FamilyDescriptor, T) -> None:
         raise SpaceMismatch("meta-polynomial and family target different spaces")
 
 
+def _row_major(ranges: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """Every point of the product grid prod range(r), in row-major order.
+
+    An odometer: itertools.product would first copy each range into a tuple
+    of r entries, which no memory holds for r near 2^31."""
+    if not all(ranges):
+        return
+    point = [0] * len(ranges)
+    while True:
+        yield tuple(point)
+        i = len(point) - 1
+        while i >= 0 and point[i] == ranges[i] - 1:
+            point[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        point[i] += 1
+
+
 def succinct_hitting_check(
     desc: FamilyDescriptor,
     T,
@@ -364,51 +329,43 @@ def succinct_hitting_check(
     Exhaustive mode walks the family's entire parameter grid; completing the
     walk with no witness is a proof that T vanishes on the family.  A found
     witness is returned even if the grid is larger than the budget; only an
-    incomplete, witness-free walk raises.
+    incomplete, witness-free walk raises.  The witness is rebuilt from its
+    parameters and T re-evaluated on it before it is reported.
     """
     _check_spaces(desc, T)
     if exhaustive == (trials is not None):
         raise ValueError("pass exactly one of trials= or exhaustive=True")
+    ranges = desc.param_ranges()
+    points = _row_major(ranges) if exhaustive else _seeded_draws(ranges, trials, seed)
     index = MonomialIndex(desc.space)
     examined = 0
     zeros = 0
     witness: Optional[FamilySample] = None
     witness_value = 0
-    exhausted = False
-    if exhaustive:
-        for sample in iter_family(desc):
-            examined += 1
-            if examined > enum_budget:
-                raise EnumerationBudgetExceeded(
-                    f"family grid larger than the budget of {enum_budget} "
-                    "and no witness found within it"
-                )
-            val = T.eval_at(sample.poly.coeff_vector(index))
-            if val:
-                witness, witness_value = sample, val
-                break
+    for params in points:
+        if exhaustive and examined >= enum_budget:
+            raise EnumerationBudgetExceeded(
+                f"family grid larger than the budget of {enum_budget} "
+                "and no witness found within it"
+            )
+        sample = desc.member_from_params(params)
+        examined += 1
+        val = T.eval_at(sample.poly.coeff_vector(index))
+        if not val:
             zeros += 1
-        else:
-            exhausted = True
-    else:
-        for params in _seeded_draws(desc.param_ranges(), trials, seed):
-            sample = desc.member_from_params(params)
-            examined += 1
-            val = T.eval_at(sample.poly.coeff_vector(index))
-            if val:
-                if witness is None:
-                    witness, witness_value = sample, val
-                if not collect_stats:
-                    break
-            else:
-                zeros += 1
+            continue
+        if witness is None:
+            witness, witness_value = sample, val
+        # an exhaustive walk stops at its witness; random mode may count on
+        if exhaustive or not collect_stats:
+            break
     degenerate = False
     if witness is None:
         degenerate = _meta_looks_zero(T, seed)
     else:
-        # re-check the witness before reporting it
-        if T.eval_at(witness.poly.coeff_vector(index)) != witness_value:
-            raise AssertionError("witness failed its re-evaluation")
+        again = desc.member_from_params(witness.params).poly
+        if again != witness.poly or T.eval_at(again.coeff_vector(index)) != witness_value:
+            raise AssertionError("witness failed its rebuild and re-evaluation")
     return HitReport(
         meta_id=getattr(T, "meta_id", "meta"),
         family=desc,
@@ -416,7 +373,7 @@ def succinct_hitting_check(
         outcome="none-found" if witness is None else "witness",
         examined=examined,
         zeros=zeros,
-        exhausted=exhausted,
+        exhausted=exhaustive and witness is None,
         seed=None if exhaustive else seed,
         trials=trials,
         witness_params=None if witness is None else witness.params,

@@ -16,6 +16,7 @@ from npl import (
     AffineForm,
     Circuit,
     CircuitBuilder,
+    FamilyDescriptor,
     MonomialIndex,
     PolySpace,
     PrimeField,
@@ -23,6 +24,12 @@ from npl import (
 )
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 101)
+
+
+def det_generator(n: int, field: PrimeField) -> FamilyDescriptor:
+    """The determinant generator: the homogeneous det-projection family on
+    n^2 variables, whose n^4 parameters are the coefficient matrix of L."""
+    return FamilyDescriptor("det-projection", PolySpace(n * n, n, True), field, n=n)
 
 
 def cofactor_det(entries: Sequence[Sequence[SparsePoly]]) -> SparsePoly:

@@ -30,7 +30,6 @@ from npl import (
     SparsePoly,
     cnf_to_system,
     coordinate_meta,
-    det_coeff_generator,
     discriminant,
     generator_pit,
     linear_meta,
@@ -46,6 +45,7 @@ from npl.cli import main
 
 from helpers import (
     cnf_satisfied,
+    det_generator,
     random_circuit,
     random_dense_poly,
     random_product_of_linear_forms,
@@ -179,9 +179,9 @@ def test_criterion_05_generator_accounting():
     want = {2: (16, 10), 3: (81, 165), 4: (256, 3876), 5: (625, 118755)}
     pairs = {}
     for n, (s, N) in want.items():
-        g = det_coeff_generator(n, F101)
-        assert (g.s, g.space.dimension) == (s, N), n
-        pairs[n] = (g.s, g.space.dimension)
+        g = det_generator(n, F101)
+        pairs[n] = (len(g.param_ranges()), g.space.dimension)
+        assert pairs[n] == (s, N), n
     assert pairs[5][1] == comb(29, 5)
     for n in (3, 4, 5):
         assert pairs[n][0] < pairs[n][1]
@@ -198,14 +198,14 @@ def test_criterion_05_generator_accounting():
         assert accounting_elapsed < 1.0, "accounting portion over 1s"
         # one symbolic determinant expansion per n <= 4
         for n in (2, 3, 4):
-            g = det_coeff_generator(n, F101)
-            seed = [0] * g.s
+            g = det_generator(n, F101)
+            seed = [0] * len(g.param_ranges())
             # identity pattern: entry (i, j) reads seed variable i*n+j
             for i in range(n):
                 for j in range(n):
                     base = (i * n + j) * (n * n)
                     seed[base + i * n + j] = 1
-            cv = g.evaluate(seed)
+            cv = g.member_from_params(seed).poly.coeff_vector(MonomialIndex(g.space))
             # a generic n x n determinant has n! monomials with +-1 coeffs
             from math import factorial
 
@@ -216,7 +216,8 @@ def test_criterion_05_generator_accounting():
 
 def test_criterion_06_generator_hitting():
     with criterion(6, "det_2 projections hit 60/60 linear metas", 60.0):
-        g = det_coeff_generator(2, F5)
+        g = det_generator(2, F5)
+        idx = MonomialIndex(g.space)
         metas = [coordinate_meta(g.space, F5, i) for i in range(10)]
         rng = random.Random(2001)
         while len(metas) < 60:
@@ -227,7 +228,8 @@ def test_criterion_06_generator_hitting():
         for i, T in enumerate(metas):
             v = generator_pit(T, g, trials=10**5, seed=6000 + i)
             if v.outcome == "proven-nonzero":
-                assert T.eval_at(g.evaluate(v.witness)) == v.value != 0
+                cv = g.member_from_params(v.witness).poly.coeff_vector(idx)
+                assert T.eval_at(cv) == v.value != 0
                 hits += 1
         assert hits == 60, f"{hits}/60 hit"
 

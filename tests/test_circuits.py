@@ -10,18 +10,22 @@ from npl import (
     Circuit,
     CircuitBuilder,
     FamilyDescriptor,
+    FamilySample,
+    MonomialIndex,
     PolySpace,
     PrimeField,
     SparsePoly,
     berkowitz_det,
+    coordinate_meta,
     derive_seed,
     det_projection,
-    iter_family,
+    discriminant,
     sample_family_with_params,
     sps_build,
+    succinct_hitting_check,
     validate_member,
 )
-from npl.errors import DescriptorInvalid, TermCapExceeded
+from npl.errors import DescriptorInvalid, EnumerationBudgetExceeded, TermCapExceeded
 
 from helpers import cofactor_det, distributivity_circuit, random_circuit
 
@@ -225,6 +229,17 @@ class TestFamilies:
                 s = sample_family_with_params(desc, seed)
                 assert validate_member(desc, s)
                 assert s.poly.fits_space(desc.space)
+        # the structural check rejects what no member of the family can be
+        sp = PolySpace(2, 2, True)
+        squares = FamilyDescriptor("squares", sp, F7)
+        for outside in (SparsePoly(F7, 2, {(3, 0): 1}), SparsePoly(F7, 2, {(1, 0): 1}),
+                        SparsePoly(F7, 3, {(2, 0, 0): 1})):
+            assert not validate_member(squares, FamilySample(squares, outside, (0, 0)))
+        two_terms = SparsePoly(F7, 2, {(2, 0): 1, (0, 2): 3})
+        for s, valid in ((1, False), (2, True)):
+            sparse = FamilyDescriptor("sparse", sp, F7, sparsity=s)
+            member = FamilySample(sparse, two_terms, (0,) * (2 * s))
+            assert validate_member(sparse, member) is valid
 
     def test_squares_members_are_squares(self):
         desc = FamilyDescriptor("squares", PolySpace(2, 2, True), F7)
@@ -240,28 +255,52 @@ class TestFamilies:
             f = sample_family_with_params(desc, seed).poly
             assert f.is_zero or f.is_homogeneous(2)
 
-    def test_iter_family_covers_grid(self):
+    def test_exhaustive_walk_covers_grid(self):
+        # disc vanishes on every square, so the walk visits all 25 members
         desc = FamilyDescriptor("squares", PolySpace(2, 2, True), F5)
-        samples = list(iter_family(desc))
-        assert len(samples) == 25
-        assert len({s.params for s in samples}) == 25
-        for s in samples:
-            assert validate_member(desc, s)
+        r = succinct_hitting_check(desc, discriminant(F5), exhaustive=True)
+        assert r.exhausted and r.examined == r.zeros == 25
 
-    def test_iter_family_row_major_and_lazy(self):
-        desc = FamilyDescriptor("full-space", PolySpace(2, 1, True), F5)
-        assert [s.params for s in iter_family(desc)] == \
-            list(itertools.product(range(5), repeat=2))
+        class Recording:
+            """Zero everywhere; records the coefficient vectors it sees."""
+
+            space, field, degree_bound = PolySpace(2, 1, True), F5, 1
+
+            def __init__(self):
+                self.seen = []
+
+            def eval_at(self, cv):
+                self.seen.append(tuple(cv))
+                return 0
+
+        # full-space members are their parameter tuples
+        T = Recording()
+        full = FamilyDescriptor("full-space", T.space, F5)
+        r = succinct_hitting_check(full, T, exhaustive=True)
+        assert r.examined == 25
+        assert T.seen[:25] == list(itertools.product(range(5), repeat=2))
+
+    def test_exhaustive_walk_row_major_and_lazy(self):
+        sp = PolySpace(2, 1, True)
+        desc = FamilyDescriptor("full-space", sp, F5)
+        # the first member in row-major order with a nonzero coordinate i
+        for i, params, examined in ((0, (1, 0), 6), (1, (0, 1), 2)):
+            r = succinct_hitting_check(desc, coordinate_meta(sp, F5, i), exhaustive=True)
+            assert (r.witness_params, r.examined) == (params, examined)
         # a grid of (2^61-1)^2 members starts at once, without building it
-        big = FamilyDescriptor("squares", PolySpace(2, 2, True), PrimeField(2**61 - 1))
-        walk = iter_family(big)
-        assert [next(walk).params for _ in range(3)] == [(0, 0), (0, 1), (0, 2)]
+        F = PrimeField(2**61 - 1)
+        big = FamilyDescriptor("squares", PolySpace(2, 2, True), F)
+        with pytest.raises(EnumerationBudgetExceeded):
+            succinct_hitting_check(big, discriminant(F), exhaustive=True, enum_budget=3)
 
     def test_member_from_params_matches_iteration(self):
-        desc = FamilyDescriptor("sparse", PolySpace(2, 2, True), F5, sparsity=1)
-        for s in iter_family(desc):
-            again = desc.member_from_params(s.params)
-            assert again.poly == s.poly
+        # every reported witness is the member its params name
+        sp = PolySpace(2, 2, True)
+        desc = FamilyDescriptor("sparse", sp, F5, sparsity=1)
+        for i in range(sp.dimension):
+            r = succinct_hitting_check(desc, coordinate_meta(sp, F5, i), exhaustive=True)
+            assert r.outcome == "witness"
+            assert desc.member_from_params(r.witness_params).poly.to_json() == r.witness_poly
 
     def test_descriptor_validation(self):
         sp = PolySpace(2, 2, True)
@@ -283,6 +322,10 @@ class TestFamilies:
         zero = desc.member_from_params((0, 0))
         assert zero.poly.is_zero
         assert validate_member(desc, zero)
+        sparse = FamilyDescriptor("sparse", PolySpace(2, 2, True), F5, sparsity=2)
+        zero = sparse.member_from_params((0, 1, 0, 0))
+        assert zero.poly.is_zero
+        assert validate_member(sparse, zero)
 
 
 class TestSeedDerivation:
@@ -320,6 +363,72 @@ def sympy_value(circuit, xs):
         else:
             vals.append(vals[g[1]] * vals[g[2]])
     return vals[circuit.out]
+
+
+def family_sympy(desc, a, xs):
+    """G(a) as a sympy expression in the symbolic parameters a, built from
+    the documented parameter layout of each class, not from npl's builders."""
+    import sympy
+
+    sp = desc.space
+    cid = desc.class_id
+
+    def lin(coeffs):
+        return sum(c * x for c, x in zip(coeffs, xs))
+
+    def chunks(width):
+        return [a[i : i + width] for i in range(0, len(a), width)]
+
+    if cid == "squares":
+        return lin(a) ** 2
+    if cid == "full-space":
+        idx = MonomialIndex(sp)
+        return sum(c * sympy.prod([x**k for x, k in zip(xs, idx.unrank(r))])
+                   for r, c in enumerate(a))
+    if cid == "det-projection":
+        # entry-major: per entry its v coefficients, then an affine constant
+        width = sp.v if sp.homogeneous else sp.v + 1
+        cells = [lin(ch) + (0 if sp.homogeneous else ch[-1]) for ch in chunks(width)]
+        return sympy.Matrix(desc.n, desc.n, cells).det(method="laplace")
+    assert cid == "sps"
+    forms, out = [lin(ch) for ch in chunks(sp.v)], 0
+    for deg in desc.product_degrees:
+        out += sympy.prod(forms[:deg])
+        forms = forms[deg:]
+    return out
+
+
+class TestParamDegree:
+    CASES = [
+        FamilyDescriptor("squares", PolySpace(3, 2, True), F5),
+        FamilyDescriptor("det-projection", PolySpace(2, 2, True), F7, n=2),
+        FamilyDescriptor("det-projection", PolySpace(2, 2, False), F5, n=2),
+        FamilyDescriptor("sps", PolySpace(2, 3, False), F7, top_fanin=2,
+                         product_degrees=(3, 1)),
+        FamilyDescriptor("full-space", PolySpace(2, 2, False), F5),
+    ]
+
+    @pytest.mark.parametrize("desc", CASES, ids=lambda d: d.class_id)
+    def test_sound_and_tight(self, desc):
+        # every coefficient of G has degree <= param_degree in the
+        # parameters, and some coefficient has exactly that degree
+        sympy = pytest.importorskip("sympy")
+        p = desc.field.p
+        xs = sympy.symbols(f"x0:{desc.space.v}")
+        a = sympy.symbols(f"a0:{len(desc.param_ranges())}")
+        G = sympy.Poly(sympy.expand(family_sympy(desc, a, xs)), *xs)
+        degrees = [sympy.Poly(c, *a, modulus=p).total_degree() for c in G.coeffs()]
+        assert max(degrees) == desc.param_degree
+        # the symbolic map is the library's: compare them at random parameters
+        rng = random.Random(p)
+        for _ in range(5):
+            params = tuple(rng.randrange(r) for r in desc.param_ranges())
+            want = sympy_terms(G.as_expr().subs(dict(zip(a, params))), xs, p)
+            assert dict(desc.member_from_params(params).poly.terms) == want
+
+    def test_sparse_has_none(self):
+        sparse = FamilyDescriptor("sparse", PolySpace(2, 2, True), F5, sparsity=2)
+        assert sparse.param_degree is None
 
 
 class TestVariableDegrees:

@@ -18,7 +18,12 @@ from npl import (
     parse_dimacs,
     verify_certificate,
 )
-from npl.errors import ArityMismatch, ClauseTooWide, FieldMismatch
+from npl.errors import (
+    ArityMismatch,
+    ClauseTooWide,
+    EnumerationBudgetExceeded,
+    FieldMismatch,
+)
 
 from helpers import cnf_satisfied, random_circuit, truth_assignments
 
@@ -205,6 +210,18 @@ class TestVerification:
         )
         rep = verify_certificate(sys7, cert, PitConfig("exhaustive"))
         assert rep.accepted and rep.grade == "exact"
+
+    def test_randomized_inputs_past_budget_refused(self):
+        sys7 = cnf_to_system(Cnf(1, ((1,), (-1,))), F7)
+        b = CircuitBuilder(F7, 3)
+        cert = GeometricCertificate(
+            b.build(b.sub(b.sub(b.const(1), b.inp(0)), b.inp(1)))
+        )
+        # the composed relation has one input
+        with pytest.raises(EnumerationBudgetExceeded):
+            verify_certificate(sys7, cert, PitConfig("schwartz-zippel", enum_budget=0))
+        rep = verify_certificate(sys7, cert, PitConfig("schwartz-zippel", enum_budget=1))
+        assert rep.accepted
 
     def test_condition_one_reject(self):
         b = CircuitBuilder(F7, 2)

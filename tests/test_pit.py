@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import random
+import time
 
 import pytest
 
@@ -17,7 +19,6 @@ from npl import (
     SparsePoly,
     coordinate_meta,
     derive_seed,
-    det_coeff_generator,
     discriminant,
     generator_pit,
     linear_meta,
@@ -27,13 +28,15 @@ from npl import (
     sample_family_with_params,
     succinct_hitting_check,
 )
+from npl.cli import main
 from npl.errors import (
     CharacteristicTooSmall,
+    DescriptorInvalid,
     EnumerationBudgetExceeded,
     SpaceMismatch,
 )
 
-from helpers import distributivity_circuit, random_circuit
+from helpers import det_generator, distributivity_circuit, random_circuit
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -291,6 +294,23 @@ class TestSchwartzZippel:
         with pytest.raises(ValueError):
             pit_schwartz_zippel(commutator_circuit(F7), 0, 0)
 
+    def test_inputs_past_budget_refused(self, tmp_path, monkeypatch, capsys):
+        # each point lists v coordinates: v = 10^9 is refused before any draw
+        monkeypatch.chdir(tmp_path)
+        for v in (10**9, 5):
+            circuit = {"p": 13, "v": v, "gates": [{"op": "const", "c": 1}], "out": 0}
+            (tmp_path / f"v{v}.json").write_text(json.dumps(circuit))
+        t0 = time.perf_counter()
+        assert main(["pit", "--circuit", f"v{10**9}.json", "--field", "13"]) == 2
+        assert time.perf_counter() - t0 < 0.5
+        assert capsys.readouterr().err.startswith("npl: error:")
+        budget = ["--field", "13", "--enum-budget"]
+        assert main(["pit", "--circuit", "v5.json", *budget, "4"]) == 2
+        capsys.readouterr()
+        assert main(["pit", "--circuit", "v5.json", *budget, "5"]) == 1
+        verdict = json.loads(capsys.readouterr().out)["body"]["result"]["verdict"]
+        assert verdict["outcome"] == "proven-nonzero" and verdict["witness"] is not None
+
 
 class TestEngineAgreement:
     def test_never_contradict_and_sz_catches(self):
@@ -312,77 +332,74 @@ class TestEngineAgreement:
                 assert pit_schwartz_zippel(c, 25, rep).outcome == "proven-nonzero"
 
 
+def coeffs_at(desc, params):
+    return desc.member_from_params(params).poly.coeff_vector(MonomialIndex(desc.space))
+
+
 class TestGenerator:
     def test_accounting(self):
         want = {2: (16, 10), 3: (81, 165), 4: (256, 3876), 5: (625, 118755)}
         for n, (s, N) in want.items():
-            g = det_coeff_generator(n, F101)
-            assert g.s == s
+            g = det_generator(n, F101)
+            assert len(g.param_ranges()) == s
             assert g.space.dimension == N
-            assert g.coord_degree == n
+            assert g.param_degree == n
 
     def test_identity_pattern_seed(self):
-        g = det_coeff_generator(2, F5)
+        g = det_generator(2, F5)
         seed = [0] * 16
         seed[0] = seed[5] = seed[10] = seed[15] = 1
-        cv = g.evaluate(seed)
+        cv = coeffs_at(g, seed)
         idx = MonomialIndex(g.space)
         assert cv[idx.rank((1, 0, 0, 1))] == 1
         assert cv[idx.rank((0, 1, 1, 0))] == 4
         assert sum(1 for x in cv if x) == 2
 
     def test_zero_seed(self):
-        g = det_coeff_generator(2, F5)
-        assert g.evaluate([0] * 16) == [0] * 10
+        g = det_generator(2, F5)
+        assert coeffs_at(g, [0] * 16) == [0] * 10
 
     def test_diagonal_seed_hits_coordinate(self):
-        g = det_coeff_generator(2, F5)
+        g = det_generator(2, F5)
         seed = [0] * 16
         seed[0] = seed[12] = 1  # both diagonal entries read x1
-        cv = g.evaluate(seed)
+        cv = coeffs_at(g, seed)
         T = coordinate_meta(g.space, F5, MonomialIndex(g.space).rank((2, 0, 0, 0)))
         assert T.eval_at(cv) == 1
         Tsum = linear_meta(g.space, F5, [1] * 10)
         assert Tsum.eval_at(cv) == 1
 
     def test_generator_pit_finds_witness(self):
-        g = det_coeff_generator(2, F5)
+        g = det_generator(2, F5)
         T = coordinate_meta(g.space, F5, 0)
         v = generator_pit(T, g, trials=60, seed=1)
         assert v.outcome == "proven-nonzero"
-        assert T.eval_at(g.evaluate(v.witness)) == v.value != 0
+        assert v.degree_bound == T.degree_bound * 2
+        assert T.eval_at(coeffs_at(g, v.witness)) == v.value != 0
 
     def test_degenerate_meta_flagged(self):
-        g = det_coeff_generator(2, F5)
+        g = det_generator(2, F5)
         Tzero = linear_meta(g.space, F5, [0] * 10)
         v = generator_pit(Tzero, g, trials=4, seed=0)
         assert v.outcome == "probably-zero"
         assert any("zero" in w for w in v.warnings)
 
     def test_space_mismatch(self):
-        g = det_coeff_generator(2, F5)
+        g = det_generator(2, F5)
         with pytest.raises(SpaceMismatch):
             generator_pit(discriminant(F5), g, trials=2)
 
-    def test_family_consistency(self):
-        # same parameter layout as the det-projection family
-        for n, field in ((2, F7), (3, F5)):
-            g = det_coeff_generator(n, field)
-            desc = FamilyDescriptor(
-                "det-projection", PolySpace(n * n, n, True), field, n=n
-            )
-            idx = MonomialIndex(g.space)
-            rng = random.Random(55)
-            for _ in range(100 if n == 2 else 10):
-                params = [rng.randrange(field.p) for _ in range(g.s)]
-                sample = desc.member_from_params(params)
-                assert g.evaluate(params) == sample.poly.coeff_vector(idx)
+    def test_sparse_family_refused(self):
+        sparse = FamilyDescriptor("sparse", SP22, F7, sparsity=2)
+        with pytest.raises(DescriptorInvalid):
+            generator_pit(discriminant(F7), sparse, trials=2)
 
-    def test_size_bounds(self):
-        with pytest.raises(ValueError):
-            det_coeff_generator(0, F7)
-        with pytest.raises(ValueError):
-            det_coeff_generator(7, F7)
+    def test_size_bounds(self, capsys):
+        for n in ("0", "7"):
+            assert main(["gen", "--n", n, "--field", "7"]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.startswith("npl: error:") and out.err.count("\n") == 1
 
 
 class TestHittingCheck:
@@ -501,6 +518,27 @@ class TestHittingCheck:
         for trials in (0, -3):
             with pytest.raises(ValueError):
                 succinct_hitting_check(full, discriminant(F7), trials=trials)
+
+    def test_witness_that_does_not_rebuild_raises(self, monkeypatch, capsys):
+        # each build of a member drifts by x^2 from the last, so no witness
+        # rebuilds from its params; the check must raise, never report
+        import npl.circuits
+
+        real, builds = npl.circuits.det_projection, itertools.count(1)
+
+        def drifting(L):
+            return real(L) + SparsePoly(L.field, L.v, {(2, 0): next(builds)})
+
+        monkeypatch.setattr(npl.circuits, "det_projection", drifting)
+        desc = FamilyDescriptor("det-projection", SP22, F7, n=2)
+        T = coordinate_meta(SP22, F7, MonomialIndex(SP22).rank((2, 0)))
+        for kwargs in ({"trials": 5, "seed": 0}, {"exhaustive": True}):
+            with pytest.raises(AssertionError):
+                succinct_hitting_check(desc, T, **kwargs)
+        with pytest.raises(AssertionError):
+            main(["hit-check", "--meta", "disc", "--family", "detproj:n=2",
+                  "--space", "2:2", "--field", "7", "--exhaustive"])
+        assert capsys.readouterr().out == ""
 
     def test_degenerate_meta_suspected(self):
         full = FamilyDescriptor("full-space", SP22, F7)
