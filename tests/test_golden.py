@@ -19,8 +19,38 @@ import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden_bodies.json"
 
-# the hard candidate x*y over F_5
-INPUTS = {"xy5.json": {"p": 5, "v": 2, "terms": [{"e": [1, 1], "c": 1}]}}
+
+def _gate(op, *args):
+    keys = {"in": ("i",), "const": ("c",), "add": ("a", "b"), "mul": ("a", "b")}[op]
+    return {"op": op, **dict(zip(keys, args))}
+
+
+def _circuit(p, v, *gates):
+    return {"p": p, "v": v, "gates": [_gate(*g) for g in gates], "out": len(gates) - 1}
+
+
+# Input files by name: a str is written as is, anything else as JSON.
+INPUTS = {
+    # hard candidates over F_5: x*y, x^2 + y^2 and x^2
+    "xy5.json": {"p": 5, "v": 2, "terms": [{"e": [1, 1], "c": 1}]},
+    "sq5.json": {"p": 5, "v": 2, "terms": [{"e": [2, 0], "c": 1}, {"e": [0, 2], "c": 1}]},
+    "x2_5.json": {"p": 5, "v": 2, "terms": [{"e": [2, 0], "c": 1}]},
+    # (x0 + x1) * x2 - (x0 * x2 + x1 * x2) over F_13, identically zero
+    "dist13.json": _circuit(13, 3, ("in", 0), ("in", 1), ("in", 2), ("add", 0, 1),
+                            ("mul", 3, 2), ("mul", 0, 2), ("mul", 1, 2), ("add", 5, 6),
+                            ("const", 12), ("mul", 8, 7), ("add", 4, 9)),
+    "xy13.json": _circuit(13, 2, ("in", 0), ("in", 1), ("mul", 0, 1)),
+    # x and not x: members 1 - x, x and the axiom x^2 - x over F_13
+    "phi.cnf": "p cnf 1 2\n1 0\n-1 0\n",
+    # 1 - y0 - y1 composes to 0: a certificate
+    "cert13.json": _circuit(13, 3, ("const", 1), ("in", 0), ("in", 1), ("const", 12),
+                            ("mul", 3, 1), ("add", 0, 4), ("mul", 3, 2), ("add", 5, 6)),
+    # 1 - y0 composes to x: condition 2 fails
+    "cert13_c2.json": _circuit(13, 3, ("const", 1), ("in", 0), ("const", 12),
+                               ("mul", 2, 1), ("add", 0, 3)),
+    # y0 + y1 is 0 at the origin: condition 1 fails
+    "cert13_c1.json": _circuit(13, 3, ("in", 0), ("in", 1), ("add", 0, 1)),
+}
 
 DISC_22 = ["--meta", "disc", "--space", "2:2"]
 
@@ -45,6 +75,31 @@ CASES = {
                                  "--hard", "xy5.json", "--exhaustive", "--field", "5"],
     "audit-random-refuted": ["audit", *DISC_22, "--family", "full", "--hard", "xy5.json",
                              "--trials", "10", "--seed", "1", "--field", "5"],
+    "audit-exhaustive-valid": ["audit", *DISC_22, "--family", "squares",
+                               "--hard", "sq5.json", "--exhaustive", "--field", "5"],
+    "audit-exhaustive-non-separating": ["audit", *DISC_22, "--family", "squares",
+                                        "--hard", "x2_5.json", "--exhaustive",
+                                        "--field", "5"],
+    "audit-random-valid": ["audit", *DISC_22, "--family", "squares", "--hard", "xy5.json",
+                           "--trials", "10", "--seed", "2", "--field", "5"],
+    "pit-exhaustive-zero": ["pit", "--circuit", "dist13.json", "--exhaustive",
+                            "--field", "13"],
+    "pit-exhaustive-nonzero": ["pit", "--circuit", "xy13.json", "--exhaustive",
+                               "--field", "13"],
+    "pit-random-zero": ["pit", "--circuit", "dist13.json", "--trials", "6", "--seed", "4",
+                        "--field", "13"],
+    "pit-random-nonzero": ["pit", "--circuit", "xy13.json", "--trials", "6", "--seed", "4",
+                           "--field", "13"],
+    "ips-accept-exact": ["ips-verify", "--cnf", "phi.cnf", "--cert", "cert13.json",
+                         "--exhaustive", "--field", "13"],
+    "ips-accept-random": ["ips-verify", "--cnf", "phi.cnf", "--cert", "cert13.json",
+                          "--trials", "5", "--seed", "7", "--field", "13"],
+    "ips-reject-c2-exhaustive": ["ips-verify", "--cnf", "phi.cnf", "--cert",
+                                 "cert13_c2.json", "--exhaustive", "--field", "13"],
+    "ips-reject-c2-random": ["ips-verify", "--cnf", "phi.cnf", "--cert", "cert13_c2.json",
+                             "--trials", "5", "--seed", "7", "--field", "13"],
+    "ips-reject-c1": ["ips-verify", "--cnf", "phi.cnf", "--cert", "cert13_c1.json",
+                      "--exhaustive", "--field", "13"],
 }
 
 
@@ -53,7 +108,8 @@ def run_case(argv, workdir):
     from npl.cli import main
 
     for name, data in INPUTS.items():
-        (Path(workdir) / name).write_text(json.dumps(data), encoding="utf-8")
+        text = data if isinstance(data, str) else json.dumps(data)
+        (Path(workdir) / name).write_text(text, encoding="utf-8")
     buf = io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
