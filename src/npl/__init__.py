@@ -44,6 +44,7 @@ from .pit import (
     HitReport,
     PitVerdict,
     generator_pit,
+    identity_test,
     natural_proof_audit,
     pit_exhaustive,
     pit_schwartz_zippel,
@@ -52,7 +53,6 @@ from .pit import (
 from .ips import (
     Cnf,
     GeometricCertificate,
-    PitConfig,
     PolynomialSystem,
     VerificationReport,
     boolean_axiom_circuit,

@@ -435,6 +435,10 @@ class FamilyDescriptor:
         cid = self.class_id
         if cid not in FAMILY_CLASSES:
             raise DescriptorInvalid(f"unknown family class {cid!r}")
+        if cid != "sps" and (self.top_fanin, self.product_degrees) != (None, None):
+            raise DescriptorInvalid(f"{cid} family takes no top_fanin or product_degrees")
+        if cid != "sparse" and self.sparsity is not None:
+            raise DescriptorInvalid(f"{cid} family takes no sparsity")
         sp = self.space
         # n is the matrix size of a det-projection; the other classes derive
         # it (variables, fan-in or sparsity) and take 0 for "derive it"

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from . import __version__
@@ -27,7 +27,6 @@ from .circuits import Circuit, FamilyDescriptor, sample_family_with_params
 from .errors import NplError
 from .ips import (
     GeometricCertificate,
-    PitConfig,
     PolynomialSystem,
     cnf_to_system,
     parse_dimacs,
@@ -47,9 +46,8 @@ from .meta import (
 from .pit import (
     DEFAULT_ENUM_BUDGET,
     DEFAULT_TRIALS,
+    identity_test,
     natural_proof_audit,
-    pit_exhaustive,
-    pit_schwartz_zippel,
     succinct_hitting_check,
 )
 
@@ -72,6 +70,13 @@ class ExperimentPlan:
     pretty: bool
     inputs: Tuple[Tuple[str, object], ...] = ()
 
+    @property
+    def proof_mode(self) -> dict:
+        """The keywords every proof runner takes: identity_test,
+        succinct_hitting_check, natural_proof_audit, verify_certificate."""
+        return {"exhaustive": self.exhaustive, "trials": self.trials,
+                "seed": self.seed, "enum_budget": self.enum_budget}
+
     def input(self, key: str, default=None):
         for k, v in self.inputs:
             if k == key:
@@ -79,17 +84,7 @@ class ExperimentPlan:
         return default
 
     def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "field": self.field,
-            "seed": self.seed,
-            "trials": self.trials,
-            "exhaustive": self.exhaustive,
-            "enum_budget": self.enum_budget,
-            "out": self.out,
-            "pretty": self.pretty,
-            "inputs": {k: v for k, v in self.inputs},
-        }
+        return {**vars(self), "inputs": dict(self.inputs)}
 
 
 def _add_common(sub: argparse.ArgumentParser, default_field: int) -> None:
@@ -173,15 +168,8 @@ def build_parser(default_field: int) -> argparse.ArgumentParser:
     return parser
 
 
-_PLAN_INPUT_KEYS = {
-    "pit": ("circuit",),
-    "hit-check": ("meta", "family", "space"),
-    "audit": ("meta", "family", "space", "hard"),
-    "rank": ("poly", "method", "k", "shift", "include_matrix"),
-    "gen": ("n", "expand_max"),
-    "ips-verify": ("cert", "cnf", "system"),
-    "ips-from-cnf": ("cnf", "system_out"),
-}
+# the parsed options a plan holds as fields; every other option is an input
+_PLAN_FIELDS = tuple(f.name for f in fields(ExperimentPlan) if f.name != "inputs")
 
 
 def parse_plan(argv: Sequence[str], env: Optional[Mapping[str, str]] = None) -> ExperimentPlan:
@@ -193,23 +181,10 @@ def parse_plan(argv: Sequence[str], env: Optional[Mapping[str, str]] = None) -> 
             default_field = int(raw_default)
         except ValueError:
             raise ValueError(f"{FIELD_ENV_VAR} is not an integer: {raw_default!r}")
-    parser = build_parser(default_field)
-    ns = parser.parse_args(argv)
-    PrimeField(ns.field)  # reject composite moduli up front
-    inputs = tuple(
-        (key, getattr(ns, key)) for key in _PLAN_INPUT_KEYS[ns.command]
-    )
-    return ExperimentPlan(
-        command=ns.command,
-        field=ns.field,
-        seed=ns.seed,
-        trials=getattr(ns, "trials", None),
-        exhaustive=getattr(ns, "exhaustive", None),
-        enum_budget=getattr(ns, "enum_budget", None),
-        out=ns.out,
-        pretty=ns.pretty,
-        inputs=inputs,
-    )
+    ns = vars(build_parser(default_field).parse_args(argv))
+    PrimeField(ns["field"])  # reject composite moduli up front
+    inputs = tuple((k, v) for k, v in ns.items() if k not in _PLAN_FIELDS)
+    return ExperimentPlan(inputs=inputs, **{k: ns.get(k) for k in _PLAN_FIELDS})
 
 
 def _parse_space(text: str) -> PolySpace:
@@ -240,7 +215,10 @@ def _load_json(path: str, parse: Callable, field: Optional[int] = None):
     a crash.  Given a field, the object must live in F_field.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: malformed input: nested too deeply") from None
     try:
         obj = parse(data)
     except (TypeError, AttributeError, IndexError) as exc:
@@ -255,21 +233,13 @@ def _resolve_meta(spec: str, space: PolySpace, field: PrimeField):
         return discriminant(field)
     if spec.startswith("coord:"):
         return coordinate_meta(space, field, int(spec.split(":", 1)[1]))
-    if spec.startswith("partials-minor:"):
+    if spec.startswith(("partials-minor:", "shifted-minor:")):
+        method = spec.split("-", 1)[0]
         kv = _parse_kv(spec.split(":", 1)[1])
         rms = RankMethodSpec(
-            method="partials",
+            method=method,
             k=kv["k"],
-            shift=0,
-            minor=MinorSelection(kind="leading", size=kv["r"] + 1),
-        )
-        return MinorMeta(rms, space, field)
-    if spec.startswith("shifted-minor:"):
-        kv = _parse_kv(spec.split(":", 1)[1])
-        rms = RankMethodSpec(
-            method="shifted",
-            k=kv["k"],
-            shift=kv["l"],
+            shift=kv["l"] if method == "shifted" else 0,
             minor=MinorSelection(kind="leading", size=kv["r"] + 1),
         )
         return MinorMeta(rms, space, field)
@@ -307,11 +277,7 @@ def _resolve_family(spec: str, space: PolySpace, field: PrimeField) -> FamilyDes
 
 def _run_pit(plan: ExperimentPlan) -> Tuple[dict, int]:
     circuit = _load_json(plan.input("circuit"), Circuit.from_json, plan.field)
-    if plan.exhaustive:
-        verdict = pit_exhaustive(circuit, enum_budget=plan.enum_budget)
-    else:
-        verdict = pit_schwartz_zippel(circuit, trials=plan.trials, seed=plan.seed,
-                                      enum_budget=plan.enum_budget)
+    verdict = identity_test(circuit, **plan.proof_mode)
     code = 1 if verdict.outcome == "proven-nonzero" else 0
     return {"verdict": verdict.to_json()}, code
 
@@ -321,14 +287,7 @@ def _run_hit_check(plan: ExperimentPlan) -> Tuple[dict, int]:
     space = _parse_space(plan.input("space"))
     T = _resolve_meta(plan.input("meta"), space, field)
     desc = _resolve_family(plan.input("family"), space, field)
-    report = succinct_hitting_check(
-        desc,
-        T,
-        trials=None if plan.exhaustive else plan.trials,
-        exhaustive=plan.exhaustive,
-        seed=plan.seed,
-        enum_budget=plan.enum_budget,
-    )
+    report = succinct_hitting_check(desc, T, **plan.proof_mode)
     code = 1 if report.outcome == "witness" else 0
     return {"hit_report": report.to_json()}, code
 
@@ -339,15 +298,7 @@ def _run_audit(plan: ExperimentPlan) -> Tuple[dict, int]:
     T = _resolve_meta(plan.input("meta"), space, field)
     desc = _resolve_family(plan.input("family"), space, field)
     hard = _load_json(plan.input("hard"), SparsePoly.from_json, plan.field)
-    report = natural_proof_audit(
-        T,
-        desc,
-        hard,
-        trials=None if plan.exhaustive else plan.trials,
-        exhaustive=plan.exhaustive,
-        seed=plan.seed,
-        enum_budget=plan.enum_budget,
-    )
+    report = natural_proof_audit(T, desc, hard, **plan.proof_mode)
     code = 1 if report.classification == "refuted" else 0
     return {"audit": report.to_json()}, code
 
@@ -400,13 +351,7 @@ def _run_ips_verify(plan: ExperimentPlan) -> Tuple[dict, int]:
     else:
         system = _load_json(plan.input("system"), PolynomialSystem.from_json, plan.field)
     cert = _load_json(plan.input("cert"), GeometricCertificate.from_json)
-    config = PitConfig(
-        mode="exhaustive" if plan.exhaustive else "schwartz-zippel",
-        trials=plan.trials,
-        seed=plan.seed,
-        enum_budget=plan.enum_budget,
-    )
-    report = verify_certificate(system, cert, config)
+    report = verify_certificate(system, cert, **plan.proof_mode)
     return {"verification": report.to_json()}, 0 if report.accepted else 1
 
 

@@ -25,11 +25,10 @@ from .errors import ArityMismatch, ClauseTooWide, FieldMismatch
 from .pit import (
     DEFAULT_ENUM_BUDGET,
     DEFAULT_TRIALS,
-    PROBABLY_ZERO,
+    PROVEN_NONZERO,
     PROVEN_ZERO,
     PitVerdict,
-    pit_exhaustive,
-    pit_schwartz_zippel,
+    identity_test,
 )
 
 MAX_CLAUSE_WIDTH = 3
@@ -234,25 +233,38 @@ def compose_system(system: PolynomialSystem, cert: GeometricCertificate) -> Circ
 
 
 @dataclass(frozen=True)
-class PitConfig:
-    mode: str = "exhaustive"  # "exhaustive" | "schwartz-zippel"
-    trials: int = DEFAULT_TRIALS
-    seed: int = 0
-    enum_budget: int = DEFAULT_ENUM_BUDGET
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("exhaustive", "schwartz-zippel"):
-            raise ValueError(f"unknown engine mode {self.mode!r}")
-
-
-@dataclass(frozen=True)
 class VerificationReport:
-    accepted: bool
-    grade: Optional[str]  # "exact" | "randomized"
-    error_bound: Optional[str]
+    """The two facts a verdict rests on: C(0), and the identity test of the
+    composition (None when C(0) != 1 made it moot)."""
+
     value_at_zero: int
-    failed_condition: Optional[int]
     relation_verdict: Optional[PitVerdict]
+
+    @property
+    def failed_condition(self) -> Optional[int]:
+        if self.value_at_zero != 1:
+            return 1
+        if self.relation_verdict.outcome == PROVEN_NONZERO:
+            return 2
+        return None
+
+    @property
+    def accepted(self) -> bool:
+        return self.failed_condition is None
+
+    @property
+    def grade(self) -> Optional[str]:
+        if not self.accepted:
+            return None
+        return "exact" if self.relation_verdict.outcome == PROVEN_ZERO else "randomized"
+
+    @property
+    def error_bound(self) -> Optional[str]:
+        """(d/p)^trials for a randomized acceptance, d the degree bound."""
+        if self.grade != "randomized":
+            return None
+        eps = Fraction(self.relation_verdict.per_trial_error) ** self.relation_verdict.trials
+        return f"{eps.numerator}/{eps.denominator}"
 
     def to_json(self) -> dict:
         return {
@@ -267,7 +279,7 @@ class VerificationReport:
                 "polynomial_relation": None
                 if self.relation_verdict is None
                 else {
-                    "holds": self.relation_verdict.outcome != "proven-nonzero",
+                    "holds": self.relation_verdict.outcome != PROVEN_NONZERO,
                     "verdict": self.relation_verdict.to_json(),
                 },
             },
@@ -284,51 +296,17 @@ class VerificationReport:
 def verify_certificate(
     system: PolynomialSystem,
     cert: GeometricCertificate,
-    config: PitConfig = PitConfig(),
+    *,
+    exhaustive: bool = False,
+    trials: int = DEFAULT_TRIALS,
+    seed: int = 0,
+    enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> VerificationReport:
-    """Check both certificate conditions and grade the acceptance."""
-    m = len(system.members)
-    value_at_zero = cert.circuit.evaluate([0] * m)
-    if value_at_zero != 1:
-        return VerificationReport(
-            accepted=False,
-            grade=None,
-            error_bound=None,
-            value_at_zero=value_at_zero,
-            failed_condition=1,
-            relation_verdict=None,
-        )
-    composed = compose_system(system, cert)
-    if config.mode == "exhaustive":
-        verdict = pit_exhaustive(composed, enum_budget=config.enum_budget)
-    else:
-        verdict = pit_schwartz_zippel(composed, trials=config.trials, seed=config.seed,
-                                      enum_budget=config.enum_budget)
-    if verdict.outcome == PROVEN_ZERO:
-        return VerificationReport(
-            accepted=True,
-            grade="exact",
-            error_bound=None,
-            value_at_zero=1,
-            failed_condition=None,
-            relation_verdict=verdict,
-        )
-    if verdict.outcome == PROBABLY_ZERO:
-        d = min(verdict.degree_bound, verdict.p)
-        eps = Fraction(d, verdict.p) ** verdict.trials
-        return VerificationReport(
-            accepted=True,
-            grade="randomized",
-            error_bound=f"{eps.numerator}/{eps.denominator}",
-            value_at_zero=1,
-            failed_condition=None,
-            relation_verdict=verdict,
-        )
-    return VerificationReport(
-        accepted=False,
-        grade=None,
-        error_bound=None,
-        value_at_zero=1,
-        failed_condition=2,
-        relation_verdict=verdict,
-    )
+    """Check both certificate conditions; the identity test of the
+    composition runs in the given proof mode."""
+    value_at_zero = cert.circuit.evaluate([0] * len(system.members))
+    verdict = None
+    if value_at_zero == 1:
+        verdict = identity_test(compose_system(system, cert), exhaustive=exhaustive,
+                                trials=trials, seed=seed, enum_budget=enum_budget)
+    return VerificationReport(value_at_zero, verdict)

@@ -352,14 +352,13 @@ class MinorSelection:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "MinorSelection":
-        rows = data.get("rows")
-        cols = data.get("cols")
+        rows, cols, seed = data.get("rows"), data.get("cols"), data.get("seed")
         return cls(
             kind=data["kind"],
             size=_json_int(data["size"]),
-            rows=tuple(rows) if rows is not None else None,
-            cols=tuple(cols) if cols is not None else None,
-            seed=data.get("seed"),
+            rows=tuple(map(_json_int, rows)) if rows is not None else None,
+            cols=tuple(map(_json_int, cols)) if cols is not None else None,
+            seed=_json_int(seed) if seed is not None else None,
         )
 
 

@@ -207,6 +207,21 @@ def pit_schwartz_zippel(
     )
 
 
+def identity_test(
+    circuit: Circuit,
+    *,
+    exhaustive: bool = False,
+    trials: int = DEFAULT_TRIALS,
+    seed: int = 0,
+    enum_budget: int = DEFAULT_ENUM_BUDGET,
+) -> PitVerdict:
+    """Identity test in the CLI's proof mode: the exhaustive engine, or
+    ``trials`` seeded Schwartz-Zippel draws."""
+    if exhaustive:
+        return pit_exhaustive(circuit, enum_budget=enum_budget)
+    return pit_schwartz_zippel(circuit, trials=trials, seed=seed, enum_budget=enum_budget)
+
+
 _PROBE_TRIALS = 16
 _PROBE_SEED_SALT = 0x9E3779B9
 
@@ -256,17 +271,30 @@ def generator_pit(
 class HitReport:
     meta_id: str
     family: FamilyDescriptor
-    mode: str  # "random" | "exhaustive"
-    outcome: str  # "witness" | "none-found"
+    exhaustive: bool
     examined: int
     zeros: int
-    exhausted: bool
-    seed: Optional[int] = None
-    trials: Optional[int] = None
+    # the sampling budget; to_json writes them as null in exhaustive mode
+    seed: int
+    trials: int
     witness_params: Optional[Tuple[int, ...]] = None
     witness_poly: Optional[dict] = None
     witness_value: Optional[int] = None
     degenerate_suspected: bool = False
+
+    @property
+    def mode(self) -> str:
+        return "exhaustive" if self.exhaustive else "random"
+
+    @property
+    def outcome(self) -> str:
+        return "none-found" if self.witness_params is None else "witness"
+
+    @property
+    def exhausted(self) -> bool:
+        """True when the walk covered the whole family: a proof that T
+        vanishes on it."""
+        return self.exhaustive and self.witness_params is None
 
     def to_json(self) -> dict:
         return {
@@ -277,8 +305,8 @@ class HitReport:
             "examined": self.examined,
             "zeros": self.zeros,
             "exhausted": self.exhausted,
-            "seed": self.seed,
-            "trials": self.trials,
+            "seed": None if self.exhaustive else self.seed,
+            "trials": None if self.exhaustive else self.trials,
             "witness": None
             if self.witness_params is None
             else {
@@ -317,8 +345,9 @@ def _row_major(ranges: Sequence[int]) -> Iterator[Tuple[int, ...]]:
 def succinct_hitting_check(
     desc: FamilyDescriptor,
     T,
-    trials: Optional[int] = None,
+    *,
     exhaustive: bool = False,
+    trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     enum_budget: int = DEFAULT_ENUM_BUDGET,
     collect_stats: bool = False,
@@ -333,8 +362,6 @@ def succinct_hitting_check(
     parameters and T re-evaluated on it before it is reported.
     """
     _check_spaces(desc, T)
-    if exhaustive == (trials is not None):
-        raise ValueError("pass exactly one of trials= or exhaustive=True")
     ranges = desc.param_ranges()
     points = _row_major(ranges) if exhaustive else _seeded_draws(ranges, trials, seed)
     index = MonomialIndex(desc.space)
@@ -369,12 +396,10 @@ def succinct_hitting_check(
     return HitReport(
         meta_id=getattr(T, "meta_id", "meta"),
         family=desc,
-        mode="exhaustive" if exhaustive else "random",
-        outcome="none-found" if witness is None else "witness",
+        exhaustive=exhaustive,
         examined=examined,
         zeros=zeros,
-        exhausted=exhaustive and witness is None,
-        seed=None if exhaustive else seed,
+        seed=seed,
         trials=trials,
         witness_params=None if witness is None else witness.params,
         witness_poly=None if witness is None else witness.poly.to_json(),
@@ -390,26 +415,32 @@ NON_SEPARATING = "non-separating"
 
 @dataclass(frozen=True)
 class AuditReport:
-    classification: str
-    meta_id: str
-    family: FamilyDescriptor
+    evidence: HitReport
     hard_poly: dict
     hard_value: int
-    evidence: HitReport
-    exhaustive_proof: bool
+
+    @property
+    def classification(self) -> str:
+        """``refuted`` when some easy member has nonzero T-value (T is useless
+        against the family); otherwise ``non-separating`` when T also
+        vanishes at the hard candidate; otherwise the triple is a
+        ``valid-separation-instance``."""
+        if self.evidence.outcome == "witness":
+            return REFUTED
+        return NON_SEPARATING if self.hard_value == 0 else VALID_SEPARATION
 
     def to_json(self) -> dict:
         return {
             "classification": self.classification,
-            "meta": self.meta_id,
-            "family": self.family.to_json(),
+            "meta": self.evidence.meta_id,
+            "family": self.evidence.family.to_json(),
             "hard": self.hard_poly,
             "hard_value": self.hard_value,
             "vanishing": {
                 "zeros": self.evidence.zeros,
                 "examined": self.evidence.examined,
             },
-            "exhaustive_proof": self.exhaustive_proof,
+            "exhaustive_proof": self.evidence.exhausted,
             "evidence": self.evidence.to_json(),
         }
 
@@ -418,43 +449,16 @@ def natural_proof_audit(
     T,
     easy: FamilyDescriptor,
     hard: SparsePoly,
-    trials: Optional[int] = None,
+    *,
     exhaustive: bool = False,
+    trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> AuditReport:
-    """Check whether T separates the easy family from one hard candidate.
-
-    Classification: ``refuted`` when some easy member has nonzero T-value
-    (T is useless against the family); otherwise ``non-separating`` when T
-    also vanishes at the hard candidate; otherwise the triple is a
-    ``valid-separation-instance``.
-    """
+    """Check whether T separates the easy family from one hard candidate;
+    ``AuditReport.classification`` names the outcome."""
     _check_spaces(easy, T)
-    index = MonomialIndex(easy.space)
-    hard_cv = hard.coeff_vector(index)
-    evidence = succinct_hitting_check(
-        easy,
-        T,
-        trials=trials,
-        exhaustive=exhaustive,
-        seed=seed,
-        enum_budget=enum_budget,
-        collect_stats=True,
-    )
-    hard_value = T.eval_at(hard_cv)
-    if evidence.outcome == "witness":
-        classification = REFUTED
-    elif hard_value == 0:
-        classification = NON_SEPARATING
-    else:
-        classification = VALID_SEPARATION
-    return AuditReport(
-        classification=classification,
-        meta_id=getattr(T, "meta_id", "meta"),
-        family=easy,
-        hard_poly=hard.to_json(),
-        hard_value=hard_value,
-        evidence=evidence,
-        exhaustive_proof=evidence.exhausted,
-    )
+    hard_value = T.eval_at(hard.coeff_vector(MonomialIndex(easy.space)))
+    evidence = succinct_hitting_check(easy, T, exhaustive=exhaustive, trials=trials, seed=seed,
+                                      enum_budget=enum_budget, collect_stats=True)
+    return AuditReport(evidence, hard.to_json(), hard_value)

@@ -23,7 +23,6 @@ from npl import (
     MinorMeta,
     MinorSelection,
     MonomialIndex,
-    PitConfig,
     PolySpace,
     PrimeField,
     RankMethodSpec,
@@ -248,7 +247,7 @@ def test_criterion_07_succinct_hitting_audit():
 
         report = natural_proof_audit(disc, squares, xy, exhaustive=True)
         assert report.classification == "valid-separation-instance"
-        assert report.exhaustive_proof
+        assert report.evidence.exhausted
 
         full = FamilyDescriptor("full-space", space, F7)
         flipped = natural_proof_audit(disc, full, xy, exhaustive=True)
@@ -336,7 +335,7 @@ def test_criterion_09_ips_verification():
         cert1 = GeometricCertificate(
             b.build(b.sub(b.add(b.const(1), b.inp(1)), b.inp(0)))
         )
-        rep1 = verify_certificate(sys_hand, cert1, PitConfig("exhaustive"))
+        rep1 = verify_certificate(sys_hand, cert1, exhaustive=True)
         assert rep1.accepted and rep1.grade == "exact"
 
         # hand certificate 2: (x1) and (not x1) with 1 - y1 - y2
@@ -345,7 +344,7 @@ def test_criterion_09_ips_verification():
         cert2 = GeometricCertificate(
             b.build(b.sub(b.sub(b.const(1), b.inp(0)), b.inp(1)))
         )
-        rep2 = verify_certificate(sys_cnf, cert2, PitConfig("exhaustive"))
+        rep2 = verify_certificate(sys_cnf, cert2, exhaustive=True)
         assert rep2.accepted and rep2.grade == "exact"
 
         # 100 random certificates against 10 satisfiable systems
@@ -369,7 +368,7 @@ def test_criterion_09_ips_verification():
             cert = GeometricCertificate(
                 random_circuit(rng, F7, len(system.members), 6, 2)
             )
-            rep = verify_certificate(system, cert, PitConfig("exhaustive"))
+            rep = verify_certificate(system, cert, exhaustive=True)
             assert not rep.accepted
             assert rep.failed_condition in (1, 2)
             rejected += 1

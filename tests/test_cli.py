@@ -299,6 +299,17 @@ class TestExitCodes:
             cases.append(("pit", "--circuit", workdir / name, "--field", "13"))
         for name in ("terms.json", "exps.json"):
             cases.append(("rank", "--poly", workdir / name, "--k", "1", "--field", "7"))
+        # minor fields of a meta file must be integers
+        minor_space = {"method": "partials", "k": 1, "shift": 0}
+        for name, minor in (
+            ("seed_str.json", {"kind": "random", "size": 1, "seed": "abc"}),
+            ("seed_float.json", {"kind": "random", "size": 1, "seed": 1.5}),
+            ("rows_bool.json", {"kind": "explicit", "size": 2,
+                                "rows": [False, True], "cols": [0, 1]}),
+        ):
+            (workdir / name).write_text(json.dumps({**minor_space, "minor": minor}))
+            cases.append(("hit-check", "--meta", workdir / name, "--family", "squares",
+                          "--space", "2:2", "--field", "7", "--trials", "3"))
         bad = workdir / "list.json"
         cases += [
             ("audit", "--meta", "disc", "--family", "squares", "--space", "2:2",
@@ -316,6 +327,13 @@ class TestExitCodes:
             assert len(err.strip().splitlines()) == 1, (argv, err)
             assert "Traceback" not in err, argv
 
+    def test_deeply_nested_json_exits_two(self, workdir, capsys):
+        deep = workdir / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run_cli(capsys, "pit", "--circuit", deep, "--field", "13")
+        assert code == 2 and out == ""
+        assert err == f"npl: error: {deep}: malformed input: nested too deeply\n"
+
     def test_family_and_system_fields_are_checked(self, workdir, capsys):
         space = {"v": 2, "d": 2, "mode": "homogeneous"}
         cases = []
@@ -326,6 +344,11 @@ class TestExitCodes:
             {"class": "sps", "top_fanin": 1, "product_degrees": ["2"]},
             {"class": "sps", "top_fanin": 1, "product_degrees": [2.9]},
             {"class": "sps", "top_fanin": 1.0},
+            # fields another class reads
+            {"class": "squares", "sparsity": 5, "top_fanin": 9, "product_degrees": [1]},
+            {"class": "full-space", "top_fanin": 1},
+            {"class": "sparse", "sparsity": 1, "product_degrees": [2]},
+            {"class": "sps", "top_fanin": 1, "sparsity": 1},
         )):
             (workdir / f"fam{i}.json").write_text(
                 json.dumps({**family, "p": 7, "space": space}))

@@ -9,7 +9,6 @@ from npl import (
     CircuitBuilder,
     Cnf,
     GeometricCertificate,
-    PitConfig,
     PolynomialSystem,
     PrimeField,
     SparsePoly,
@@ -197,7 +196,7 @@ class TestVerification:
 
     def test_hand_certificate_one(self):
         rep = verify_certificate(self.hand_system(), self.hand_cert(),
-                                 PitConfig("exhaustive"))
+                                 exhaustive=True)
         assert rep.accepted and rep.grade == "exact"
         assert rep.value_at_zero == 1
         assert rep.failed_condition is None
@@ -208,7 +207,7 @@ class TestVerification:
         cert = GeometricCertificate(
             b.build(b.sub(b.sub(b.const(1), b.inp(0)), b.inp(1)))
         )
-        rep = verify_certificate(sys7, cert, PitConfig("exhaustive"))
+        rep = verify_certificate(sys7, cert, exhaustive=True)
         assert rep.accepted and rep.grade == "exact"
 
     def test_randomized_inputs_past_budget_refused(self):
@@ -219,22 +218,22 @@ class TestVerification:
         )
         # the composed relation has one input
         with pytest.raises(EnumerationBudgetExceeded):
-            verify_certificate(sys7, cert, PitConfig("schwartz-zippel", enum_budget=0))
-        rep = verify_certificate(sys7, cert, PitConfig("schwartz-zippel", enum_budget=1))
+            verify_certificate(sys7, cert, enum_budget=0)
+        rep = verify_certificate(sys7, cert, enum_budget=1)
         assert rep.accepted
 
     def test_condition_one_reject(self):
         b = CircuitBuilder(F7, 2)
         zero_cert = GeometricCertificate(b.build(b.const(0)))
         rep = verify_certificate(self.hand_system(), zero_cert,
-                                 PitConfig("exhaustive"))
+                                 exhaustive=True)
         assert not rep.accepted and rep.failed_condition == 1
         assert rep.value_at_zero == 0
 
     def test_condition_two_reject_names_witness(self):
         sys7 = PolynomialSystem(F7, 1, (single_var_circuit(F7, "x-1"),))
         cert = GeometricCertificate(single_var_circuit(F7, "1-x"))
-        rep = verify_certificate(sys7, cert, PitConfig("exhaustive"))
+        rep = verify_certificate(sys7, cert, exhaustive=True)
         assert not rep.accepted and rep.failed_condition == 2
         assert rep.relation_verdict.outcome == "proven-nonzero"
         assert rep.relation_verdict.witness == (0,)
@@ -253,7 +252,7 @@ class TestVerification:
             b.build(b.sub(b.add(b.mul(y1, y1), b.const(1)), b.inp(1)))
         )
         rep = verify_certificate(
-            PolynomialSystem(F, 0, tuple(members)), cert, PitConfig("exhaustive")
+            PolynomialSystem(F, 0, tuple(members)), cert, exhaustive=True
         )
         assert not rep.accepted and rep.failed_condition == 2
         assert rep.relation_verdict.value == 8
@@ -261,7 +260,7 @@ class TestVerification:
     def test_randomized_grade_and_error_bound(self):
         rep = verify_certificate(
             self.hand_system(), self.hand_cert(),
-            PitConfig("schwartz-zippel", trials=10, seed=5),
+            trials=10, seed=5,
         )
         assert rep.accepted and rep.grade == "randomized"
         assert Fraction(rep.error_bound) == Fraction(1, 7) ** 10
@@ -278,10 +277,10 @@ class TestVerification:
         )
         for system, cert in cases:
             rnd = verify_certificate(
-                system, cert, PitConfig("schwartz-zippel", trials=6, seed=2)
+                system, cert, trials=6, seed=2
             )
             if rnd.accepted:
-                exact = verify_certificate(system, cert, PitConfig("exhaustive"))
+                exact = verify_certificate(system, cert, exhaustive=True)
                 assert exact.accepted
 
     def test_padding_preserves_acceptance(self):
@@ -293,7 +292,7 @@ class TestVerification:
             Circuit(F7, 3, base.gates, base.out)
         )
         rep = verify_certificate(padded_system, padded_cert,
-                                 PitConfig("exhaustive"))
+                                 exhaustive=True)
         assert rep.accepted
 
     def test_soundness_on_satisfiable_corpus(self):
@@ -316,7 +315,7 @@ class TestVerification:
                 cert = GeometricCertificate(
                     random_circuit(rng, F7, m, 6, 2)
                 )
-                rep = verify_certificate(system, cert, PitConfig("exhaustive"))
+                rep = verify_certificate(system, cert, exhaustive=True)
                 assert not rep.accepted
                 assert rep.failed_condition in (1, 2)
                 if rep.failed_condition == 2:
@@ -325,7 +324,7 @@ class TestVerification:
 
     def test_report_json(self):
         rep = verify_certificate(self.hand_system(), self.hand_cert(),
-                                 PitConfig("exhaustive"))
+                                 exhaustive=True)
         doc = rep.to_json()
         assert doc["accepted"] is True
         assert doc["conditions"]["identity_at_zero"]["holds"] is True

@@ -499,15 +499,6 @@ class TestHittingCheck:
             )
         ) == 30
 
-    def test_exactly_one_budget_kind(self):
-        full = FamilyDescriptor("full-space", SP22, F7)
-        with pytest.raises(ValueError):
-            succinct_hitting_check(full, discriminant(F7))
-        with pytest.raises(ValueError):
-            succinct_hitting_check(
-                full, discriminant(F7), trials=5, exhaustive=True
-            )
-
     def test_space_mismatch(self):
         desc = FamilyDescriptor("full-space", PolySpace(2, 4, True), F7)
         with pytest.raises(SpaceMismatch):
@@ -563,7 +554,7 @@ class TestAudit:
 
         ok = natural_proof_audit(disc, squares, xy, exhaustive=True)
         assert ok.classification == "valid-separation-instance"
-        assert ok.exhaustive_proof
+        assert ok.evidence.exhausted
         assert ok.hard_value == 1
 
         refuted = natural_proof_audit(disc, full, xy, exhaustive=True)
