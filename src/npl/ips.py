@@ -279,7 +279,7 @@ class VerificationReport:
                 "polynomial_relation": None
                 if self.relation_verdict is None
                 else {
-                    "holds": self.relation_verdict.outcome != PROVEN_NONZERO,
+                    "holds": self.failed_condition != 2,
                     "verdict": self.relation_verdict.to_json(),
                 },
             },
