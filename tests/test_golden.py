@@ -17,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+from itertools import combinations_with_replacement
+
 GOLDEN = Path(__file__).resolve().parent / "golden_bodies.json"
 
 
@@ -27,6 +29,20 @@ def _gate(op, *args):
 
 def _circuit(p, v, *gates):
     return {"p": p, "v": v, "gates": [_gate(*g) for g in gates], "out": len(gates) - 1}
+
+
+def _dense(p, v, d):
+    """Every degree-d monomial in v variables, with fixed nonzero coefficients."""
+    terms = []
+    for i, picks in enumerate(combinations_with_replacement(range(v), d)):
+        e = [0] * v
+        for j in picks:
+            e[j] += 1
+        terms.append({"e": e, "c": (7919 * i * i + 104729 * i + 1) % p or 1})
+    return {"p": p, "v": v, "terms": terms}
+
+
+P31 = 2 ** 31 - 1
 
 
 # Input files by name: a str is written as is, anything else as JSON.
@@ -50,12 +66,30 @@ INPUTS = {
                                ("mul", 2, 1), ("add", 0, 3)),
     # y0 + y1 is 0 at the origin: condition 1 fails
     "cert13_c1.json": _circuit(13, 3, ("in", 0), ("in", 1), ("add", 0, 1)),
+    # dense hard candidates and rank inputs over F_(2^31-1)
+    "dense_3_4.json": _dense(P31, 4, 3),
+    "dense_4_6.json": _dense(P31, 6, 4),
+    "dense_4_3.json": _dense(P31, 3, 4),
 }
 
 DISC_22 = ["--meta", "disc", "--space", "2:2"]
 
 CASES = {
     "gen": ["gen", "--n", "2,3", "--expand-max", "3", "--field", "7", "--seed", "5"],
+    "gen-det4": ["gen", "--n", "4", "--expand-max", "4", "--field", "7", "--seed", "5"],
+    "audit-random-detproj-minor": ["audit", "--meta", "partials-minor:k=1,r=3",
+                                   "--family", "detproj:n=3", "--space", "3:4",
+                                   "--hard", "dense_3_4.json", "--trials", "3",
+                                   "--seed", "6", "--field", str(P31)],
+    "audit-random-sps-minor": ["audit", "--meta", "partials-minor:k=2,r=12",
+                               "--family", "sps:t=2", "--space", "4:6",
+                               "--hard", "dense_4_6.json", "--trials", "3",
+                               "--seed", "8", "--field", str(P31)],
+    "rank-partials-matrix": ["rank", "--poly", "dense_4_3.json", "--k", "2",
+                             "--include-matrix", "--field", str(P31)],
+    "rank-shifted-matrix": ["rank", "--poly", "dense_4_3.json", "--method", "shifted",
+                            "--k", "1", "--shift", "1", "--include-matrix",
+                            "--field", str(P31)],
     "hit-random-squares": ["hit-check", *DISC_22, "--family", "squares",
                            "--trials", "8", "--seed", "3", "--field", "7"],
     "hit-random-full": ["hit-check", *DISC_22, "--family", "full",
