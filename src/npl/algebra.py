@@ -4,9 +4,20 @@ Representation notes:
 
 * Field values are canonical integers in ``[0, p)``; polynomial and matrix
   internals stay on raw ints for speed, with the field carried alongside.
-* A monomial is a tuple of non-negative exponents, one per variable.  A
-  polynomial is a map from monomial to nonzero canonical coefficient; the
-  zero polynomial is the empty map and has degree -1.
+* A monomial is a vector of non-negative exponents, one per variable, and
+  the public API speaks tuples: ``terms``, ``coefficient``, ``to_json``,
+  ``coeff_vector`` and ``MonomialIndex``.  Inside ``SparsePoly`` a monomial
+  is one int with a w-bit field per variable, variable 0 in the top field,
+  so int order is tuple lex order and multiplying monomials is adding ints
+  (the packed layout of Monagan & Pearce, "Parallel sparse polynomial
+  multiplication using heaps", ISSAC 2009).  Each polynomial carries a bound
+  on its total degree and w is sized from it (at least ``_MIN_WIDTH`` bits):
+  every monomial's total degree stays below 2^w, so no exponent sum carries
+  across fields, and a product whose bound needs more bits is computed at a
+  wider w.  A polynomial is a map from monomial to nonzero canonical
+  coefficient; the zero polynomial is the empty map and has degree -1.
+* Only external input (``SparsePoly(...)``, ``from_json``) is validated;
+  arithmetic results come from the trusted ``SparsePoly._make``.
 * ``MonomialIndex`` fixes the coordinate order used everywhere: monomials of
   one degree are ranked in descending lexicographic order on the exponent
   tuple, and at-most-degree spaces list the degree blocks d, d-1, ..., 0.
@@ -17,9 +28,10 @@ Representation notes:
 from __future__ import annotations
 
 import math
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, FieldMismatch, SpaceMismatch, TermCapExceeded
 
@@ -30,6 +42,9 @@ DEFAULT_TERM_CAP = 1 << 20
 
 # Refuse to build index spaces whose dense dimension cannot be addressed.
 MAX_SPACE_DIM = 1 << 26
+
+# packed exponent fields are at least this wide, so degrees below 256 never repack
+_MIN_WIDTH = 8
 
 
 def _json_int(value) -> int:
@@ -210,6 +225,12 @@ class MonomialIndex:
         for i in range(self.dimension):
             yield self.unrank(i)
 
+    @cached_property
+    def _ranks(self) -> Dict[int, int]:
+        """Ranks of the monomials met so far, by packed key at the width
+        ``_width(space.d)``; filled by ``SparsePoly.coeff_vector``."""
+        return {}
+
 
 @dataclass(frozen=True)
 class AffineForm:
@@ -241,15 +262,83 @@ class AffineForm:
 
     def to_poly(self) -> "SparsePoly":
         v = len(self.coeffs)
-        terms: Dict[Exponents, int] = {}
-        for i, c in enumerate(self.coeffs):
-            if c:
-                e = [0] * v
-                e[i] = 1
-                terms[tuple(e)] = c
+        # degree 1 packs at the narrowest width
+        top = _MIN_WIDTH * (v - 1)
+        terms = {1 << top - _MIN_WIDTH * i: c for i, c in enumerate(self.coeffs) if c}
+        d = 1 if terms else 0
         if self.const:
-            terms[(0,) * v] = self.const
-        return SparsePoly(self.field, v, terms)
+            terms[0] = self.const
+        span = (0 if self.const else 1, d) if terms else None
+        return SparsePoly._make(self.field, v, terms, d, span)
+
+
+def _width(d: int) -> int:
+    """Bits per packed exponent field for monomials of total degree <= d."""
+    return max(_MIN_WIDTH, d.bit_length())
+
+
+def _pack(e: Sequence[int], w: int) -> int:
+    if w == 8:
+        return int.from_bytes(bytes(e), "big")
+    k = 0
+    for x in e:
+        k = k << w | x
+    return k
+
+
+def _unpacker(v: int, w: int) -> Callable[[int], Exponents]:
+    """The map from a key of v packed w-bit fields to its exponent tuple."""
+    if w == 8:
+        return lambda k: tuple(k.to_bytes(v, "big"))
+    mask = (1 << w) - 1
+    shifts = range(w * (v - 1), -1, -w)
+    return lambda k: tuple([k >> s & mask for s in shifts])
+
+
+def _degree_of(v: int, w: int) -> Callable[[int], int]:
+    """The map from a packed key to its total degree.  Multiplying by a one in
+    every field sums all fields into the top one; no partial sum carries,
+    since every total degree is below 2^w."""
+    ones = _pack((1,) * v, w)
+    top = w * (v - 1) if v else 0
+    mask = (1 << w) - 1
+    return lambda k: k * ones >> top & mask
+
+
+class _Terms(Mapping):
+    """Read-only view of a polynomial's terms, keyed by exponent tuples."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "SparsePoly") -> None:
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._terms)
+
+    def __iter__(self) -> Iterator[Exponents]:
+        f = self._poly
+        return map(_unpacker(f.v, f._w), f._terms)
+
+    def __getitem__(self, e) -> int:
+        f = self._poly
+        limit = 1 << f._w
+        if type(e) is tuple and len(e) == f.v and all(0 <= x < limit for x in e):
+            c = f._terms.get(_pack(e, f._w))
+            if c is not None:
+                return c
+        raise KeyError(e)
+
+    def items(self) -> "_TermItems":
+        return _TermItems(self)
+
+    def values(self):
+        return self._poly._terms.values()
+
+
+class _TermItems(ItemsView):
+    def __iter__(self):
+        return zip(iter(self._mapping), self._mapping.values())
 
 
 class SparsePoly:
@@ -260,7 +349,10 @@ class SparsePoly:
     safe to share across threads and to reuse as dict keys.
     """
 
-    __slots__ = ("field", "v", "_terms", "_hash")
+    # _terms maps packed monomials to coefficients; _d bounds the total degree
+    # and _w = _width(_d); _span is the (lowest, highest) total degree of the
+    # terms once known, None before that and for zero
+    __slots__ = ("field", "v", "_terms", "_d", "_w", "_span", "_hash")
 
     def __init__(self, field: PrimeField, v: int, terms: Mapping[Exponents, int]):
         if v < 0:
@@ -274,28 +366,56 @@ class SparsePoly:
             c %= p
             if c:
                 clean[e] = c
+        degs = [sum(e) for e in clean]
+        d = max(degs, default=0)
+        w = _width(d)
         self.field = field
         self.v = v
-        self._terms = clean
+        self._terms = {_pack(e, w): c for e, c in clean.items()}
+        self._d = d
+        self._w = w
+        self._span = (min(degs), d) if degs else None
         self._hash: Optional[int] = None
+
+    @classmethod
+    def _make(
+        cls,
+        field: PrimeField,
+        v: int,
+        terms: Dict[int, int],
+        d: int,
+        span: Optional[Tuple[int, int]] = None,
+    ) -> "SparsePoly":
+        """Trusted constructor of arithmetic results: terms are packed at
+        _width(d), coefficients lie in [1, p), and no total degree exceeds d."""
+        f = object.__new__(cls)
+        f.field = field
+        f.v = v
+        f._terms = terms
+        f._d = d
+        f._w = _width(d)
+        f._span = span
+        f._hash = None
+        return f
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, field: PrimeField, v: int) -> "SparsePoly":
-        return cls(field, v, {})
+        return cls.constant(field, v, 0)
 
     @classmethod
     def constant(cls, field: PrimeField, v: int, c: int) -> "SparsePoly":
-        return cls(field, v, {(0,) * v: c})
+        if v < 0:
+            raise ValueError("negative variable count")
+        c %= field.p
+        return cls._make(field, v, {0: c} if c else {}, 0, (0, 0) if c else None)
 
     @classmethod
     def variable(cls, field: PrimeField, v: int, i: int) -> "SparsePoly":
         if not 0 <= i < v:
             raise ValueError(f"variable index {i} outside [0, {v})")
-        e = [0] * v
-        e[i] = 1
-        return cls(field, v, {tuple(e): 1})
+        return cls._make(field, v, {1 << _MIN_WIDTH * (v - 1 - i): 1}, 1, (1, 1))
 
     @classmethod
     def from_coeff_vector(
@@ -312,42 +432,67 @@ class SparsePoly:
 
     @property
     def terms(self) -> Mapping[Exponents, int]:
-        return MappingProxyType(self._terms)
+        return _Terms(self)
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
+    def _degrees(self) -> Optional[Tuple[int, int]]:
+        """(lowest, highest) total degree of the terms, None for zero; read
+        from the packed keys at most once."""
+        if self._span is None and self._terms:
+            degs = list(map(_degree_of(self.v, self._w), self._terms))
+            self._span = (min(degs), max(degs))
+        return self._span
+
     @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
+        span = self._degrees()
+        return span[1] if span else -1
 
     def is_homogeneous(self, d: Optional[int] = None) -> bool:
-        if not self._terms:
+        span = self._degrees()
+        if span is None:
             return True
-        degs = {sum(e) for e in self._terms}
-        if len(degs) != 1:
-            return False
-        return True if d is None else degs == {d}
+        lo, hi = span
+        return lo == hi and (d is None or lo == d)
 
     def fits_space(self, space: PolySpace) -> bool:
         if self.v != space.v:
             return False
-        return all(space.contains_exponents(e) for e in self._terms)
+        span = self._degrees()
+        if span is None:
+            return True
+        lo, hi = span
+        return lo == hi == space.d if space.homogeneous else hi <= space.d
 
     def coefficient(self, e: Exponents) -> int:
-        return self._terms.get(tuple(e), 0)
+        return self.terms.get(tuple(e), 0)
 
     def coeff_vector(self, index: MonomialIndex) -> List[int]:
-        if not self.fits_space(index.space):
-            raise SpaceMismatch(f"polynomial does not fit {index.space}")
+        sp = index.space
+        if not self.fits_space(sp):
+            raise SpaceMismatch(f"polynomial does not fit {sp}")
+        # every degree is at most sp.d, so the index's width holds the terms
+        w = _width(sp.d)
+        terms = self._packed(w)
+        ranks = index._ranks
         vec = [0] * index.dimension
-        for e, c in self._terms.items():
-            vec[index.rank(e)] = c
+        for k, c in terms.items():
+            r = ranks.get(k)
+            if r is None:
+                r = ranks[k] = index.rank(_unpacker(sp.v, w)(k))
+            vec[r] = c
         return vec
+
+    def _packed(self, w: int) -> Dict[int, int]:
+        """The term map packed at width w, which must hold every exponent."""
+        if w == self._w:
+            return self._terms
+        unpack = _unpacker(self.v, self._w)
+        return {_pack(unpack(k), w): c for k, c in self._terms.items()}
 
     # -- arithmetic ----------------------------------------------------
 
@@ -363,46 +508,71 @@ class SparsePoly:
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_compatible(other)
+        w = max(self._w, other._w)
+        b = other._packed(w)
         p = self.field.p
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = (out.get(e, 0) + c) % p
+        out = dict(self._packed(w))
+        get = out.get
+        for k, c in b.items():
+            s = get(k, 0) + c
+            if s >= p:
+                s -= p
             if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return SparsePoly(self.field, self.v, out)
+                out[k] = s
+            else:
+                del out[k]
+        return SparsePoly._make(self.field, self.v, out, max(self._d, other._d))
 
     def __neg__(self) -> "SparsePoly":
         p = self.field.p
-        return SparsePoly(self.field, self.v, {e: p - c for e, c in self._terms.items()})
+        terms = {k: p - c for k, c in self._terms.items()}
+        return SparsePoly._make(self.field, self.v, terms, self._d, self._span)
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
 
     def scale(self, c: int) -> "SparsePoly":
-        c %= self.field.p
-        return SparsePoly(
-            self.field, self.v, {e: c * x for e, x in self._terms.items()}
-        )
+        p = self.field.p
+        c %= p
+        if not c:
+            return SparsePoly.zero(self.field, self.v)
+        terms = {k: c * x % p for k, x in self._terms.items()}
+        return SparsePoly._make(self.field, self.v, terms, self._d, self._span)
 
     def mul(self, other: "SparsePoly") -> "SparsePoly":
         self._check_compatible(other)
+        d = self._d + other._d
+        w = _width(d)
+        a, b = self._packed(w), other._packed(w)
+        # rows run over the shorter operand, unless the product may pass the
+        # cap: then over the longer one, so the check after each row stops it
+        # early.  Coefficients are reduced mod p once, at the end, and the cap
+        # counts the monomials whose running coefficient is nonzero mod p.
+        short, long = (a, b) if len(a) <= len(b) else (b, a)
+        a, b = (long, short) if len(a) * len(b) > DEFAULT_TERM_CAP else (short, long)
         p = self.field.p
-        out: Dict[Exponents, int] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = (out.get(e, 0) + ca * cb) % p
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
+        out: Dict[int, int] = {}
+        get = out.get
+        for row, (ka, ca) in enumerate(a.items(), 1):
+            for kb, cb in b.items():
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
             if len(out) > DEFAULT_TERM_CAP:
-                raise TermCapExceeded(
-                    f"product support passed {DEFAULT_TERM_CAP} monomials"
-                )
-        return SparsePoly(self.field, self.v, out)
+                zeros = [k for k, c in out.items() if not c % p]
+                support = len(out) - len(zeros)
+                if support > DEFAULT_TERM_CAP:
+                    raise TermCapExceeded(
+                        f"product of {len(a)} by {len(b)} terms passed "
+                        f"{DEFAULT_TERM_CAP} monomials: support reached "
+                        f"{support} after {row} of {len(a)} rows"
+                    )
+                for k in zeros:
+                    del out[k]
+        terms = {k: r for k, c in out.items() if (r := c % p)}
+        # over a field the lowest and the highest degree parts multiply to nonzero
+        sa, sb = self._span, other._span
+        span = (sa[0] + sb[0], sa[1] + sb[1]) if sa and sb else None
+        return SparsePoly._make(self.field, self.v, terms, d, span)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -417,15 +587,15 @@ class SparsePoly:
     def pow(self, e: int) -> "SparsePoly":
         if e < 0:
             raise ValueError("negative polynomial power")
-        acc = SparsePoly.constant(self.field, self.v, 1)
+        acc = None
         base = self
         while e:
             if e & 1:
-                acc = acc.mul(base)
+                acc = base if acc is None else acc.mul(base)
             e >>= 1
             if e:
                 base = base.mul(base)
-        return acc
+        return SparsePoly.constant(self.field, self.v, 1) if acc is None else acc
 
     def __pow__(self, e: int) -> "SparsePoly":
         return self.pow(e)
@@ -440,7 +610,7 @@ class SparsePoly:
         p = self.field.p
         pt = [x % p for x in point]
         acc = 0
-        for e, c in self._terms.items():
+        for e, c in self.terms.items():
             t = c
             for x, k in zip(pt, e):
                 if k:
@@ -450,12 +620,17 @@ class SparsePoly:
 
     # -- serialization and dunder plumbing -------------------------------
 
+    def _sorted_terms(self) -> List[Tuple[Exponents, int]]:
+        """Terms in descending lex order of their exponent tuples, which is
+        descending order of their packed keys."""
+        unpack = _unpacker(self.v, self._w)
+        return [(unpack(k), c) for k, c in sorted(self._terms.items(), reverse=True)]
+
     def to_json(self) -> dict:
-        terms = sorted(self._terms.items(), reverse=True)
         return {
             "p": self.field.p,
             "v": self.v,
-            "terms": [{"e": list(e), "c": c} for e, c in terms],
+            "terms": [{"e": list(e), "c": c} for e, c in self._sorted_terms()],
         }
 
     @classmethod
@@ -471,16 +646,15 @@ class SparsePoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return (
-            self.field.p == other.field.p
-            and self.v == other.v
-            and self._terms == other._terms
-        )
+        if self.field.p != other.field.p or self.v != other.v:
+            return False
+        w = max(self._w, other._w)
+        return self._packed(w) == other._packed(w)
 
     def __hash__(self) -> int:
         if self._hash is None:
             self._hash = hash(
-                (self.field.p, self.v, frozenset(self._terms.items()))
+                (self.field.p, self.v, frozenset(self.terms.items()))
             )
         return self._hash
 
@@ -488,7 +662,7 @@ class SparsePoly:
         if not self._terms:
             return "0"
         bits = []
-        for e, c in sorted(self._terms.items(), reverse=True):
+        for e, c in self._sorted_terms():
             factors = [str(c)] if c != 1 or not any(e) else []
             for i, k in enumerate(e):
                 if k == 1:

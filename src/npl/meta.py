@@ -29,7 +29,6 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from math import perm, prod
-from operator import mul
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -39,6 +38,8 @@ from .algebra import (
     PrimeField,
     SparsePoly,
     _json_int,
+    _pack,
+    _width,
 )
 from .circuits import Circuit, CircuitBuilder
 from .errors import (
@@ -184,14 +185,14 @@ def _build_matrix(
     _check_partials_preconditions(space, k, shift, p)
     rows, cols = _shifted_labels(space, k, shift, dimension_cap)
     v, d = space.v, space.d
-    # a monomial's key is one int with a base-(d+shift+1) digit per variable;
-    # no exponent of a column reaches the base, so adding keys never carries
-    weights = [(d + shift + 1) ** i for i in range(v)]
+    # monomials are keyed the way SparsePoly packs them, at a field width that
+    # holds every exponent of a column, so adding keys never carries
+    w = _width(d + shift)
 
     def key(e: Exponents) -> int:
-        return sum(map(mul, e, weights))
+        return _pack(e, w)
 
-    coef = {key(e): c for e, c in f.terms.items()}
+    coef = f._packed(w)
     # fall[e][a] = e(e-1)...(e-a+1): d^alpha takes x^e to fall[e][a] x^(e-a)
     fall = [[perm(e, a) % p for a in range(d + 1)] for e in range(d + 1)]
     tails = cols
@@ -339,6 +340,11 @@ class MinorSelection:
             raise ValueError("explicit minor needs row and column lists")
         if self.kind == "random" and self.seed is None:
             raise ValueError("random minor needs a seed")
+        unread = {"leading": ("rows", "cols", "seed"), "explicit": ("seed",),
+                  "random": ("rows", "cols")}[self.kind]
+        given = [name for name in unread if getattr(self, name) is not None]
+        if given:
+            raise ValueError(f"{self.kind} minor takes no {', '.join(given)}")
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind, "size": self.size}

@@ -236,3 +236,107 @@ class TestSerialization:
         b = SparsePoly(F7, 2, {(1, 1): 1})
         assert a == b and hash(a) == hash(b)
         assert SparsePoly(F7, 2, {(1, 1): 7}).is_zero
+
+
+def _sympy_poly(f, gens):
+    import sympy
+
+    return sympy.Poly.from_dict(dict(f.terms) or {(0,) * f.v: 0}, *gens, modulus=f.field.p)
+
+
+def _terms_of(g, p):
+    """{exponents: coefficient in [0, p)} of a sympy Poly over GF(p), which
+    reports symmetric residues."""
+    return {e: c % p for e, c in g.terms() if c % p}
+
+
+class TestPackedCoreAgainstSympy:
+    """SparsePoly stores a monomial as one int with a bit field per variable;
+    sympy's Poly over GF(p) is the independent oracle for its arithmetic."""
+
+    @pytest.mark.parametrize("p", [2, 7, 2**31 - 1, 2**64 - 59])
+    @pytest.mark.parametrize("v", [1, 3, 16, 40])
+    def test_random_arithmetic(self, p, v):
+        import sympy
+
+        field = PrimeField(p)
+        gens = sympy.symbols(f"x0:{v}")
+        rng = random.Random(p * 1000 + v)
+
+        def rand_poly(max_terms, max_exp):
+            return SparsePoly(field, v, {
+                tuple(rng.randrange(max_exp + 1) for _ in range(v)): rng.randrange(p)
+                for _ in range(rng.randrange(max_terms + 1))
+            })
+
+        for _ in range(6):
+            f, g = rand_poly(6, 3), rand_poly(6, 3)
+            F, G = _sympy_poly(f, gens), _sympy_poly(g, gens)
+            c = rng.randrange(-p, 2 * p)
+            e = rng.randrange(4)
+            for got, want in ((f + g, F + G), (f - g, F - G), (f.mul(g), F * G),
+                              (f.scale(c), F * c), (f.pow(e), F**e)):
+                assert dict(got.terms) == _terms_of(want, p)
+                assert got.degree == (want.total_degree() if not want.is_zero else -1)
+
+    @pytest.mark.parametrize("p", [2, 7, 2**31 - 1, 2**64 - 59])
+    def test_products_across_the_width_boundary(self, p):
+        import sympy
+
+        field = PrimeField(p)
+        x0, x1, x2 = gens = sympy.symbols("x0:3")
+        x = [SparsePoly.variable(field, 3, i) for i in range(3)]
+        # 255 is the largest exponent of the narrowest field, 256 needs a wider one
+        for i in range(3):
+            high = x[i].pow(255)
+            assert dict((high * x[i]).terms) == {tuple(256 if j == i else 0 for j in range(3)): 1}
+            assert dict((high * x[(i + 1) % 3]).terms) == {
+                tuple(255 if j == i else int(j == (i + 1) % 3) for j in range(3)): 1}
+        got = (x[0] + x[1]).pow(300)
+        assert dict(got.terms) == _terms_of(sympy.Poly((x0 + x1) ** 300, *gens, modulus=p), p)
+        got = (x[0] * x[1] + x[2].pow(200)) * (x[0].pow(100) + x[1] + x[2])
+        want = sympy.Poly((x0 * x1 + x2**200) * (x0**100 + x1 + x2), *gens, modulus=p)
+        assert dict(got.terms) == _terms_of(want, p)
+        assert got.degree == 300 and not got.is_homogeneous()
+
+    def test_equal_polynomials_from_different_widths(self):
+        field = PrimeField(2**31 - 1)
+        x = [SparsePoly.variable(field, 3, i) for i in range(3)]
+        narrow = x[0].mul(x[1]) + x[2].pow(2).scale(5)
+        # the same polynomial after a detour through degree 300 (a wider field)
+        detour = (narrow + x[0].pow(300)) - x[0].pow(300)
+        built = SparsePoly(field, 3, {(1, 1, 0): 1, (0, 0, 2): 5})
+        loaded = SparsePoly.from_json(detour.to_json())
+        index = MonomialIndex(PolySpace(3, 2, True))
+        for f in (detour, built, loaded):
+            assert f == narrow and narrow == f
+            assert hash(f) == hash(narrow)
+            assert dict(f.terms) == dict(narrow.terms) == {(1, 1, 0): 1, (0, 0, 2): 5}
+            assert f.terms[(0, 0, 2)] == 5 and (2, 0, 0) not in f.terms
+            assert f.coefficient((0, 0, 2)) == 5 and f.coefficient((300, 0, 0)) == 0
+            assert f.to_json() == narrow.to_json()
+            assert str(f) == str(narrow)
+            assert f.coeff_vector(index) == narrow.coeff_vector(index)
+            assert f.degree == 2 and f.is_homogeneous(2)
+            assert f.fits_space(index.space)
+            assert f.mul(f) == narrow.mul(narrow)
+        assert detour != narrow + x[0].pow(300)
+
+    def test_term_cap_message_says_how_far_the_product_got(self, monkeypatch):
+        import npl.algebra
+
+        monkeypatch.setattr(npl.algebra, "DEFAULT_TERM_CAP", 10)
+        x = [SparsePoly.variable(F7, 10, i) for i in range(10)]
+        a = x[0] + x[1] + x[2] + x[3] + x[4]
+        assert len(a.mul(x[5] + x[6]).terms) == 10
+        # 5 x 3 products may pass the cap: one row per term of a, 3 new
+        # monomials each, so the support passes 10 after the fourth row
+        with pytest.raises(TermCapExceeded) as err:
+            a.mul(x[5] + x[6] + x[7])
+        assert "product of 5 by 3 terms passed 10 monomials" in str(err.value)
+        assert "support reached 12 after 4 of 5 rows" in str(err.value)
+        # the cap counts nonzero monomials: over F_2 the 10 cross terms of
+        # (x0 + ... + x4)^2 cancel, and only the 5 squares remain
+        F2x = [SparsePoly.variable(F2, 10, i) for i in range(5)]
+        s = F2x[0] + F2x[1] + F2x[2] + F2x[3] + F2x[4]
+        assert s.mul(s) == sum((y.mul(y) for y in F2x[1:]), F2x[0].mul(F2x[0]))

@@ -309,6 +309,14 @@ class TestExitCodes:
             ("seed_float.json", {"kind": "random", "size": 1, "seed": 1.5}),
             ("rows_bool.json", {"kind": "explicit", "size": 2,
                                 "rows": [False, True], "cols": [0, 1]}),
+            # and a minor may carry only the fields its kind reads
+            ("leading_rows.json", {"kind": "leading", "size": 2, "rows": [0, 1]}),
+            ("leading_cols.json", {"kind": "leading", "size": 2, "cols": [0, 1]}),
+            ("leading_seed.json", {"kind": "leading", "size": 2, "seed": 3}),
+            ("explicit_seed.json", {"kind": "explicit", "size": 1, "rows": [0],
+                                    "cols": [0], "seed": 3}),
+            ("random_rows.json", {"kind": "random", "size": 1, "seed": 3, "rows": [0]}),
+            ("random_cols.json", {"kind": "random", "size": 1, "seed": 3, "cols": [0]}),
         ):
             (workdir / name).write_text(json.dumps({**rank_spec, "minor": minor}))
             cases.append(("hit-check", "--meta", workdir / name, "--family", "squares",
