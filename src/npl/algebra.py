@@ -28,7 +28,7 @@ Representation notes:
 from __future__ import annotations
 
 import math
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -323,22 +323,12 @@ class _Terms(Mapping):
     def __getitem__(self, e) -> int:
         f = self._poly
         limit = 1 << f._w
-        if type(e) is tuple and len(e) == f.v and all(0 <= x < limit for x in e):
+        if (type(e) is tuple and len(e) == f.v
+                and all(isinstance(x, int) and 0 <= x < limit for x in e)):
             c = f._terms.get(_pack(e, f._w))
             if c is not None:
                 return c
         raise KeyError(e)
-
-    def items(self) -> "_TermItems":
-        return _TermItems(self)
-
-    def values(self):
-        return self._poly._terms.values()
-
-
-class _TermItems(ItemsView):
-    def __iter__(self):
-        return zip(iter(self._mapping), self._mapping.values())
 
 
 class SparsePoly:
