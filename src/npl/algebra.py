@@ -55,11 +55,21 @@ def _json_int(value) -> int:
     return value
 
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin on the first 13 primes is exact below psi_13, the least strong
+# pseudoprime to all of them (OEIS A014233; Sorenson & Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every n below 3.3e24."""
+    """Deterministic Miller-Rabin, exact for every n below psi_13 ~ 3.3e24;
+    larger n raise ValueError rather than get a probable answer."""
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(
+            f"modulus {n} is not below {_MR_EXACT_BELOW}, the bound of exact "
+            "primality testing"
+        )
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -232,46 +242,6 @@ class MonomialIndex:
         return {}
 
 
-@dataclass(frozen=True)
-class AffineForm:
-    """An affine form c_0*x_0 + ... + c_{v-1}*x_{v-1} + const."""
-
-    field: PrimeField
-    coeffs: Tuple[int, ...]
-    const: int = 0
-
-    def __post_init__(self) -> None:
-        p = self.field.p
-        object.__setattr__(self, "coeffs", tuple(c % p for c in self.coeffs))
-        object.__setattr__(self, "const", self.const % p)
-
-    @property
-    def arity(self) -> int:
-        return len(self.coeffs)
-
-    def evaluate(self, point: Sequence[int]) -> int:
-        if len(point) != len(self.coeffs):
-            raise ArityMismatch(
-                f"form over {len(self.coeffs)} variables, point of length {len(point)}"
-            )
-        p = self.field.p
-        acc = self.const
-        for c, x in zip(self.coeffs, point):
-            acc += c * (x % p)
-        return acc % p
-
-    def to_poly(self) -> "SparsePoly":
-        v = len(self.coeffs)
-        # degree 1 packs at the narrowest width
-        top = _MIN_WIDTH * (v - 1)
-        terms = {1 << top - _MIN_WIDTH * i: c for i, c in enumerate(self.coeffs) if c}
-        d = 1 if terms else 0
-        if self.const:
-            terms[0] = self.const
-        span = (0 if self.const else 1, d) if terms else None
-        return SparsePoly._make(self.field, v, terms, d, span)
-
-
 def _width(d: int) -> int:
     """Bits per packed exponent field for monomials of total degree <= d."""
     return max(_MIN_WIDTH, d.bit_length())
@@ -406,6 +376,23 @@ class SparsePoly:
         if not 0 <= i < v:
             raise ValueError(f"variable index {i} outside [0, {v})")
         return cls._make(field, v, {1 << _MIN_WIDTH * (v - 1 - i): 1}, 1, (1, 1))
+
+    @classmethod
+    def linear(
+        cls, field: PrimeField, coeffs: Sequence[int], const: int = 0
+    ) -> "SparsePoly":
+        """The affine form c_0*x_0 + ... + c_(v-1)*x_(v-1) + const in
+        v = len(coeffs) variables, packed at the narrowest width."""
+        p = field.p
+        v = len(coeffs)
+        terms = {1 << _MIN_WIDTH * (v - 1 - i): r
+                 for i, c in enumerate(coeffs) if (r := c % p)}
+        d = 1 if terms else 0
+        const %= p
+        if const:
+            terms[0] = const
+        span = (0 if const else 1, d) if terms else None
+        return cls._make(field, v, terms, d, span)
 
     @classmethod
     def from_coeff_vector(
@@ -589,24 +576,6 @@ class SparsePoly:
 
     def __pow__(self, e: int) -> "SparsePoly":
         return self.pow(e)
-
-    # -- evaluation -----------------------------------------------------
-
-    def evaluate(self, point: Sequence[int]) -> int:
-        if len(point) != self.v:
-            raise ArityMismatch(
-                f"polynomial in {self.v} variables, point of length {len(point)}"
-            )
-        p = self.field.p
-        pt = [x % p for x in point]
-        acc = 0
-        for e, c in self.terms.items():
-            t = c
-            for x, k in zip(pt, e):
-                if k:
-                    t = t * pow(x, k, p) % p
-            acc = (acc + t) % p
-        return acc
 
     # -- serialization and dunder plumbing -------------------------------
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
-    AffineForm,
     Exponents,
     MonomialIndex,
     PolySpace,
@@ -27,7 +26,7 @@ from .algebra import (
     SparsePoly,
     _json_int,
 )
-from .errors import ArityMismatch, DescriptorInvalid, FieldMismatch
+from .errors import ArityMismatch, DescriptorInvalid
 
 Gate = Tuple  # ("in", i) | ("const", c) | ("add", a, b) | ("mul", a, b)
 
@@ -220,7 +219,7 @@ class Circuit:
         v = _json_int(data["v"])
         gates: List[Gate] = []
         for idx, g in enumerate(data["gates"]):
-            op = g.get("op")
+            op = g["op"]
             if op == "in":
                 gates.append(("in", _json_int(g["i"])))
             elif op == "const":
@@ -264,69 +263,6 @@ class CircuitBuilder:
         if out is None:
             out = len(self.gates) - 1
         return Circuit(self.field, self.v, tuple(self.gates), out)
-
-
-@dataclass(frozen=True)
-class AffineMatrixMap:
-    """An n x n matrix of affine forms in v variables."""
-
-    field: PrimeField
-    n: int
-    v: int
-    entries: Tuple[Tuple[AffineForm, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("matrix size must be positive")
-        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
-            raise ValueError("entry grid is not n x n")
-        for row in self.entries:
-            for f in row:
-                if f.field.p != self.field.p:
-                    raise FieldMismatch("entry form in a different field")
-                if f.arity != self.v:
-                    raise ArityMismatch("entry form arity differs from v")
-
-    @classmethod
-    def from_params(
-        cls,
-        field: PrimeField,
-        n: int,
-        v: int,
-        params: Sequence[int],
-        homogeneous: bool,
-    ) -> "AffineMatrixMap":
-        """Entry-major layout: per entry its v coefficients, then the constant
-        when the map is affine rather than homogeneous."""
-        width = v if homogeneous else v + 1
-        if len(params) != n * n * width:
-            raise ArityMismatch(
-                f"expected {n * n * width} parameters, got {len(params)}"
-            )
-        rows = []
-        pos = 0
-        for _ in range(n):
-            row = []
-            for _ in range(n):
-                chunk = params[pos : pos + width]
-                pos += width
-                if homogeneous:
-                    row.append(AffineForm(field, tuple(chunk), 0))
-                else:
-                    row.append(AffineForm(field, tuple(chunk[:v]), chunk[v]))
-            rows.append(tuple(row))
-        return cls(field, n, v, tuple(rows))
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.field.p,
-            "n": self.n,
-            "v": self.v,
-            "entries": [
-                [{"coeffs": list(f.coeffs), "const": f.const} for f in row]
-                for row in self.entries
-            ],
-        }
 
 
 def berkowitz_det(mat: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
@@ -382,25 +318,32 @@ def berkowitz_det(mat: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
     return det
 
 
-def det_projection(L: AffineMatrixMap) -> SparsePoly:
-    """det(L(x)) as an explicit polynomial in the x variables."""
-    mat = [[f.to_poly() for f in row] for row in L.entries]
-    return berkowitz_det(mat)
+def det_projection(
+    field: PrimeField, space: PolySpace, n: int, params: Sequence[int]
+) -> SparsePoly:
+    """det(L(x)) for the n x n matrix L of affine forms in the space's
+    variables that params lays out entry-major: per entry its v coefficients,
+    then its constant when the space is not homogeneous."""
+    v = space.v
+    width = v if space.homogeneous else v + 1
+    if len(params) != n * n * width:
+        raise ArityMismatch(f"expected {n * n * width} parameters, got {len(params)}")
+    entries = [
+        SparsePoly.linear(field, params[i : i + v], 0 if width == v else params[i + v])
+        for i in range(0, len(params), width)
+    ]
+    return berkowitz_det([entries[r * n : (r + 1) * n] for r in range(n)])
 
 
 def sps_build(
-    field: PrimeField, v: int, products: Sequence[Sequence[AffineForm]]
+    field: PrimeField, v: int, products: Sequence[Sequence[SparsePoly]]
 ) -> SparsePoly:
-    """Sum over the given products of affine forms."""
+    """Sum over the given products of polynomials in v variables."""
     acc = SparsePoly.zero(field, v)
-    for forms in products:
+    for factors in products:
         term = SparsePoly.constant(field, v, 1)
-        for f in forms:
-            if f.field.p != field.p:
-                raise FieldMismatch("form in a different field")
-            if f.arity != v:
-                raise ArityMismatch("form arity differs from v")
-            term = term.mul(f.to_poly())
+        for f in factors:
+            term = term.mul(f)
         acc = acc + term
     return acc
 
@@ -531,16 +474,14 @@ class FamilyDescriptor:
         fld, sp = self.field, self.space
         cid = self.class_id
         if cid == "squares":
-            poly = AffineForm(fld, tuple(params), 0).to_poly().pow(2)
+            poly = SparsePoly.linear(fld, params).pow(2)
         elif cid == "full-space":
             poly = SparsePoly.from_coeff_vector(fld, MonomialIndex(sp), list(params))
         elif cid == "det-projection":
-            poly = det_projection(AffineMatrixMap.from_params(
-                fld, self.n, sp.v, list(params), sp.homogeneous
-            ))
+            poly = det_projection(fld, sp, self.n, params)
         elif cid == "sps":
             # one homogeneous linear form per v consecutive parameters
-            forms = [AffineForm(fld, tuple(params[i : i + sp.v]), 0)
+            forms = [SparsePoly.linear(fld, params[i : i + sp.v])
                      for i in range(0, len(params), sp.v)]
             products, pos = [], 0
             for deg in self.product_degrees:  # type: ignore[union-attr]

@@ -198,13 +198,18 @@ def _parse_space(text: str) -> PolySpace:
     raise ValueError(f"space spec {text!r} is not DEG:VARS or DEG:VARS:le")
 
 
-def _parse_kv(text: str) -> Dict[str, int]:
+def _parse_kv(spec: str, *keys: str) -> Dict[str, int]:
+    """The key=value pairs after the colon of spec, which must give every key
+    in keys."""
     out: Dict[str, int] = {}
-    for part in text.split(","):
+    for part in spec.split(":", 1)[1].split(","):
         if "=" not in part:
             raise ValueError(f"expected key=value, got {part!r}")
         k, v = part.split("=", 1)
         out[k.strip()] = int(v)
+    for k in keys:
+        if k not in out:
+            raise ValueError(f"spec {spec!r} is missing key {k!r}")
     return out
 
 
@@ -221,6 +226,8 @@ def _load_json(path: str, parse: Callable, field: Optional[int] = None):
             raise ValueError(f"{path}: malformed input: nested too deeply") from None
     try:
         obj = parse(data)
+    except KeyError as exc:
+        raise ValueError(f"{path}: malformed input: missing key {exc}") from None
     except (TypeError, AttributeError, IndexError) as exc:
         raise ValueError(f"{path}: malformed input: {exc}") from None
     if field is not None and obj.field.p != field:
@@ -235,7 +242,7 @@ def _resolve_meta(spec: str, space: PolySpace, field: PrimeField):
         return coordinate_meta(space, field, int(spec.split(":", 1)[1]))
     if spec.startswith(("partials-minor:", "shifted-minor:")):
         method = spec.split("-", 1)[0]
-        kv = _parse_kv(spec.split(":", 1)[1])
+        kv = _parse_kv(spec, *(("k", "l", "r") if method == "shifted" else ("k", "r")))
         rms = RankMethodSpec(
             method=method,
             k=kv["k"],
@@ -253,7 +260,8 @@ def _meta_from_json(data, spec: str, space: PolySpace, field: PrimeField):
         return MinorMeta(RankMethodSpec.from_json(data), space, field)
     if "gates" in data:
         return CircuitMeta(space, Circuit.from_json(data))
-    raise ValueError(f"meta file {spec!r} is neither a rank spec nor a circuit")
+    raise ValueError(f"{spec}: malformed input: missing key 'method' (a rank spec) "
+                     "or 'gates' (a circuit)")
 
 
 def _resolve_family(spec: str, space: PolySpace, field: PrimeField) -> FamilyDescriptor:
@@ -262,13 +270,13 @@ def _resolve_family(spec: str, space: PolySpace, field: PrimeField) -> FamilyDes
     if spec == "full":
         return FamilyDescriptor("full-space", space, field)
     if spec.startswith("detproj:"):
-        kv = _parse_kv(spec.split(":", 1)[1])
+        kv = _parse_kv(spec, "n")
         return FamilyDescriptor("det-projection", space, field, n=kv["n"])
     if spec.startswith("sps:"):
-        kv = _parse_kv(spec.split(":", 1)[1])
+        kv = _parse_kv(spec, "t")
         return FamilyDescriptor("sps", space, field, top_fanin=kv["t"])
     if spec.startswith("sparse:"):
-        kv = _parse_kv(spec.split(":", 1)[1])
+        kv = _parse_kv(spec, "s")
         return FamilyDescriptor("sparse", space, field, sparsity=kv["s"])
     if spec.endswith(".json"):
         return _load_json(spec, FamilyDescriptor.from_json)

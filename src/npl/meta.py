@@ -527,26 +527,3 @@ def coordinate_meta(space: PolySpace, field: PrimeField, i: int) -> CircuitMeta:
     out = b.inp(i)
     return CircuitMeta(space, b.build(out), meta_id=f"coord:{i}")
 
-
-def linear_meta(
-    space: PolySpace, field: PrimeField, coeffs: Sequence[int]
-) -> CircuitMeta:
-    N = space.dimension
-    if len(coeffs) != N:
-        raise ArityMismatch(f"expected {N} coefficients, got {len(coeffs)}")
-    b = CircuitBuilder(field, N)
-    acc = None
-    for i, c in enumerate(coeffs):
-        c %= field.p
-        if not c:
-            continue
-        g = b.inp(i)
-        if c != 1:
-            g = b.mul(b.const(c), g)
-        acc = g if acc is None else b.add(acc, g)
-    if acc is None:
-        acc = b.const(0)
-    tag = ",".join(str(c % field.p) for c in coeffs)
-    if len(tag) > 48:
-        tag = tag[:45] + "..."
-    return CircuitMeta(space, b.build(acc), meta_id=f"linear:[{tag}]")

@@ -29,7 +29,6 @@ from .algebra import MonomialIndex, SparsePoly
 from .circuits import Circuit, FamilyDescriptor, FamilySample, _seeded_draws
 from .errors import (
     CharacteristicTooSmall,
-    DescriptorInvalid,
     EnumerationBudgetExceeded,
     SpaceMismatch,
 )
@@ -156,36 +155,6 @@ def pit_exhaustive(
     return PitVerdict(outcome=PROVEN_ZERO, degree_bound=deg, p=p, **grid)
 
 
-def _random_search(
-    f: Callable[[Sequence[int]], int],
-    ranges: Sequence[int],
-    degree_bound: int,
-    p: int,
-    trials: int,
-    seed: int,
-    bound_name: str,
-) -> PitVerdict:
-    """Evaluate f at the seeded trial points until one is nonzero."""
-    warnings: Tuple[str, ...] = ()
-    if p <= 2 * degree_bound:
-        warnings = (
-            f"field size {p} is at most twice the {bound_name} {degree_bound}; "
-            "per-trial error bound degraded",
-        )
-    for t, point in enumerate(_seeded_draws(ranges, trials, seed)):
-        if f(point):
-            return _nonzero_verdict(
-                point, f, degree_bound, p, trials=t + 1, warnings=warnings
-            )
-    return PitVerdict(
-        outcome=PROBABLY_ZERO,
-        degree_bound=degree_bound,
-        p=p,
-        trials=trials,
-        warnings=warnings,
-    )
-
-
 def pit_schwartz_zippel(
     circuit: Circuit,
     trials: int = DEFAULT_TRIALS,
@@ -201,9 +170,20 @@ def pit_schwartz_zippel(
             f"{circuit.v} inputs exceed the budget of {enum_budget}"
         )
     p = circuit.field.p
-    return _random_search(
-        circuit.evaluate, (p,) * circuit.v, circuit.formal_degree, p, trials, seed,
-        "formal degree",
+    deg = circuit.formal_degree
+    warnings: Tuple[str, ...] = ()
+    if p <= 2 * deg:
+        warnings = (
+            f"field size {p} is at most twice the formal degree {deg}; "
+            "per-trial error bound degraded",
+        )
+    for t, point in enumerate(_seeded_draws((p,) * circuit.v, trials, seed)):
+        if circuit.evaluate(point):
+            return _nonzero_verdict(
+                point, circuit.evaluate, deg, p, trials=t + 1, warnings=warnings
+            )
+    return PitVerdict(
+        outcome=PROBABLY_ZERO, degree_bound=deg, p=p, trials=trials, warnings=warnings
     )
 
 
@@ -233,33 +213,6 @@ def _meta_looks_zero(T, seed: int) -> bool:
         (T.field.p,) * T.space.dimension, _PROBE_TRIALS, seed, salt=_PROBE_SEED_SALT
     )
     return not any(T.eval_at(cv) for cv in cvs)
-
-
-def generator_pit(
-    T, desc: FamilyDescriptor, trials: int = DEFAULT_TRIALS, seed: int = 0
-) -> PitVerdict:
-    """Identity test of T o G, G the family's map from parameters to
-    coefficient vectors, at seeded random parameter points.  Each coefficient
-    of G has degree ``desc.param_degree``, so T o G has degree at most
-    deg(T) times that."""
-    _check_spaces(desc, T)
-    if desc.param_degree is None:
-        raise DescriptorInvalid(
-            f"{desc.class_id} family parameters do not enter polynomially"
-        )
-    index = MonomialIndex(desc.space)
-    verdict = _random_search(
-        lambda pt: T.eval_at(desc.member_from_params(pt).poly.coeff_vector(index)),
-        desc.param_ranges(), T.degree_bound * desc.param_degree, desc.field.p,
-        trials, seed, "composed degree bound",
-    )
-    if verdict.outcome == PROBABLY_ZERO and _meta_looks_zero(T, seed):
-        warning = (
-            "meta-polynomial may be identically zero "
-            f"(nonzero probe failed over {_PROBE_TRIALS} samples)"
-        )
-        verdict = replace(verdict, warnings=verdict.warnings + (warning,))
-    return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -9,19 +9,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import comb
+from math import comb, prod
 from typing import Iterator, List, Sequence, Tuple
 
-from npl import (
-    AffineForm,
-    Circuit,
-    CircuitBuilder,
-    FamilyDescriptor,
-    MonomialIndex,
-    PolySpace,
-    PrimeField,
-    SparsePoly,
-)
+from npl.algebra import MonomialIndex, PolySpace, PrimeField, SparsePoly
+from npl.circuits import Circuit, CircuitBuilder, FamilyDescriptor
+from npl.errors import ArityMismatch
+from npl.meta import CircuitMeta
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 101)
 
@@ -221,7 +215,43 @@ def binom(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def affine_from_coeffs(
-    field: PrimeField, coeffs: Sequence[int], const: int = 0
-) -> AffineForm:
-    return AffineForm(field, tuple(coeffs), const)
+
+def affine_poly(field: PrimeField, coeffs: Sequence[int], const: int = 0) -> SparsePoly:
+    """c_0*x_0 + ... + const through the validating constructor."""
+    v = len(coeffs)
+    terms = {tuple(int(j == i) for j in range(v)): c for i, c in enumerate(coeffs)}
+    terms[(0,) * v] = const
+    return SparsePoly(field, v, terms)
+
+
+def poly_value(f: SparsePoly, point: Sequence[int]) -> int:
+    """f at a point of F_p^v, term by term from the exponent tuples."""
+    p = f.field.p
+    return sum(c * prod(pow(x, k, p) for x, k in zip(point, e))
+               for e, c in f.terms.items()) % p
+
+
+def linear_meta(
+    space: PolySpace, field: PrimeField, coeffs: Sequence[int]
+) -> CircuitMeta:
+    """The meta-polynomial sum_i coeffs[i] * c_i on the space's coefficient
+    vectors, as a circuit over the N meta-variables."""
+    N = space.dimension
+    if len(coeffs) != N:
+        raise ArityMismatch(f"expected {N} coefficients, got {len(coeffs)}")
+    b = CircuitBuilder(field, N)
+    acc = None
+    for i, c in enumerate(coeffs):
+        c %= field.p
+        if not c:
+            continue
+        g = b.inp(i)
+        if c != 1:
+            g = b.mul(b.const(c), g)
+        acc = g if acc is None else b.add(acc, g)
+    if acc is None:
+        acc = b.const(0)
+    tag = ",".join(str(c % field.p) for c in coeffs)
+    if len(tag) > 48:
+        tag = tag[:45] + "..."
+    return CircuitMeta(space, b.build(acc), meta_id=f"linear:[{tag}]")

@@ -15,36 +15,30 @@ from math import comb
 
 import pytest
 
-from npl import (
-    CircuitBuilder,
-    Cnf,
-    FamilyDescriptor,
-    GeometricCertificate,
+from npl.algebra import MonomialIndex, PolySpace, PrimeField, SparsePoly
+from npl.circuits import CircuitBuilder, FamilyDescriptor
+from npl.meta import (
     MinorMeta,
     MinorSelection,
-    MonomialIndex,
-    PolySpace,
-    PrimeField,
     RankMethodSpec,
-    SparsePoly,
-    cnf_to_system,
     coordinate_meta,
     discriminant,
-    generator_pit,
-    linear_meta,
     matrix_rank,
-    natural_proof_audit,
     partials_matrix,
+)
+from npl.pit import (
+    natural_proof_audit,
     pit_exhaustive,
     pit_schwartz_zippel,
     succinct_hitting_check,
-    verify_certificate,
 )
+from npl.ips import Cnf, GeometricCertificate, cnf_to_system, verify_certificate
 from npl.cli import main
 
 from helpers import (
     cnf_satisfied,
     det_generator,
+    linear_meta,
     random_circuit,
     random_dense_poly,
     random_product_of_linear_forms,
@@ -225,10 +219,10 @@ def test_criterion_06_generator_hitting():
                 metas.append(linear_meta(g.space, F5, coeffs))
         hits = 0
         for i, T in enumerate(metas):
-            v = generator_pit(T, g, trials=10**5, seed=6000 + i)
-            if v.outcome == "proven-nonzero":
-                cv = g.member_from_params(v.witness).poly.coeff_vector(idx)
-                assert T.eval_at(cv) == v.value != 0
+            r = succinct_hitting_check(g, T, trials=10**5, seed=6000 + i)
+            if r.outcome == "witness":
+                cv = g.member_from_params(r.witness_params).poly.coeff_vector(idx)
+                assert T.eval_at(cv) == r.witness_value != 0
                 hits += 1
         assert hits == 60, f"{hits}/60 hit"
 
@@ -328,7 +322,7 @@ def test_criterion_09_ips_verification():
         fx = b.build(b.inp(0))
         b = CircuitBuilder(F7, 1)
         fx1 = b.build(b.sub(b.inp(0), b.const(1)))
-        from npl import PolynomialSystem
+        from npl.ips import PolynomialSystem
 
         sys_hand = PolynomialSystem(F7, 1, (fx, fx1))
         b = CircuitBuilder(F7, 2)

@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npl import (
-    AffineForm,
-    MonomialIndex,
-    PolySpace,
-    PrimeField,
-    SparsePoly,
-    is_prime,
-)
+from npl.algebra import MonomialIndex, PolySpace, PrimeField, SparsePoly, is_prime
 from npl.errors import (
     ArityMismatch,
     FieldMismatch,
@@ -21,12 +14,17 @@ from npl.errors import (
     TermCapExceeded,
 )
 
-from helpers import exponents_of_degree
+from helpers import affine_poly, exponents_of_degree, poly_value
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F7 = PrimeField(7)
 F13 = PrimeField(13)
+
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051, 318665857834031151167461,
+       3317044064679887385961981)
 
 
 class TestPrimeField:
@@ -41,6 +39,33 @@ class TestPrimeField:
         ]
         assert is_prime(2**31 - 1)
         assert not is_prime(2**32 - 1)
+
+    def test_strong_pseudoprimes_rejected(self):
+        import sympy
+
+        # A014233: psi_k is the least strong pseudoprime to the first k prime bases
+        for n in PSI:
+            assert not sympy.isprime(n)
+            with pytest.raises(ValueError):
+                PrimeField(n)
+        assert not any(is_prime(n) for n in PSI[:-1])
+        with pytest.raises(ValueError, match="bound of exact primality"):
+            is_prime(PSI[-1])
+
+    def test_agrees_with_sympy_below_psi_13(self):
+        import sympy
+
+        bound = PSI[-1]
+        rng = random.Random(2017)
+        samples = [sympy.prevprime(bound), bound - 1, 2**61 - 1, 2**64 - 59, 2**64 - 1,
+                   561, 41041, 3215031751, 399165290221 * 798330580441]
+        samples += [n + d for n in PSI[:-1] for d in (-2, -1, 1, 2)]
+        samples += [rng.randrange(2, bound) for _ in range(300)]
+        samples += [sympy.nextprime(rng.randrange(2, bound >> 1)) for _ in range(40)]
+        samples += [sympy.nextprime(rng.randrange(2, 10**12)) *
+                    sympy.nextprime(rng.randrange(2, 10**12)) for _ in range(40)]
+        for n in samples:
+            assert is_prime(n) == sympy.isprime(n), n
 
 
 class TestMonomialIndex:
@@ -133,11 +158,14 @@ class TestCoeffVectors:
 
 
 class TestEvaluation:
+    """Evaluation is a ring map, so values at points check the packed
+    arithmetic against the naive term-by-term evaluator of the helpers."""
+
     def test_worked_values(self):
         f = SparsePoly(F7, 2, {(2, 0): 1, (1, 1): 4})
-        assert f.evaluate((1, 1)) == 5
+        assert poly_value(f, (1, 1)) == 5
         xy = SparsePoly(F7, 2, {(1, 1): 1})
-        assert xy.evaluate((2, 3)) == 6
+        assert poly_value(xy, (2, 3)) == 6
 
     def test_at_origin_gives_constant_term(self):
         rng = random.Random(0)
@@ -147,11 +175,7 @@ class TestEvaluation:
                 for _ in range(rng.randrange(1, 6))
             }
             f = SparsePoly(F7, 3, terms)
-            assert f.evaluate((0, 0, 0)) == f.coefficient((0, 0, 0))
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ArityMismatch):
-            SparsePoly(F7, 2, {(1, 1): 1}).evaluate((1,))
+            assert poly_value(f, (0, 0, 0)) == f.coefficient((0, 0, 0))
 
     @given(
         st.integers(0, 6), st.integers(0, 6),
@@ -163,8 +187,8 @@ class TestEvaluation:
         f = SparsePoly(F7, 2, {(2, 0): a, (1, 1): b})
         g = SparsePoly(F7, 2, {(1, 1): c, (0, 2): d})
         pt = (x, y)
-        assert (f + g).evaluate(pt) == (f.evaluate(pt) + g.evaluate(pt)) % 7
-        assert (f * g).evaluate(pt) == (f.evaluate(pt) * g.evaluate(pt)) % 7
+        assert poly_value(f + g, pt) == (poly_value(f, pt) + poly_value(g, pt)) % 7
+        assert poly_value(f * g, pt) == poly_value(f, pt) * poly_value(g, pt) % 7
 
 
 class TestArithmetic:
@@ -213,11 +237,35 @@ class TestArithmetic:
             SparsePoly.variable(F7, 1, 0) + SparsePoly.variable(F7, 2, 0)
 
 
-class TestAffineForm:
-    def test_evaluate_and_to_poly(self):
-        form = AffineForm(F7, (2, 3), 1)
-        assert form.evaluate((1, 1)) == 6
-        assert form.to_poly() == SparsePoly(F7, 2, {(1, 0): 2, (0, 1): 3, (0, 0): 1})
+class TestLinear:
+    """``SparsePoly.linear`` builds through the trusted ``_make``, so it must
+    pack exactly as the validating constructor does."""
+
+    @pytest.mark.parametrize("p", [7, 2**64 - 59])
+    def test_matches_validating_constructor(self, p):
+        field = PrimeField(p)
+        rng = random.Random(p)
+        cases = [
+            ((2, 3), 1),
+            ((p + 2, -3, 2 * p), -1),  # unreduced and negative coefficients
+            ((0, 0, 0), p),  # the zero form
+            ((0, 0), 5 * p + 4),  # constant only
+            ((-1,), 0), ((3,), 2), ((p,), 0),  # v = 1
+            ((), 3),
+        ]
+        cases += [(tuple(rng.randrange(-p, 2 * p) * rng.randrange(2) for _ in range(v)),
+                   rng.randrange(-p, 2 * p) * rng.randrange(2))
+                  for v in range(1, 13) for _ in range(4)]
+        for coeffs, const in cases:
+            got = SparsePoly.linear(field, coeffs, const)
+            want = affine_poly(field, coeffs, const)
+            assert got == want and hash(got) == hash(want)
+            assert (got.v, got._terms, got._d, got._w, got._span) == (
+                want.v, want._terms, want._d, want._w, want._span)
+            assert got.to_json() == want.to_json()
+        assert SparsePoly.linear(F7, (2, 3), 1) == SparsePoly(
+            F7, 2, {(1, 0): 2, (0, 1): 3, (0, 0): 1})
+        assert SparsePoly.linear(F7, (1, 5)) == SparsePoly.linear(F7, (1, 5), 0)
 
 
 class TestSerialization:

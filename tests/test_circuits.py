@@ -4,30 +4,35 @@ import random
 
 import pytest
 
-from npl import (
-    AffineForm,
-    AffineMatrixMap,
+from npl.algebra import MonomialIndex, PolySpace, PrimeField, SparsePoly
+from npl.circuits import (
     Circuit,
     CircuitBuilder,
     FamilyDescriptor,
     FamilySample,
-    MonomialIndex,
-    PolySpace,
-    PrimeField,
-    SparsePoly,
     berkowitz_det,
-    coordinate_meta,
     derive_seed,
     det_projection,
-    discriminant,
     sample_family_with_params,
     sps_build,
-    succinct_hitting_check,
     validate_member,
 )
-from npl.errors import DescriptorInvalid, EnumerationBudgetExceeded, TermCapExceeded
+from npl.meta import coordinate_meta, discriminant
+from npl.pit import succinct_hitting_check
+from npl.errors import (
+    ArityMismatch,
+    DescriptorInvalid,
+    EnumerationBudgetExceeded,
+    TermCapExceeded,
+)
 
-from helpers import cofactor_det, distributivity_circuit, random_circuit
+from helpers import (
+    affine_poly,
+    cofactor_det,
+    distributivity_circuit,
+    poly_value,
+    random_circuit,
+)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -99,92 +104,77 @@ class TestCircuitBasics:
             Circuit.from_json(bad)
 
     def test_eval_expand_agreement_random(self):
+        sympy = pytest.importorskip("sympy")
         rng = random.Random(11)
         for _ in range(200):
             c = random_circuit(rng, F13, rng.randrange(1, 5), 8, 6)
             f = c.expand()
+            xs = sympy.symbols(f"x0:{c.v}")
+            assert dict(f.terms) == sympy_terms(sympy_value(c, xs), xs, 13)
             for _ in range(3):
                 pt = tuple(rng.randrange(13) for _ in range(c.v))
-                assert c.evaluate(pt) == f.evaluate(pt)
+                assert c.evaluate(pt) == poly_value(f, pt)
+
+
+def affine_params(rows):
+    """det_projection parameters of a matrix of (coeffs, const) entries over
+    an affine space: entry-major, each entry's coefficients then its constant."""
+    return [x for row in rows for coeffs, const in row for x in (*coeffs, const)]
 
 
 class TestDeterminant:
-    def var_map(self, field, n, v):
-        idx = iter(range(v))
-        entries = []
-        for _ in range(n):
-            row = []
-            for _ in range(n):
-                i = next(idx)
-                row.append(AffineForm(field, tuple(
-                    1 if j == i else 0 for j in range(v))))
-            entries.append(tuple(row))
-        return AffineMatrixMap(field, n, v, tuple(entries))
-
     def test_generic_2x2(self):
-        L = self.var_map(F7, 2, 4)
-        det = det_projection(L)
+        # entry k of the homogeneous map reads x_k
+        params = [int(i == j) for i in range(4) for j in range(4)]
+        det = det_projection(F7, PolySpace(4, 2, True), 2, params)
         assert det == SparsePoly(F7, 4, {
             (1, 0, 0, 1): 1,
             (0, 1, 1, 0): 6,
         })
+        with pytest.raises(ArityMismatch):
+            det_projection(F7, PolySpace(4, 2, True), 2, params[:-1])
 
     def test_diagonal_and_wheel(self):
-        x = AffineForm(F7, (1, 0))
-        y = AffineForm(F7, (0, 1))
-        zero = AffineForm(F7, (0, 0))
-        one = AffineForm(F7, (0, 0), 1)
-        diag = AffineMatrixMap(F7, 2, 2, ((x, zero), (zero, y)))
-        assert det_projection(diag) == SparsePoly(F7, 2, {(1, 1): 1})
-        wheel = AffineMatrixMap(F7, 2, 2, ((x, one), (one, x)))
-        assert det_projection(wheel) == SparsePoly(F7, 2, {(2, 0): 1, (0, 0): 6})
+        x, y = ((1, 0), 0), ((0, 1), 0)
+        zero, one = ((0, 0), 0), ((0, 0), 1)
+        affine = PolySpace(2, 2, False)
+        diag = affine_params([[x, zero], [zero, y]])
+        assert det_projection(F7, affine, 2, diag) == SparsePoly(F7, 2, {(1, 1): 1})
+        wheel = affine_params([[x, one], [one, x]])
+        assert det_projection(F7, affine, 2, wheel) == SparsePoly(
+            F7, 2, {(2, 0): 1, (0, 0): 6})
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_against_cofactor_oracle(self, n):
         rng = random.Random(100 + n)
         for _ in range(8):
-            entries = tuple(
-                tuple(
-                    AffineForm(
-                        F13,
-                        tuple(rng.randrange(13) for _ in range(3)),
-                        rng.randrange(13),
-                    )
-                    for _ in range(n)
-                )
+            rows = [
+                [(tuple(rng.randrange(13) for _ in range(3)), rng.randrange(13))
+                 for _ in range(n)]
                 for _ in range(n)
-            )
-            L = AffineMatrixMap(F13, n, 3, entries)
-            oracle = cofactor_det(
-                [[e.to_poly() for e in row] for row in entries]
-            )
-            assert det_projection(L) == oracle
+            ]
+            oracle = cofactor_det([[affine_poly(F13, *e) for e in row] for row in rows])
+            got = det_projection(F13, PolySpace(3, n, False), n, affine_params(rows))
+            assert got == oracle
 
     def test_block_diagonal_multiplicative(self):
         rng = random.Random(9)
-        zero = AffineForm(F13, (0, 0, 0, 0, 0, 0, 0, 0))
+        zero = (0,) * 8
 
         def rand_form():
-            return AffineForm(F13, tuple(rng.randrange(13) for _ in range(8)))
+            return tuple(rng.randrange(13) for _ in range(8))
+
+        def det(rows):
+            n = len(rows)
+            params = [x for row in rows for form in row for x in form]
+            return det_projection(F13, PolySpace(8, n, True), n, params)
 
         for _ in range(10):
             A = [[rand_form() for _ in range(2)] for _ in range(2)]
             B = [[rand_form() for _ in range(2)] for _ in range(2)]
-            entries = []
-            for i in range(4):
-                row = []
-                for j in range(4):
-                    if i < 2 and j < 2:
-                        row.append(A[i][j])
-                    elif i >= 2 and j >= 2:
-                        row.append(B[i - 2][j - 2])
-                    else:
-                        row.append(zero)
-                entries.append(tuple(row))
-            L = AffineMatrixMap(F13, 4, 8, tuple(entries))
-            da = det_projection(AffineMatrixMap(F13, 2, 8, tuple(tuple(r) for r in A)))
-            db = det_projection(AffineMatrixMap(F13, 2, 8, tuple(tuple(r) for r in B)))
-            assert det_projection(L) == da * db
+            L = [A[0] + [zero] * 2, A[1] + [zero] * 2,
+                 [zero] * 2 + B[0], [zero] * 2 + B[1]]
+            assert det(L) == det(A) * det(B)
 
     def test_berkowitz_entry_type(self):
         x = SparsePoly.variable(F7, 1, 0)
@@ -196,10 +186,10 @@ class TestDeterminant:
 
 class TestBuilders:
     def test_sps_worked(self):
-        x1 = AffineForm(F7, (1, 0))
-        x2 = AffineForm(F7, (0, 1))
-        minus = AffineForm(F7, (1, 6))
-        plus = AffineForm(F7, (1, 1))
+        x1 = SparsePoly.linear(F7, (1, 0))
+        x2 = SparsePoly.linear(F7, (0, 1))
+        minus = SparsePoly.linear(F7, (1, 6))
+        plus = SparsePoly.linear(F7, (1, 1))
         c = sps_build(F7, 2, [[plus, minus]])
         assert c == SparsePoly(F7, 2, {(2, 0): 1, (0, 2): 6})
         c2 = sps_build(F7, 2, [[x1, x1], [x2, x2]])
@@ -500,13 +490,12 @@ class TestAgainstSympy:
         xs = sympy.symbols("x0:3")
         for n in (3, 4):
             forms = [
-                [AffineForm(F, tuple(rng.randrange(p) for _ in xs), rng.randrange(p))
-                 for _ in range(n)]
+                [(tuple(rng.randrange(p) for _ in xs), rng.randrange(p)) for _ in range(n)]
                 for _ in range(n)
             ]
-            got = berkowitz_det([[f.to_poly() for f in row] for row in forms])
+            got = berkowitz_det([[SparsePoly.linear(F, *f) for f in row] for row in forms])
             M = sympy.Matrix(n, n, lambda i, j: sum(
-                c * x for c, x in zip(forms[i][j].coeffs, xs)) + forms[i][j].const)
+                c * x for c, x in zip(forms[i][j][0], xs)) + forms[i][j][1])
             assert dict(got.terms) == sympy_terms(M.det(method="laplace"), xs, p)
 
     def test_circuit_expand(self, p):

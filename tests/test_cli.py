@@ -10,13 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from npl import (
-    CircuitBuilder,
-    Cnf,
-    PrimeField,
-    SparsePoly,
-    cnf_to_system,
-)
+from npl.algebra import PrimeField, SparsePoly
+from npl.circuits import CircuitBuilder
+from npl.ips import Cnf, cnf_to_system
 from npl.cli import DEFAULT_FIELD, build_parser, main, parse_plan
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -113,6 +109,21 @@ class TestPlanParsing:
     def test_composite_field_rejected(self):
         with pytest.raises(ValueError):
             parse_plan(["gen", "--n", "2", "--field", "9"])
+
+    def test_strong_pseudoprime_field_rejected(self, tmp_path, capsys):
+        # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin on the first
+        # 12 prime bases; over it the product of its factors is zero
+        psi12, psi13 = 318665857834031151167461, 3317044064679887385961981
+        gates = [{"op": "const", "c": 399165290221}, {"op": "const", "c": 798330580441},
+                 {"op": "mul", "a": 0, "b": 1}]
+        for p in (psi12, psi13):
+            path = tmp_path / f"psi{p}.json"
+            path.write_text(json.dumps({"p": p, "v": 0, "gates": gates, "out": 2}))
+            code, out, err = run_cli(capsys, "pit", "--exhaustive", "--field", p,
+                                     "--circuit", path)
+            assert (code, out) == (2, "")
+            lines = err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("npl: error: "), err
 
     def test_successive_plans_share_no_values(self):
         # the parser is built once per default field and reused
@@ -375,6 +386,18 @@ class TestExitCodes:
             assert code == 2, argv
             lines = err.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("npl: error: "), (argv, err)
+
+    def test_missing_spec_keys_are_named(self, capsys):
+        for meta, family, key in (("shifted-minor:k=1,r=1", "squares", "l"),
+                                  ("partials-minor:r=1", "squares", "k"),
+                                  ("disc", "detproj:m=2", "n"),
+                                  ("disc", "sps:s=2", "t"),
+                                  ("disc", "sparse:t=2", "s")):
+            code, out, err = run_cli(capsys, "hit-check", "--meta", meta, "--family",
+                                     family, "--space", "2:2", "--field", "7")
+            spec = meta if family == "squares" else family
+            assert (code, out) == (2, "")
+            assert err == f"npl: error: spec {spec!r} is missing key {key!r}\n"
 
     def test_argparse_usage_error(self, workdir, capsys):
         assert run_cli(capsys, "pit")[0] == 2
@@ -653,10 +676,12 @@ class TestFuzz:
         assert code == 2, (argv, out)
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("npl: error: "), (argv, err)
+        return lines[0]
 
     def test_malformed_files_exit_two(self, inputs, capsys):
         rng = random.Random(1701)
         cases = []
+        deleted = {}  # position in cases -> the one key that case removes
         for name, argv in inputs.items():
             assert run_cli(capsys, *argv(name))[0] in (0, 1), name
             text = open(name, encoding="utf-8").read()
@@ -672,6 +697,7 @@ class TestFuzz:
                         cases += [(name, _with(doc, path, v)) for v in OUT_OF_RANGE]
                     if path and isinstance(path[-1], str) and not (
                             {path[-1], (name, path[-1])} & OPTIONAL):
+                        deleted[len(cases)] = path[-1]
                         cases.append((name, _with(doc, path, delete=True)))
             else:
                 bad_texts += ["p cnf 1 2\n1 0\n", "p cnf 1 1\n2 0\n", "1 0\np cnf 1 1\n",
@@ -683,7 +709,10 @@ class TestFuzz:
             bad = f"bad{i}-{name}"
             with open(bad, "w", encoding="utf-8") as fh:
                 fh.write(content if isinstance(content, str) else json.dumps(content))
-            self._assert_input_error(capsys, inputs[name](bad))
+            line = self._assert_input_error(capsys, inputs[name](bad))
+            if i in deleted:
+                # the diagnostic names the file and the missing key
+                assert bad in line and f"missing key {deleted[i]!r}" in line, line
         with open("bytes.json", "wb") as fh:
             fh.write(bytes(rng.randrange(128, 256) for _ in range(64)))
         for name, argv in inputs.items():

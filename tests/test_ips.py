@@ -4,14 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from npl import (
-    Circuit,
-    CircuitBuilder,
+from npl.algebra import PrimeField, SparsePoly
+from npl.circuits import Circuit, CircuitBuilder
+from npl.ips import (
     Cnf,
     GeometricCertificate,
     PolynomialSystem,
-    PrimeField,
-    SparsePoly,
     cnf_to_system,
     compose_system,
     parse_dimacs,

@@ -5,20 +5,15 @@ from math import comb
 
 import pytest
 
-from npl import (
-    CircuitBuilder,
+from npl.algebra import MonomialIndex, PolySpace, PrimeField, SparsePoly, is_prime
+from npl.circuits import CircuitBuilder
+from npl.meta import (
     CircuitMeta,
     MinorMeta,
     MinorSelection,
-    MonomialIndex,
-    PolySpace,
-    PrimeField,
     RankMethodSpec,
-    SparsePoly,
     coordinate_meta,
     discriminant,
-    is_prime,
-    linear_meta,
     matrix_det,
     matrix_rank,
     partials_matrix,
@@ -37,6 +32,7 @@ from npl.errors import (
 from helpers import (
     exponents_of_degree,
     int_cofactor_det,
+    linear_meta,
     poly_derivative_order,
     random_dense_poly,
     random_product_of_linear_forms,

@@ -6,37 +6,35 @@ import time
 
 import pytest
 
-from npl import (
+from npl.algebra import MonomialIndex, PolySpace, PrimeField, SparsePoly
+from npl.circuits import (
     Circuit,
     CircuitBuilder,
     FamilyDescriptor,
-    MonomialIndex,
+    derive_seed,
+    sample_family_with_params,
+)
+from npl.meta import (
     MinorMeta,
     MinorSelection,
-    PolySpace,
-    PrimeField,
     RankMethodSpec,
-    SparsePoly,
     coordinate_meta,
-    derive_seed,
     discriminant,
-    generator_pit,
-    linear_meta,
+)
+from npl.pit import (
     natural_proof_audit,
     pit_exhaustive,
     pit_schwartz_zippel,
-    sample_family_with_params,
     succinct_hitting_check,
 )
 from npl.cli import main
 from npl.errors import (
     CharacteristicTooSmall,
-    DescriptorInvalid,
     EnumerationBudgetExceeded,
     SpaceMismatch,
 )
 
-from helpers import det_generator, distributivity_circuit, random_circuit
+from helpers import det_generator, distributivity_circuit, linear_meta, random_circuit
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -370,29 +368,26 @@ class TestGenerator:
         assert Tsum.eval_at(cv) == 1
 
     def test_generator_pit_finds_witness(self):
+        # random mode draws G's parameters from the seeded streams of a
+        # randomized identity test of T o G, of degree deg(T) * param_degree
         g = det_generator(2, F5)
         T = coordinate_meta(g.space, F5, 0)
-        v = generator_pit(T, g, trials=60, seed=1)
-        assert v.outcome == "proven-nonzero"
-        assert v.degree_bound == T.degree_bound * 2
-        assert T.eval_at(coeffs_at(g, v.witness)) == v.value != 0
+        r = succinct_hitting_check(g, T, trials=60, seed=1)
+        assert r.outcome == "witness" and r.examined <= 60
+        assert T.degree_bound * g.param_degree == 2
+        assert T.eval_at(coeffs_at(g, r.witness_params)) == r.witness_value != 0
 
     def test_degenerate_meta_flagged(self):
         g = det_generator(2, F5)
         Tzero = linear_meta(g.space, F5, [0] * 10)
-        v = generator_pit(Tzero, g, trials=4, seed=0)
-        assert v.outcome == "probably-zero"
-        assert any("zero" in w for w in v.warnings)
+        r = succinct_hitting_check(g, Tzero, trials=4, seed=0)
+        assert r.outcome == "none-found" and r.examined == 4
+        assert r.degenerate_suspected
 
     def test_space_mismatch(self):
         g = det_generator(2, F5)
         with pytest.raises(SpaceMismatch):
-            generator_pit(discriminant(F5), g, trials=2)
-
-    def test_sparse_family_refused(self):
-        sparse = FamilyDescriptor("sparse", SP22, F7, sparsity=2)
-        with pytest.raises(DescriptorInvalid):
-            generator_pit(discriminant(F7), sparse, trials=2)
+            succinct_hitting_check(g, discriminant(F5), trials=2, seed=0)
 
     def test_size_bounds(self, capsys):
         for n in ("0", "7"):
@@ -517,8 +512,9 @@ class TestHittingCheck:
 
         real, builds = npl.circuits.det_projection, itertools.count(1)
 
-        def drifting(L):
-            return real(L) + SparsePoly(L.field, L.v, {(2, 0): next(builds)})
+        def drifting(field, space, n, params):
+            drift = SparsePoly(field, space.v, {(2, 0): next(builds)})
+            return real(field, space, n, params) + drift
 
         monkeypatch.setattr(npl.circuits, "det_projection", drifting)
         desc = FamilyDescriptor("det-projection", SP22, F7, n=2)
