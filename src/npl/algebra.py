@@ -232,8 +232,18 @@ class MonomialIndex:
         raise AssertionError("unreachable")
 
     def monomials(self) -> Iterator[Exponents]:
-        for i in range(self.dimension):
-            yield self.unrank(i)
+        """Every monomial of the space in rank order, without unranking."""
+        v, d = self.space.v, self.space.d
+        # ends[s] lists, in descending lex order, the exponents of the last j
+        # variables that sum to s; each pass puts one more variable in front
+        ends = [[(s,)] for s in range(d + 1)]
+        for _ in range(v - 1):
+            ends = [
+                [(t,) + e for t in range(s, -1, -1) for e in ends[s - t]]
+                for s in range(d + 1)
+            ]
+        for dd in [d] if self.space.homogeneous else range(d, -1, -1):
+            yield from ends[dd]
 
     @cached_property
     def _ranks(self) -> Dict[int, int]:
@@ -402,7 +412,7 @@ class SparsePoly:
             raise ArityMismatch(
                 f"vector of length {len(vec)} against dimension {index.dimension}"
             )
-        terms = {index.unrank(i): c for i, c in enumerate(vec)}
+        terms = dict(zip(index.monomials(), vec))
         return cls(field, index.space.v, terms)
 
     # -- inspection ----------------------------------------------------

@@ -13,6 +13,7 @@ reject, 2 for usage errors and precondition failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -26,6 +27,7 @@ from .algebra import PolySpace, PrimeField, SparsePoly
 from .circuits import Circuit, FamilyDescriptor, sample_family_with_params
 from .errors import NplError
 from .ips import (
+    Cnf,
     GeometricCertificate,
     PolynomialSystem,
     cnf_to_system,
@@ -213,26 +215,58 @@ def _parse_kv(spec: str, *keys: str) -> Dict[str, int]:
     return out
 
 
-def _load_json(path: str, parse: Callable, field: Optional[int] = None):
+def _load_json(
+    path: str,
+    parse: Callable,
+    field: Optional[int] = None,
+    space: Optional[PolySpace] = None,
+):
     """Read the JSON file at path and build an object from it with parse.
 
-    Valid JSON of the wrong shape is an input error that names the file, not
-    a crash.  Given a field, the object must live in F_field.
+    Text that is not JSON, and valid JSON of the wrong shape, is an input
+    error that names the file, not a crash.  Given a field, the object must
+    live in F_field; given a space, the polynomial must fit it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: malformed input: nested too deeply") from None
+        except ValueError as exc:  # bad UTF-8 or bad JSON
+            raise ValueError(f"{path}: malformed input: {exc}") from None
     try:
         obj = parse(data)
     except KeyError as exc:
         raise ValueError(f"{path}: malformed input: missing key {exc}") from None
-    except (TypeError, AttributeError, IndexError) as exc:
+    except (TypeError, AttributeError, IndexError, ValueError, OverflowError,
+            NplError) as exc:
         raise ValueError(f"{path}: malformed input: {exc}") from None
     if field is not None and obj.field.p != field:
         raise ValueError(f"{path}: field {obj.field.p} differs from plan field {field}")
+    if space is not None and not obj.fits_space(space):
+        raise ValueError(f"{path}: polynomial does not fit {space}")
     return obj
+
+
+@contextlib.contextmanager
+def _about(*paths: str):
+    """An input error raised inside names the files at paths, which it
+    concerns together with the options."""
+    try:
+        yield
+    except (ValueError, OverflowError, NplError) as exc:
+        raise ValueError(f"{', '.join(paths)}: {exc}") from None
+
+
+def _load_cnf(path: str, field: PrimeField) -> Tuple[Cnf, PolynomialSystem]:
+    """Read the DIMACS file at path and translate it over field; an input
+    error names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            cnf = parse_dimacs(fh.read())
+            return cnf, cnf_to_system(cnf, field)
+        except (ValueError, OverflowError, NplError) as exc:  # bad UTF-8 too
+            raise ValueError(f"{path}: malformed input: {exc}") from None
 
 
 def _resolve_meta(spec: str, space: PolySpace, field: PrimeField):
@@ -251,17 +285,16 @@ def _resolve_meta(spec: str, space: PolySpace, field: PrimeField):
         )
         return MinorMeta(rms, space, field)
     if spec.endswith(".json"):
-        return _load_json(spec, lambda data: _meta_from_json(data, spec, space, field))
+        return _load_json(spec, lambda data: _meta_from_json(data, space, field))
     raise ValueError(f"unknown meta spec {spec!r}")
 
 
-def _meta_from_json(data, spec: str, space: PolySpace, field: PrimeField):
+def _meta_from_json(data, space: PolySpace, field: PrimeField):
     if "method" in data:
         return MinorMeta(RankMethodSpec.from_json(data), space, field)
     if "gates" in data:
         return CircuitMeta(space, Circuit.from_json(data))
-    raise ValueError(f"{spec}: malformed input: missing key 'method' (a rank spec) "
-                     "or 'gates' (a circuit)")
+    raise ValueError("missing key 'method' (a rank spec) or 'gates' (a circuit)")
 
 
 def _resolve_family(spec: str, space: PolySpace, field: PrimeField) -> FamilyDescriptor:
@@ -284,8 +317,10 @@ def _resolve_family(spec: str, space: PolySpace, field: PrimeField) -> FamilyDes
 
 
 def _run_pit(plan: ExperimentPlan) -> Tuple[dict, int]:
-    circuit = _load_json(plan.input("circuit"), Circuit.from_json, plan.field)
-    verdict = identity_test(circuit, **plan.proof_mode)
+    path = plan.input("circuit")
+    circuit = _load_json(path, Circuit.from_json, plan.field)
+    with _about(path):
+        verdict = identity_test(circuit, **plan.proof_mode)
     code = 1 if verdict.outcome == "proven-nonzero" else 0
     return {"verdict": verdict.to_json()}, code
 
@@ -305,19 +340,21 @@ def _run_audit(plan: ExperimentPlan) -> Tuple[dict, int]:
     space = _parse_space(plan.input("space"))
     T = _resolve_meta(plan.input("meta"), space, field)
     desc = _resolve_family(plan.input("family"), space, field)
-    hard = _load_json(plan.input("hard"), SparsePoly.from_json, plan.field)
+    hard = _load_json(plan.input("hard"), SparsePoly.from_json, plan.field, space)
     report = natural_proof_audit(T, desc, hard, **plan.proof_mode)
     code = 1 if report.classification == "refuted" else 0
     return {"audit": report.to_json()}, code
 
 
 def _run_rank(plan: ExperimentPlan) -> Tuple[dict, int]:
-    poly = _load_json(plan.input("poly"), SparsePoly.from_json, plan.field)
+    path = plan.input("poly")
+    poly = _load_json(path, SparsePoly.from_json, plan.field)
     k = plan.input("k")
-    if plan.input("method") == "shifted":
-        matrix = shifted_partials_matrix(poly, k, plan.input("shift"))
-    else:
-        matrix = partials_matrix(poly, k)
+    with _about(path):
+        if plan.input("method") == "shifted":
+            matrix = shifted_partials_matrix(poly, k, plan.input("shift"))
+        else:
+            matrix = partials_matrix(poly, k)
     rank = rank_mod_p(matrix)
     result = {
         "rank": rank,
@@ -354,20 +391,19 @@ def _run_gen(plan: ExperimentPlan) -> Tuple[dict, int]:
 def _run_ips_verify(plan: ExperimentPlan) -> Tuple[dict, int]:
     field = PrimeField(plan.field)
     if plan.input("cnf") is not None:
-        with open(plan.input("cnf"), "r", encoding="utf-8") as fh:
-            system = cnf_to_system(parse_dimacs(fh.read()), field)
+        system_path = plan.input("cnf")
+        system = _load_cnf(system_path, field)[1]
     else:
-        system = _load_json(plan.input("system"), PolynomialSystem.from_json, plan.field)
+        system_path = plan.input("system")
+        system = _load_json(system_path, PolynomialSystem.from_json, plan.field)
     cert = _load_json(plan.input("cert"), GeometricCertificate.from_json)
-    report = verify_certificate(system, cert, **plan.proof_mode)
+    with _about(system_path, plan.input("cert")):
+        report = verify_certificate(system, cert, **plan.proof_mode)
     return {"verification": report.to_json()}, 0 if report.accepted else 1
 
 
 def _run_ips_from_cnf(plan: ExperimentPlan) -> Tuple[dict, int]:
-    field = PrimeField(plan.field)
-    with open(plan.input("cnf"), "r", encoding="utf-8") as fh:
-        cnf = parse_dimacs(fh.read())
-    system = cnf_to_system(cnf, field)
+    cnf, system = _load_cnf(plan.input("cnf"), PrimeField(plan.field))
     doc = system.to_json()
     if plan.input("system_out"):
         with open(plan.input("system_out"), "w", encoding="utf-8") as fh:

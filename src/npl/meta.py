@@ -17,6 +17,14 @@ keyed by packed ints so that adding exponents is adding keys; a shifted row
 x^beta * d^alpha f moves the alpha row by beta.  The symbolic form of a
 matrix is computed on first access only, and a rank never reads it.
 
+A shifted matrix is ranked from a basis of the derivatives.  If the d^alpha f
+for alpha in B are a basis of V = span{d^alpha f}, then span{x^beta d^alpha f}
+over all (beta, alpha) equals span{x^beta d^alpha f : alpha in B}.  The rows
+are beta-major, so the first block is x^beta0 * d^alpha f for every alpha;
+multiplying by x^beta0 is injective, so the pivot rows of that block index
+such a B.  This is linear algebra over any field, exact for every input, and
+only |B| rows per shift are eliminated.
+
 Ranks and determinants over F_p come from one elimination kernel on Python
 ints, without numpy: each row is one int with a slot of
 w = 2*bitlen(p) + bitlen(n_rows) + 1 bits per column, wide enough that the
@@ -38,6 +46,7 @@ from .algebra import (
     PrimeField,
     SparsePoly,
     _json_int,
+    _num_monomials,
     _pack,
     _width,
 )
@@ -253,11 +262,16 @@ def shifted_partials_matrix(
     return _build_matrix(f, sp, k, shift, dimension_cap)
 
 
-def _eliminate(rows: Sequence[Sequence[int]], p: int, square: bool) -> Tuple[int, int]:
-    """(rank, det) of rows over F_p by Gaussian elimination.
+def _eliminate(
+    rows: Sequence[Sequence[int]], p: int, square: bool
+) -> Tuple[List[int], int]:
+    """(pivots, det) of rows over F_p by Gaussian elimination.
 
-    det means something for square input only: with ``square`` the
-    elimination stops at the first column without a pivot, where det is 0.
+    pivots are the indices into rows of the pivot rows, one per pivot column
+    in column order, so they index a basis of the row space and the rank is
+    their number.  det means something for square input only: with
+    ``square`` the elimination stops at the first column without a pivot,
+    where det is 0.
     """
     n_rows = len(rows)
     n_cols = len(rows[0]) if n_rows else 0
@@ -276,7 +290,10 @@ def _eliminate(rows: Sequence[Sequence[int]], p: int, square: bool) -> Tuple[int
         for x in reversed(row):
             r = r << w | x % p
         packed.append(r)
-    rank, det = 0, 1
+    # order[i] is the index into rows of packed[i]
+    order = list(range(n_rows))
+    pivots: List[int] = []
+    det = 1
     for col in range(n_cols):
         for i, r in enumerate(packed):
             a = (r & mask) % p
@@ -284,14 +301,14 @@ def _eliminate(rows: Sequence[Sequence[int]], p: int, square: bool) -> Tuple[int
                 break
         else:
             if square:
-                return rank, 0
+                return pivots, 0
             packed = [r >> w for r in packed]
             continue
         # moving the pivot above the i rows before it permutes with sign (-1)^i
         if i & 1:
             det = -det
         det = det * a % p
-        rank += 1
+        pivots.append(order.pop(i))
         r = packed.pop(i)
         if not packed:
             break
@@ -304,12 +321,12 @@ def _eliminate(rows: Sequence[Sequence[int]], p: int, square: bool) -> Tuple[int
             (r + (p - c) * inv % p * pivot if (c := (r & mask) % p) else r) >> w
             for r in packed
         ]
-    return rank, det % p
+    return pivots, det % p
 
 
 def matrix_rank(rows: Sequence[Sequence[int]], p: int) -> int:
     """Exact rank over F_p by Gaussian elimination."""
-    return _eliminate(rows, p, False)[0]
+    return len(_eliminate(rows, p, False)[0])
 
 
 def matrix_det(rows: Sequence[Sequence[int]], p: int) -> int:
@@ -320,7 +337,18 @@ def matrix_det(rows: Sequence[Sequence[int]], p: int) -> int:
 
 
 def rank_mod_p(matrix: CoeffMatrix) -> int:
-    return matrix_rank(matrix.entries, matrix.field.p)
+    """Rank of a derivative matrix over its field; a shifted one is ranked
+    from a basis of the derivatives (see the module docstring)."""
+    p = matrix.field.p
+    rows = matrix.entries
+    if not matrix.shift:
+        return matrix_rank(rows, p)
+    n_derivs = len(rows) // _num_monomials(matrix.space.v, matrix.shift)
+    # the first block's pivot rows are x^beta0 * d^alpha f for alpha in a basis
+    basis = sorted(_eliminate(rows[:n_derivs], p, False)[0])
+    return matrix_rank(
+        [rows[b + a] for b in range(0, len(rows), n_derivs) for a in basis], p
+    )
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,19 @@ class TestMonomialIndex:
                 idx = MonomialIndex(PolySpace(v, d, True))
                 assert list(idx.monomials()) == exponents_of_degree(v, d)
 
+    def test_monomials_follow_unrank(self):
+        # the direct enumeration is the rank order, in both modes, down to a
+        # single variable and degree 0
+        for v in range(1, 6):
+            for d in range(0, 7):
+                for homogeneous in (True, False):
+                    idx = MonomialIndex(PolySpace(v, d, homogeneous))
+                    want = [idx.unrank(i) for i in range(idx.dimension)]
+                    assert list(idx.monomials()) == want, (v, d, homogeneous)
+        for v, d in ((7, 6), (9, 4)):
+            idx = MonomialIndex(PolySpace(v, d, False))
+            assert list(idx.monomials()) == [idx.unrank(i) for i in range(idx.dimension)]
+
 
 class TestPolySpace:
     def test_validation(self):

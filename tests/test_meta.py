@@ -20,7 +20,7 @@ from npl.meta import (
     rank_mod_p,
     shifted_partials_matrix,
 )
-from npl.meta import _derivative_cell
+from npl.meta import _derivative_cell, _eliminate
 from npl.errors import (
     ArityMismatch,
     CharacteristicTooSmall,
@@ -35,6 +35,7 @@ from helpers import (
     linear_meta,
     poly_derivative_order,
     random_dense_poly,
+    random_linear_form,
     random_product_of_linear_forms,
     row_rank,
 )
@@ -256,6 +257,57 @@ def _cell_rule_entries(f, m, shift):
 KERNEL_SPACES = ((1, 6), (2, 6), (3, 6), (4, 3), (4, 4), (5, 2), (5, 3))
 
 
+class TestShiftedRankFromBasis:
+    """rank_mod_p ranks a shifted matrix from the rows whose derivative is in a
+    basis of the derivatives; that must be the rank of all its rows."""
+
+    # (v, d) pairs small enough that every k and shift 1, 2 stays cheap
+    SPACES = ((1, 5), (2, 5), (3, 4), (4, 3))
+
+    @staticmethod
+    def _polys(rng, field, v, d):
+        dense, sparse = _kernel_polys(rng, field, v, d)
+        ell = random_linear_form(rng, field, v)
+        power = SparsePoly.constant(field, v, 1)
+        for _ in range(d):
+            power = power * ell
+        product = random_product_of_linear_forms(rng, field, v, d)
+        return {"dense": dense, "product": product, "sparse": sparse, "power": power}
+
+    @pytest.mark.parametrize("p", (7, 101, 2**31 - 1, 2**64 - 59))
+    def test_rank_equals_full_elimination(self, p):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        K = sympy.GF(p)
+        field = PrimeField(p)
+        rng = random.Random(p)
+        for v, d in self.SPACES:
+            space = PolySpace(v, d, True)
+            for kind, f in self._polys(rng, field, v, d).items():
+                for k in range(d + 1):
+                    for shift in (1, 2):
+                        m = shifted_partials_matrix(f, k, shift, space=space)
+                        got = rank_mod_p(m)
+                        assert got == matrix_rank(m.entries, p), (kind, v, d, k, shift)
+                        n, c = m.shape
+                        if n * c <= 400:
+                            dm = DomainMatrix(
+                                [[K(x) for x in row] for row in m.entries], (n, c), K
+                            )
+                            assert got == dm.rank(), (kind, v, d, k, shift)
+
+    def test_zero_polynomial_has_rank_zero(self):
+        space = PolySpace(3, 4, True)
+        zero = SparsePoly.zero(F101, 3)
+        for k in range(5):
+            for shift in (1, 2):
+                m = shifted_partials_matrix(zero, k, shift, space=space)
+                # no derivative is nonzero, so the basis is empty
+                assert _eliminate(m.entries, 101, False)[0] == []
+                assert rank_mod_p(m) == 0
+
+
 class TestBuildKernel:
     """The packed-key build of derivative matrices against the single-cell
     rule and, independently, against sympy's derivatives."""
@@ -471,6 +523,28 @@ class TestEliminationKernel:
             singular = [[rng.randrange(p) for _ in range(n)] for _ in range(n - 1)]
             singular.insert(rng.randrange(n), [0] * n)
             assert matrix_det(singular, p) == 0 == want(singular)
+
+    @pytest.mark.parametrize("p", (13, 2**64 - 59))
+    def test_pivot_rows_are_a_basis(self, p):
+        rng = random.Random(p + 2)
+        for _ in range(40):
+            n, m = rng.randrange(1, 12), rng.randrange(1, 12)
+            r = rng.randrange(0, min(n, m) + 1)
+            # B*C with B of shape (n, r) and C of shape (r, m) has rank <= r;
+            # zero and repeated rows are mixed in
+            B = [[rng.randrange(p) for _ in range(r)] for _ in range(n)]
+            C = [[rng.randrange(p) for _ in range(m)] for _ in range(r)]
+            rows = [
+                [sum(B[i][k] * C[k][j] for k in range(r)) % p for j in range(m)]
+                for i in range(n)
+            ]
+            rows.insert(rng.randrange(n + 1), [0] * m)
+            rows.append(list(rows[rng.randrange(len(rows))]))
+            pivots = _eliminate(rows, p, False)[0]
+            rank = row_rank(rows, p)
+            assert len(pivots) == len(set(pivots)) == rank <= r
+            assert all(0 <= i < len(rows) for i in pivots)
+            assert row_rank([rows[i] for i in pivots], p) == rank
 
     def test_edge_cases(self):
         p = 7
