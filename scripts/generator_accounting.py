@@ -50,7 +50,7 @@ def main():
         for i in range(n):
             for j in range(n):
                 seed[(i * n + j) * (n * n) + i * n + j] = 1
-        terms = len(g.member_from_params(seed).poly.terms)
+        terms = len(g.member_from_params(seed).terms)
         checks.append({
             "n": n,
             "generic_terms": terms,

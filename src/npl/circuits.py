@@ -358,12 +358,13 @@ class FamilyDescriptor:
     """A named, finitely parameterized class of polynomials in one space.
 
     The family is a map G from parameter tuples, one value per slot of
-    ``param_ranges``, to members: ``member_from_params`` evaluates it.  For
-    every class but sparse, each coefficient of G(params) is a polynomial of
-    total degree ``param_degree`` in the parameters, so the family is also a
-    generator, a candidate succinct hitting set.  Random sampling draws the
-    tuple uniformly; exhaustive enumeration walks the full product grid.
-    Degenerate draws are kept (the zero polynomial is a legitimate member).
+    ``param_ranges``, to members, each a SparsePoly: ``member_from_params``
+    evaluates it.  For every class but sparse, each coefficient of G(params)
+    is a polynomial of total degree ``param_degree`` in the parameters, so
+    the family is also a generator, a candidate succinct hitting set.
+    Random sampling draws the tuple uniformly; exhaustive enumeration walks
+    the full product grid.  Degenerate draws are kept (the zero polynomial
+    is a legitimate member).
     """
 
     class_id: str
@@ -460,7 +461,7 @@ class FamilyDescriptor:
             return max(self.product_degrees, default=0)  # type: ignore[arg-type]
         return None
 
-    def member_from_params(self, params: Sequence[int]) -> "FamilySample":
+    def member_from_params(self, params: Sequence[int]) -> SparsePoly:
         """G(params): the member those parameters name, checked against the
         declared space by ``validate_member``."""
         ranges = self.param_ranges()
@@ -496,10 +497,9 @@ class FamilyDescriptor:
                 e = idx.unrank(rank)
                 terms[e] = terms.get(e, 0) + coeff
             poly = SparsePoly(fld, sp.v, terms)
-        sample = FamilySample(self, poly, tuple(params))
-        if not validate_member(self, sample):
+        if not validate_member(self, poly):
             raise AssertionError("sampler produced an invalid member")
-        return sample
+        return poly
 
     def to_json(self) -> dict:
         out = {
@@ -531,22 +531,19 @@ class FamilyDescriptor:
         )
 
 
-@dataclass(frozen=True)
-class FamilySample:
-    descriptor: FamilyDescriptor
-    poly: SparsePoly
-    params: Tuple[int, ...]
-
-
-def validate_member(desc: FamilyDescriptor, sample: FamilySample) -> bool:
+def validate_member(desc: FamilyDescriptor, poly: SparsePoly) -> bool:
     """Structural check of a member: it lies in the declared space, and a
     sparse member has at most s terms.  ``member_from_params`` runs this on
     every member it builds."""
-    if not sample.poly.fits_space(desc.space):
+    if not poly.fits_space(desc.space):
         return False
-    return desc.class_id != "sparse" or len(sample.poly.terms) <= desc.sparsity
+    return desc.class_id != "sparse" or len(poly.terms) <= desc.sparsity
 
 
-def sample_family_with_params(desc: FamilyDescriptor, seed: int) -> FamilySample:
-    """Uniform member of the family; deterministic in (descriptor, seed)."""
-    return desc.member_from_params(next(_seeded_draws(desc.param_ranges(), 1, seed)))
+def sample_family_with_params(
+    desc: FamilyDescriptor, seed: int
+) -> Tuple[Tuple[int, ...], SparsePoly]:
+    """(params, member) for a uniform draw of the parameters; deterministic
+    in (descriptor, seed)."""
+    params = next(_seeded_draws(desc.param_ranges(), 1, seed))
+    return params, desc.member_from_params(params)

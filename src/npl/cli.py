@@ -28,7 +28,6 @@ from .circuits import Circuit, FamilyDescriptor, sample_family_with_params
 from .errors import NplError
 from .ips import (
     Cnf,
-    GeometricCertificate,
     PolynomialSystem,
     cnf_to_system,
     parse_dimacs,
@@ -43,7 +42,6 @@ from .meta import (
     discriminant,
     partials_matrix,
     rank_mod_p,
-    shifted_partials_matrix,
 )
 from .pit import (
     DEFAULT_ENUM_BUDGET,
@@ -55,8 +53,6 @@ from .pit import (
 
 DEFAULT_FIELD = 2 ** 31 - 1
 FIELD_ENV_VAR = "NPL_DEFAULT_FIELD"
-
-COMMANDS = ("pit", "hit-check", "audit", "rank", "gen", "ips-verify", "ips-from-cnf")
 
 
 @dataclass(frozen=True)
@@ -350,18 +346,15 @@ def _run_rank(plan: ExperimentPlan) -> Tuple[dict, int]:
     path = plan.input("poly")
     poly = _load_json(path, SparsePoly.from_json, plan.field)
     k = plan.input("k")
+    shift = plan.input("shift") if plan.input("method") == "shifted" else 0
     with _about(path):
-        if plan.input("method") == "shifted":
-            matrix = shifted_partials_matrix(poly, k, plan.input("shift"))
-        else:
-            matrix = partials_matrix(poly, k)
-    rank = rank_mod_p(matrix)
+        matrix = partials_matrix(poly, k, shift)
     result = {
-        "rank": rank,
+        "rank": rank_mod_p(matrix),
         "shape": list(matrix.shape),
         "method": plan.input("method"),
         "k": k,
-        "shift": plan.input("shift") if plan.input("method") == "shifted" else 0,
+        "shift": shift,
     }
     if plan.input("include_matrix"):
         result["matrix"] = [list(row) for row in matrix.entries]
@@ -382,8 +375,8 @@ def _run_gen(plan: ExperimentPlan) -> Tuple[dict, int]:
         row: dict = {"n": n, "seed_length": len(desc.param_ranges()),
                      "dimension": desc.space.dimension}
         if n <= expand_max:
-            sample = sample_family_with_params(desc, plan.seed)
-            row["sample_nonzero_coords"] = len(sample.poly.terms)
+            member = sample_family_with_params(desc, plan.seed)[1]
+            row["sample_nonzero_coords"] = len(member.terms)
         rows.append(row)
     return {"generators": rows}, 0
 
@@ -396,7 +389,7 @@ def _run_ips_verify(plan: ExperimentPlan) -> Tuple[dict, int]:
     else:
         system_path = plan.input("system")
         system = _load_json(system_path, PolynomialSystem.from_json, plan.field)
-    cert = _load_json(plan.input("cert"), GeometricCertificate.from_json)
+    cert = _load_json(plan.input("cert"), Circuit.from_json)
     with _about(system_path, plan.input("cert")):
         report = verify_certificate(system, cert, **plan.proof_mode)
     return {"verification": report.to_json()}, 0 if report.accepted else 1

@@ -1,10 +1,10 @@
 """Geometric proof certificates for systems of polynomial equations.
 
-A certificate for the system f_1, ..., f_m is a circuit C over inputs
-y_1, ..., y_m with two checkable conditions: C at the all-zero input equals
-1, and C(f_1(x), ..., f_m(x)) is identically zero.  If both hold, no common
-zero of the system can exist, because at such a point the composition would
-evaluate to C(0) = 1.
+A certificate for the system f_1, ..., f_m is a plain Circuit C over inputs
+y_1, ..., y_m, in the system's field, with two checkable conditions: C at
+the all-zero input equals 1, and C(f_1(x), ..., f_m(x)) is identically
+zero.  If both hold, no common zero of the system can exist, because at
+such a point the composition would evaluate to C(0) = 1.
 
 CNF formulas translate clause by clause: a clause contributes the product of
 (1 - x_i) over its positive literals and x_i over its negated ones, so the
@@ -178,36 +178,24 @@ def cnf_to_system(cnf: Cnf, field: PrimeField) -> PolynomialSystem:
     )
 
 
-@dataclass(frozen=True)
-class GeometricCertificate:
-    circuit: Circuit
-
-    @property
-    def arity(self) -> int:
-        return self.circuit.v
-
-    def to_json(self) -> dict:
-        return self.circuit.to_json()
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "GeometricCertificate":
-        return cls(Circuit.from_json(data))
+def _check_certificate(system: PolynomialSystem, cert: Circuit) -> None:
+    if cert.v != len(system.members):
+        raise ArityMismatch(
+            f"certificate over {cert.v} inputs for a system of "
+            f"{len(system.members)} members"
+        )
+    if cert.field.p != system.field.p:
+        raise FieldMismatch("certificate and system in different fields")
 
 
-def compose_system(system: PolynomialSystem, cert: GeometricCertificate) -> Circuit:
+def compose_system(system: PolynomialSystem, cert: Circuit) -> Circuit:
     """Splice the member circuits into the certificate's inputs.
 
     The result is a circuit over the x variables computing
     C(f_1(x), ..., f_m(x)); its size is bounded by the sum of the part sizes
     and its formal degree by deg(C) times the largest member degree.
     """
-    if cert.arity != len(system.members):
-        raise ArityMismatch(
-            f"certificate over {cert.arity} inputs for a system of "
-            f"{len(system.members)} members"
-        )
-    if cert.circuit.field.p != system.field.p:
-        raise FieldMismatch("certificate and system in different fields")
+    _check_certificate(system, cert)
     gates: List[Tuple] = []
     member_out: List[int] = []
     for member in system.members:
@@ -219,7 +207,7 @@ def compose_system(system: PolynomialSystem, cert: GeometricCertificate) -> Circ
                 gates.append(g)
         member_out.append(member.out + offset)
     cmap: List[int] = []
-    for g in cert.circuit.gates:
+    for g in cert.gates:
         op = g[0]
         if op == "in":
             cmap.append(member_out[g[1]])
@@ -229,7 +217,7 @@ def compose_system(system: PolynomialSystem, cert: GeometricCertificate) -> Circ
         else:
             gates.append((op, cmap[g[1]], cmap[g[2]]))
             cmap.append(len(gates) - 1)
-    return Circuit(system.field, system.n, tuple(gates), cmap[cert.circuit.out])
+    return Circuit(system.field, system.n, tuple(gates), cmap[cert.out])
 
 
 @dataclass(frozen=True)
@@ -295,7 +283,7 @@ class VerificationReport:
 
 def verify_certificate(
     system: PolynomialSystem,
-    cert: GeometricCertificate,
+    cert: Circuit,
     *,
     exhaustive: bool = False,
     trials: int = DEFAULT_TRIALS,
@@ -303,8 +291,10 @@ def verify_certificate(
     enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> VerificationReport:
     """Check both certificate conditions; the identity test of the
-    composition runs in the given proof mode."""
-    value_at_zero = cert.circuit.evaluate([0] * len(system.members))
+    composition runs in the given proof mode.  A certificate over another
+    field or arity than the system's is refused before C(0) is computed."""
+    _check_certificate(system, cert)
+    value_at_zero = cert.evaluate([0] * len(system.members))
     verdict = None
     if value_at_zero == 1:
         verdict = identity_test(compose_system(system, cert), exhaustive=exhaustive,

@@ -12,10 +12,11 @@ Every entry is therefore a scalar multiple of a single coefficient of f.
 That makes each entry a linear form in the N meta-variables, and every
 (r+1) x (r+1) minor a meta-polynomial of degree at most r+1.
 
-A matrix is built from one pass over d^alpha f per alpha, with monomials
-keyed by packed ints so that adding exponents is adding keys; a shifted row
-x^beta * d^alpha f moves the alpha row by beta.  The symbolic form of a
-matrix is computed on first access only, and a rank never reads it.
+``partials_matrix(f, k, shift)`` builds the matrix, plain at shift 0, from
+one pass over d^alpha f per alpha, with monomials keyed by packed ints so
+that adding exponents is adding keys; a shifted row x^beta * d^alpha f moves
+the alpha row by beta.  The symbolic form of a matrix is computed on first
+access only, and a rank never reads it.
 
 A shifted matrix is ranked from a basis of the derivatives.  If the d^alpha f
 for alpha in B are a basis of V = span{d^alpha f}, then span{x^beta d^alpha f}
@@ -60,7 +61,8 @@ from .errors import (
     SpaceMismatch,
 )
 
-DEFAULT_DIMENSION_CAP = 4096
+# largest row or column count of a derivative matrix
+DIMENSION_CAP = 4096
 
 # symbolic entries are materialized only for spaces this small
 SYMBOLIC_SPACE_CAP = 512
@@ -123,17 +125,6 @@ class CoeffMatrix:
             for row in cells
         )
 
-    def symbolic_value_at(self, cv: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
-        if self.symbolic is None:
-            raise ValueError("matrix carries no symbolic form")
-        p = self.field.p
-        return tuple(
-            tuple(
-                sum(c * cv[i] for i, c in cell.items()) % p for cell in row
-            )
-            for row in self.symbolic
-        )
-
 
 def _space_for(f: SparsePoly, space: Optional[PolySpace]) -> PolySpace:
     if space is not None:
@@ -149,29 +140,27 @@ def _space_for(f: SparsePoly, space: Optional[PolySpace]) -> PolySpace:
     return PolySpace(f.v, f.degree, True)
 
 
-def _check_partials_preconditions(space: PolySpace, k: int, shift: int, p: int) -> None:
-    if not 0 <= k <= space.d:
-        raise OrderOutOfRange(f"derivative order {k} outside [0, {space.d}]")
+def _shifted_labels(
+    space: PolySpace, k: int, shift: int, p: int
+) -> Tuple[Tuple, Tuple[Exponents, ...]]:
+    """Row and column labels of the order-k matrix with this shift over F_p.
+    An order, shift or characteristic that admits no such matrix, and a
+    shape past DIMENSION_CAP, is refused before any label is enumerated."""
+    v, d = space.v, space.d
+    if not 0 <= k <= d:
+        raise OrderOutOfRange(f"derivative order {k} outside [0, {d}]")
     if shift < 0:
         raise OrderOutOfRange("negative shift")
-    if p <= space.d:
-        raise CharacteristicTooSmall(
-            f"characteristic {p} must exceed degree {space.d}"
-        )
-
-
-def _shifted_labels(
-    space: PolySpace, k: int, shift: int, dimension_cap: int
-) -> Tuple[Tuple, Tuple[Exponents, ...]]:
-    v, d = space.v, space.d
+    if p <= d:
+        raise CharacteristicTooSmall(f"characteristic {p} must exceed degree {d}")
     rows_n = MonomialIndex(PolySpace(v, k, True)).dimension
     cols_space = PolySpace(v, d - k + shift, True)
     cols_n = cols_space.dimension
     if shift:
         rows_n *= MonomialIndex(PolySpace(v, shift, True)).dimension
-    if rows_n > dimension_cap or cols_n > dimension_cap:
+    if rows_n > DIMENSION_CAP or cols_n > DIMENSION_CAP:
         raise DimensionCapExceeded(
-            f"matrix of shape ({rows_n}, {cols_n}) exceeds cap {dimension_cap}"
+            f"matrix of shape ({rows_n}, {cols_n}) exceeds cap {DIMENSION_CAP}"
         )
     derivs = tuple(MonomialIndex(PolySpace(v, k, True)).monomials())
     cols = tuple(MonomialIndex(cols_space).monomials())
@@ -183,16 +172,18 @@ def _shifted_labels(
     return rows, cols
 
 
-def _build_matrix(
+def partials_matrix(
     f: SparsePoly,
-    space: PolySpace,
     k: int,
-    shift: int,
-    dimension_cap: int,
+    shift: int = 0,
+    space: Optional[PolySpace] = None,
 ) -> CoeffMatrix:
+    """Order-k partial-derivative matrix of a homogeneous polynomial.  With a
+    shift, rows are (shift monomial, order-k derivative) pairs; with shift 0
+    it is the plain partials matrix."""
+    space = _space_for(f, space)
     p = f.field.p
-    _check_partials_preconditions(space, k, shift, p)
-    rows, cols = _shifted_labels(space, k, shift, dimension_cap)
+    rows, cols = _shifted_labels(space, k, shift, p)
     v, d = space.v, space.d
     # monomials are keyed the way SparsePoly packs them, at a field width that
     # holds every exponent of a column, so adding keys never carries
@@ -236,30 +227,6 @@ def _build_matrix(
                     row[j] = c
                 entries.append(tuple(row))
     return CoeffMatrix(f.field, rows, cols, tuple(entries), space, shift)
-
-
-def partials_matrix(
-    f: SparsePoly,
-    k: int,
-    space: Optional[PolySpace] = None,
-    dimension_cap: int = DEFAULT_DIMENSION_CAP,
-) -> CoeffMatrix:
-    """Order-k partial-derivative matrix of a homogeneous polynomial."""
-    sp = _space_for(f, space)
-    return _build_matrix(f, sp, k, 0, dimension_cap)
-
-
-def shifted_partials_matrix(
-    f: SparsePoly,
-    k: int,
-    shift: int,
-    space: Optional[PolySpace] = None,
-    dimension_cap: int = DEFAULT_DIMENSION_CAP,
-) -> CoeffMatrix:
-    """Rows are (shift monomial, order-k derivative) pairs; with shift 0 this
-    coincides with the plain partials matrix."""
-    sp = _space_for(f, space)
-    return _build_matrix(f, sp, k, shift, dimension_cap)
 
 
 def _eliminate(
@@ -465,9 +432,7 @@ class MinorMeta:
     def __init__(self, spec: RankMethodSpec, space: PolySpace, field: PrimeField):
         if not space.homogeneous:
             raise SpaceMismatch("rank methods operate on homogeneous spaces")
-        shift = spec.shift if spec.method == "shifted" else 0
-        _check_partials_preconditions(space, spec.k, shift, field.p)
-        rows, cols = _shifted_labels(space, spec.k, shift, DEFAULT_DIMENSION_CAP)
+        rows, cols = _shifted_labels(space, spec.k, spec.shift, field.p)
         sel_rows, sel_cols = _select_indices(spec.minor, len(rows), len(cols))
         index = MonomialIndex(space)
         p = field.p
@@ -475,7 +440,7 @@ class MinorMeta:
         for r in sel_rows:
             row_cells: List[Optional[Tuple[int, int]]] = []
             for c in sel_cols:
-                cell = _derivative_cell(rows[r], cols[c], shift, p)
+                cell = _derivative_cell(rows[r], cols[c], spec.shift, p)
                 row_cells.append(
                     None if cell is None else (index.rank(cell[0]), cell[1])
                 )
@@ -487,7 +452,7 @@ class MinorMeta:
         self.col_indices = sel_cols
         self._cells = tuple(cells)
         self.meta_id = (
-            f"{spec.method}-minor:k={spec.k},shift={shift},size={spec.minor.size},"
+            f"{spec.method}-minor:k={spec.k},shift={spec.shift},size={spec.minor.size},"
             f"rows={list(sel_rows)},cols={list(sel_cols)}"
         )
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .algebra import MonomialIndex, SparsePoly
-from .circuits import Circuit, FamilyDescriptor, FamilySample, _seeded_draws
+from .circuits import Circuit, FamilyDescriptor, _seeded_draws
 from .errors import (
     CharacteristicTooSmall,
     EnumerationBudgetExceeded,
@@ -320,7 +320,8 @@ def succinct_hitting_check(
     index = MonomialIndex(desc.space)
     examined = 0
     zeros = 0
-    witness: Optional[FamilySample] = None
+    # (params, member) of the first member where T is nonzero
+    witness: Optional[Tuple[Tuple[int, ...], SparsePoly]] = None
     witness_value = 0
     for params in points:
         if exhaustive and examined >= enum_budget:
@@ -328,14 +329,14 @@ def succinct_hitting_check(
                 f"family grid larger than the budget of {enum_budget} "
                 "and no witness found within it"
             )
-        sample = desc.member_from_params(params)
+        member = desc.member_from_params(params)
         examined += 1
-        val = T.eval_at(sample.poly.coeff_vector(index))
+        val = T.eval_at(member.coeff_vector(index))
         if not val:
             zeros += 1
             continue
         if witness is None:
-            witness, witness_value = sample, val
+            witness, witness_value = (params, member), val
         # an exhaustive walk stops at its witness; random mode may count on
         if exhaustive or not collect_stats:
             break
@@ -343,8 +344,8 @@ def succinct_hitting_check(
     if witness is None:
         degenerate = _meta_looks_zero(T, seed)
     else:
-        again = desc.member_from_params(witness.params).poly
-        if again != witness.poly or T.eval_at(again.coeff_vector(index)) != witness_value:
+        again = desc.member_from_params(witness[0])
+        if again != witness[1] or T.eval_at(again.coeff_vector(index)) != witness_value:
             raise AssertionError("witness failed its rebuild and re-evaluation")
     return HitReport(
         meta_id=getattr(T, "meta_id", "meta"),
@@ -354,8 +355,8 @@ def succinct_hitting_check(
         zeros=zeros,
         seed=seed,
         trials=trials,
-        witness_params=None if witness is None else witness.params,
-        witness_poly=None if witness is None else witness.poly.to_json(),
+        witness_params=None if witness is None else witness[0],
+        witness_poly=None if witness is None else witness[1].to_json(),
         witness_value=None if witness is None else witness_value,
         degenerate_suspected=degenerate,
     )

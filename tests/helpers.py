@@ -15,7 +15,7 @@ from typing import Iterator, List, Sequence, Tuple
 from npl.algebra import MonomialIndex, PolySpace, PrimeField, SparsePoly
 from npl.circuits import Circuit, CircuitBuilder, FamilyDescriptor
 from npl.errors import ArityMismatch
-from npl.meta import CircuitMeta
+from npl.meta import CircuitMeta, CoeffMatrix
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 101)
 
@@ -255,3 +255,15 @@ def linear_meta(
     if len(tag) > 48:
         tag = tag[:45] + "..."
     return CircuitMeta(space, b.build(acc), meta_id=f"linear:[{tag}]")
+
+
+def symbolic_value_at(m: CoeffMatrix, cv: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+    """The symbolic form of m instantiated at the coefficient vector cv:
+    each entry {meta_variable_rank: scalar} summed against cv mod p."""
+    if m.symbolic is None:
+        raise ValueError("matrix carries no symbolic form")
+    p = m.field.p
+    return tuple(
+        tuple(sum(c * cv[i] for i, c in cell.items()) % p for cell in row)
+        for row in m.symbolic
+    )

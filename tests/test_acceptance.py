@@ -32,7 +32,7 @@ from npl.pit import (
     pit_schwartz_zippel,
     succinct_hitting_check,
 )
-from npl.ips import Cnf, GeometricCertificate, cnf_to_system, verify_certificate
+from npl.ips import Cnf, cnf_to_system, verify_certificate
 from npl.cli import main
 
 from helpers import (
@@ -198,7 +198,7 @@ def test_criterion_05_generator_accounting():
                 for j in range(n):
                     base = (i * n + j) * (n * n)
                     seed[base + i * n + j] = 1
-            cv = g.member_from_params(seed).poly.coeff_vector(MonomialIndex(g.space))
+            cv = g.member_from_params(seed).coeff_vector(MonomialIndex(g.space))
             # a generic n x n determinant has n! monomials with +-1 coeffs
             from math import factorial
 
@@ -221,7 +221,7 @@ def test_criterion_06_generator_hitting():
         for i, T in enumerate(metas):
             r = succinct_hitting_check(g, T, trials=10**5, seed=6000 + i)
             if r.outcome == "witness":
-                cv = g.member_from_params(r.witness_params).poly.coeff_vector(idx)
+                cv = g.member_from_params(r.witness_params).coeff_vector(idx)
                 assert T.eval_at(cv) == r.witness_value != 0
                 hits += 1
         assert hits == 60, f"{hits}/60 hit"
@@ -326,18 +326,14 @@ def test_criterion_09_ips_verification():
 
         sys_hand = PolynomialSystem(F7, 1, (fx, fx1))
         b = CircuitBuilder(F7, 2)
-        cert1 = GeometricCertificate(
-            b.build(b.sub(b.add(b.const(1), b.inp(1)), b.inp(0)))
-        )
+        cert1 = b.build(b.sub(b.add(b.const(1), b.inp(1)), b.inp(0)))
         rep1 = verify_certificate(sys_hand, cert1, exhaustive=True)
         assert rep1.accepted and rep1.grade == "exact"
 
         # hand certificate 2: (x1) and (not x1) with 1 - y1 - y2
         sys_cnf = cnf_to_system(Cnf(1, ((1,), (-1,))), F7)
         b = CircuitBuilder(F7, 3)
-        cert2 = GeometricCertificate(
-            b.build(b.sub(b.sub(b.const(1), b.inp(0)), b.inp(1)))
-        )
+        cert2 = b.build(b.sub(b.sub(b.const(1), b.inp(0)), b.inp(1)))
         rep2 = verify_certificate(sys_cnf, cert2, exhaustive=True)
         assert rep2.accepted and rep2.grade == "exact"
 
@@ -359,9 +355,7 @@ def test_criterion_09_ips_verification():
         for i in range(100):
             cnf = sat_cnfs[i % 10]
             system = cnf_to_system(cnf, F7)
-            cert = GeometricCertificate(
-                random_circuit(rng, F7, len(system.members), 6, 2)
-            )
+            cert = random_circuit(rng, F7, len(system.members), 6, 2)
             rep = verify_certificate(system, cert, exhaustive=True)
             assert not rep.accepted
             assert rep.failed_condition in (1, 2)

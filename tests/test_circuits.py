@@ -9,7 +9,6 @@ from npl.circuits import (
     Circuit,
     CircuitBuilder,
     FamilyDescriptor,
-    FamilySample,
     berkowitz_det,
     derive_seed,
     det_projection,
@@ -216,33 +215,32 @@ class TestFamilies:
     def test_every_sample_validates(self):
         for desc in self.descriptors():
             for seed in range(25):
-                s = sample_family_with_params(desc, seed)
-                assert validate_member(desc, s)
-                assert s.poly.fits_space(desc.space)
+                params, member = sample_family_with_params(desc, seed)
+                assert desc.member_from_params(params) == member
+                assert validate_member(desc, member)
+                assert member.fits_space(desc.space)
         # the structural check rejects what no member of the family can be
         sp = PolySpace(2, 2, True)
         squares = FamilyDescriptor("squares", sp, F7)
         for outside in (SparsePoly(F7, 2, {(3, 0): 1}), SparsePoly(F7, 2, {(1, 0): 1}),
                         SparsePoly(F7, 3, {(2, 0, 0): 1})):
-            assert not validate_member(squares, FamilySample(squares, outside, (0, 0)))
+            assert not validate_member(squares, outside)
         two_terms = SparsePoly(F7, 2, {(2, 0): 1, (0, 2): 3})
         for s, valid in ((1, False), (2, True)):
             sparse = FamilyDescriptor("sparse", sp, F7, sparsity=s)
-            member = FamilySample(sparse, two_terms, (0,) * (2 * s))
-            assert validate_member(sparse, member) is valid
+            assert validate_member(sparse, two_terms) is valid
 
     def test_squares_members_are_squares(self):
         desc = FamilyDescriptor("squares", PolySpace(2, 2, True), F7)
         for seed in range(20):
-            s = sample_family_with_params(desc, seed)
-            c0, c1 = s.params
+            (c0, c1), member = sample_family_with_params(desc, seed)
             form = SparsePoly(F7, 2, {(1, 0): c0, (0, 1): c1})
-            assert s.poly == form * form
+            assert member == form * form
 
     def test_det_projection_homogeneous_or_zero(self):
         desc = FamilyDescriptor("det-projection", PolySpace(2, 2, True), F7, n=2)
         for seed in range(100):
-            f = sample_family_with_params(desc, seed).poly
+            f = sample_family_with_params(desc, seed)[1]
             assert f.is_zero or f.is_homogeneous(2)
 
     def test_exhaustive_walk_covers_grid(self):
@@ -290,7 +288,7 @@ class TestFamilies:
         for i in range(sp.dimension):
             r = succinct_hitting_check(desc, coordinate_meta(sp, F5, i), exhaustive=True)
             assert r.outcome == "witness"
-            assert desc.member_from_params(r.witness_params).poly.to_json() == r.witness_poly
+            assert desc.member_from_params(r.witness_params).to_json() == r.witness_poly
 
     def test_descriptor_validation(self):
         sp = PolySpace(2, 2, True)
@@ -310,11 +308,11 @@ class TestFamilies:
     def test_zero_members_kept(self):
         desc = FamilyDescriptor("squares", PolySpace(2, 2, True), F5)
         zero = desc.member_from_params((0, 0))
-        assert zero.poly.is_zero
+        assert zero.is_zero
         assert validate_member(desc, zero)
         sparse = FamilyDescriptor("sparse", PolySpace(2, 2, True), F5, sparsity=2)
         zero = sparse.member_from_params((0, 1, 0, 0))
-        assert zero.poly.is_zero
+        assert zero.is_zero
         assert validate_member(sparse, zero)
 
 
@@ -414,7 +412,7 @@ class TestParamDegree:
         for _ in range(5):
             params = tuple(rng.randrange(r) for r in desc.param_ranges())
             want = sympy_terms(G.as_expr().subs(dict(zip(a, params))), xs, p)
-            assert dict(desc.member_from_params(params).poly.terms) == want
+            assert dict(desc.member_from_params(params).terms) == want
 
     def test_sparse_has_none(self):
         sparse = FamilyDescriptor("sparse", PolySpace(2, 2, True), F5, sparsity=2)

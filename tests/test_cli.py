@@ -387,6 +387,19 @@ class TestExitCodes:
             lines = err.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("npl: error: "), (argv, err)
 
+    def test_certificate_field_is_checked(self, workdir, capsys, monkeypatch):
+        # a constant-3 certificate over F_7 against a system over F_13: refused,
+        # not evaluated mod 7 into a condition-1 rejection
+        monkeypatch.chdir(workdir)
+        b = CircuitBuilder(F7, 3)
+        (workdir / "c3.json").write_text(json.dumps(b.build(b.const(3)).to_json()))
+        for mode in ("--exhaustive", "--trials=3"):
+            code, out, err = run_cli(capsys, "ips-verify", "--cnf", "phi.cnf",
+                                     "--cert", "c3.json", "--field", "13", mode)
+            assert (code, out) == (2, "")
+            assert err == ("npl: error: phi.cnf, c3.json: certificate and system "
+                           "in different fields\n")
+
     def test_missing_spec_keys_are_named(self, capsys):
         for meta, family, key in (("shifted-minor:k=1,r=1", "squares", "l"),
                                   ("partials-minor:r=1", "squares", "k"),

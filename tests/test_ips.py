@@ -8,7 +8,6 @@ from npl.algebra import PrimeField, SparsePoly
 from npl.circuits import Circuit, CircuitBuilder
 from npl.ips import (
     Cnf,
-    GeometricCertificate,
     PolynomialSystem,
     cnf_to_system,
     compose_system,
@@ -144,21 +143,21 @@ class TestCompose:
     def test_identity_composition(self):
         f = single_var_circuit(F7, "x-1")
         b = CircuitBuilder(F7, 1)
-        cert = GeometricCertificate(b.build(b.inp(0)))
+        cert = b.build(b.inp(0))
         comp = compose_system(PolynomialSystem(F7, 1, (f,)), cert)
         assert comp.expand() == f.expand()
 
     def test_constant_certificate(self):
         f = single_var_circuit(F7, "x")
         b = CircuitBuilder(F7, 1)
-        cert = GeometricCertificate(b.build(b.const(1)))
+        cert = b.build(b.const(1))
         comp = compose_system(PolynomialSystem(F7, 1, (f,)), cert)
         assert comp.expand() == SparsePoly.constant(F7, 1, 1)
 
     def test_doubling(self):
         f = single_var_circuit(F7, "x")
         b = CircuitBuilder(F7, 2)
-        cert = GeometricCertificate(b.build(b.add(b.inp(0), b.inp(1))))
+        cert = b.build(b.add(b.inp(0), b.inp(1)))
         comp = compose_system(PolynomialSystem(F7, 1, (f, f)), cert)
         assert comp.expand() == SparsePoly(F7, 1, {(1,): 2})
 
@@ -168,14 +167,14 @@ class TestCompose:
         acc = b.const(1)
         for i in range(len(sys7.members)):
             acc = b.add(acc, b.inp(i))
-        cert = GeometricCertificate(b.build(acc))
+        cert = b.build(acc)
         comp = compose_system(sys7, cert)
-        assert comp.size <= cert.circuit.size + sum(m.size for m in sys7.members)
+        assert comp.size <= cert.size + sum(m.size for m in sys7.members)
 
     def test_arity_mismatch(self):
         f = single_var_circuit(F7, "x")
         b = CircuitBuilder(F7, 3)
-        cert = GeometricCertificate(b.build(b.inp(2)))
+        cert = b.build(b.inp(2))
         with pytest.raises(ArityMismatch):
             compose_system(PolynomialSystem(F7, 1, (f, f)), cert)
 
@@ -190,7 +189,7 @@ class TestVerification:
     def hand_cert(self, field=F7):
         b = CircuitBuilder(field, 2)
         out = b.sub(b.add(b.const(1), b.inp(1)), b.inp(0))
-        return GeometricCertificate(b.build(out))
+        return b.build(out)
 
     def test_hand_certificate_one(self):
         rep = verify_certificate(self.hand_system(), self.hand_cert(),
@@ -202,27 +201,38 @@ class TestVerification:
     def test_hand_certificate_two(self):
         sys7 = cnf_to_system(Cnf(1, ((1,), (-1,))), F7)
         b = CircuitBuilder(F7, 3)
-        cert = GeometricCertificate(
-            b.build(b.sub(b.sub(b.const(1), b.inp(0)), b.inp(1)))
-        )
+        cert = b.build(b.sub(b.sub(b.const(1), b.inp(0)), b.inp(1)))
         rep = verify_certificate(sys7, cert, exhaustive=True)
         assert rep.accepted and rep.grade == "exact"
 
     def test_randomized_inputs_past_budget_refused(self):
         sys7 = cnf_to_system(Cnf(1, ((1,), (-1,))), F7)
         b = CircuitBuilder(F7, 3)
-        cert = GeometricCertificate(
-            b.build(b.sub(b.sub(b.const(1), b.inp(0)), b.inp(1)))
-        )
+        cert = b.build(b.sub(b.sub(b.const(1), b.inp(0)), b.inp(1)))
         # the composed relation has one input
         with pytest.raises(EnumerationBudgetExceeded):
             verify_certificate(sys7, cert, enum_budget=0)
         rep = verify_certificate(sys7, cert, enum_budget=1)
         assert rep.accepted
 
+    def test_certificate_in_another_field_refused(self):
+        # a constant-3 certificate over F_7 would give C(0) = 3 against any
+        # system; over F_13 it is refused instead of evaluated mod 7
+        sys13 = cnf_to_system(Cnf(1, ((1,), (-1,))), F13)
+        b = CircuitBuilder(F7, len(sys13.members))
+        three = b.build(b.const(3))
+        with pytest.raises(FieldMismatch):
+            verify_certificate(sys13, three, exhaustive=True)
+        with pytest.raises(FieldMismatch):
+            verify_certificate(sys13, three, trials=3)
+        # over F_13 the same circuit is an ordinary condition-1 rejection
+        b = CircuitBuilder(F13, len(sys13.members))
+        rep = verify_certificate(sys13, b.build(b.const(3)), exhaustive=True)
+        assert rep.failed_condition == 1 and rep.value_at_zero == 3
+
     def test_condition_one_reject(self):
         b = CircuitBuilder(F7, 2)
-        zero_cert = GeometricCertificate(b.build(b.const(0)))
+        zero_cert = b.build(b.const(0))
         rep = verify_certificate(self.hand_system(), zero_cert,
                                  exhaustive=True)
         assert not rep.accepted and rep.failed_condition == 1
@@ -230,7 +240,7 @@ class TestVerification:
 
     def test_condition_two_reject_names_witness(self):
         sys7 = PolynomialSystem(F7, 1, (single_var_circuit(F7, "x-1"),))
-        cert = GeometricCertificate(single_var_circuit(F7, "1-x"))
+        cert = single_var_circuit(F7, "1-x")
         rep = verify_certificate(sys7, cert, exhaustive=True)
         assert not rep.accepted and rep.failed_condition == 2
         assert rep.relation_verdict.outcome == "proven-nonzero"
@@ -246,9 +256,7 @@ class TestVerification:
             members.append(b.build(b.const(c)))
         b = CircuitBuilder(F, 2)
         y1 = b.inp(0)
-        cert = GeometricCertificate(
-            b.build(b.sub(b.add(b.mul(y1, y1), b.const(1)), b.inp(1)))
-        )
+        cert = b.build(b.sub(b.add(b.mul(y1, y1), b.const(1)), b.inp(1)))
         rep = verify_certificate(
             PolynomialSystem(F, 0, tuple(members)), cert, exhaustive=True
         )
@@ -270,8 +278,7 @@ class TestVerification:
         sys2 = cnf_to_system(Cnf(1, ((1,), (-1,))), F7)
         b = CircuitBuilder(F7, 3)
         cases.append(
-            (sys2, GeometricCertificate(
-                b.build(b.sub(b.sub(b.const(1), b.inp(0)), b.inp(1)))))
+            (sys2, b.build(b.sub(b.sub(b.const(1), b.inp(0)), b.inp(1))))
         )
         for system, cert in cases:
             rnd = verify_certificate(
@@ -285,10 +292,8 @@ class TestVerification:
         system = self.hand_system()
         padded_members = system.members + (system.members[0],)
         padded_system = PolynomialSystem(F7, 1, padded_members)
-        base = self.hand_cert().circuit
-        padded_cert = GeometricCertificate(
-            Circuit(F7, 3, base.gates, base.out)
-        )
+        base = self.hand_cert()
+        padded_cert = Circuit(F7, 3, base.gates, base.out)
         rep = verify_certificate(padded_system, padded_cert,
                                  exhaustive=True)
         assert rep.accepted
@@ -310,9 +315,7 @@ class TestVerification:
                 if cnf_satisfied(cnf.clauses, pt)
             )
             for trial in range(20):
-                cert = GeometricCertificate(
-                    random_circuit(rng, F7, m, 6, 2)
-                )
+                cert = random_circuit(rng, F7, m, 6, 2)
                 rep = verify_certificate(system, cert, exhaustive=True)
                 assert not rep.accepted
                 assert rep.failed_condition in (1, 2)
@@ -330,8 +333,6 @@ class TestVerification:
 
     def test_certificate_json_round_trip(self):
         cert = self.hand_cert()
-        rt = GeometricCertificate.from_json(
-            json.loads(json.dumps(cert.to_json()))
-        )
-        assert rt.circuit == cert.circuit
-        assert rt.arity == 2
+        rt = Circuit.from_json(json.loads(json.dumps(cert.to_json())))
+        assert rt == cert
+        assert rt.v == 2

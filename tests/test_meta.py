@@ -18,7 +18,6 @@ from npl.meta import (
     matrix_rank,
     partials_matrix,
     rank_mod_p,
-    shifted_partials_matrix,
 )
 from npl.meta import _derivative_cell, _eliminate
 from npl.errors import (
@@ -38,6 +37,7 @@ from helpers import (
     random_linear_form,
     random_product_of_linear_forms,
     row_rank,
+    symbolic_value_at,
 )
 
 F2 = PrimeField(2)
@@ -94,7 +94,7 @@ class TestPartialsMatrix:
         f = quad(F7, 3, 5, 2)
         m = partials_matrix(f, 1, space=SP22)
         assert m.symbolic is not None
-        assert m.symbolic_value_at(f.coeff_vector(MonomialIndex(SP22))) == m.entries
+        assert symbolic_value_at(m, f.coeff_vector(MonomialIndex(SP22))) == m.entries
         assert m.entries == ((6, 5), (5, 4))
 
     def test_entries_against_derivative_oracle(self):
@@ -120,10 +120,11 @@ class TestPartialsMatrix:
         with pytest.raises(OrderOutOfRange):
             partials_matrix(g, -1, space=SP22)
 
-    def test_dimension_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr("npl.meta.DIMENSION_CAP", 10)
         f = random_dense_poly(random.Random(0), F101, 4, 4)
         with pytest.raises(DimensionCapExceeded):
-            shifted_partials_matrix(f, 2, 3, dimension_cap=10)
+            partials_matrix(f, 2, 3)
 
     def test_linearity_and_scaling(self):
         rng = random.Random(17)
@@ -191,25 +192,26 @@ class TestPartialsMatrix:
 
 class TestShiftedPartials:
     def test_zero_shift_equals_partials(self):
-        f = SparsePoly(F7, 2, {(1, 1): 1})
-        assert shifted_partials_matrix(f, 1, 0).entries == partials_matrix(f, 1).entries
+        # d/dx (xy) = y and d/dy (xy) = x, over the columns (x, y)
+        xy = SparsePoly(F7, 2, {(1, 1): 1})
+        assert partials_matrix(xy, 1, 0).entries == ((0, 1), (1, 0))
 
     def test_worked_xy(self):
         f = SparsePoly(F7, 2, {(1, 1): 1})
-        m = shifted_partials_matrix(f, 1, 1)
+        m = partials_matrix(f, 1, 1)
         assert m.shape == (4, 3)
         assert matrix_rank(m.entries, 7) == 3
 
     def test_worked_cube(self):
         f = SparsePoly(F101, 2, {(3, 0): 1})
-        m = shifted_partials_matrix(f, 1, 1)
+        m = partials_matrix(f, 1, 1)
         assert matrix_rank(m.entries, 101) == 2
 
     def test_entries_against_multiplication_oracle(self):
         rng = random.Random(5)
         for _ in range(10):
             f = random_dense_poly(rng, F101, 2, 3)
-            m = shifted_partials_matrix(f, 1, 1)
+            m = partials_matrix(f, 1, 1)
             for r, (beta, alpha) in enumerate(m.row_labels):
                 shift_mono = SparsePoly(F101, 2, {tuple(beta): 1})
                 g = shift_mono * poly_derivative_order(f, alpha)
@@ -237,7 +239,7 @@ def _kernel_polys(rng, field, v, d):
 def _all_matrices(f, space):
     for k in range(space.d + 1):
         for shift in (0, 1, 2):
-            yield shift, shifted_partials_matrix(f, k, shift, space=space)
+            yield shift, partials_matrix(f, k, shift, space=space)
 
 
 def _cell_rule_entries(f, m, shift):
@@ -287,7 +289,7 @@ class TestShiftedRankFromBasis:
             for kind, f in self._polys(rng, field, v, d).items():
                 for k in range(d + 1):
                     for shift in (1, 2):
-                        m = shifted_partials_matrix(f, k, shift, space=space)
+                        m = partials_matrix(f, k, shift, space=space)
                         got = rank_mod_p(m)
                         assert got == matrix_rank(m.entries, p), (kind, v, d, k, shift)
                         n, c = m.shape
@@ -302,7 +304,7 @@ class TestShiftedRankFromBasis:
         zero = SparsePoly.zero(F101, 3)
         for k in range(5):
             for shift in (1, 2):
-                m = shifted_partials_matrix(zero, k, shift, space=space)
+                m = partials_matrix(zero, k, shift, space=space)
                 # no derivative is nonzero, so the basis is empty
                 assert _eliminate(m.entries, 101, False)[0] == []
                 assert rank_mod_p(m) == 0
@@ -355,7 +357,7 @@ class TestBuildKernel:
             for d in (1, 3, 6):
                 f = SparsePoly(F101, v, {(d,) + (0,) * (v - 1): 1})
                 for k in range(d + 1):
-                    m = shifted_partials_matrix(f, k, 2)
+                    m = partials_matrix(f, k, 2)
                     assert m.entries == _cell_rule_entries(f, m, 2)
                     zeros = (0,) * (v - 1)
                     r = m.row_labels.index(((2,) + zeros, (k,) + zeros))
@@ -368,22 +370,24 @@ class TestBuildKernel:
         other = random_dense_poly(random.Random(2), F101, 3, 4)
         for shift in (0, 1, 2):
             for k in range(5):
-                m = shifted_partials_matrix(zero, k, shift, space=space)
-                ref = shifted_partials_matrix(other, k, shift, space=space)
+                m = partials_matrix(zero, k, shift, space=space)
+                ref = partials_matrix(other, k, shift, space=space)
                 assert (m.row_labels, m.col_labels) == (ref.row_labels, ref.col_labels)
                 assert all(x == 0 for row in m.entries for x in row)
                 assert m.shape == (len(m.entries), len(m.entries[0]))
 
-    def test_dimension_cap_before_any_row(self, monkeypatch):
+    def test_size_cap_before_any_row(self, monkeypatch):
         def no_labels(self):
             raise AssertionError("labels enumerated before the dimension check")
 
         monkeypatch.setattr(MonomialIndex, "monomials", no_labels)
         f = random_dense_poly(random.Random(0), F101, 4, 4)
+        monkeypatch.setattr("npl.meta.DIMENSION_CAP", 10)
         with pytest.raises(DimensionCapExceeded):
-            shifted_partials_matrix(f, 2, 3, dimension_cap=10)
+            partials_matrix(f, 2, 3)
+        monkeypatch.setattr("npl.meta.DIMENSION_CAP", 9)
         with pytest.raises(DimensionCapExceeded):
-            partials_matrix(f, 2, dimension_cap=9)
+            partials_matrix(f, 2)
 
 
 class TestLazySymbolic:
@@ -395,7 +399,7 @@ class TestLazySymbolic:
             index = MonomialIndex(space)
             f = random_dense_poly(rng, F101, v, d)
             for k in range(d + 1):
-                m = shifted_partials_matrix(f, k, shift, space=space)
+                m = partials_matrix(f, k, shift, space=space)
                 assert "symbolic" not in m.__dict__
                 want = tuple(
                     tuple(
@@ -408,7 +412,7 @@ class TestLazySymbolic:
                 )
                 assert m.symbolic == want
                 assert "symbolic" in m.__dict__
-                assert m.symbolic_value_at(f.coeff_vector(index)) == m.entries
+                assert symbolic_value_at(m, f.coeff_vector(index)) == m.entries
 
     def test_none_above_cap(self):
         f = SparsePoly(F101, 7, {(6,) + (0,) * 6: 1})
@@ -417,7 +421,7 @@ class TestLazySymbolic:
         assert "symbolic" not in m.__dict__
         assert m.symbolic is None
         with pytest.raises(ValueError):
-            m.symbolic_value_at([0] * 924)
+            symbolic_value_at(m, [0] * 924)
 
 
 class TestMatrixKernels:
@@ -669,7 +673,7 @@ class TestMinorMeta:
         assert T.degree_bound == 3
         f = SparsePoly(F7, 2, {(1, 1): 1})
         cv = f.coeff_vector(MonomialIndex(SP22))
-        m = shifted_partials_matrix(f, 1, 1)
+        m = partials_matrix(f, 1, 1)
         want = matrix_det([row[:3] for row in m.entries[:3]], 7)
         assert T.eval_at(cv) == want
 

@@ -331,7 +331,7 @@ class TestEngineAgreement:
 
 
 def coeffs_at(desc, params):
-    return desc.member_from_params(params).poly.coeff_vector(MonomialIndex(desc.space))
+    return desc.member_from_params(params).coeff_vector(MonomialIndex(desc.space))
 
 
 class TestGenerator:
@@ -473,8 +473,8 @@ class TestHittingCheck:
         if r.outcome == "witness":
             found = False
             for t in range(10):
-                s = sample_family_with_params(full, derive_seed(9, t))
-                if s.params == r.witness_params:
+                params, _ = sample_family_with_params(full, derive_seed(9, t))
+                if params == r.witness_params:
                     found = True
             assert found
 
@@ -488,7 +488,7 @@ class TestHittingCheck:
             1
             for t in range(30)
             if discriminant(F7).eval_at(
-                sample_family_with_params(full, derive_seed(1, t)).poly.coeff_vector(
+                sample_family_with_params(full, derive_seed(1, t))[1].coeff_vector(
                     MonomialIndex(SP22)
                 ),
             )
