@@ -346,7 +346,9 @@ def _run_rank(plan: ExperimentPlan) -> Tuple[dict, int]:
     path = plan.input("poly")
     poly = _load_json(path, SparsePoly.from_json, plan.field)
     k = plan.input("k")
-    shift = plan.input("shift") if plan.input("method") == "shifted" else 0
+    shift = plan.input("shift")
+    if plan.input("method") == "partials" and shift:
+        raise ValueError("plain partials carries no shift")
     with _about(path):
         matrix = partials_matrix(poly, k, shift)
     result = {

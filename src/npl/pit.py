@@ -9,7 +9,9 @@ only max D_i < p, and it evaluates the circuit at the prod(D_i + 1) points of
 that grid; an input the output never reaches takes the value 0 alone, so
 the walk runs on the circuit restricted to the inputs it reaches.  It runs
 on Python integers, exact for every prime, and the library needs no
-numpy.  The randomized engine samples points; a nonzero polynomial of degree
+numpy.  The family walk of a hitting check shares its row-major grid walk,
+and both refuse a grid past the enumeration budget before its first point.
+The randomized engine samples points; a nonzero polynomial of degree
 d vanishes at a uniform point with probability at most d/p, so "probably
 zero" after t independent trials carries error at most (d/p)^t.  Fields
 larger than twice the degree keep the per-trial error below 1/2; smaller
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .algebra import MonomialIndex, SparsePoly
 from .circuits import Circuit, FamilyDescriptor, _seeded_draws
@@ -79,25 +81,39 @@ class PitVerdict:
 
 
 def _nonzero_verdict(
+    circuit: Circuit,
     point: Sequence[int],
-    recheck: Callable[[Sequence[int]], int],
-    degree_bound: int,
-    p: int,
     trials: Optional[int] = None,
     warnings: Tuple[str, ...] = (),
 ) -> PitVerdict:
-    value = recheck(point)
-    if value % p == 0:
+    p = circuit.field.p
+    value = circuit.evaluate(point) % p
+    if not value:
         raise AssertionError("witness failed its re-evaluation")
     return PitVerdict(
         outcome=PROVEN_NONZERO,
-        degree_bound=degree_bound,
+        degree_bound=circuit.formal_degree,
         p=p,
         witness=tuple(int(x) for x in point),
-        value=int(value % p),
+        value=int(value),
         trials=trials,
         warnings=warnings,
     )
+
+
+def _walk(ranges: Sequence[int], enum_budget: int) -> Tuple[int, Iterator[Tuple[int, ...]]]:
+    """The size of the product grid prod range(r) and its points in
+    row-major order.  A grid past ``enum_budget`` is refused before its
+    first point, and its size is never multiplied out past the budget."""
+    points = 1
+    for r in ranges:
+        points *= r
+        if points > enum_budget:
+            raise EnumerationBudgetExceeded(
+                f"a grid over {len(ranges)} coordinates exceeds the budget of "
+                f"{enum_budget} points"
+            )
+    return points, itertools.product(*map(range, ranges))
 
 
 def pit_exhaustive(
@@ -131,28 +147,20 @@ def pit_exhaustive(
         raise EnumerationBudgetExceeded(
             f"{circuit.v} inputs exceed the budget of {enum_budget}"
         )
-    points = 1
-    for i in support:
-        points *= degrees[i] + 1
-        if points > enum_budget:
-            raise EnumerationBudgetExceeded(
-                f"the grid of prod(D_i + 1) points exceeds the budget of "
-                f"{enum_budget}"
-            )
+    points, grid_walk = _walk([degrees[i] + 1 for i in support], enum_budget)
     grid = {
         "variable_degrees": tuple(degrees.get(i, 0) for i in range(circuit.v)),
         "grid_points": points,
     }
-    deg = circuit.formal_degree
     reduced = circuit.on_support()
-    for x in itertools.product(*(range(degrees[i] + 1) for i in support)):
+    for x in grid_walk:
         if reduced.evaluate(x):
             # inputs outside the support take the value 0 alone
             point = [0] * circuit.v
             for i, xi in zip(support, x):
                 point[i] = xi
-            return replace(_nonzero_verdict(point, circuit.evaluate, deg, p), **grid)
-    return PitVerdict(outcome=PROVEN_ZERO, degree_bound=deg, p=p, **grid)
+            return replace(_nonzero_verdict(circuit, point), **grid)
+    return PitVerdict(outcome=PROVEN_ZERO, degree_bound=circuit.formal_degree, p=p, **grid)
 
 
 def pit_schwartz_zippel(
@@ -179,9 +187,7 @@ def pit_schwartz_zippel(
         )
     for t, point in enumerate(_seeded_draws((p,) * circuit.v, trials, seed)):
         if circuit.evaluate(point):
-            return _nonzero_verdict(
-                point, circuit.evaluate, deg, p, trials=t + 1, warnings=warnings
-            )
+            return _nonzero_verdict(circuit, point, trials=t + 1, warnings=warnings)
     return PitVerdict(
         outcome=PROBABLY_ZERO, degree_bound=deg, p=p, trials=trials, warnings=warnings
     )
@@ -276,25 +282,6 @@ def _check_spaces(desc: FamilyDescriptor, T) -> None:
         raise SpaceMismatch("meta-polynomial and family target different spaces")
 
 
-def _row_major(ranges: Sequence[int]) -> Iterator[Tuple[int, ...]]:
-    """Every point of the product grid prod range(r), in row-major order.
-
-    An odometer: itertools.product would first copy each range into a tuple
-    of r entries, which no memory holds for r near 2^31."""
-    if not all(ranges):
-        return
-    point = [0] * len(ranges)
-    while True:
-        yield tuple(point)
-        i = len(point) - 1
-        while i >= 0 and point[i] == ranges[i] - 1:
-            point[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        point[i] += 1
-
-
 def succinct_hitting_check(
     desc: FamilyDescriptor,
     T,
@@ -309,14 +296,17 @@ def succinct_hitting_check(
 
     Random mode samples ``trials`` members from seeds derived from ``seed``.
     Exhaustive mode walks the family's entire parameter grid; completing the
-    walk with no witness is a proof that T vanishes on the family.  A found
-    witness is returned even if the grid is larger than the budget; only an
-    incomplete, witness-free walk raises.  The witness is rebuilt from its
-    parameters and T re-evaluated on it before it is reported.
+    walk with no witness is a proof that T vanishes on the family.  A grid
+    past ``enum_budget`` members is refused before any member is built.  The
+    witness is rebuilt from its parameters and T re-evaluated on it before
+    it is reported.
     """
     _check_spaces(desc, T)
     ranges = desc.param_ranges()
-    points = _row_major(ranges) if exhaustive else _seeded_draws(ranges, trials, seed)
+    if exhaustive:
+        points = _walk(ranges, enum_budget)[1]
+    else:
+        points = _seeded_draws(ranges, trials, seed)
     index = MonomialIndex(desc.space)
     examined = 0
     zeros = 0
@@ -324,11 +314,6 @@ def succinct_hitting_check(
     witness: Optional[Tuple[Tuple[int, ...], SparsePoly]] = None
     witness_value = 0
     for params in points:
-        if exhaustive and examined >= enum_budget:
-            raise EnumerationBudgetExceeded(
-                f"family grid larger than the budget of {enum_budget} "
-                "and no witness found within it"
-            )
         member = desc.member_from_params(params)
         examined += 1
         val = T.eval_at(member.coeff_vector(index))

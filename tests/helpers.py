@@ -267,3 +267,17 @@ def symbolic_value_at(m: CoeffMatrix, cv: Sequence[int]) -> Tuple[Tuple[int, ...
         tuple(sum(c * cv[i] for i, c in cell.items()) % p for cell in row)
         for row in m.symbolic
     )
+
+
+def count_member_builds(monkeypatch) -> List[Tuple[int, ...]]:
+    """Record the params of every family member built from here on; the
+    returned list fills as ``FamilyDescriptor.member_from_params`` is called."""
+    builds: List[Tuple[int, ...]] = []
+    real = FamilyDescriptor.member_from_params
+
+    def counting(desc, params):
+        builds.append(tuple(params))
+        return real(desc, params)
+
+    monkeypatch.setattr(FamilyDescriptor, "member_from_params", counting)
+    return builds

@@ -28,6 +28,7 @@ from npl.errors import (
 from helpers import (
     affine_poly,
     cofactor_det,
+    count_member_builds,
     distributivity_circuit,
     poly_value,
     random_circuit,
@@ -268,18 +269,20 @@ class TestFamilies:
         assert r.examined == 25
         assert T.seen[:25] == list(itertools.product(range(5), repeat=2))
 
-    def test_exhaustive_walk_row_major_and_lazy(self):
+    def test_exhaustive_walk_row_major_and_refused_unbuilt(self, monkeypatch):
         sp = PolySpace(2, 1, True)
         desc = FamilyDescriptor("full-space", sp, F5)
         # the first member in row-major order with a nonzero coordinate i
         for i, params, examined in ((0, (1, 0), 6), (1, (0, 1), 2)):
             r = succinct_hitting_check(desc, coordinate_meta(sp, F5, i), exhaustive=True)
             assert (r.witness_params, r.examined) == (params, examined)
-        # a grid of (2^61-1)^2 members starts at once, without building it
+        # a grid of (2^61-1)^2 members is refused before any member is built
         F = PrimeField(2**61 - 1)
         big = FamilyDescriptor("squares", PolySpace(2, 2, True), F)
+        builds = count_member_builds(monkeypatch)
         with pytest.raises(EnumerationBudgetExceeded):
             succinct_hitting_check(big, discriminant(F), exhaustive=True, enum_budget=3)
+        assert builds == []
 
     def test_member_from_params_matches_iteration(self):
         # every reported witness is the member its params name

@@ -244,6 +244,13 @@ class TestExitCodes:
         )
         assert code == 0
         assert json.loads(out)["body"]["result"]["rank"] == 2
+        # a shift on plain partials is refused, as it is in a rank-spec file
+        code, out, err = run_cli(
+            capsys, "rank", "--poly", workdir / "poly7.json",
+            "--method", "partials", "--k", "1", "--shift", "2", "--field", "7",
+        )
+        assert (code, out) == (2, "")
+        assert err == "npl: error: plain partials carries no shift\n"
         code, out, _ = run_cli(capsys, "gen", "--n", "2,3", "--field", "101")
         assert code == 0
         gens = json.loads(out)["body"]["result"]["generators"]

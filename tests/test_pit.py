@@ -34,7 +34,13 @@ from npl.errors import (
     SpaceMismatch,
 )
 
-from helpers import det_generator, distributivity_circuit, linear_meta, random_circuit
+from helpers import (
+    count_member_builds,
+    det_generator,
+    distributivity_circuit,
+    linear_meta,
+    random_circuit,
+)
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -424,29 +430,46 @@ class TestHittingCheck:
             FamilyDescriptor("squares", SP22, F7), T, exhaustive=True
         )
         assert none.outcome == "none-found" and none.exhausted
+        # det-projection n=2 has 8 parameters: a grid of 7^8 members
         hit = succinct_hitting_check(
-            FamilyDescriptor("det-projection", SP22, F7, n=2), T, exhaustive=True
+            FamilyDescriptor("det-projection", SP22, F7, n=2), T, exhaustive=True,
+            enum_budget=7**8,
         )
         assert hit.outcome == "witness"
         f = SparsePoly.from_json(hit.witness_poly)
         idx = MonomialIndex(SP22)
         assert T.eval_at(f.coeff_vector(idx)) == hit.witness_value != 0
 
-    def test_budget_semantics(self):
+    def test_budget_semantics(self, monkeypatch):
         squares = FamilyDescriptor("squares", SP22, F7)
         with pytest.raises(EnumerationBudgetExceeded):
             succinct_hitting_check(
                 squares, discriminant(F7), exhaustive=True, enum_budget=48
             )
+        # full-space has 3 parameters: a grid of 343 members
         full = FamilyDescriptor("full-space", SP22, F7)
         ok = succinct_hitting_check(
-            full, discriminant(F7), exhaustive=True, enum_budget=8
+            full, discriminant(F7), exhaustive=True, enum_budget=343
         )
         assert ok.outcome == "witness" and ok.examined == 8
-        with pytest.raises(EnumerationBudgetExceeded):
+        builds = count_member_builds(monkeypatch)
+        with pytest.raises(EnumerationBudgetExceeded, match="3 coordinates"):
             succinct_hitting_check(
-                full, discriminant(F7), exhaustive=True, enum_budget=7
+                full, discriminant(F7), exhaustive=True, enum_budget=342
             )
+        assert builds == []
+
+    def test_grid_past_budget_refused_before_any_member(self, monkeypatch, capsys):
+        # squares over F_(2^31-1) on 2 variables: a grid of p^2 members
+        builds = count_member_builds(monkeypatch)
+        t0 = time.perf_counter()
+        assert main(["hit-check", "--meta", "disc", "--family", "squares",
+                     "--space", "2:2", "--exhaustive"]) == 2
+        assert time.perf_counter() - t0 < 0.5
+        assert builds == []
+        err = capsys.readouterr().err
+        assert err.startswith("npl: error:") and len(err.splitlines()) == 1
+        assert "2 coordinates" in err and "1000000" in err
 
     def test_exhausted_none_found_is_budget_monotone(self):
         squares = FamilyDescriptor("squares", SP22, F7)
@@ -519,12 +542,14 @@ class TestHittingCheck:
         monkeypatch.setattr(npl.circuits, "det_projection", drifting)
         desc = FamilyDescriptor("det-projection", SP22, F7, n=2)
         T = coordinate_meta(SP22, F7, MonomialIndex(SP22).rank((2, 0)))
-        for kwargs in ({"trials": 5, "seed": 0}, {"exhaustive": True}):
+        # the exhaustive grid has 7^8 members, past the default budget
+        for kwargs in ({"trials": 5, "seed": 0}, {"exhaustive": True, "enum_budget": 7**8}):
             with pytest.raises(AssertionError):
                 succinct_hitting_check(desc, T, **kwargs)
         with pytest.raises(AssertionError):
             main(["hit-check", "--meta", "disc", "--family", "detproj:n=2",
-                  "--space", "2:2", "--field", "7", "--exhaustive"])
+                  "--space", "2:2", "--field", "7", "--exhaustive",
+                  "--enum-budget", "5764801"])
         assert capsys.readouterr().out == ""
 
     def test_degenerate_meta_suspected(self):
