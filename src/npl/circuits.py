@@ -362,9 +362,14 @@ class FamilyDescriptor:
     evaluates it.  For every class but sparse, each coefficient of G(params)
     is a polynomial of total degree ``param_degree`` in the parameters, so
     the family is also a generator, a candidate succinct hitting set.
-    Random sampling draws the tuple uniformly; exhaustive enumeration walks
-    the full product grid.  Degenerate draws are kept (the zero polynomial
-    is a legitimate member).
+    ``param_degrees`` gives, per slot, the degree c_i of G in that one
+    parameter: 2 for squares, 1 for every slot of the other classes, and
+    None for the rank slots of a sparse family.  Along a line of the grid
+    that varies only slot i, the coefficient vector is then a polynomial of
+    degree c_i in that parameter, which the exhaustive walk steps by
+    forward differences (see ``npl.pit``).  Random sampling draws the tuple
+    uniformly; exhaustive enumeration walks the full product grid.
+    Degenerate draws are kept (the zero polynomial is a legitimate member).
     """
 
     class_id: str
@@ -427,23 +432,35 @@ class FamilyDescriptor:
             raise DescriptorInvalid(f"{cid} family has n = {n}, not {self.n}")
         object.__setattr__(self, "n", n)
 
-    def param_ranges(self) -> Tuple[int, ...]:
+    @functools.cached_property
+    def _layout(self) -> Tuple[Tuple[int, ...], Tuple[Optional[int], ...]]:
+        """(param_ranges, param_degrees), computed once per descriptor."""
         p = self.field.p
         sp = self.space
         cid = self.class_id
         if cid == "squares":
-            return (p,) * sp.v
+            return (p,) * sp.v, (2,) * sp.v
+        if cid == "sparse":
+            # a monomial rank and a coefficient per slot
+            s = self.sparsity
+            return (sp.dimension,) * s + (p,) * s, (None,) * s + (1,) * s  # type: ignore[operator]
         if cid == "full-space":
-            return (p,) * sp.dimension
-        if cid == "det-projection":
-            width = sp.v if sp.homogeneous else sp.v + 1
-            return (p,) * (self.n * self.n * width)
-        if cid == "sps":
-            total = sum(self.product_degrees) * sp.v  # type: ignore[arg-type]
-            return (p,) * total
-        # sparse: a monomial rank and a coefficient per slot
-        N = sp.dimension
-        return (N,) * self.sparsity + (p,) * self.sparsity  # type: ignore[operator]
+            count = sp.dimension
+        elif cid == "det-projection":
+            count = self.n * self.n * (sp.v if sp.homogeneous else sp.v + 1)
+        else:  # sps
+            count = sum(self.product_degrees) * sp.v  # type: ignore[arg-type]
+        return (p,) * count, (1,) * count
+
+    def param_ranges(self) -> Tuple[int, ...]:
+        return self._layout[0]
+
+    @property
+    def param_degrees(self) -> Tuple[Optional[int], ...]:
+        """Per parameter slot, the degree of G in that parameter alone (the
+        others held fixed): None for the rank slots of a sparse family,
+        which are not polynomial."""
+        return self._layout[1]
 
     @property
     def param_degree(self) -> Optional[int]:
@@ -464,7 +481,7 @@ class FamilyDescriptor:
     def member_from_params(self, params: Sequence[int]) -> SparsePoly:
         """G(params): the member those parameters name, checked against the
         declared space by ``validate_member``."""
-        ranges = self.param_ranges()
+        ranges = self._layout[0]
         if len(params) != len(ranges):
             raise ArityMismatch(
                 f"expected {len(ranges)} parameters, got {len(params)}"

@@ -4,7 +4,10 @@ Every invocation builds an ExperimentPlan (defaults resolved, inputs named),
 executes it, and emits one JSON report.  The report body echoes the full
 plan, so the body alone is enough to rerun the experiment, and reruns with
 the same plan produce byte-identical bodies.  Wall-clock time lives in the
-header, outside the body, precisely so it cannot break that guarantee.
+header, outside the body, precisely so it cannot break that guarantee; so
+do the counters of a family walk (``hit-check`` and ``audit``):
+``members_built``, the members built directly, and ``points_evaluated``,
+the evaluations of the test polynomial on members.
 
 Exit codes: 0 for zero / none-found / accept, 1 for nonzero / witness /
 reject, 2 for usage errors and precondition failures.
@@ -46,6 +49,7 @@ from .meta import (
 from .pit import (
     DEFAULT_ENUM_BUDGET,
     DEFAULT_TRIALS,
+    HitReport,
     identity_test,
     natural_proof_audit,
     succinct_hitting_check,
@@ -53,6 +57,9 @@ from .pit import (
 
 DEFAULT_FIELD = 2 ** 31 - 1
 FIELD_ENV_VAR = "NPL_DEFAULT_FIELD"
+
+# what a runner returns: the result, the exit code and the header counters
+Report = Tuple[dict, int, Dict[str, int]]
 
 
 @dataclass(frozen=True)
@@ -312,26 +319,33 @@ def _resolve_family(spec: str, space: PolySpace, field: PrimeField) -> FamilyDes
     raise ValueError(f"unknown family spec {spec!r}")
 
 
-def _run_pit(plan: ExperimentPlan) -> Tuple[dict, int]:
+def _run_pit(plan: ExperimentPlan) -> Report:
     path = plan.input("circuit")
     circuit = _load_json(path, Circuit.from_json, plan.field)
     with _about(path):
         verdict = identity_test(circuit, **plan.proof_mode)
     code = 1 if verdict.outcome == "proven-nonzero" else 0
-    return {"verdict": verdict.to_json()}, code
+    return {"verdict": verdict.to_json()}, code, {}
 
 
-def _run_hit_check(plan: ExperimentPlan) -> Tuple[dict, int]:
+def _walk_counters(report: HitReport) -> Dict[str, int]:
+    """The header counters of a family walk: members built directly and
+    T evaluations on members."""
+    return {"members_built": report.members_built,
+            "points_evaluated": report.points_evaluated}
+
+
+def _run_hit_check(plan: ExperimentPlan) -> Report:
     field = PrimeField(plan.field)
     space = _parse_space(plan.input("space"))
     T = _resolve_meta(plan.input("meta"), space, field)
     desc = _resolve_family(plan.input("family"), space, field)
     report = succinct_hitting_check(desc, T, **plan.proof_mode)
     code = 1 if report.outcome == "witness" else 0
-    return {"hit_report": report.to_json()}, code
+    return {"hit_report": report.to_json()}, code, _walk_counters(report)
 
 
-def _run_audit(plan: ExperimentPlan) -> Tuple[dict, int]:
+def _run_audit(plan: ExperimentPlan) -> Report:
     field = PrimeField(plan.field)
     space = _parse_space(plan.input("space"))
     T = _resolve_meta(plan.input("meta"), space, field)
@@ -339,10 +353,10 @@ def _run_audit(plan: ExperimentPlan) -> Tuple[dict, int]:
     hard = _load_json(plan.input("hard"), SparsePoly.from_json, plan.field, space)
     report = natural_proof_audit(T, desc, hard, **plan.proof_mode)
     code = 1 if report.classification == "refuted" else 0
-    return {"audit": report.to_json()}, code
+    return {"audit": report.to_json()}, code, _walk_counters(report.evidence)
 
 
-def _run_rank(plan: ExperimentPlan) -> Tuple[dict, int]:
+def _run_rank(plan: ExperimentPlan) -> Report:
     path = plan.input("poly")
     poly = _load_json(path, SparsePoly.from_json, plan.field)
     k = plan.input("k")
@@ -360,10 +374,10 @@ def _run_rank(plan: ExperimentPlan) -> Tuple[dict, int]:
     }
     if plan.input("include_matrix"):
         result["matrix"] = [list(row) for row in matrix.entries]
-    return result, 0
+    return result, 0, {}
 
 
-def _run_gen(plan: ExperimentPlan) -> Tuple[dict, int]:
+def _run_gen(plan: ExperimentPlan) -> Report:
     """Seed-length accounting of the determinant generator, which is the
     homogeneous det-projection family on n^2 variables."""
     field = PrimeField(plan.field)
@@ -380,10 +394,10 @@ def _run_gen(plan: ExperimentPlan) -> Tuple[dict, int]:
             member = sample_family_with_params(desc, plan.seed)[1]
             row["sample_nonzero_coords"] = len(member.terms)
         rows.append(row)
-    return {"generators": rows}, 0
+    return {"generators": rows}, 0, {}
 
 
-def _run_ips_verify(plan: ExperimentPlan) -> Tuple[dict, int]:
+def _run_ips_verify(plan: ExperimentPlan) -> Report:
     field = PrimeField(plan.field)
     if plan.input("cnf") is not None:
         system_path = plan.input("cnf")
@@ -394,10 +408,10 @@ def _run_ips_verify(plan: ExperimentPlan) -> Tuple[dict, int]:
     cert = _load_json(plan.input("cert"), Circuit.from_json)
     with _about(system_path, plan.input("cert")):
         report = verify_certificate(system, cert, **plan.proof_mode)
-    return {"verification": report.to_json()}, 0 if report.accepted else 1
+    return {"verification": report.to_json()}, 0 if report.accepted else 1, {}
 
 
-def _run_ips_from_cnf(plan: ExperimentPlan) -> Tuple[dict, int]:
+def _run_ips_from_cnf(plan: ExperimentPlan) -> Report:
     cnf, system = _load_cnf(plan.input("cnf"), PrimeField(plan.field))
     doc = system.to_json()
     if plan.input("system_out"):
@@ -409,7 +423,7 @@ def _run_ips_from_cnf(plan: ExperimentPlan) -> Tuple[dict, int]:
         "num_vars": cnf.num_vars,
         "num_clauses": len(cnf.clauses),
         "num_members": len(system.members),
-    }, 0
+    }, 0, {}
 
 
 _RUNNERS = {
@@ -423,14 +437,19 @@ _RUNNERS = {
 }
 
 
-def execute_plan(plan: ExperimentPlan) -> Tuple[dict, int]:
-    result, code = _RUNNERS[plan.command](plan)
+def execute_plan(plan: ExperimentPlan) -> Report:
+    """(body, exit code, header counters) of the plan's report."""
+    result, code, counters = _RUNNERS[plan.command](plan)
     body = {"plan": plan.to_json(), "version": __version__, "result": result}
-    return body, code
+    return body, code, counters
 
 
-def render_report(body: dict, wall_clock_ms: float, pretty: bool) -> str:
-    doc = {"header": {"wall_clock_ms": round(wall_clock_ms, 3)}, "body": body}
+def render_report(
+    body: dict, wall_clock_ms: float, pretty: bool,
+    counters: Optional[Mapping[str, int]] = None,
+) -> str:
+    header = {"wall_clock_ms": round(wall_clock_ms, 3), **(counters or {})}
+    doc = {"header": header, "body": body}
     if pretty:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -442,7 +461,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     start = time.perf_counter()
     try:
         plan = parse_plan(argv)
-        body, code = execute_plan(plan)
+        body, code, counters = execute_plan(plan)
     except SystemExit as exc:
         # argparse usage failures (including --help, which exits 0)
         return int(exc.code or 0)
@@ -450,7 +469,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"npl: error: {exc}", file=sys.stderr)
         return 2
     wall_ms = (time.perf_counter() - start) * 1000.0
-    text = render_report(body, wall_ms, plan.pretty)
+    text = render_report(body, wall_ms, plan.pretty, counters)
     sys.stdout.write(text)
     if plan.out:
         try:

@@ -11,6 +11,13 @@ the walk runs on the circuit restricted to the inputs it reaches.  It runs
 on Python integers, exact for every prime, and the library needs no
 numpy.  The family walk of a hitting check shares its row-major grid walk,
 and both refuse a grid past the enumeration budget before its first point.
+A family walk builds only a few members per line of its grid (the points
+that differ in the last parameter alone): along a line the member's
+coefficient vector is a polynomial of degree c, the family's declared degree
+in that parameter, so after c+1 built members each further vector is
+stepped by forward differences with c vector additions mod p.  That is exact
+over every F_p, since the (c+1)-th difference of a degree-c polynomial is 0,
+and the last point of each line is also built and compared with its step.
 The randomized engine samples points; a nonzero polynomial of degree
 d vanishes at a uniform point with probability at most d/p, so "probably
 zero" after t independent trials carries error at most (d/p)^t.  Fields
@@ -24,8 +31,8 @@ Verdict witnesses are always re-evaluated before the verdict is built, so a
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import MonomialIndex, SparsePoly
 from .circuits import Circuit, FamilyDescriptor, _seeded_draws
@@ -101,10 +108,14 @@ def _nonzero_verdict(
     )
 
 
-def _walk(ranges: Sequence[int], enum_budget: int) -> Tuple[int, Iterator[Tuple[int, ...]]]:
+def _walk(
+    ranges: Sequence[int], enum_budget: int, lines: bool = False
+) -> Tuple[int, Iterator[Tuple[int, ...]]]:
     """The size of the product grid prod range(r) and its points in
-    row-major order.  A grid past ``enum_budget`` is refused before its
-    first point, and its size is never multiplied out past the budget."""
+    row-major order; with ``lines``, only the prefixes of its lines, each
+    line being the ``ranges[-1]`` consecutive points that share a prefix.
+    A grid past ``enum_budget`` is refused before its first point, and its
+    size is never multiplied out past the budget."""
     points = 1
     for r in ranges:
         points *= r
@@ -113,7 +124,7 @@ def _walk(ranges: Sequence[int], enum_budget: int) -> Tuple[int, Iterator[Tuple[
                 f"a grid over {len(ranges)} coordinates exceeds the budget of "
                 f"{enum_budget} points"
             )
-    return points, itertools.product(*map(range, ranges))
+    return points, itertools.product(*map(range, ranges[:-1] if lines else ranges))
 
 
 def pit_exhaustive(
@@ -240,6 +251,15 @@ class HitReport:
     witness_poly: Optional[dict] = None
     witness_value: Optional[int] = None
     degenerate_suspected: bool = False
+    # the cost of the check, outside the body: members built directly (the
+    # witness rebuild included) and T evaluations on members
+    members_built: int = field(default=0, compare=False)
+
+    @property
+    def points_evaluated(self) -> int:
+        """T evaluations on members: one per member examined, and one more
+        on the rebuilt witness."""
+        return self.examined + (self.witness_params is not None)
 
     @property
     def mode(self) -> str:
@@ -282,6 +302,60 @@ def _check_spaces(desc: FamilyDescriptor, T) -> None:
         raise SpaceMismatch("meta-polynomial and family target different spaces")
 
 
+def _family_walk(
+    desc: FamilyDescriptor,
+    coeffs: Callable[[Tuple[int, ...]], List[int]],
+    enum_budget: int,
+) -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
+    """(params, coefficient vector) of every member of the family, in the
+    row-major order of its parameter grid.
+
+    ``coeffs`` gives a member's coefficient vector from a direct build.  On
+    each line (prefix fixed, last parameter t = 0..L-1) the vector is a
+    polynomial of degree c = ``param_degrees[-1]`` in t, so the first c+1
+    points are built and every later one is stepped from a table of backward
+    differences with c vector additions mod p.  The step is exact over every
+    F_p: the (c+1)-th difference of a degree-c polynomial is 0.  The last
+    point of a longer line is also built and must equal its stepped vector;
+    a degree declared too low shows there, at t = p-1, as a difference of
+    lead * (-1)^(c+1) * (c+1)! != 0.  A stepped member of a sparse family
+    must have at most s nonzero coefficients, as ``validate_member`` checks
+    of a built one.
+    """
+    ranges = desc.param_ranges()
+    prefixes = _walk(ranges, enum_budget, lines=True)[1]
+    if not ranges:
+        yield (), coeffs(())
+        return
+    L, c = ranges[-1], desc.param_degrees[-1]
+    seeds = L if c is None else min(L, c + 1)
+    p = desc.field.p
+    sparsity = desc.sparsity if desc.class_id == "sparse" else None
+    for prefix in prefixes:
+        table = []
+        for t in range(seeds):
+            params = prefix + (t,)
+            table.append(coeffs(params))
+            yield params, table[-1]
+        if seeds == L:
+            continue
+        # diffs[j] is the j-th backward difference at the last point reached
+        diffs = table[::-1]
+        for j in range(1, c + 1):
+            for i in range(c, j - 1, -1):
+                diffs[i] = [(x - y) % p for x, y in zip(diffs[i - 1], diffs[i])]
+        for t in range(seeds, L):
+            for j in range(c - 1, -1, -1):
+                diffs[j] = [(x + y) % p for x, y in zip(diffs[j], diffs[j + 1])]
+            params, cv = prefix + (t,), diffs[0]
+            if t == L - 1:
+                if coeffs(params) != cv:
+                    raise AssertionError(f"stepped member {params} differs from its build")
+            elif sparsity is not None and len(cv) - cv.count(0) > sparsity:
+                raise AssertionError(f"stepped member {params} has over {sparsity} terms")
+            yield params, cv
+
+
 def succinct_hitting_check(
     desc: FamilyDescriptor,
     T,
@@ -295,43 +369,55 @@ def succinct_hitting_check(
     """Search the family for a member on which T is nonzero.
 
     Random mode samples ``trials`` members from seeds derived from ``seed``.
-    Exhaustive mode walks the family's entire parameter grid; completing the
+    Exhaustive mode walks the family's entire parameter grid, stepping each
+    line of it by forward differences (``_family_walk``); completing the
     walk with no witness is a proof that T vanishes on the family.  A grid
     past ``enum_budget`` members is refused before any member is built.  The
     witness is rebuilt from its parameters and T re-evaluated on it before
     it is reported.
     """
     _check_spaces(desc, T)
-    ranges = desc.param_ranges()
-    if exhaustive:
-        points = _walk(ranges, enum_budget)[1]
-    else:
-        points = _seeded_draws(ranges, trials, seed)
     index = MonomialIndex(desc.space)
+    built = 0
+
+    def build(params: Tuple[int, ...]) -> SparsePoly:
+        nonlocal built
+        built += 1
+        return desc.member_from_params(params)
+
+    def coeffs(params: Tuple[int, ...]) -> List[int]:
+        return build(params).coeff_vector(index)
+
+    if exhaustive:
+        points = _family_walk(desc, coeffs, enum_budget)
+    else:
+        draws = _seeded_draws(desc.param_ranges(), trials, seed)
+        points = ((params, coeffs(params)) for params in draws)
     examined = 0
     zeros = 0
-    # (params, member) of the first member where T is nonzero
-    witness: Optional[Tuple[Tuple[int, ...], SparsePoly]] = None
-    witness_value = 0
-    for params in points:
-        member = desc.member_from_params(params)
+    # (params, coefficient vector, T-value) of the first member where T is nonzero
+    witness: Optional[Tuple[Tuple[int, ...], List[int], int]] = None
+    for params, cv in points:
         examined += 1
-        val = T.eval_at(member.coeff_vector(index))
+        val = T.eval_at(cv)
         if not val:
             zeros += 1
             continue
         if witness is None:
-            witness, witness_value = (params, member), val
+            witness = (params, cv, val)
         # an exhaustive walk stops at its witness; random mode may count on
         if exhaustive or not collect_stats:
             break
     degenerate = False
+    witness_poly = None
     if witness is None:
         degenerate = _meta_looks_zero(T, seed)
     else:
-        again = desc.member_from_params(witness[0])
-        if again != witness[1] or T.eval_at(again.coeff_vector(index)) != witness_value:
+        again = build(witness[0])
+        cv = again.coeff_vector(index)
+        if cv != witness[1] or T.eval_at(cv) != witness[2]:
             raise AssertionError("witness failed its rebuild and re-evaluation")
+        witness_poly = again.to_json()
     return HitReport(
         meta_id=getattr(T, "meta_id", "meta"),
         family=desc,
@@ -341,9 +427,10 @@ def succinct_hitting_check(
         seed=seed,
         trials=trials,
         witness_params=None if witness is None else witness[0],
-        witness_poly=None if witness is None else witness[1].to_json(),
-        witness_value=None if witness is None else witness_value,
+        witness_poly=witness_poly,
+        witness_value=None if witness is None else witness[2],
         degenerate_suspected=degenerate,
+        members_built=built,
     )
 
 

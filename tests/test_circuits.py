@@ -417,9 +417,32 @@ class TestParamDegree:
             want = sympy_terms(G.as_expr().subs(dict(zip(a, params))), xs, p)
             assert dict(desc.member_from_params(params).terms) == want
 
+    @pytest.mark.parametrize("desc", CASES, ids=lambda d: d.class_id)
+    def test_param_degrees_sound_and_tight(self, desc):
+        # in each slot alone, every coefficient of G has degree <= c_i in
+        # that parameter, and some coefficient has exactly c_i
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols(f"x0:{desc.space.v}")
+        a = sympy.symbols(f"a0:{len(desc.param_ranges())}")
+        G = sympy.Poly(sympy.expand(family_sympy(desc, a, xs)), *xs)
+        coeffs = [sympy.Poly(c, *a, modulus=desc.field.p) for c in G.coeffs()]
+        assert len(desc.param_degrees) == len(a)
+        for ai, ci in zip(a, desc.param_degrees):
+            assert max(c.degree(ai) for c in coeffs) == ci, ai
+
     def test_sparse_has_none(self):
         sparse = FamilyDescriptor("sparse", PolySpace(2, 2, True), F5, sparsity=2)
         assert sparse.param_degree is None
+        # rank slots are not polynomial; each coefficient slot is linear
+        assert sparse.param_degrees == (None, None, 1, 1)
+        idx = MonomialIndex(sparse.space)
+        for ranks in itertools.product(range(3), repeat=2):
+            for slot in (2, 3):
+                line = [sparse.member_from_params(ranks + tuple(
+                    t if i == slot else 1 for i in (2, 3))).coeff_vector(idx)
+                    for t in range(3)]
+                assert line[1] != line[0]
+                assert all((x - 2 * y + z) % 5 == 0 for x, y, z in zip(*line))
 
 
 class TestVariableDegrees:

@@ -488,6 +488,24 @@ class TestReports:
         assert "wall_clock_ms" in doc["header"]
         assert "wall_clock_ms" not in json.dumps(doc["body"])
 
+    def test_walk_counters_in_header(self, workdir, capsys):
+        # squares over F_7: 7 lines of c+1 = 3 seeds and a line end each
+        base = ("--meta", "disc", "--space", "2:2", "--field", "7", "--exhaustive")
+        for argv, counters in (
+            (("hit-check", "--family", "squares"),
+             {"members_built": 28, "points_evaluated": 49}),
+            # the witness at (0, 1, 0) is rebuilt and evaluated once more
+            (("audit", "--family", "full", "--hard", workdir / "xy7.json"),
+             {"members_built": 5, "points_evaluated": 9}),
+        ):
+            _, out, _ = run_cli(capsys, *argv, *base)
+            doc = json.loads(out)
+            assert {k: doc["header"][k] for k in counters} == counters, argv[0]
+            assert not any(k in json.dumps(doc["body"]) for k in counters)
+        _, out, _ = run_cli(capsys, "pit", "--circuit", workdir / "zero.json",
+                            "--field", "13")
+        assert set(json.loads(out)["header"]) == {"wall_clock_ms"}
+
     def test_named_meta_variants(self, workdir, capsys):
         for meta in ("disc", "coord:1", "partials-minor:k=1,r=1",
                      "shifted-minor:k=1,l=1,r=2"):

@@ -560,6 +560,102 @@ class TestHittingCheck:
         assert r.degenerate_suspected
 
 
+def direct_walk(desc, T):
+    """(examined, zeros, witness params, witness poly, witness value) of a
+    walk that builds every member of the grid, in row-major order."""
+    idx = MonomialIndex(desc.space)
+    examined = zeros = 0
+    for params in itertools.product(*map(range, desc.param_ranges())):
+        member = desc.member_from_params(params)
+        examined += 1
+        val = T.eval_at(member.coeff_vector(idx))
+        if val:
+            return examined, zeros, params, member.to_json(), val
+        zeros += 1
+    return examined, zeros, None, None, None
+
+
+class Recording:
+    """Zero everywhere; records the coefficient vectors it sees."""
+
+    def __init__(self, space, field):
+        self.space, self.field, self.degree_bound = space, field, 1
+        self.seen = []
+
+    def eval_at(self, cv):
+        self.seen.append(tuple(cv))
+        return 0
+
+
+class TestSteppedWalk:
+    @staticmethod
+    def families(field):
+        return [
+            FamilyDescriptor("squares", SP22, field),
+            FamilyDescriptor("full-space", SP22, field),
+            FamilyDescriptor("det-projection", PolySpace(2, 1, True), field, n=1),
+            FamilyDescriptor("det-projection", PolySpace(2, 1, False), field, n=1),
+            FamilyDescriptor("sps", SP22, field, top_fanin=1),
+            FamilyDescriptor("sps", SP22, field, top_fanin=0),  # a grid of one point
+            FamilyDescriptor("sparse", SP22, field, sparsity=2),
+        ]
+
+    @staticmethod
+    def metas(space, field):
+        # coordinate 0 varies slowest, so its witness comes late in the walk
+        out = [coordinate_meta(space, field, 0)]
+        if space == SP22:
+            out.append(discriminant(field))
+        if space.homogeneous and field.p > space.d:
+            minor = MinorSelection("leading", space.d)
+            out.append(MinorMeta(RankMethodSpec("partials", 1, 0, minor), space, field))
+        return out
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_same_report_as_direct_builds(self, p):
+        field = PrimeField(p)
+        outcomes = set()
+        for desc in self.families(field):
+            # every member of the grid, vector by vector (the probe of T
+            # itself then records more)
+            T = Recording(desc.space, field)
+            r = succinct_hitting_check(desc, T, exhaustive=True)
+            idx = MonomialIndex(desc.space)
+            assert T.seen[: r.examined] == [
+                tuple(desc.member_from_params(params).coeff_vector(idx))
+                for params in itertools.product(*map(range, desc.param_ranges()))
+            ], desc.class_id
+            for T in self.metas(desc.space, field):
+                r = succinct_hitting_check(desc, T, exhaustive=True)
+                got = (r.examined, r.zeros, r.witness_params, r.witness_poly,
+                       r.witness_value)
+                assert got == direct_walk(desc, T), (desc.class_id, T.meta_id)
+                outcomes.add(r.outcome)
+        assert outcomes == {"witness", "none-found"}
+
+    def test_under_declared_degree_caught_at_line_end(self, monkeypatch):
+        squares = FamilyDescriptor("squares", SP22, F7)
+        monkeypatch.setattr(FamilyDescriptor, "param_degrees",
+                            property(lambda desc: (1,) * len(desc.param_ranges())))
+        with pytest.raises(AssertionError, match="differs from its build"):
+            succinct_hitting_check(squares, discriminant(F7), exhaustive=True)
+
+    def test_builds_per_line(self, monkeypatch):
+        # c+1 seeds and the line end per line of 13 points, c = 2
+        builds = count_member_builds(monkeypatch)
+        squares = FamilyDescriptor("squares", SP22, F13)
+        r = succinct_hitting_check(squares, discriminant(F13), exhaustive=True)
+        assert r.exhausted and r.examined == 169
+        assert len(builds) == r.members_built <= 13 * (2 + 2) + 2
+        assert r.points_evaluated == 169
+        # a witness is rebuilt and re-evaluated: one more build and evaluation
+        full = FamilyDescriptor("full-space", SP22, F13)
+        del builds[:]
+        r = succinct_hitting_check(full, discriminant(F13), exhaustive=True)
+        assert r.witness_params == (0, 1, 0) and r.points_evaluated == r.examined + 1
+        assert builds[-1] == r.witness_params and r.members_built == len(builds)
+
+
 class TestAudit:
     def test_trials_positive(self):
         full = FamilyDescriptor("full-space", SP22, F7)
