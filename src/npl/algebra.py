@@ -5,8 +5,8 @@ Representation notes:
 * Field values are canonical integers in ``[0, p)``; polynomial and matrix
   internals stay on raw ints for speed, with the field carried alongside.
 * A monomial is a vector of non-negative exponents, one per variable, and
-  the public API speaks tuples: ``terms``, ``coefficient``, ``to_json``,
-  ``coeff_vector`` and ``MonomialIndex``.  Inside ``SparsePoly`` a monomial
+  the public API speaks tuples: ``terms``, ``to_json``, ``coeff_vector`` and
+  the rank and unrank of a ``PolySpace``.  Inside ``SparsePoly`` a monomial
   is one int with a w-bit field per variable, variable 0 in the top field,
   so int order is tuple lex order and multiplying monomials is adding ints
   (the packed layout of Monagan & Pearce, "Parallel sparse polynomial
@@ -18,11 +18,12 @@ Representation notes:
   coefficient; the zero polynomial is the empty map and has degree -1.
 * Only external input (``SparsePoly(...)``, ``from_json``) is validated;
   arithmetic results come from the trusted ``SparsePoly._make``.
-* ``MonomialIndex`` fixes the coordinate order used everywhere: monomials of
-  one degree are ranked in descending lexicographic order on the exponent
-  tuple, and at-most-degree spaces list the degree blocks d, d-1, ..., 0.
-  So on the homogeneous quadratics in x, y the coordinates are
-  (x^2, x*y, y^2) and a*x^2 + b*x*y + c*y^2 has coefficient vector (a, b, c).
+* A ``PolySpace`` is its own monomial index and fixes the coordinate order
+  used everywhere: monomials of one degree are ranked in descending
+  lexicographic order on the exponent tuple, and at-most-degree spaces list
+  the degree blocks d, d-1, ..., 0.  So on the homogeneous quadratics in
+  x, y the coordinates are (x^2, x*y, y^2) and a*x^2 + b*x*y + c*y^2 has
+  coefficient vector (a, b, c).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ Exponents = Tuple[int, ...]
 # every product that grows past this many monomials raises TermCapExceeded
 DEFAULT_TERM_CAP = 1 << 20
 
-# Refuse to build index spaces whose dense dimension cannot be addressed.
+# Refuse to build spaces whose dense dimension cannot be addressed.
 MAX_SPACE_DIM = 1 << 26
 
 # packed exponent fields are at least this wide, so degrees below 256 never repack
@@ -115,7 +116,14 @@ def _num_monomials(v: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class PolySpace:
-    """Polynomials in v variables of degree exactly d (homogeneous) or at most d."""
+    """Polynomials in v variables of degree exactly d (homogeneous) or at most d.
+
+    The space is also the rank/unrank bijection between its monomials and
+    [0, dimension).  Rank 0 is the first monomial in the declared order:
+    descending lex within one degree, higher degree blocks first for at-most
+    spaces.  The bijection is what ties coefficient vectors to positions, so
+    it is the single ordering authority for the whole package.
+    """
 
     v: int
     d: int
@@ -131,17 +139,60 @@ class PolySpace:
                 f"space dimension {self.dimension} exceeds cap {MAX_SPACE_DIM}"
             )
 
-    @property
+    @cached_property
     def dimension(self) -> int:
-        if self.homogeneous:
-            return math.comb(self.v + self.d - 1, self.d)
-        return math.comb(self.v + self.d, self.d)
+        # the monomials of degree <= d in v variables are, by padding, those
+        # of degree exactly d in v + 1
+        return _num_monomials(self.v + (not self.homogeneous), self.d)
 
     def contains_exponents(self, e: Exponents) -> bool:
         if len(e) != self.v or any(x < 0 for x in e):
             return False
         deg = sum(e)
         return deg == self.d if self.homogeneous else deg <= self.d
+
+    def rank(self, e: Exponents) -> int:
+        if not self.contains_exponents(e):
+            raise SpaceMismatch(f"monomial {e} not in {self}")
+        deg = sum(e)
+        r = _hom_rank(e, deg)
+        if not self.homogeneous:
+            # blocks of degree d, d-1, ..., deg+1 precede this one
+            for dd in range(self.d, deg, -1):
+                r += _num_monomials(self.v, dd)
+        return r
+
+    def unrank(self, i: int) -> Exponents:
+        if not 0 <= i < self.dimension:
+            raise IndexError(f"rank {i} outside [0, {self.dimension})")
+        if self.homogeneous:
+            return _hom_unrank(i, self.v, self.d)
+        for dd in range(self.d, -1, -1):
+            block = _num_monomials(self.v, dd)
+            if i < block:
+                return _hom_unrank(i, self.v, dd)
+            i -= block
+        raise AssertionError("unreachable")
+
+    def monomials(self) -> Iterator[Exponents]:
+        """Every monomial of the space in rank order, without unranking."""
+        v, d = self.v, self.d
+        # ends[s] lists, in descending lex order, the exponents of the last j
+        # variables that sum to s; each pass puts one more variable in front
+        ends = [[(s,)] for s in range(d + 1)]
+        for _ in range(v - 1):
+            ends = [
+                [(t,) + e for t in range(s, -1, -1) for e in ends[s - t]]
+                for s in range(d + 1)
+            ]
+        for dd in [d] if self.homogeneous else range(d, -1, -1):
+            yield from ends[dd]
+
+    @cached_property
+    def _ranks(self) -> Dict[int, int]:
+        """Ranks of the monomials met so far, by packed key at the width
+        ``_width(d)``; filled by ``SparsePoly.coeff_vector``."""
+        return {}
 
     def mode(self) -> str:
         return "homogeneous" if self.homogeneous else "at-most"
@@ -188,68 +239,6 @@ def _hom_unrank(r: int, v: int, d: int) -> Exponents:
             r -= block
     e.append(rem)
     return tuple(e)
-
-
-@dataclass(frozen=True)
-class MonomialIndex:
-    """Rank/unrank bijection between a space's monomials and [0, N).
-
-    Rank 0 is the first monomial in the declared order: descending lex within
-    one degree, higher degree blocks first for at-most spaces.  The bijection
-    is what ties coefficient vectors to positions, so it is the single
-    ordering authority for the whole package.
-    """
-
-    space: PolySpace
-
-    @property
-    def dimension(self) -> int:
-        return self.space.dimension
-
-    def rank(self, e: Exponents) -> int:
-        sp = self.space
-        if not sp.contains_exponents(e):
-            raise SpaceMismatch(f"monomial {e} not in {sp}")
-        deg = sum(e)
-        r = _hom_rank(e, deg)
-        if not sp.homogeneous:
-            # blocks of degree d, d-1, ..., deg+1 precede this one
-            for dd in range(sp.d, deg, -1):
-                r += _num_monomials(sp.v, dd)
-        return r
-
-    def unrank(self, i: int) -> Exponents:
-        sp = self.space
-        if not 0 <= i < sp.dimension:
-            raise IndexError(f"rank {i} outside [0, {sp.dimension})")
-        if sp.homogeneous:
-            return _hom_unrank(i, sp.v, sp.d)
-        for dd in range(sp.d, -1, -1):
-            block = _num_monomials(sp.v, dd)
-            if i < block:
-                return _hom_unrank(i, sp.v, dd)
-            i -= block
-        raise AssertionError("unreachable")
-
-    def monomials(self) -> Iterator[Exponents]:
-        """Every monomial of the space in rank order, without unranking."""
-        v, d = self.space.v, self.space.d
-        # ends[s] lists, in descending lex order, the exponents of the last j
-        # variables that sum to s; each pass puts one more variable in front
-        ends = [[(s,)] for s in range(d + 1)]
-        for _ in range(v - 1):
-            ends = [
-                [(t,) + e for t in range(s, -1, -1) for e in ends[s - t]]
-                for s in range(d + 1)
-            ]
-        for dd in [d] if self.space.homogeneous else range(d, -1, -1):
-            yield from ends[dd]
-
-    @cached_property
-    def _ranks(self) -> Dict[int, int]:
-        """Ranks of the monomials met so far, by packed key at the width
-        ``_width(space.d)``; filled by ``SparsePoly.coeff_vector``."""
-        return {}
 
 
 def _width(d: int) -> int:
@@ -382,12 +371,6 @@ class SparsePoly:
         return cls._make(field, v, {0: c} if c else {}, 0, (0, 0) if c else None)
 
     @classmethod
-    def variable(cls, field: PrimeField, v: int, i: int) -> "SparsePoly":
-        if not 0 <= i < v:
-            raise ValueError(f"variable index {i} outside [0, {v})")
-        return cls._make(field, v, {1 << _MIN_WIDTH * (v - 1 - i): 1}, 1, (1, 1))
-
-    @classmethod
     def linear(
         cls, field: PrimeField, coeffs: Sequence[int], const: int = 0
     ) -> "SparsePoly":
@@ -406,14 +389,14 @@ class SparsePoly:
 
     @classmethod
     def from_coeff_vector(
-        cls, field: PrimeField, index: MonomialIndex, vec: Sequence[int]
+        cls, field: PrimeField, space: PolySpace, vec: Sequence[int]
     ) -> "SparsePoly":
-        if len(vec) != index.dimension:
+        if len(vec) != space.dimension:
             raise ArityMismatch(
-                f"vector of length {len(vec)} against dimension {index.dimension}"
+                f"vector of length {len(vec)} against dimension {space.dimension}"
             )
-        terms = dict(zip(index.monomials(), vec))
-        return cls(field, index.space.v, terms)
+        terms = dict(zip(space.monomials(), vec))
+        return cls(field, space.v, terms)
 
     # -- inspection ----------------------------------------------------
 
@@ -455,22 +438,18 @@ class SparsePoly:
         lo, hi = span
         return lo == hi == space.d if space.homogeneous else hi <= space.d
 
-    def coefficient(self, e: Exponents) -> int:
-        return self.terms.get(tuple(e), 0)
-
-    def coeff_vector(self, index: MonomialIndex) -> List[int]:
-        sp = index.space
-        if not self.fits_space(sp):
-            raise SpaceMismatch(f"polynomial does not fit {sp}")
-        # every degree is at most sp.d, so the index's width holds the terms
-        w = _width(sp.d)
+    def coeff_vector(self, space: PolySpace) -> List[int]:
+        if not self.fits_space(space):
+            raise SpaceMismatch(f"polynomial does not fit {space}")
+        # every degree is at most space.d, so the memo's width holds the terms
+        w = _width(space.d)
         terms = self._packed(w)
-        ranks = index._ranks
-        vec = [0] * index.dimension
+        ranks = space._ranks
+        vec = [0] * space.dimension
         for k, c in terms.items():
             r = ranks.get(k)
             if r is None:
-                r = ranks[k] = index.rank(_unpacker(sp.v, w)(k))
+                r = ranks[k] = space.rank(_unpacker(space.v, w)(k))
             vec[r] = c
         return vec
 
@@ -518,14 +497,6 @@ class SparsePoly:
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
 
-    def scale(self, c: int) -> "SparsePoly":
-        p = self.field.p
-        c %= p
-        if not c:
-            return SparsePoly.zero(self.field, self.v)
-        terms = {k: c * x % p for k, x in self._terms.items()}
-        return SparsePoly._make(self.field, self.v, terms, self._d, self._span)
-
     def mul(self, other: "SparsePoly") -> "SparsePoly":
         self._check_compatible(other)
         d = self._d + other._d
@@ -561,15 +532,8 @@ class SparsePoly:
         span = (sa[0] + sb[0], sa[1] + sb[1]) if sa and sb else None
         return SparsePoly._make(self.field, self.v, terms, d, span)
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
+    def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         return self.mul(other)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
 
     def pow(self, e: int) -> "SparsePoly":
         if e < 0:

@@ -20,7 +20,6 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
     Exponents,
-    MonomialIndex,
     PolySpace,
     PrimeField,
     SparsePoly,
@@ -186,21 +185,6 @@ class Circuit:
             else:
                 vals.append(vals[g[1]] * vals[g[2]] % p)
         return vals[self.out]
-
-    def expand(self) -> SparsePoly:
-        """The polynomial the circuit computes, as an explicit term map."""
-        polys: List[SparsePoly] = []
-        for g in self.gates:
-            op = g[0]
-            if op == "in":
-                polys.append(SparsePoly.variable(self.field, self.v, g[1]))
-            elif op == "const":
-                polys.append(SparsePoly.constant(self.field, self.v, g[1]))
-            elif op == "add":
-                polys.append(polys[g[1]] + polys[g[2]])
-            else:
-                polys.append(polys[g[1]].mul(polys[g[2]]))
-        return polys[self.out]
 
     def to_json(self) -> dict:
         gates = []
@@ -494,7 +478,7 @@ class FamilyDescriptor:
         if cid == "squares":
             poly = SparsePoly.linear(fld, params).pow(2)
         elif cid == "full-space":
-            poly = SparsePoly.from_coeff_vector(fld, MonomialIndex(sp), list(params))
+            poly = SparsePoly.from_coeff_vector(fld, sp, list(params))
         elif cid == "det-projection":
             poly = det_projection(fld, sp, self.n, params)
         elif cid == "sps":
@@ -508,10 +492,9 @@ class FamilyDescriptor:
             poly = sps_build(fld, sp.v, products)
         else:  # sparse: s monomial ranks, then their s coefficients
             s = self.sparsity
-            idx = MonomialIndex(sp)
             terms: Dict[Exponents, int] = {}
             for rank, coeff in zip(params[:s], params[s:]):
-                e = idx.unrank(rank)
+                e = sp.unrank(rank)
                 terms[e] = terms.get(e, 0) + coeff
             poly = SparsePoly(fld, sp.v, terms)
         if not validate_member(self, poly):

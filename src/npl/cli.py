@@ -10,7 +10,9 @@ do the counters of a family walk (``hit-check`` and ``audit``):
 the evaluations of the test polynomial on members.
 
 Exit codes: 0 for zero / none-found / accept, 1 for nonzero / witness /
-reject, 2 for usage errors and precondition failures.
+reject, 2 for usage errors, precondition failures and internal errors (a
+failed consistency check of the library, reported as ``npl: internal
+error``).
 """
 
 from __future__ import annotations
@@ -467,6 +469,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     except (NplError, ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"npl: error: {exc}", file=sys.stderr)
+        return 2
+    except AssertionError as exc:
+        print(f"npl: internal error: {exc}", file=sys.stderr)
         return 2
     wall_ms = (time.perf_counter() - start) * 1000.0
     text = render_report(body, wall_ms, plan.pretty, counters)

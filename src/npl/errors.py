@@ -22,7 +22,7 @@ class ArityMismatch(NplError):
 
 
 class TermCapExceeded(NplError):
-    """A symbolic expansion grew past the fixed monomial cap."""
+    """A polynomial product grew past the fixed monomial cap."""
 
 
 class DescriptorInvalid(NplError):

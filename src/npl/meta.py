@@ -42,7 +42,6 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
     Exponents,
-    MonomialIndex,
     PolySpace,
     PrimeField,
     SparsePoly,
@@ -114,14 +113,13 @@ class CoeffMatrix:
     def symbolic(self) -> Optional[Tuple[Tuple[Mapping[int, int], ...], ...]]:
         if self.space.dimension > SYMBOLIC_SPACE_CAP:
             return None
-        index = MonomialIndex(self.space)
         p = self.field.p
         cells = (
             (_derivative_cell(label, m, self.shift, p) for m in self.col_labels)
             for label in self.row_labels
         )
         return tuple(
-            tuple({} if c is None else {index.rank(c[0]): c[1]} for c in row)
+            tuple({} if c is None else {self.space.rank(c[0]): c[1]} for c in row)
             for row in cells
         )
 
@@ -134,7 +132,7 @@ def _space_for(f: SparsePoly, space: Optional[PolySpace]) -> PolySpace:
             raise SpaceMismatch("derivative matrices need a homogeneous space")
         return space
     if f.is_zero:
-        raise SpaceMismatch("zero polynomial: pass the space explicitly")
+        raise SpaceMismatch("the zero polynomial has no degree to fix its space")
     if not f.is_homogeneous():
         raise SpaceMismatch("polynomial is not homogeneous")
     return PolySpace(f.v, f.degree, True)
@@ -153,19 +151,16 @@ def _shifted_labels(
         raise OrderOutOfRange("negative shift")
     if p <= d:
         raise CharacteristicTooSmall(f"characteristic {p} must exceed degree {d}")
-    rows_n = MonomialIndex(PolySpace(v, k, True)).dimension
-    cols_space = PolySpace(v, d - k + shift, True)
-    cols_n = cols_space.dimension
-    if shift:
-        rows_n *= MonomialIndex(PolySpace(v, shift, True)).dimension
+    rows_n = _num_monomials(v, k) * _num_monomials(v, shift)
+    cols_n = _num_monomials(v, d - k + shift)
     if rows_n > DIMENSION_CAP or cols_n > DIMENSION_CAP:
         raise DimensionCapExceeded(
             f"matrix of shape ({rows_n}, {cols_n}) exceeds cap {DIMENSION_CAP}"
         )
-    derivs = tuple(MonomialIndex(PolySpace(v, k, True)).monomials())
-    cols = tuple(MonomialIndex(cols_space).monomials())
+    derivs = tuple(PolySpace(v, k, True).monomials())
+    cols = tuple(PolySpace(v, d - k + shift, True).monomials())
     if shift:
-        shifts = tuple(MonomialIndex(PolySpace(v, shift, True)).monomials())
+        shifts = tuple(PolySpace(v, shift, True).monomials())
         rows = tuple((b, a) for b in shifts for a in derivs)
     else:
         rows = derivs
@@ -197,7 +192,7 @@ def partials_matrix(
     fall = [[perm(e, a) % p for a in range(d + 1)] for e in range(d + 1)]
     tails = cols
     if shift:
-        tails = tuple(MonomialIndex(PolySpace(v, d - k, True)).monomials())
+        tails = tuple(PolySpace(v, d - k, True).monomials())
     tail_keys = [key(t) for t in tails]
 
     # one row of d^alpha f per alpha, indexed by the tail t of its monomials
@@ -341,16 +336,6 @@ class MinorSelection:
         if given:
             raise ValueError(f"{self.kind} minor takes no {', '.join(given)}")
 
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind, "size": self.size}
-        if self.rows is not None:
-            out["rows"] = list(self.rows)
-        if self.cols is not None:
-            out["cols"] = list(self.cols)
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
-
     @classmethod
     def from_json(cls, data: Mapping) -> "MinorSelection":
         rows, cols, seed = data.get("rows"), data.get("cols"), data.get("seed")
@@ -375,14 +360,6 @@ class RankMethodSpec:
             raise ValueError(f"unknown rank method {self.method!r}")
         if self.method == "partials" and self.shift != 0:
             raise ValueError("plain partials carries no shift")
-
-    def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "k": self.k,
-            "shift": self.shift,
-            "minor": self.minor.to_json(),
-        }
 
     @classmethod
     def from_json(cls, data: Mapping) -> "RankMethodSpec":
@@ -434,7 +411,6 @@ class MinorMeta:
             raise SpaceMismatch("rank methods operate on homogeneous spaces")
         rows, cols = _shifted_labels(space, spec.k, spec.shift, field.p)
         sel_rows, sel_cols = _select_indices(spec.minor, len(rows), len(cols))
-        index = MonomialIndex(space)
         p = field.p
         cells: List[Tuple[Optional[Tuple[int, int]], ...]] = []
         for r in sel_rows:
@@ -442,14 +418,12 @@ class MinorMeta:
             for c in sel_cols:
                 cell = _derivative_cell(rows[r], cols[c], spec.shift, p)
                 row_cells.append(
-                    None if cell is None else (index.rank(cell[0]), cell[1])
+                    None if cell is None else (space.rank(cell[0]), cell[1])
                 )
             cells.append(tuple(row_cells))
         self.spec = spec
         self.space = space
         self.field = field
-        self.row_indices = sel_rows
-        self.col_indices = sel_cols
         self._cells = tuple(cells)
         self.meta_id = (
             f"{spec.method}-minor:k={spec.k},shift={spec.shift},size={spec.minor.size},"

@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import MonomialIndex, SparsePoly
+from .algebra import SparsePoly
 from .circuits import Circuit, FamilyDescriptor, _seeded_draws
 from .errors import (
     CharacteristicTooSmall,
@@ -377,7 +377,7 @@ def succinct_hitting_check(
     it is reported.
     """
     _check_spaces(desc, T)
-    index = MonomialIndex(desc.space)
+    space = desc.space
     built = 0
 
     def build(params: Tuple[int, ...]) -> SparsePoly:
@@ -386,7 +386,7 @@ def succinct_hitting_check(
         return desc.member_from_params(params)
 
     def coeffs(params: Tuple[int, ...]) -> List[int]:
-        return build(params).coeff_vector(index)
+        return build(params).coeff_vector(space)
 
     if exhaustive:
         points = _family_walk(desc, coeffs, enum_budget)
@@ -414,7 +414,7 @@ def succinct_hitting_check(
         degenerate = _meta_looks_zero(T, seed)
     else:
         again = build(witness[0])
-        cv = again.coeff_vector(index)
+        cv = again.coeff_vector(space)
         if cv != witness[1] or T.eval_at(cv) != witness[2]:
             raise AssertionError("witness failed its rebuild and re-evaluation")
         witness_poly = again.to_json()
@@ -484,7 +484,7 @@ def natural_proof_audit(
     """Check whether T separates the easy family from one hard candidate;
     ``AuditReport.classification`` names the outcome."""
     _check_spaces(easy, T)
-    hard_value = T.eval_at(hard.coeff_vector(MonomialIndex(easy.space)))
+    hard_value = T.eval_at(hard.coeff_vector(easy.space))
     evidence = succinct_hitting_check(easy, T, exhaustive=exhaustive, trials=trials, seed=seed,
                                       enum_budget=enum_budget, collect_stats=True)
     return AuditReport(evidence, hard.to_json(), hard_value)

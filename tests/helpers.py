@@ -12,7 +12,7 @@ import random
 from math import comb, prod
 from typing import Iterator, List, Sequence, Tuple
 
-from npl.algebra import MonomialIndex, PolySpace, PrimeField, SparsePoly
+from npl.algebra import PolySpace, PrimeField, SparsePoly
 from npl.circuits import Circuit, CircuitBuilder, FamilyDescriptor
 from npl.errors import ArityMismatch
 from npl.meta import CircuitMeta, CoeffMatrix
@@ -207,10 +207,6 @@ def cnf_satisfied(clauses: Sequence[Sequence[int]], assignment: Sequence[int]) -
     return all(clause_satisfied(c, assignment) for c in clauses)
 
 
-def space_index(space: PolySpace) -> MonomialIndex:
-    return MonomialIndex(space)
-
-
 def binom(n: int, k: int) -> int:
     return comb(n, k)
 
@@ -222,6 +218,11 @@ def affine_poly(field: PrimeField, coeffs: Sequence[int], const: int = 0) -> Spa
     terms = {tuple(int(j == i) for j in range(v)): c for i, c in enumerate(coeffs)}
     terms[(0,) * v] = const
     return SparsePoly(field, v, terms)
+
+
+def unit_form(field: PrimeField, v: int, i: int) -> SparsePoly:
+    """The variable x_i of v, as the linear form on the i-th unit vector."""
+    return SparsePoly.linear(field, [int(j == i) for j in range(v)])
 
 
 def poly_value(f: SparsePoly, point: Sequence[int]) -> int:
@@ -281,3 +282,38 @@ def count_member_builds(monkeypatch) -> List[Tuple[int, ...]]:
 
     monkeypatch.setattr(FamilyDescriptor, "member_from_params", counting)
     return builds
+
+
+def sympy_terms(expr, gens, p):
+    """{exponents: coefficient in [0, p)} of a sympy expression over GF(p);
+    sympy reports symmetric residues."""
+    import sympy
+
+    poly = sympy.Poly(expr, *gens, modulus=p)
+    return {e: c % p for e, c in poly.terms() if c % p}
+
+
+def sympy_value(circuit: Circuit, xs):
+    """The circuit's output as a sympy expression in the symbols xs."""
+    import sympy
+
+    vals = []
+    for g in circuit.gates:
+        if g[0] == "in":
+            vals.append(xs[g[1]])
+        elif g[0] == "const":
+            vals.append(sympy.Integer(g[1]))
+        elif g[0] == "add":
+            vals.append(vals[g[1]] + vals[g[2]])
+        else:
+            vals.append(vals[g[1]] * vals[g[2]])
+    return vals[circuit.out]
+
+
+def sympy_poly(circuit: Circuit) -> SparsePoly:
+    """The polynomial the circuit computes, expanded by sympy."""
+    import sympy
+
+    xs = sympy.symbols(f"x0:{circuit.v}")
+    p = circuit.field.p
+    return SparsePoly(circuit.field, circuit.v, sympy_terms(sympy_value(circuit, xs), xs, p))

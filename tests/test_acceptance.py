@@ -15,7 +15,7 @@ from math import comb
 
 import pytest
 
-from npl.algebra import MonomialIndex, PolySpace, PrimeField, SparsePoly
+from npl.algebra import PolySpace, PrimeField, SparsePoly
 from npl.circuits import CircuitBuilder, FamilyDescriptor
 from npl.meta import (
     MinorMeta,
@@ -72,7 +72,7 @@ def test_criterion_01_monomial_indexing():
     with criterion(1, "monomial indexing round-trip", 1.0):
         for v in range(1, 6):
             for d in range(0, 7):
-                hom = MonomialIndex(PolySpace(v, d, True))
+                hom = PolySpace(v, d, True)
                 assert hom.dimension == comb(v + d - 1, d)
                 ranks = set()
                 for i in range(hom.dimension):
@@ -80,7 +80,7 @@ def test_criterion_01_monomial_indexing():
                     assert hom.rank(e) == i
                     ranks.add(i)
                 assert ranks == set(range(hom.dimension))
-                atmost = MonomialIndex(PolySpace(v, d, False))
+                atmost = PolySpace(v, d, False)
                 for i in range(atmost.dimension):
                     assert atmost.rank(atmost.unrank(i)) == i
         assert PolySpace(2, 2, True).dimension == 3
@@ -198,7 +198,7 @@ def test_criterion_05_generator_accounting():
                 for j in range(n):
                     base = (i * n + j) * (n * n)
                     seed[base + i * n + j] = 1
-            cv = g.member_from_params(seed).coeff_vector(MonomialIndex(g.space))
+            cv = g.member_from_params(seed).coeff_vector(g.space)
             # a generic n x n determinant has n! monomials with +-1 coeffs
             from math import factorial
 
@@ -210,7 +210,6 @@ def test_criterion_05_generator_accounting():
 def test_criterion_06_generator_hitting():
     with criterion(6, "det_2 projections hit 60/60 linear metas", 60.0):
         g = det_generator(2, F5)
-        idx = MonomialIndex(g.space)
         metas = [coordinate_meta(g.space, F5, i) for i in range(10)]
         rng = random.Random(2001)
         while len(metas) < 60:
@@ -221,7 +220,7 @@ def test_criterion_06_generator_hitting():
         for i, T in enumerate(metas):
             r = succinct_hitting_check(g, T, trials=10**5, seed=6000 + i)
             if r.outcome == "witness":
-                cv = g.member_from_params(r.witness_params).coeff_vector(idx)
+                cv = g.member_from_params(r.witness_params).coeff_vector(g.space)
                 assert T.eval_at(cv) == r.witness_value != 0
                 hits += 1
         assert hits == 60, f"{hits}/60 hit"
@@ -237,7 +236,7 @@ def test_criterion_07_succinct_hitting_audit():
         vanish = succinct_hitting_check(squares, disc, exhaustive=True)
         assert vanish.outcome == "none-found"
         assert vanish.exhausted and vanish.zeros == vanish.examined == 49
-        assert disc.eval_at(xy.coeff_vector(MonomialIndex(space))) == 1
+        assert disc.eval_at(xy.coeff_vector(space)) == 1
 
         report = natural_proof_audit(disc, squares, xy, exhaustive=True)
         assert report.classification == "valid-separation-instance"
@@ -248,7 +247,7 @@ def test_criterion_07_succinct_hitting_audit():
         assert flipped.classification == "refuted"
         w = SparsePoly.from_json(flipped.evidence.witness_poly)
         assert (
-            disc.eval_at(w.coeff_vector(MonomialIndex(space)))
+            disc.eval_at(w.coeff_vector(space))
             == flipped.evidence.witness_value
             != 0
         )

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from npl.algebra import MonomialIndex, PolySpace, PrimeField, SparsePoly
+from npl.algebra import PolySpace, PrimeField, SparsePoly
 from npl.circuits import (
     Circuit,
     CircuitBuilder,
@@ -22,7 +22,6 @@ from npl.errors import (
     ArityMismatch,
     DescriptorInvalid,
     EnumerationBudgetExceeded,
-    TermCapExceeded,
 )
 
 from helpers import (
@@ -32,6 +31,10 @@ from helpers import (
     distributivity_circuit,
     poly_value,
     random_circuit,
+    sympy_poly,
+    sympy_terms,
+    sympy_value,
+    unit_form,
 )
 
 F5 = PrimeField(5)
@@ -56,24 +59,17 @@ class TestCircuitBasics:
         assert ident.evaluate((4,)) == 4
 
     def test_worked_expansions(self):
-        got = mul_circuit(F7).expand()
-        assert got == SparsePoly(F7, 2, {(1, 1): 1, (0, 2): 1})
+        pytest.importorskip("sympy")
         b = CircuitBuilder(F7, 2)
         left = b.add(b.inp(0), b.inp(1))
         right = b.add(b.inp(1), b.inp(0))
         neg = b.mul(b.const(6), right)
         zero = b.build(b.add(left, neg))
-        assert zero.expand().is_zero
-
-    def test_expand_term_cap(self):
-        F = PrimeField(2**31 - 1)
-        b = CircuitBuilder(F, 40)
-        acc = b.const(1)
-        for i in range(40):
-            acc = b.mul(acc, b.add(b.inp(i), b.const(1)))
-        c = b.build(acc)
-        with pytest.raises(TermCapExceeded):
-            c.expand()
+        for c, want in ((mul_circuit(F7), SparsePoly(F7, 2, {(1, 1): 1, (0, 2): 1})),
+                        (zero, SparsePoly.zero(F7, 2))):
+            assert sympy_poly(c) == want
+            for pt in itertools.product(range(7), repeat=2):
+                assert c.evaluate(pt) == poly_value(want, pt)
 
     def test_formal_degree(self):
         c = mul_circuit(F7)
@@ -104,13 +100,11 @@ class TestCircuitBasics:
             Circuit.from_json(bad)
 
     def test_eval_expand_agreement_random(self):
-        sympy = pytest.importorskip("sympy")
+        pytest.importorskip("sympy")
         rng = random.Random(11)
         for _ in range(200):
             c = random_circuit(rng, F13, rng.randrange(1, 5), 8, 6)
-            f = c.expand()
-            xs = sympy.symbols(f"x0:{c.v}")
-            assert dict(f.terms) == sympy_terms(sympy_value(c, xs), xs, 13)
+            f = sympy_poly(c)
             for _ in range(3):
                 pt = tuple(rng.randrange(13) for _ in range(c.v))
                 assert c.evaluate(pt) == poly_value(f, pt)
@@ -177,7 +171,7 @@ class TestDeterminant:
             assert det(L) == det(A) * det(B)
 
     def test_berkowitz_entry_type(self):
-        x = SparsePoly.variable(F7, 1, 0)
+        x = unit_form(F7, 1, 0)
         one = SparsePoly.constant(F7, 1, 1)
         assert berkowitz_det([[x, one], [one, x]]) == SparsePoly(
             F7, 1, {(2,): 1, (0,): 6}
@@ -330,32 +324,6 @@ class TestSeedDerivation:
         assert len(derived) == 100
 
 
-def sympy_terms(expr, gens, p):
-    """{exponents: coefficient in [0, p)} of a sympy expression over GF(p);
-    sympy reports symmetric residues."""
-    import sympy
-
-    poly = sympy.Poly(expr, *gens, modulus=p)
-    return {e: c % p for e, c in poly.terms() if c % p}
-
-
-def sympy_value(circuit, xs):
-    """The circuit's output as a sympy expression in the symbols xs."""
-    import sympy
-
-    vals = []
-    for g in circuit.gates:
-        if g[0] == "in":
-            vals.append(xs[g[1]])
-        elif g[0] == "const":
-            vals.append(sympy.Integer(g[1]))
-        elif g[0] == "add":
-            vals.append(vals[g[1]] + vals[g[2]])
-        else:
-            vals.append(vals[g[1]] * vals[g[2]])
-    return vals[circuit.out]
-
-
 def family_sympy(desc, a, xs):
     """G(a) as a sympy expression in the symbolic parameters a, built from
     the documented parameter layout of each class, not from npl's builders."""
@@ -373,8 +341,7 @@ def family_sympy(desc, a, xs):
     if cid == "squares":
         return lin(a) ** 2
     if cid == "full-space":
-        idx = MonomialIndex(sp)
-        return sum(c * sympy.prod([x**k for x, k in zip(xs, idx.unrank(r))])
+        return sum(c * sympy.prod([x**k for x, k in zip(xs, sp.unrank(r))])
                    for r, c in enumerate(a))
     if cid == "det-projection":
         # entry-major: per entry its v coefficients, then an affine constant
@@ -435,11 +402,10 @@ class TestParamDegree:
         assert sparse.param_degree is None
         # rank slots are not polynomial; each coefficient slot is linear
         assert sparse.param_degrees == (None, None, 1, 1)
-        idx = MonomialIndex(sparse.space)
         for ranks in itertools.product(range(3), repeat=2):
             for slot in (2, 3):
                 line = [sparse.member_from_params(ranks + tuple(
-                    t if i == slot else 1 for i in (2, 3))).coeff_vector(idx)
+                    t if i == slot else 1 for i in (2, 3))).coeff_vector(sparse.space)
                     for t in range(3)]
                 assert line[1] != line[0]
                 assert all((x - 2 * y + z) % 5 == 0 for x, y, z in zip(*line))
@@ -486,10 +452,7 @@ class TestVariableDegrees:
 
     def test_bounds_every_expansion(self):
         # the exhaustive identity test is a proof only if these bounds hold
-        try:
-            import sympy
-        except ImportError:
-            sympy = None
+        sympy = pytest.importorskip("sympy")
         rng = random.Random(1999)
         circuits = [random_circuit(rng, F, rng.randrange(1, 5), 10, 5)
                     for F in (F5, F7, F13) for _ in range(100)]
@@ -497,12 +460,11 @@ class TestVariableDegrees:
                      for v, p in ((3, 47), (4, 17)) for identity in (True, False)]
         for c in circuits:
             bound = [c.variable_degrees.get(i, 0) for i in range(c.v)]
-            for e in c.expand().terms:
+            xs = sympy.symbols(f"x0:{c.v}")
+            for e in sympy_terms(sympy_value(c, xs), xs, c.field.p):
                 assert all(a <= d for a, d in zip(e, bound)), (c, e)
-            if sympy is not None:
-                xs = sympy.symbols(f"x0:{c.v}")
-                poly = sympy.Poly(sympy_value(c, xs), *xs, modulus=c.field.p)
-                assert all(poly.degree(x) <= d for x, d in zip(xs, bound)), c
+            poly = sympy.Poly(sympy_value(c, xs), *xs, modulus=c.field.p)
+            assert all(poly.degree(x) <= d for x, d in zip(xs, bound)), c
 
 
 @pytest.mark.parametrize("p", (13, 2**61 - 1, 2**64 - 59))
@@ -521,20 +483,3 @@ class TestAgainstSympy:
             M = sympy.Matrix(n, n, lambda i, j: sum(
                 c * x for c, x in zip(forms[i][j][0], xs)) + forms[i][j][1])
             assert dict(got.terms) == sympy_terms(M.det(method="laplace"), xs, p)
-
-    def test_circuit_expand(self, p):
-        sympy = pytest.importorskip("sympy")
-        rng = random.Random(p)
-        xs = sympy.symbols("x0:3")
-        for _ in range(10):
-            # operands from the last five gates keep the output deep
-            b = CircuitBuilder(PrimeField(p), 3)
-            gates = [(b.inp(i), 1) for i in range(3)] + [(b.const(rng.randrange(p)), 0)]
-            for _ in range(12):
-                (x, dx), (y, dy) = rng.sample(gates[-5:], 2)
-                if dx + dy <= 6 and rng.random() < 0.6:
-                    gates.append((b.mul(x, y), dx + dy))
-                else:
-                    gates.append((b.add(x, y), max(dx, dy)))
-            c = b.build()
-            assert dict(c.expand().terms) == sympy_terms(sympy_value(c, xs), xs, p)

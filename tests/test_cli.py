@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from npl.algebra import PrimeField, SparsePoly
-from npl.circuits import CircuitBuilder
+from npl.circuits import CircuitBuilder, FamilyDescriptor
 from npl.ips import Cnf, cnf_to_system
 from npl.cli import DEFAULT_FIELD, build_parser, main, parse_plan
 
@@ -251,6 +251,12 @@ class TestExitCodes:
         )
         assert (code, out) == (2, "")
         assert err == "npl: error: plain partials carries no shift\n"
+        # the zero polynomial has no degree, and rank takes no space option
+        zero = workdir / "zero7.json"
+        zero.write_text(json.dumps(SparsePoly.zero(F7, 2).to_json()))
+        code, out, err = run_cli(capsys, "rank", "--poly", zero, "--k", "1", "--field", "7")
+        assert (code, out) == (2, "")
+        assert err == f"npl: error: {zero}: the zero polynomial has no degree to fix its space\n"
         code, out, _ = run_cli(capsys, "gen", "--n", "2,3", "--field", "101")
         assert code == 0
         gens = json.loads(out)["body"]["result"]["generators"]
@@ -418,6 +424,19 @@ class TestExitCodes:
             spec = meta if family == "squares" else family
             assert (code, out) == (2, "")
             assert err == f"npl: error: spec {spec!r} is missing key {key!r}\n"
+
+    def test_internal_error_exits_two(self, capsys, monkeypatch):
+        # a family degree declared too low fails the walk's own check at a
+        # line end: one diagnostic line and exit 2, not the witness code 1
+        monkeypatch.setattr(FamilyDescriptor, "param_degrees",
+                            property(lambda desc: (1,) * len(desc.param_ranges())))
+        code, out, err = run_cli(capsys, "hit-check", "--meta", "disc", "--family",
+                                 "squares", "--space", "2:2", "--field", "7",
+                                 "--exhaustive")
+        assert (code, out) == (2, "")
+        assert err == ("npl: internal error: stepped member (0, 6) differs "
+                       "from its build\n")
+        assert "Traceback" not in err
 
     def test_argparse_usage_error(self, workdir, capsys):
         assert run_cli(capsys, "pit")[0] == 2

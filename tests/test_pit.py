@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from npl.algebra import MonomialIndex, PolySpace, PrimeField, SparsePoly
+from npl.algebra import PolySpace, PrimeField, SparsePoly
 from npl.circuits import (
     Circuit,
     CircuitBuilder,
@@ -337,7 +337,7 @@ class TestEngineAgreement:
 
 
 def coeffs_at(desc, params):
-    return desc.member_from_params(params).coeff_vector(MonomialIndex(desc.space))
+    return desc.member_from_params(params).coeff_vector(desc.space)
 
 
 class TestGenerator:
@@ -354,9 +354,8 @@ class TestGenerator:
         seed = [0] * 16
         seed[0] = seed[5] = seed[10] = seed[15] = 1
         cv = coeffs_at(g, seed)
-        idx = MonomialIndex(g.space)
-        assert cv[idx.rank((1, 0, 0, 1))] == 1
-        assert cv[idx.rank((0, 1, 1, 0))] == 4
+        assert cv[g.space.rank((1, 0, 0, 1))] == 1
+        assert cv[g.space.rank((0, 1, 1, 0))] == 4
         assert sum(1 for x in cv if x) == 2
 
     def test_zero_seed(self):
@@ -368,7 +367,7 @@ class TestGenerator:
         seed = [0] * 16
         seed[0] = seed[12] = 1  # both diagonal entries read x1
         cv = coeffs_at(g, seed)
-        T = coordinate_meta(g.space, F5, MonomialIndex(g.space).rank((2, 0, 0, 0)))
+        T = coordinate_meta(g.space, F5, g.space.rank((2, 0, 0, 0)))
         assert T.eval_at(cv) == 1
         Tsum = linear_meta(g.space, F5, [1] * 10)
         assert Tsum.eval_at(cv) == 1
@@ -437,8 +436,7 @@ class TestHittingCheck:
         )
         assert hit.outcome == "witness"
         f = SparsePoly.from_json(hit.witness_poly)
-        idx = MonomialIndex(SP22)
-        assert T.eval_at(f.coeff_vector(idx)) == hit.witness_value != 0
+        assert T.eval_at(f.coeff_vector(SP22)) == hit.witness_value != 0
 
     def test_budget_semantics(self, monkeypatch):
         squares = FamilyDescriptor("squares", SP22, F7)
@@ -511,9 +509,7 @@ class TestHittingCheck:
             1
             for t in range(30)
             if discriminant(F7).eval_at(
-                sample_family_with_params(full, derive_seed(1, t))[1].coeff_vector(
-                    MonomialIndex(SP22)
-                ),
+                sample_family_with_params(full, derive_seed(1, t))[1].coeff_vector(SP22),
             )
         ) == 30
 
@@ -541,16 +537,18 @@ class TestHittingCheck:
 
         monkeypatch.setattr(npl.circuits, "det_projection", drifting)
         desc = FamilyDescriptor("det-projection", SP22, F7, n=2)
-        T = coordinate_meta(SP22, F7, MonomialIndex(SP22).rank((2, 0)))
+        T = coordinate_meta(SP22, F7, SP22.rank((2, 0)))
         # the exhaustive grid has 7^8 members, past the default budget
         for kwargs in ({"trials": 5, "seed": 0}, {"exhaustive": True, "enum_budget": 7**8}):
             with pytest.raises(AssertionError):
                 succinct_hitting_check(desc, T, **kwargs)
-        with pytest.raises(AssertionError):
-            main(["hit-check", "--meta", "disc", "--family", "detproj:n=2",
-                  "--space", "2:2", "--field", "7", "--exhaustive",
-                  "--enum-budget", "5764801"])
-        assert capsys.readouterr().out == ""
+        # through the CLI: one internal-error line and exit 2, no report
+        assert main(["hit-check", "--meta", "disc", "--family", "detproj:n=2",
+                     "--space", "2:2", "--field", "7", "--exhaustive",
+                     "--enum-budget", "5764801"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("npl: internal error: ") and err.count("\n") == 1
 
     def test_degenerate_meta_suspected(self):
         full = FamilyDescriptor("full-space", SP22, F7)
@@ -563,12 +561,11 @@ class TestHittingCheck:
 def direct_walk(desc, T):
     """(examined, zeros, witness params, witness poly, witness value) of a
     walk that builds every member of the grid, in row-major order."""
-    idx = MonomialIndex(desc.space)
     examined = zeros = 0
     for params in itertools.product(*map(range, desc.param_ranges())):
         member = desc.member_from_params(params)
         examined += 1
-        val = T.eval_at(member.coeff_vector(idx))
+        val = T.eval_at(member.coeff_vector(desc.space))
         if val:
             return examined, zeros, params, member.to_json(), val
         zeros += 1
@@ -620,9 +617,8 @@ class TestSteppedWalk:
             # itself then records more)
             T = Recording(desc.space, field)
             r = succinct_hitting_check(desc, T, exhaustive=True)
-            idx = MonomialIndex(desc.space)
             assert T.seen[: r.examined] == [
-                tuple(desc.member_from_params(params).coeff_vector(idx))
+                tuple(desc.member_from_params(params).coeff_vector(desc.space))
                 for params in itertools.product(*map(range, desc.param_ranges()))
             ], desc.class_id
             for T in self.metas(desc.space, field):
