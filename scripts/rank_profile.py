@@ -20,15 +20,7 @@ def product_of_linear_forms(rng, field, v, d):
         coeffs = [rng.randrange(field.p) for _ in range(v)]
         if not any(coeffs):
             coeffs[rng.randrange(v)] = 1 + rng.randrange(field.p - 1)
-        form = SparsePoly(
-            field, v,
-            {
-                tuple(1 if j == i else 0 for j in range(v)): c
-                for i, c in enumerate(coeffs)
-                if c
-            },
-        )
-        f = f * form
+        f = f.mul(SparsePoly.linear(field, coeffs))
     return f
 
 

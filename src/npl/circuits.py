@@ -249,65 +249,18 @@ class CircuitBuilder:
         return Circuit(self.field, self.v, tuple(self.gates), out)
 
 
-def berkowitz_det(mat: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
-    """Division-free determinant of a square matrix of polynomials.
-
-    Uses the Berkowitz recursion on principal submatrices; all intermediate
-    values are Toeplitz products of polynomial vectors, so no entry is ever
-    inverted and the result is exact over any commutative coefficient ring.
-    """
-    n = len(mat)
-    if n == 0:
-        raise ValueError("empty matrix")
-    probe = mat[0][0]
-    fld, v = probe.field, probe.v
-    one = SparsePoly.constant(fld, v, 1)
-
-    def vector(sub: Sequence[Sequence[SparsePoly]]) -> List[SparsePoly]:
-        m = len(sub)
-        if m == 1:
-            return [one, -sub[0][0]]
-        a = sub[0][0]
-        row = list(sub[0][1:])
-        col = [r[0] for r in sub[1:]]
-        inner = [list(r[1:]) for r in sub[1:]]
-
-        def dot(xs: Sequence[SparsePoly], ys: Sequence[SparsePoly]) -> SparsePoly:
-            acc = SparsePoly.zero(fld, v)
-            for x, y in zip(xs, ys):
-                acc = acc + x.mul(y)
-            return acc
-
-        diags = [col]
-        for _ in range(m - 2):
-            prev = diags[-1]
-            diags.append(
-                [dot(inner[i], prev) for i in range(m - 1)]
-            )
-        toep = [one, -a] + [-dot(row, d) for d in diags]
-        sub_vec = vector(inner)
-        out = []
-        for i in range(m + 1):
-            acc = SparsePoly.zero(fld, v)
-            for j in range(min(i, m - 1) + 1):
-                if i - j < len(toep):
-                    acc = acc + toep[i - j].mul(sub_vec[j])
-            out.append(acc)
-        return out
-
-    charpoly = vector([list(r) for r in mat])
-    det = charpoly[n]
-    if n % 2 == 1:
-        det = -det
-    return det
-
-
 def det_projection(
     field: PrimeField, space: PolySpace, n: int, params: Sequence[int]
 ) -> SparsePoly:
     """det(L(x)) for the n x n matrix L of affine forms in the space's
     variables that params lays out entry-major: per entry its v coefficients,
-    then its constant when the space is not homogeneous."""
+    then its constant when the space is not homogeneous.
+
+    The determinant is expanded by cofactors along the rows, memoized on
+    column subsets: after row r, minors[S] is the determinant of rows 0..r
+    restricted to the columns in the bitmask S, |S| = r + 1.  That takes
+    n * 2^(n-1) products of a linear form by a minor and no division, so it
+    is exact over every prime field."""
     v = space.v
     width = v if space.homogeneous else v + 1
     if len(params) != n * n * width:
@@ -316,7 +269,21 @@ def det_projection(
         SparsePoly.linear(field, params[i : i + v], 0 if width == v else params[i + v])
         for i in range(0, len(params), width)
     ]
-    return berkowitz_det([entries[r * n : (r + 1) * n] for r in range(n)])
+    minors = {0: SparsePoly.constant(field, v, 1)}
+    for r in range(n):
+        grown: Dict[int, SparsePoly] = {}
+        for s, minor in minors.items():
+            for j in range(n):
+                if s >> j & 1:
+                    continue
+                term = entries[r * n + j].mul(minor)
+                # the sign of entry (r, j) in the minor on S | {j}
+                if (s >> j).bit_count() & 1:
+                    term = -term
+                t = s | 1 << j
+                grown[t] = grown[t] + term if t in grown else term
+        minors = grown
+    return minors[(1 << n) - 1]
 
 
 def sps_build(

@@ -28,9 +28,9 @@ from dataclasses import dataclass, fields
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from . import __version__
-from .algebra import PolySpace, PrimeField, SparsePoly
+from .algebra import DEFAULT_TERM_CAP, PolySpace, PrimeField, SparsePoly
 from .circuits import Circuit, FamilyDescriptor, sample_family_with_params
-from .errors import NplError
+from .errors import NplError, TermCapExceeded
 from .ips import (
     Cnf,
     PolynomialSystem,
@@ -383,7 +383,7 @@ def _run_gen(plan: ExperimentPlan) -> Report:
     """Seed-length accounting of the determinant generator, which is the
     homogeneous det-projection family on n^2 variables."""
     field = PrimeField(plan.field)
-    sizes = [int(x) for x in str(plan.input("n")).split(",") if x.strip()]
+    sizes = [int(x) for x in str(plan.input("n")).split(",")]
     expand_max = plan.input("expand_max")
     rows = []
     for n in sizes:
@@ -393,6 +393,11 @@ def _run_gen(plan: ExperimentPlan) -> Report:
         row: dict = {"n": n, "seed_length": len(desc.param_ranges()),
                      "dimension": desc.space.dimension}
         if n <= expand_max:
+            if desc.space.dimension > DEFAULT_TERM_CAP:
+                raise TermCapExceeded(
+                    f"cannot expand det_{n}: its space has {desc.space.dimension} "
+                    f"monomials, more than the term cap of {DEFAULT_TERM_CAP}"
+                )
             member = sample_family_with_params(desc, plan.seed)[1]
             row["sample_nonzero_coords"] = len(member.terms)
         rows.append(row)

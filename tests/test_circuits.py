@@ -9,7 +9,6 @@ from npl.circuits import (
     Circuit,
     CircuitBuilder,
     FamilyDescriptor,
-    berkowitz_det,
     derive_seed,
     det_projection,
     sample_family_with_params,
@@ -34,7 +33,6 @@ from helpers import (
     sympy_poly,
     sympy_terms,
     sympy_value,
-    unit_form,
 )
 
 F5 = PrimeField(5)
@@ -140,16 +138,18 @@ class TestDeterminant:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_against_cofactor_oracle(self, n):
+        # small characteristic is where signs and cancellation go wrong
         rng = random.Random(100 + n)
-        for _ in range(8):
-            rows = [
-                [(tuple(rng.randrange(13) for _ in range(3)), rng.randrange(13))
-                 for _ in range(n)]
-                for _ in range(n)
-            ]
-            oracle = cofactor_det([[affine_poly(F13, *e) for e in row] for row in rows])
-            got = det_projection(F13, PolySpace(3, n, False), n, affine_params(rows))
-            assert got == oracle
+        for F in (PrimeField(2), PrimeField(3), F13):
+            for _ in range(8):
+                rows = [
+                    [(tuple(rng.randrange(F.p) for _ in range(3)), rng.randrange(F.p))
+                     for _ in range(n)]
+                    for _ in range(n)
+                ]
+                oracle = cofactor_det([[affine_poly(F, *e) for e in row] for row in rows])
+                got = det_projection(F, PolySpace(3, n, False), n, affine_params(rows))
+                assert got == oracle
 
     def test_block_diagonal_multiplicative(self):
         rng = random.Random(9)
@@ -169,11 +169,15 @@ class TestDeterminant:
             L = [A[0] + [zero] * 2, A[1] + [zero] * 2,
                  [zero] * 2 + B[0], [zero] * 2 + B[1]]
             assert det(L) == det(A) * det(B)
+            # n = 5 is past the cofactor oracle
+            C = [[rand_form() for _ in range(3)] for _ in range(3)]
+            L = [row + [zero] * 3 for row in A] + [[zero] * 2 + row for row in C]
+            assert det(L) == det(A) * det(C)
 
     def test_berkowitz_entry_type(self):
-        x = unit_form(F7, 1, 0)
-        one = SparsePoly.constant(F7, 1, 1)
-        assert berkowitz_det([[x, one], [one, x]]) == SparsePoly(
+        x, one = ((1,), 0), ((0,), 1)
+        wheel = affine_params([[x, one], [one, x]])
+        assert det_projection(F7, PolySpace(1, 2, False), 2, wheel) == SparsePoly(
             F7, 1, {(2,): 1, (0,): 6}
         )
 
@@ -469,7 +473,7 @@ class TestVariableDegrees:
 
 @pytest.mark.parametrize("p", (13, 2**61 - 1, 2**64 - 59))
 class TestAgainstSympy:
-    def test_berkowitz_det(self, p):
+    def test_det_projection(self, p):
         sympy = pytest.importorskip("sympy")
         F = PrimeField(p)
         rng = random.Random(p)
@@ -479,7 +483,7 @@ class TestAgainstSympy:
                 [(tuple(rng.randrange(p) for _ in xs), rng.randrange(p)) for _ in range(n)]
                 for _ in range(n)
             ]
-            got = berkowitz_det([[SparsePoly.linear(F, *f) for f in row] for row in forms])
+            got = det_projection(F, PolySpace(3, n, False), n, affine_params(forms))
             M = sympy.Matrix(n, n, lambda i, j: sum(
                 c * x for c, x in zip(forms[i][j][0], xs)) + forms[i][j][1])
             assert dict(got.terms) == sympy_terms(M.det(method="laplace"), xs, p)

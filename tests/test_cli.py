@@ -6,6 +6,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -262,6 +263,18 @@ class TestExitCodes:
         gens = json.loads(out)["body"]["result"]["generators"]
         assert [(g["seed_length"], g["dimension"]) for g in gens] == \
             [(16, 10), (81, 165)]
+        # every size item must be an integer
+        for sizes in (",,", "2,,3"):
+            code, out, err = run_cli(capsys, "gen", "--n", sizes, "--field", "7")
+            assert (code, out) == (2, "")
+            assert err.startswith("npl: error: ") and err.count("\n") == 1
+        # det_6 lives in 4496388 monomials, past the term cap: refused up front
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "gen", "--n", "6", "--expand-max", "6", "--field", "7")
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert err == ("npl: error: cannot expand det_6: its space has 4496388 "
+                       "monomials, more than the term cap of 1048576\n")
 
     def test_ips_verify(self, workdir, capsys):
         code, out, _ = run_cli(
