@@ -207,16 +207,22 @@ def _parse_space(text: str) -> PolySpace:
 
 def _parse_kv(spec: str, *keys: str) -> Dict[str, int]:
     """The key=value pairs after the colon of spec, which must give every key
-    in keys."""
+    in keys once and no other key."""
     out: Dict[str, int] = {}
     for part in spec.split(":", 1)[1].split(","):
         if "=" not in part:
             raise ValueError(f"expected key=value, got {part!r}")
         k, v = part.split("=", 1)
-        out[k.strip()] = int(v)
+        k = k.strip()
+        if k in out:
+            raise ValueError(f"spec {spec!r} repeats key {k!r}")
+        out[k] = int(v)
     for k in keys:
         if k not in out:
             raise ValueError(f"spec {spec!r} is missing key {k!r}")
+    for k in out:
+        if k not in keys:
+            raise ValueError(f"spec {spec!r} has unknown key {k!r}")
     return out
 
 
@@ -290,7 +296,7 @@ def _resolve_meta(spec: str, space: PolySpace, field: PrimeField):
         )
         return MinorMeta(rms, space, field)
     if spec.endswith(".json"):
-        return _load_json(spec, lambda data: _meta_from_json(data, space, field))
+        return _load_json(spec, lambda data: _meta_from_json(data, space, field), field.p)
     raise ValueError(f"unknown meta spec {spec!r}")
 
 
@@ -317,7 +323,7 @@ def _resolve_family(spec: str, space: PolySpace, field: PrimeField) -> FamilyDes
         kv = _parse_kv(spec, "s")
         return FamilyDescriptor("sparse", space, field, sparsity=kv["s"])
     if spec.endswith(".json"):
-        return _load_json(spec, FamilyDescriptor.from_json)
+        return _load_json(spec, FamilyDescriptor.from_json, field.p)
     raise ValueError(f"unknown family spec {spec!r}")
 
 
@@ -480,14 +486,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     wall_ms = (time.perf_counter() - start) * 1000.0
     text = render_report(body, wall_ms, plan.pretty, counters)
-    sys.stdout.write(text)
     if plan.out:
+        # written first, so that a failure leaves stdout empty
         try:
             with open(plan.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             print(f"npl: error: {exc}", file=sys.stderr)
             return 2
+    sys.stdout.write(text)
     return code
 
 

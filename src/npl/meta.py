@@ -1,22 +1,22 @@
 """Meta-polynomials: polynomial functions of coefficient vectors.
 
 The rank methods live here.  For a homogeneous f of degree d in v variables,
-the order-k partial-derivative matrix has one row per derivative operator
-of order k and one column per monomial of degree d-k; the entry at
-(alpha, m) is the coefficient of m in the alpha-derivative of f, that is
-coeff(f, alpha+m) times the falling-factorial factor prod_i
-(m_i+1)(m_i+2)...(m_i+alpha_i).  True derivatives carry those multinomial
-factors, which is why the field characteristic must exceed d.
+the order-k matrix with shift l has a row (beta, alpha), standing for
+x^beta * d^alpha with |beta| = l and |alpha| = k, and a column per monomial m
+of degree d-k+l; plain partials are the case l = 0, beta = 0.  The entry is
+coeff(f, alpha+t) times prod_i (t_i+1)...(t_i+alpha_i) if the tail t = m - beta
+is >= 0, else 0.  True derivatives carry those falling factors, so the field
+characteristic must exceed d; then no factor vanishes.
 
-Every entry is therefore a scalar multiple of a single coefficient of f.
-That makes each entry a linear form in the N meta-variables, and every
-(r+1) x (r+1) minor a meta-polynomial of degree at most r+1.
+Every entry is thus a scalar multiple of one coefficient of f, a linear form
+in the N meta-variables: None (identically zero) or (meta-variable rank,
+scalar).  Every (r+1) x (r+1) minor is a meta-polynomial of degree <= r+1.
 
-``partials_matrix(f, k, shift)`` builds the matrix, plain at shift 0, from
-one pass over d^alpha f per alpha, with monomials keyed by packed ints so
-that adding exponents is adding keys; a shifted row x^beta * d^alpha f moves
-the alpha row by beta.  The symbolic form of a matrix is computed on first
-access only, and a rank never reads it.
+``partials_matrix(f, k, shift)`` builds the matrix from one pass over
+d^alpha f per alpha, with monomials keyed by packed ints so that adding
+exponents is adding keys; the row (beta, alpha) moves the alpha row by beta.
+Its falling factors come from a table of the (k+1)(d-k+1) pairs (a, t) it
+reads.  The symbolic form is computed on first access; a rank never reads it.
 
 A shifted matrix is ranked from a basis of the derivatives.  If the d^alpha f
 for alpha in B are a basis of V = span{d^alpha f}, then span{x^beta d^alpha f}
@@ -66,40 +66,51 @@ DIMENSION_CAP = 4096
 # symbolic entries are materialized only for spaces this small
 SYMBOLIC_SPACE_CAP = 512
 
+# a row label (beta, alpha), and an entry as a linear form (see above)
+Label = Tuple[Exponents, Exponents]
+Cell = Optional[Tuple[int, int]]
 
-def _derivative_cell(
-    label, m: Exponents, shift: int, p: int
-) -> Optional[Tuple[Exponents, int]]:
+
+def _derivative_cell(label: Label, m: Exponents, p: int) -> Optional[Tuple[Exponents, int]]:
     """Entry (label, m) of a derivative matrix is factor * coeff(f, source);
-    returns (source, factor), or None where the entry is identically zero.
-
-    A row label is a derivative alpha, or with a shift a pair (beta, alpha)
-    that stands for x^beta * d^alpha.
-    """
-    beta, alpha = label if shift else ((0,) * len(m), label)
+    returns (source, factor), or None where the entry is identically zero."""
+    beta, alpha = label
     tail = tuple(mi - bi for mi, bi in zip(m, beta))
     if any(t < 0 for t in tail):
         return None
-    # d^alpha takes x^(alpha+tail) to prod (t+a)(t+a-1)...(t+1) x^tail
+    # d^alpha takes x^(alpha+tail) to prod (t+a)(t+a-1)...(t+1) x^tail; each
+    # t+a is at most d < p, so the factor is a unit
     factor = prod(perm(t + a, a) for a, t in zip(alpha, tail)) % p
-    if factor == 0:
-        return None
     return tuple(a + t for a, t in zip(alpha, tail)), factor
+
+
+def _symbolic_cells(
+    space: PolySpace, rows: Sequence[Label], cols: Sequence[Exponents], p: int
+) -> Tuple[Tuple[Cell, ...], ...]:
+    """The cells of the derivative matrix on these rows and columns."""
+    return tuple(
+        tuple(
+            None if (cell := _derivative_cell(label, m, p)) is None
+            else (space.rank(cell[0]), cell[1])
+            for m in cols
+        )
+        for label in rows
+    )
 
 
 @dataclass
 class CoeffMatrix:
     """A matrix whose entries are linear in the coefficients of f.
 
-    ``entries`` is the numeric instantiation at a concrete f.  ``symbolic``
-    gives each entry as a map {meta_variable_rank: scalar}, cell by cell from
-    ``_derivative_cell``; it is computed on first access, and is None for
-    spaces of dimension above SYMBOLIC_SPACE_CAP.  Instantiating it at a
-    coefficient vector must reproduce ``entries``.
+    ``row_labels`` are the (beta, alpha) pairs of its rows and ``entries``
+    is the numeric instantiation at a concrete f.  ``symbolic`` gives every
+    entry as a Cell, from ``_symbolic_cells``; it is computed on first
+    access, and is None for spaces of dimension above SYMBOLIC_SPACE_CAP.
+    Instantiating it at a coefficient vector must reproduce ``entries``.
     """
 
     field: PrimeField
-    row_labels: Tuple
+    row_labels: Tuple[Label, ...]
     col_labels: Tuple[Exponents, ...]
     entries: Tuple[Tuple[int, ...], ...]
     space: PolySpace
@@ -110,18 +121,10 @@ class CoeffMatrix:
         return (len(self.row_labels), len(self.col_labels))
 
     @cached_property
-    def symbolic(self) -> Optional[Tuple[Tuple[Mapping[int, int], ...], ...]]:
+    def symbolic(self) -> Optional[Tuple[Tuple[Cell, ...], ...]]:
         if self.space.dimension > SYMBOLIC_SPACE_CAP:
             return None
-        p = self.field.p
-        cells = (
-            (_derivative_cell(label, m, self.shift, p) for m in self.col_labels)
-            for label in self.row_labels
-        )
-        return tuple(
-            tuple({} if c is None else {self.space.rank(c[0]): c[1]} for c in row)
-            for row in cells
-        )
+        return _symbolic_cells(self.space, self.row_labels, self.col_labels, self.field.p)
 
 
 def _space_for(f: SparsePoly, space: Optional[PolySpace]) -> PolySpace:
@@ -140,10 +143,11 @@ def _space_for(f: SparsePoly, space: Optional[PolySpace]) -> PolySpace:
 
 def _shifted_labels(
     space: PolySpace, k: int, shift: int, p: int
-) -> Tuple[Tuple, Tuple[Exponents, ...]]:
-    """Row and column labels of the order-k matrix with this shift over F_p.
-    An order, shift or characteristic that admits no such matrix, and a
-    shape past DIMENSION_CAP, is refused before any label is enumerated."""
+) -> Tuple[Tuple[Exponents, ...], Tuple[Exponents, ...], Tuple[Exponents, ...]]:
+    """(shifts, derivs, cols) of the order-k matrix with this shift over F_p:
+    its rows are the pairs (beta, alpha), beta-major.  An order, shift or
+    characteristic that admits no such matrix, and a shape past
+    DIMENSION_CAP, is refused before any label is enumerated."""
     v, d = space.v, space.d
     if not 0 <= k <= d:
         raise OrderOutOfRange(f"derivative order {k} outside [0, {d}]")
@@ -157,14 +161,9 @@ def _shifted_labels(
         raise DimensionCapExceeded(
             f"matrix of shape ({rows_n}, {cols_n}) exceeds cap {DIMENSION_CAP}"
         )
-    derivs = tuple(PolySpace(v, k, True).monomials())
-    cols = tuple(PolySpace(v, d - k + shift, True).monomials())
-    if shift:
-        shifts = tuple(PolySpace(v, shift, True).monomials())
-        rows = tuple((b, a) for b in shifts for a in derivs)
-    else:
-        rows = derivs
-    return rows, cols
+    return tuple(
+        tuple(PolySpace(v, deg, True).monomials()) for deg in (shift, k, d - k + shift)
+    )
 
 
 def partials_matrix(
@@ -173,54 +172,48 @@ def partials_matrix(
     shift: int = 0,
     space: Optional[PolySpace] = None,
 ) -> CoeffMatrix:
-    """Order-k partial-derivative matrix of a homogeneous polynomial.  With a
-    shift, rows are (shift monomial, order-k derivative) pairs; with shift 0
+    """Order-k shifted-partials matrix of a homogeneous polynomial; at shift 0
     it is the plain partials matrix."""
     space = _space_for(f, space)
     p = f.field.p
-    rows, cols = _shifted_labels(space, k, shift, p)
+    shifts, derivs, cols = _shifted_labels(space, k, shift, p)
     v, d = space.v, space.d
     # monomials are keyed the way SparsePoly packs them, at a field width that
     # holds every exponent of a column, so adding keys never carries
     w = _width(d + shift)
-
-    def key(e: Exponents) -> int:
-        return _pack(e, w)
-
     coef = f._packed(w)
-    # fall[e][a] = e(e-1)...(e-a+1): d^alpha takes x^e to fall[e][a] x^(e-a)
-    fall = [[perm(e, a) % p for a in range(d + 1)] for e in range(d + 1)]
-    tails = cols
-    if shift:
-        tails = tuple(PolySpace(v, d - k, True).monomials())
-    tail_keys = [key(t) for t in tails]
+    # fall[a][t] = (t+1)(t+2)...(t+a) mod p: d^a takes x^(t+a) to fall[a][t] x^t
+    fall = [[1] * (d - k + 1)]
+    for a in range(1, k + 1):
+        fall.append([c * (t + a) % p for t, c in enumerate(fall[-1])])
+    tails = tuple(PolySpace(v, d - k, True).monomials()) if shift else cols
+    tail_keys = [_pack(t, w) for t in tails]
 
     # one row of d^alpha f per alpha, indexed by the tail t of its monomials
-    derivs = tuple(dict.fromkeys(a for _, a in rows)) if shift else rows
-    alpha_rows = []
+    entries = []
     for alpha in derivs:
-        ka = key(alpha)
-        support = [(i, a) for i, a in enumerate(alpha) if a]
+        ka = _pack(alpha, w)
+        support = [(i, fall[a]) for i, a in enumerate(alpha) if a]
         row = []
         for t, kt in zip(tails, tail_keys):
             c = coef.get(ka + kt, 0)
-            for i, a in support:
-                c *= fall[t[i] + a][a]
+            for i, fa in support:
+                c *= fa[t[i]]
             row.append(c % p)
-        alpha_rows.append(tuple(row))
-    entries = alpha_rows
+        entries.append(tuple(row))
     if shift:
         # row (beta, alpha) is x^beta * d^alpha f: tail t lands in column t+beta
-        col_at = {key(m): j for j, m in enumerate(cols)}
-        entries = []
-        for beta in dict.fromkeys(b for b, _ in rows):
-            kb = key(beta)
+        col_at = {_pack(m, w): j for j, m in enumerate(cols)}
+        alpha_rows, entries = entries, []
+        for beta in shifts:
+            kb = _pack(beta, w)
             at = [col_at[kt + kb] for kt in tail_keys]
             for arow in alpha_rows:
                 row = [0] * len(cols)
                 for j, c in zip(at, arow):
                     row[j] = c
                 entries.append(tuple(row))
+    rows = tuple((b, a) for b in shifts for a in derivs)
     return CoeffMatrix(f.field, rows, cols, tuple(entries), space, shift)
 
 
@@ -409,22 +402,15 @@ class MinorMeta:
     def __init__(self, spec: RankMethodSpec, space: PolySpace, field: PrimeField):
         if not space.homogeneous:
             raise SpaceMismatch("rank methods operate on homogeneous spaces")
-        rows, cols = _shifted_labels(space, spec.k, spec.shift, field.p)
+        shifts, derivs, cols = _shifted_labels(space, spec.k, spec.shift, field.p)
+        rows = [(b, a) for b in shifts for a in derivs]
         sel_rows, sel_cols = _select_indices(spec.minor, len(rows), len(cols))
-        p = field.p
-        cells: List[Tuple[Optional[Tuple[int, int]], ...]] = []
-        for r in sel_rows:
-            row_cells: List[Optional[Tuple[int, int]]] = []
-            for c in sel_cols:
-                cell = _derivative_cell(rows[r], cols[c], spec.shift, p)
-                row_cells.append(
-                    None if cell is None else (space.rank(cell[0]), cell[1])
-                )
-            cells.append(tuple(row_cells))
         self.spec = spec
         self.space = space
         self.field = field
-        self._cells = tuple(cells)
+        self._cells = _symbolic_cells(
+            space, [rows[r] for r in sel_rows], [cols[c] for c in sel_cols], field.p
+        )
         self.meta_id = (
             f"{spec.method}-minor:k={spec.k},shift={spec.shift},size={spec.minor.size},"
             f"rows={list(sel_rows)},cols={list(sel_cols)}"

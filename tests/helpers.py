@@ -260,12 +260,12 @@ def linear_meta(
 
 def symbolic_value_at(m: CoeffMatrix, cv: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
     """The symbolic form of m instantiated at the coefficient vector cv:
-    each entry {meta_variable_rank: scalar} summed against cv mod p."""
+    each entry None (zero) or (meta_variable_rank, scalar), scaling cv mod p."""
     if m.symbolic is None:
         raise ValueError("matrix carries no symbolic form")
     p = m.field.p
     return tuple(
-        tuple(sum(c * cv[i] for i, c in cell.items()) % p for cell in row)
+        tuple(0 if cell is None else cell[1] * cv[cell[0]] % p for cell in row)
         for row in m.symbolic
     )
 

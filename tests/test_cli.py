@@ -15,6 +15,7 @@ from npl.algebra import PrimeField, SparsePoly
 from npl.circuits import CircuitBuilder, FamilyDescriptor
 from npl.ips import Cnf, cnf_to_system
 from npl.cli import DEFAULT_FIELD, build_parser, main, parse_plan
+from npl.meta import discriminant
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -426,6 +427,32 @@ class TestExitCodes:
             assert err == ("npl: error: phi.cnf, c3.json: certificate and system "
                            "in different fields\n")
 
+    def test_meta_and_family_fields_are_checked(self, workdir, capsys, monkeypatch):
+        # a meta or family file over F_7 in a plan over F_13: refused, not
+        # walked or audited mod 7
+        monkeypatch.chdir(workdir)
+        disc7 = discriminant(F7).circuit.to_json()
+        (workdir / "disc7.json").write_text(json.dumps(disc7))
+        space = {"v": 2, "d": 2, "mode": "homogeneous"}
+        for name, cls in (("squares7.json", "squares"), ("full7.json", "full-space")):
+            family = {"class": cls, "p": 7, "space": space}
+            (workdir / name).write_text(json.dumps(family))
+        (workdir / "xy13.json").write_text(
+            json.dumps(SparsePoly(F13, 2, {(1, 1): 1}).to_json()))
+        for argv, path in (
+            (("hit-check", "--meta", "disc7.json", "--family", "squares7.json"),
+             "disc7.json"),
+            (("hit-check", "--meta", "disc7.json", "--family", "full7.json"),
+             "disc7.json"),
+            (("hit-check", "--meta", "disc", "--family", "full7.json"), "full7.json"),
+            (("audit", "--meta", "disc7.json", "--family", "squares7.json",
+              "--hard", "xy13.json"), "disc7.json"),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--space", "2:2", "--field", "13",
+                                     "--exhaustive")
+            assert (code, out) == (2, ""), argv
+            assert err == f"npl: error: {path}: field 7 differs from plan field 13\n"
+
     def test_missing_spec_keys_are_named(self, capsys):
         for meta, family, key in (("shifted-minor:k=1,r=1", "squares", "l"),
                                   ("partials-minor:r=1", "squares", "k"),
@@ -437,6 +464,30 @@ class TestExitCodes:
             spec = meta if family == "squares" else family
             assert (code, out) == (2, "")
             assert err == f"npl: error: spec {spec!r} is missing key {key!r}\n"
+
+    def test_unknown_and_repeated_spec_keys_are_named(self, capsys):
+        for meta, family, error in (
+            ("partials-minor:k=1,r=1,l=5", "squares", "has unknown key 'l'"),
+            ("disc", "detproj:n=2,t=9", "has unknown key 't'"),
+            ("partials-minor:k=1,r=1,r=0", "squares", "repeats key 'r'"),
+        ):
+            code, out, err = run_cli(capsys, "hit-check", "--meta", meta, "--family",
+                                     family, "--space", "2:2", "--field", "7")
+            spec = meta if family == "squares" else family
+            assert (code, out) == (2, "")
+            assert err == f"npl: error: spec {spec!r} {error}\n"
+
+    def test_rank_of_a_high_power(self, workdir, capsys):
+        # x0^1500 has a 1x1 order-1 matrix; its falling factors must not cost
+        # a table over every exponent up to the degree
+        path = workdir / "x1500.json"
+        power = SparsePoly(PrimeField(2**31 - 1), 1, {(1500,): 1})
+        path.write_text(json.dumps(power.to_json()))
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "rank", "--poly", path, "--k", "1")
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert json.loads(out)["body"]["result"]["shape"] == [1, 1]
 
     def test_internal_error_exits_two(self, capsys, monkeypatch):
         # a family degree declared too low fails the walk's own check at a
@@ -500,6 +551,16 @@ class TestReports:
             "--field", "13", "--out", target,
         )
         assert target.read_text() == out
+
+    def test_unwritable_out_leaves_stdout_empty(self, workdir, capsys):
+        target = workdir / "no-such-dir" / "report.json"
+        code, out, err = run_cli(
+            capsys, "pit", "--circuit", workdir / "zero.json",
+            "--field", "13", "--out", target,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("npl: error: ") and err.count("\n") == 1
+        assert str(target) in err
 
     def test_pretty_is_same_object(self, workdir, capsys):
         argv = ("hit-check", "--meta", "disc", "--family", "squares",

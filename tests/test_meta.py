@@ -105,7 +105,9 @@ class TestPartialsMatrix:
             f = random_dense_poly(rng, F101, v, d)
             k = rng.randrange(0, d + 1)
             m = partials_matrix(f, k)
-            for r, alpha in enumerate(m.row_labels):
+            for r, (beta, alpha) in enumerate(m.row_labels):
+                # a plain row is the one-block case x^0 * d^alpha
+                assert beta == (0,) * v
                 g = poly_derivative_order(f, alpha)
                 for c, mono in enumerate(m.col_labels):
                     assert m.entries[r][c] == g.terms.get(mono, 0) % 101
@@ -242,13 +244,13 @@ def _all_matrices(f, space):
             yield shift, partials_matrix(f, k, shift, space=space)
 
 
-def _cell_rule_entries(f, m, shift):
+def _cell_rule_entries(f, m):
     p = f.field.p
     out = []
     for label in m.row_labels:
         row = []
         for mono in m.col_labels:
-            cell = _derivative_cell(label, mono, shift, p)
+            cell = _derivative_cell(label, mono, p)
             row.append(0 if cell is None else cell[1] * f.terms.get(cell[0], 0) % p)
         out.append(tuple(row))
     return tuple(out)
@@ -321,8 +323,8 @@ class TestBuildKernel:
             field = PrimeField(_next_prime(d) if prime == "next" else prime)
             space = PolySpace(v, d, True)
             for f in _kernel_polys(rng, field, v, d):
-                for shift, m in _all_matrices(f, space):
-                    assert m.entries == _cell_rule_entries(f, m, shift)
+                for _, m in _all_matrices(f, space):
+                    assert m.entries == _cell_rule_entries(f, m)
 
     @pytest.mark.parametrize("prime", ("next", 101, 2**61 - 1))
     def test_rows_match_sympy_derivatives(self, prime):
@@ -338,9 +340,8 @@ class TestBuildKernel:
                         for mono, c in f.terms.items()),
                     *xs,
                 )
-                for shift, m in _all_matrices(f, space):
-                    for r, label in enumerate(m.row_labels):
-                        beta, alpha = label if shift else ((0,) * v, label)
+                for _, m in _all_matrices(f, space):
+                    for r, (beta, alpha) in enumerate(m.row_labels):
                         specs = [(x, a) for x, a in zip(xs, alpha) if a]
                         g = P.diff(*specs) if specs else P
                         g = g * sympy.Poly(
@@ -358,11 +359,28 @@ class TestBuildKernel:
                 f = SparsePoly(F101, v, {(d,) + (0,) * (v - 1): 1})
                 for k in range(d + 1):
                     m = partials_matrix(f, k, 2)
-                    assert m.entries == _cell_rule_entries(f, m, 2)
+                    assert m.entries == _cell_rule_entries(f, m)
                     zeros = (0,) * (v - 1)
                     r = m.row_labels.index(((2,) + zeros, (k,) + zeros))
                     c = m.col_labels.index((d - k + 2,) + zeros)
                     assert m.entries[r][c] == comb(d, k) * math.factorial(k) % 101
+
+    def test_high_powers_against_perm(self):
+        # x0^d: the entry at (d^alpha, m) is d!/(d-k)! mod p where
+        # alpha + m = d*e0, else 0; the falling factors run up to t + a = d
+        p = 2**61 - 1
+        for v in (1, 2):
+            for d in (300, 1500):
+                f = SparsePoly(PrimeField(p), v, {(d,) + (0,) * (v - 1): 1})
+                # at v = 2 the middle order would build a (d/2+1)-square matrix
+                for k in (1, d // 2, d - 1) if v == 1 else (1, d - 1):
+                    m = partials_matrix(f, k)
+                    want = tuple(
+                        tuple(math.perm(d, k) % p if alpha[0] + mono[0] == d else 0
+                              for mono in m.col_labels)
+                        for _, alpha in m.row_labels
+                    )
+                    assert m.entries == want, (v, d, k)
 
     def test_zero_polynomial_with_explicit_space(self):
         space = PolySpace(3, 4, True)
@@ -402,9 +420,9 @@ class TestLazySymbolic:
                 assert "symbolic" not in m.__dict__
                 want = tuple(
                     tuple(
-                        {}
-                        if (cell := _derivative_cell(label, mono, shift, 101)) is None
-                        else {space.rank(cell[0]): cell[1]}
+                        None
+                        if (cell := _derivative_cell(label, mono, 101)) is None
+                        else (space.rank(cell[0]), cell[1])
                         for mono in m.col_labels
                     )
                     for label in m.row_labels
