@@ -177,15 +177,14 @@ class PolySpace:
     def monomials(self) -> Iterator[Exponents]:
         """Every monomial of the space in rank order, without unranking."""
         v, d = self.v, self.d
-        # ends[s] lists, in descending lex order, the exponents of the last j
-        # variables that sum to s; each pass puts one more variable in front
-        ends = [[(s,)] for s in range(d + 1)]
-        for _ in range(v - 1):
-            ends = [
-                [(t,) + e for t in range(s, -1, -1) for e in ends[s - t]]
-                for s in range(d + 1)
-            ]
-        for dd in [d] if self.homogeneous else range(d, -1, -1):
+        degrees = [d] if self.homogeneous else range(d, -1, -1)
+        # after pass i, ends[s] lists the exponents of the last i+1 variables
+        # summing to s, descending lex; the last pass keeps only the space's degrees
+        ends = {s: [(s,)] for s in range(d + 1)}
+        for i in range(1, v):
+            ends = {s: [(t,) + e for t in range(s, -1, -1) for e in ends[s - t]]
+                    for s in (degrees if i == v - 1 else range(d + 1))}
+        for dd in degrees:
             yield from ends[dd]
 
     @cached_property

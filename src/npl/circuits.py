@@ -14,6 +14,7 @@ variable; the exhaustive identity test walks the grid those bounds give.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -319,8 +320,10 @@ class FamilyDescriptor:
     that varies only slot i, the coefficient vector is then a polynomial of
     degree c_i in that parameter, which the exhaustive walk steps by
     forward differences (see ``npl.pit``).  Random sampling draws the tuple
-    uniformly; exhaustive enumeration walks the full product grid.
-    Degenerate draws are kept (the zero polynomial is a legitimate member).
+    uniformly; exhaustive enumeration walks the full product grid.  Degenerate
+    draws are kept (the zero polynomial is a legitimate member).  Each class
+    is defined once, by one branch of ``__post_init__``: its checks, seed
+    layout, degrees and member map, which the accessors read.
     """
 
     class_id: str
@@ -332,141 +335,116 @@ class FamilyDescriptor:
     sparsity: Optional[int] = None
 
     def __post_init__(self) -> None:
-        cid = self.class_id
+        cid, sp, p, cls = self.class_id, self.space, self.field.p, type(self)
         if cid not in FAMILY_CLASSES:
             raise DescriptorInvalid(f"unknown family class {cid!r}")
         if cid != "sps" and (self.top_fanin, self.product_degrees) != (None, None):
             raise DescriptorInvalid(f"{cid} family takes no top_fanin or product_degrees")
         if cid != "sparse" and self.sparsity is not None:
             raise DescriptorInvalid(f"{cid} family takes no sparsity")
-        sp = self.space
-        # n is the matrix size of a det-projection; the other classes derive
-        # it (variables, fan-in or sparsity) and take 0 for "derive it"
-        n = self.n
+        # one branch per class: its checks, then (n, param_ranges, param_degrees,
+        # param_degree, member map); n is given for a det-projection, derived
+        # (variables, fan-in or sparsity) for the others, where 0 means "derive it"
         if cid == "squares":
             if not (sp.homogeneous and sp.d == 2):
                 raise DescriptorInvalid("squares family needs a homogeneous degree-2 space")
-            n = sp.v
+            gen = (sp.v, (p,) * sp.v, (2,) * sp.v, 2, cls._squares)
         elif cid == "full-space":
-            n = sp.v
+            gen = (sp.v, (p,) * sp.dimension, (1,) * sp.dimension, 1, cls._full_space)
         elif cid == "det-projection":
             if self.n < 1:
                 raise DescriptorInvalid("det-projection needs matrix size n >= 1")
             if sp.d != self.n:
-                raise DescriptorInvalid(
-                    f"det-projection of size {self.n} lives in degree-{self.n} spaces"
-                )
+                raise DescriptorInvalid(f"det-projection of size {self.n} lives in "
+                                        f"degree-{self.n} spaces")
+            # det is linear in each entry's parameters, and reads n entries per term
+            count = self.n * self.n * (sp.v if sp.homogeneous else sp.v + 1)
+            gen = (self.n, (p,) * count, (1,) * count, self.n, cls._det_projection)
         elif cid == "sps":
             fanin = self.top_fanin if self.top_fanin is not None else self.n
             if fanin is None or fanin < 0:
                 raise DescriptorInvalid("sps needs a non-negative top fan-in")
             degs = self.product_degrees
-            if degs is None:
-                degs = (sp.d,) * fanin
-            degs = tuple(int(x) for x in degs)
+            degs = tuple(int(x) for x in (degs if degs is not None else (sp.d,) * fanin))
             if len(degs) != fanin:
                 raise DescriptorInvalid("one product degree per summand required")
             if any(not 1 <= x <= sp.d for x in degs):
                 raise DescriptorInvalid("product degrees must lie in [1, space degree]")
             if sp.homogeneous and any(x != sp.d for x in degs):
-                raise DescriptorInvalid(
-                    "homogeneous space requires every product degree to equal d"
-                )
+                raise DescriptorInvalid("homogeneous space requires every product "
+                                        "degree to equal d")
             object.__setattr__(self, "top_fanin", fanin)
             object.__setattr__(self, "product_degrees", degs)
-            n = fanin
-        elif cid == "sparse":
-            if self.sparsity is None or self.sparsity < 1:
+            count = sum(degs) * sp.v
+            gen = (fanin, (p,) * count, (1,) * count, max(degs, default=0), cls._sps)
+        else:  # sparse: a monomial rank and a coefficient per slot
+            s = self.sparsity
+            if s is None or s < 1:
                 raise DescriptorInvalid("sparse family needs sparsity >= 1")
-            n = self.sparsity
+            gen = (s, (sp.dimension,) * s + (p,) * s, (None,) * s + (1,) * s, None,
+                   cls._sparse)
+        n = gen[0]
         if self.n not in (0, n):
             raise DescriptorInvalid(f"{cid} family has n = {n}, not {self.n}")
         object.__setattr__(self, "n", n)
-
-    @functools.cached_property
-    def _layout(self) -> Tuple[Tuple[int, ...], Tuple[Optional[int], ...]]:
-        """(param_ranges, param_degrees), computed once per descriptor."""
-        p = self.field.p
-        sp = self.space
-        cid = self.class_id
-        if cid == "squares":
-            return (p,) * sp.v, (2,) * sp.v
-        if cid == "sparse":
-            # a monomial rank and a coefficient per slot
-            s = self.sparsity
-            return (sp.dimension,) * s + (p,) * s, (None,) * s + (1,) * s  # type: ignore[operator]
-        if cid == "full-space":
-            count = sp.dimension
-        elif cid == "det-projection":
-            count = self.n * self.n * (sp.v if sp.homogeneous else sp.v + 1)
-        else:  # sps
-            count = sum(self.product_degrees) * sp.v  # type: ignore[arg-type]
-        return (p,) * count, (1,) * count
+        object.__setattr__(self, "_generator", gen[1:])
 
     def param_ranges(self) -> Tuple[int, ...]:
-        return self._layout[0]
+        return self._generator[0]
 
     @property
     def param_degrees(self) -> Tuple[Optional[int], ...]:
         """Per parameter slot, the degree of G in that parameter alone (the
         others held fixed): None for the rank slots of a sparse family,
         which are not polynomial."""
-        return self._layout[1]
+        return self._generator[1]
 
     @property
     def param_degree(self) -> Optional[int]:
         """Total degree in the parameters of every coefficient of a member:
         the degree of the map G from parameters to coefficient vectors.
         None for sparse families, whose rank parameters are not polynomial."""
-        cid = self.class_id
-        if cid == "squares":
-            return 2
-        if cid == "full-space":
-            return 1
-        if cid == "det-projection":
-            return self.n  # each term of det reads one parameter from n entries
-        if cid == "sps":
-            return max(self.product_degrees, default=0)  # type: ignore[arg-type]
-        return None
+        return self._generator[2]
 
     def member_from_params(self, params: Sequence[int]) -> SparsePoly:
         """G(params): the member those parameters name, checked against the
         declared space by ``validate_member``."""
-        ranges = self._layout[0]
+        ranges, member = self._generator[0], self._generator[3]
         if len(params) != len(ranges):
-            raise ArityMismatch(
-                f"expected {len(ranges)} parameters, got {len(params)}"
-            )
+            raise ArityMismatch(f"expected {len(ranges)} parameters, got {len(params)}")
         for x, r in zip(params, ranges):
             if not 0 <= x < r:
                 raise ValueError(f"parameter {x} outside its range [0, {r})")
-        fld, sp = self.field, self.space
-        cid = self.class_id
-        if cid == "squares":
-            poly = SparsePoly.linear(fld, params).pow(2)
-        elif cid == "full-space":
-            poly = SparsePoly.from_coeff_vector(fld, sp, list(params))
-        elif cid == "det-projection":
-            poly = det_projection(fld, sp, self.n, params)
-        elif cid == "sps":
-            # one homogeneous linear form per v consecutive parameters
-            forms = [SparsePoly.linear(fld, params[i : i + sp.v])
-                     for i in range(0, len(params), sp.v)]
-            products, pos = [], 0
-            for deg in self.product_degrees:  # type: ignore[union-attr]
-                products.append(forms[pos : pos + deg])
-                pos += deg
-            poly = sps_build(fld, sp.v, products)
-        else:  # sparse: s monomial ranks, then their s coefficients
-            s = self.sparsity
-            terms: Dict[Exponents, int] = {}
-            for rank, coeff in zip(params[:s], params[s:]):
-                e = sp.unrank(rank)
-                terms[e] = terms.get(e, 0) + coeff
-            poly = SparsePoly(fld, sp.v, terms)
+        poly = member(self, params)
         if not validate_member(self, poly):
             raise AssertionError("sampler produced an invalid member")
         return poly
+
+    # the member maps call det_projection and sps_build by module name (patchable)
+    def _squares(self, params: Sequence[int]) -> SparsePoly:
+        return SparsePoly.linear(self.field, params).pow(2)
+
+    def _full_space(self, params: Sequence[int]) -> SparsePoly:
+        return SparsePoly.from_coeff_vector(self.field, self.space, list(params))
+
+    def _det_projection(self, params: Sequence[int]) -> SparsePoly:
+        return det_projection(self.field, self.space, self.n, params)
+
+    def _sps(self, params: Sequence[int]) -> SparsePoly:
+        # a linear form per v parameters; summand i takes the next product_degrees[i]
+        v = self.space.v
+        forms = (SparsePoly.linear(self.field, params[i : i + v])
+                 for i in range(0, len(params), v))
+        return sps_build(self.field, v, [list(itertools.islice(forms, k))
+                                         for k in self.product_degrees or ()])
+
+    def _sparse(self, params: Sequence[int]) -> SparsePoly:
+        # s monomial ranks, then their s coefficients
+        terms: Dict[Exponents, int] = {}
+        for rank, coeff in zip(params[: self.sparsity], params[self.sparsity :]):
+            e = self.space.unrank(rank)
+            terms[e] = terms.get(e, 0) + coeff
+        return SparsePoly(self.field, self.space.v, terms)
 
     def to_json(self) -> dict:
         out = {
@@ -504,7 +482,7 @@ def validate_member(desc: FamilyDescriptor, poly: SparsePoly) -> bool:
     every member it builds."""
     if not poly.fits_space(desc.space):
         return False
-    return desc.class_id != "sparse" or len(poly.terms) <= desc.sparsity
+    return desc.sparsity is None or len(poly.terms) <= desc.sparsity
 
 
 def sample_family_with_params(

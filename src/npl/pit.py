@@ -39,6 +39,7 @@ from .circuits import Circuit, FamilyDescriptor, _seeded_draws
 from .errors import (
     CharacteristicTooSmall,
     EnumerationBudgetExceeded,
+    FieldMismatch,
     SpaceMismatch,
 )
 
@@ -298,8 +299,10 @@ class HitReport:
 
 
 def _check_spaces(desc: FamilyDescriptor, T) -> None:
-    if desc.space != T.space or desc.field.p != T.field.p:
+    if desc.space != T.space:
         raise SpaceMismatch("meta-polynomial and family target different spaces")
+    if desc.field.p != T.field.p:
+        raise FieldMismatch(f"family in F_{desc.field.p}, meta-polynomial in F_{T.field.p}")
 
 
 def _family_walk(
@@ -330,7 +333,7 @@ def _family_walk(
     L, c = ranges[-1], desc.param_degrees[-1]
     seeds = L if c is None else min(L, c + 1)
     p = desc.field.p
-    sparsity = desc.sparsity if desc.class_id == "sparse" else None
+    sparsity = desc.sparsity
     for prefix in prefixes:
         table = []
         for t in range(seeds):

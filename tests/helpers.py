@@ -225,6 +225,20 @@ def unit_form(field: PrimeField, v: int, i: int) -> SparsePoly:
     return SparsePoly.linear(field, [int(j == i) for j in range(v)])
 
 
+def compose_linear(f: SparsePoly, A: Sequence[Sequence[int]]) -> SparsePoly:
+    """f o A, the polynomial f(A x): x_i becomes the linear form on row i of
+    A, and each term is multiplied out with ``mul`` and ``pow``."""
+    v = len(A[0])
+    forms = [SparsePoly.linear(f.field, row) for row in A]
+    out = SparsePoly.zero(f.field, v)
+    for e, c in f.terms.items():
+        term = SparsePoly.constant(f.field, v, c)
+        for form, k in zip(forms, e):
+            term = term.mul(form.pow(k))
+        out = out + term
+    return out
+
+
 def poly_value(f: SparsePoly, point: Sequence[int]) -> int:
     """f at a point of F_p^v, term by term from the exponent tuples."""
     p = f.field.p

@@ -479,15 +479,22 @@ class TestExitCodes:
 
     def test_rank_of_a_high_power(self, workdir, capsys):
         # x0^1500 has a 1x1 order-1 matrix; its falling factors must not cost
-        # a table over every exponent up to the degree
-        path = workdir / "x1500.json"
-        power = SparsePoly(PrimeField(2**31 - 1), 1, {(1500,): 1})
-        path.write_text(json.dumps(power.to_json()))
-        start = time.perf_counter()
-        code, out, _ = run_cli(capsys, "rank", "--poly", path, "--k", "1")
-        assert time.perf_counter() - start < 2
-        assert code == 0
-        assert json.loads(out)["body"]["result"]["shape"] == [1, 1]
+        # a table over every exponent up to the degree.  x0^3000 + x1^3000
+        # has a 2x3000 one; listing its columns must not cost the monomials
+        # of every lower degree.
+        field = PrimeField(2**31 - 1)
+        cases = (
+            ({(1500,): 1}, 1, 2, [1, 1]),
+            ({(3000, 0): 1, (0, 3000): 1}, 2, 0.5, [2, 3000]),
+        )
+        for terms, v, bound, shape in cases:
+            path = workdir / "power.json"
+            path.write_text(json.dumps(SparsePoly(field, v, terms).to_json()))
+            start = time.perf_counter()
+            code, out, _ = run_cli(capsys, "rank", "--poly", path, "--k", "1")
+            assert time.perf_counter() - start < bound, terms
+            assert code == 0
+            assert json.loads(out)["body"]["result"]["shape"] == shape
 
     def test_internal_error_exits_two(self, capsys, monkeypatch):
         # a family degree declared too low fails the walk's own check at a
@@ -643,6 +650,19 @@ class TestEntryPoint:
         imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
         assert "npl.meta" in imported
         assert not [m for m in imported if m.split(".")[0] == "numpy"]
+
+    def test_library_imports_only_the_standard_library(self):
+        for path in sorted((PYPROJECT.parent / "src" / "npl").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module or ""]
+                else:
+                    continue
+                outside = [n for n in names
+                           if n.split(".")[0] not in sys.stdlib_module_names]
+                assert not outside, (path.name, outside)
 
     def test_library_imports_no_numpy(self):
         for path in sorted((PYPROJECT.parent / "src" / "npl").rglob("*.py")):

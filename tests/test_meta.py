@@ -29,6 +29,7 @@ from npl.errors import (
 )
 
 from helpers import (
+    compose_linear,
     exponents_of_degree,
     int_cofactor_det,
     linear_meta,
@@ -190,6 +191,56 @@ class TestPartialsMatrix:
             k = rng.randrange(0, 4)
             m = partials_matrix(f, k)
             assert rank_mod_p(m) == row_rank(m.entries, 101)
+
+
+LARGE_PRIMES = (2**31 - 1, 2**61 - 1, 2**64 - 59)
+
+
+class TestRankFactsAtLargePrimes:
+    """Facts about derivative ranks that need no oracle, checked at primes
+    too large for the tests that enumerate the field."""
+
+    SHAPES = ((2, 4), (3, 3), (4, 2), (4, 4))
+
+    @staticmethod
+    def _ranks(f, space, d):
+        return [rank_mod_p(partials_matrix(f, k, shift, space=space))
+                for k in range(d + 1) for shift in (0, 1, 2)]
+
+    @pytest.mark.parametrize("p", LARGE_PRIMES)
+    def test_invertible_change_of_variables_keeps_ranks(self, p):
+        # x -> A x maps the span of x^beta * d^alpha f onto that of f o A; a
+        # two-term f has low ranks, which a dense-looking f o A must keep
+        field, rng = PrimeField(p), random.Random(f"compose/{p}")
+        for v, d in self.SHAPES:
+            space = PolySpace(v, d, True)
+            while True:
+                A = [[rng.randrange(p) for _ in range(v)] for _ in range(v)]
+                if matrix_rank(A, p) == v:
+                    break
+            monos = exponents_of_degree(v, d)
+            sparse = SparsePoly(field, v, {m: rng.randrange(1, p)
+                                           for m in rng.sample(monos, 2)})
+            for f in (sparse, random_dense_poly(rng, field, v, d)):
+                g = compose_linear(f, A)
+                assert g.fits_space(space)
+                assert self._ranks(g, space, d) == self._ranks(f, space, d), (v, d)
+
+    @pytest.mark.parametrize("p", LARGE_PRIMES)
+    def test_rank_bounds_of_powers_and_products(self, p):
+        # d^alpha of l^d is a multiple of l^(d-k), and d^alpha of a product
+        # of d forms is a sum over the k-subsets of the forms it removes
+        field, rng = PrimeField(p), random.Random(f"bounds/{p}")
+        for v, d in self.SHAPES:
+            for r in (1, 2, 3):
+                f = SparsePoly.zero(field, v)
+                for _ in range(r):
+                    f = f + random_linear_form(rng, field, v).pow(d)
+                for k in range(d + 1):
+                    assert rank_mod_p(partials_matrix(f, k)) <= r, (v, d, r, k)
+            f = random_product_of_linear_forms(rng, field, v, d)
+            for k in range(d + 1):
+                assert rank_mod_p(partials_matrix(f, k)) <= comb(d, k), (v, d, k)
 
 
 class TestShiftedPartials:

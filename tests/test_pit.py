@@ -31,6 +31,7 @@ from npl.cli import main
 from npl.errors import (
     CharacteristicTooSmall,
     EnumerationBudgetExceeded,
+    FieldMismatch,
     SpaceMismatch,
 )
 
@@ -517,6 +518,10 @@ class TestHittingCheck:
         desc = FamilyDescriptor("full-space", PolySpace(2, 4, True), F7)
         with pytest.raises(SpaceMismatch):
             succinct_hitting_check(desc, discriminant(F7), trials=2)
+        # the same space over another field is a field mismatch, named as one
+        squares = FamilyDescriptor("squares", SP22, F7)
+        with pytest.raises(FieldMismatch, match="F_7.*F_13"):
+            succinct_hitting_check(squares, discriminant(F13), trials=2)
 
     def test_trials_positive(self):
         full = FamilyDescriptor("full-space", SP22, F7)
