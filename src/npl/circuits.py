@@ -2,7 +2,8 @@
 
 A circuit is a DAG of gates over a prime field: inputs, constants, fan-in-two
 addition and multiplication.  Gates are stored in topological order as plain
-tuples, so circuits stay hashable and cheap to serialize.
+tuples, so circuits stay hashable and cheap to serialize.  Construction
+checks every gate; every later pass reads only the gates the output reads.
 
 Formal degree is the usual syntactic bound: 1 for inputs, 0 for constants,
 max for addition, sum for multiplication.  It bounds the degree of the
@@ -97,9 +98,25 @@ class Circuit:
         return len(self.gates)
 
     @functools.cached_property
+    def _program(self) -> Tuple[Gate, ...]:
+        """The gates the output depends on, in order and renumbered among
+        themselves, the output last; input gates keep their x_i.  This is
+        the one liveness scan, O(gates): every pass below reads only it."""
+        live = [False] * (self.out + 1)
+        live[self.out] = True
+        for idx in range(self.out, -1, -1):
+            g = self.gates[idx]
+            if live[idx] and g[0] in ("add", "mul"):
+                live[g[1]] = live[g[2]] = True
+        kept = [idx for idx, on in enumerate(live) if on]
+        pos = {idx: k for k, idx in enumerate(kept)}
+        return tuple(g if len(g) == 2 else (g[0], pos[g[1]], pos[g[2]])
+                     for g in (self.gates[idx] for idx in kept))
+
+    @functools.cached_property
     def formal_degree(self) -> int:
         degs: List[int] = []
-        for g in self.gates:
+        for g in self._program:
             op = g[0]
             if op == "in":
                 degs.append(1)
@@ -109,83 +126,56 @@ class Circuit:
                 degs.append(max(degs[g[1]], degs[g[2]]))
             else:
                 degs.append(degs[g[1]] + degs[g[2]])
-        return degs[self.out]
-
-    @functools.cached_property
-    def _live(self) -> Tuple[int, ...]:
-        """Indices of the gates the output depends on, ascending; O(gates)."""
-        live = [False] * (self.out + 1)
-        live[self.out] = True
-        for idx in range(self.out, -1, -1):
-            g = self.gates[idx]
-            if live[idx] and g[0] in ("add", "mul"):
-                live[g[1]] = live[g[2]] = True
-        return tuple(idx for idx, on in enumerate(live) if on)
+        return degs[-1]
 
     @functools.cached_property
     def support(self) -> Tuple[int, ...]:
-        """The inputs the output reaches, ascending; O(gates)."""
-        return tuple(sorted({self.gates[idx][1] for idx in self._live
-                             if self.gates[idx][0] == "in"}))
+        """The inputs the output reaches, ascending."""
+        return tuple(sorted({g[1] for g in self._program if g[0] == "in"}))
 
     @functools.cached_property
     def variable_degrees(self) -> Dict[int, int]:
         """Formal degree of the output in each input, by the rules of
         ``formal_degree`` applied per variable: {i: D_i >= 1} over the
-        ``support``; other inputs are absent (degree 0).  Only the gates the
-        output depends on are visited, and each keeps only the inputs it
-        reaches, so the pass costs O(gates * |support|), whatever v is."""
-        maps: Dict[int, Dict[int, int]] = {}
-        for idx in self._live:
-            g = self.gates[idx]
+        ``support``; other inputs are absent (degree 0).  Each gate of the
+        program keeps only the inputs it reaches, so the pass costs
+        O(gates * |support|), whatever v is."""
+        maps: List[Dict[int, int]] = []
+        for g in self._program:
             op = g[0]
             if op == "in":
-                maps[idx] = {g[1]: 1}
+                maps.append({g[1]: 1})
             elif op == "const":
-                maps[idx] = {}
+                maps.append({})
             else:
                 out = dict(maps[g[1]])
                 for i, d in maps[g[2]].items():
                     e = out.get(i, 0)
                     out[i] = max(e, d) if op == "add" else e + d
-                maps[idx] = out
-        return maps[self.out]
-
-    def on_support(self) -> "Circuit":
-        """The same polynomial over ``len(support)`` inputs: only the gates
-        the output depends on, with input x_(support[j]) renamed x_j."""
-        var = {i: j for j, i in enumerate(self.support)}
-        pos = {idx: k for k, idx in enumerate(self._live)}
-        gates: List[Gate] = []
-        for idx in self._live:
-            g = self.gates[idx]
-            if g[0] == "in":
-                gates.append(("in", var[g[1]]))
-            elif g[0] == "const":
-                gates.append(g)
-            else:
-                gates.append((g[0], pos[g[1]], pos[g[2]]))
-        return Circuit(self.field, len(var), tuple(gates), len(gates) - 1)
+                maps.append(out)
+        return maps[-1]
 
     def evaluate(self, point: Sequence[int]) -> int:
+        """The output at a point of all v inputs.  Only the gates of the
+        program are visited, so a call costs those, not v; additions and
+        products reduce mod p, and the output is reduced once at the end."""
         if len(point) != self.v:
             raise ArityMismatch(
                 f"circuit over {self.v} inputs, point of length {len(point)}"
             )
         p = self.field.p
-        pt = [x % p for x in point]
         vals: List[int] = []
-        for g in self.gates:
+        for g in self._program:
             op = g[0]
             if op == "in":
-                vals.append(pt[g[1]])
+                vals.append(point[g[1]])
             elif op == "const":
                 vals.append(g[1])
             elif op == "add":
                 vals.append((vals[g[1]] + vals[g[2]]) % p)
             else:
                 vals.append(vals[g[1]] * vals[g[2]] % p)
-        return vals[self.out]
+        return vals[-1] % p
 
     def to_json(self) -> dict:
         gates = []

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import PrimeField, _json_int
 from .circuits import Circuit, CircuitBuilder
@@ -192,32 +192,28 @@ def compose_system(system: PolynomialSystem, cert: Circuit) -> Circuit:
     """Splice the member circuits into the certificate's inputs.
 
     The result is a circuit over the x variables computing
-    C(f_1(x), ..., f_m(x)); its size is bounded by the sum of the part sizes
-    and its formal degree by deg(C) times the largest member degree.
+    C(f_1(x), ..., f_m(x)).  One pass over the gates C's output depends on
+    splices member j where an input gate first reads y_j, so a member C
+    never reads is left out; the size is at most the sum of the part sizes
+    and the formal degree at most deg(C) times the largest member degree.
     """
     _check_certificate(system, cert)
     gates: List[Tuple] = []
-    member_out: List[int] = []
-    for member in system.members:
-        offset = len(gates)
-        for g in member.gates:
-            if g[0] in ("add", "mul"):
-                gates.append((g[0], g[1] + offset, g[2] + offset))
-            else:
-                gates.append(g)
-        member_out.append(member.out + offset)
+    member_out: Dict[int, int] = {}
     cmap: List[int] = []
-    for g in cert.gates:
+    for g in cert._program:
         op = g[0]
         if op == "in":
+            if g[1] not in member_out:
+                member, offset = system.members[g[1]], len(gates)
+                gates.extend(mg if len(mg) == 2 else (mg[0], mg[1] + offset, mg[2] + offset)
+                             for mg in member.gates)
+                member_out[g[1]] = member.out + offset
             cmap.append(member_out[g[1]])
-        elif op == "const":
-            gates.append(g)
-            cmap.append(len(gates) - 1)
         else:
-            gates.append((op, cmap[g[1]], cmap[g[2]]))
+            gates.append(g if op == "const" else (op, cmap[g[1]], cmap[g[2]]))
             cmap.append(len(gates) - 1)
-    return Circuit(system.field, system.n, tuple(gates), cmap[cert.out])
+    return Circuit(system.field, system.n, tuple(gates), cmap[-1])
 
 
 @dataclass(frozen=True)

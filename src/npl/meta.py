@@ -450,10 +450,7 @@ class CircuitMeta:
         return self.circuit.formal_degree
 
     def eval_at(self, cv: Sequence[int]) -> int:
-        if len(cv) != self.space.dimension:
-            raise ArityMismatch(
-                f"expected {self.space.dimension} coefficients, got {len(cv)}"
-            )
+        # the circuit has the space's dimension as its v, so evaluate checks cv
         return self.circuit.evaluate(cv)
 
 

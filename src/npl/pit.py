@@ -7,10 +7,11 @@ vanishes on {0..D_0} x ... x {0..D_(v-1)} is zero, provided every D_i < p.
 The engine takes D_i to be the circuit's formal degree in x_i, so it needs
 only max D_i < p, and it evaluates the circuit at the prod(D_i + 1) points of
 that grid; an input the output never reaches takes the value 0 alone, so
-the walk runs on the circuit restricted to the inputs it reaches.  It runs
-on Python integers, exact for every prime, and the library needs no
-numpy.  The family walk of a hitting check shares its row-major grid walk,
-and both refuse a grid past the enumeration budget before its first point.
+the walk writes only the reached coordinates into one reused point, and a
+point costs the gates the output depends on, not v.  It runs on Python
+integers, exact for every prime, and the library needs no numpy.  The family
+walk of a hitting check shares its row-major grid walk, and both refuse a
+grid past the enumeration budget before its first point.
 A family walk builds only a few members per line of its grid (the points
 that differ in the last parameter alone): along a line the member's
 coefficient vector is a polynomial of degree c, the family's declared degree
@@ -135,9 +136,10 @@ def pit_exhaustive(
     formal degree in x_i, in row-major order.  Proof-grade either way.
 
     ``enum_budget`` caps the grid points and the v coordinates that the
-    verdict lists.  The walk runs on ``circuit.on_support()``, so each point
-    costs the gates the output depends on, not v; refusals come before any
-    point is evaluated."""
+    verdict lists.  The walk reuses one point of all v coordinates, zero
+    outside the support, and writes each grid point's support coordinates
+    into it, so a point costs the gates the output depends on, not v;
+    refusals come before any point is evaluated."""
     p = circuit.field.p
     support = circuit.support
     # each reached input has D_i >= 1, so the grid has 2^|support| points at
@@ -164,13 +166,11 @@ def pit_exhaustive(
         "variable_degrees": tuple(degrees.get(i, 0) for i in range(circuit.v)),
         "grid_points": points,
     }
-    reduced = circuit.on_support()
+    point = [0] * circuit.v
     for x in grid_walk:
-        if reduced.evaluate(x):
-            # inputs outside the support take the value 0 alone
-            point = [0] * circuit.v
-            for i, xi in zip(support, x):
-                point[i] = xi
+        for i, xi in zip(support, x):
+            point[i] = xi
+        if circuit.evaluate(point):
             return replace(_nonzero_verdict(circuit, point), **grid)
     return PitVerdict(outcome=PROVEN_ZERO, degree_bound=circuit.formal_degree, p=p, **grid)
 

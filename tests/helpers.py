@@ -172,6 +172,44 @@ def random_circuit(
     return b.build(rng.randrange(len(degrees)))
 
 
+def splice(b: CircuitBuilder, c: Circuit) -> int:
+    """Copy circuit c's gates onto builder b; returns the index of its output."""
+    base = len(b.gates)
+    for g in c.gates:
+        b.gates.append(g if len(g) == 2 else (g[0], g[1] + base, g[2] + base))
+    return base + c.out
+
+
+def dead_cone_circuit(
+    rng: random.Random, field: PrimeField, v: int, max_extra_gates: int, degree_cap: int
+) -> Tuple[Circuit, Circuit]:
+    """(c, live): the gates of a random circuit the output never reads, then
+    those of a random circuit ``live``, whose output is c's.  c computes the
+    polynomial of live behind a dead cone of gates."""
+    dead = random_circuit(rng, field, v, max_extra_gates, degree_cap)
+    live = random_circuit(rng, field, v, max_extra_gates, degree_cap)
+    b = CircuitBuilder(field, v)
+    splice(b, dead)
+    return b.build(splice(b, live)), live
+
+
+def reference_value(circuit: Circuit, point: Sequence[int]) -> int:
+    """The output at the point by a walk of every gate, dead ones included:
+    the evaluation order of ``gates`` itself, not the library's program."""
+    p = circuit.field.p
+    vals: List[int] = []
+    for g in circuit.gates:
+        if g[0] == "in":
+            vals.append(point[g[1]] % p)
+        elif g[0] == "const":
+            vals.append(g[1])
+        elif g[0] == "add":
+            vals.append((vals[g[1]] + vals[g[2]]) % p)
+        else:
+            vals.append(vals[g[1]] * vals[g[2]] % p)
+    return vals[circuit.out]
+
+
 def distributivity_circuit(
     rng: random.Random, field: PrimeField, v: int, identity: bool
 ) -> Circuit:

@@ -376,6 +376,32 @@ class TestExitCodes:
             assert len(err.strip().splitlines()) == 1, (argv, err)
             assert "Traceback" not in err, argv
 
+    def test_malformed_gates_outside_the_output_cone_exit_two(self, workdir, capsys):
+        # construction checks every gate, so one the output never reads is
+        # still an input error naming its file
+        bad_gates = {
+            "forward": {"op": "add", "a": 0, "b": 3},
+            "input": {"op": "in", "i": 7},
+            "op": {"op": "sub", "a": 0, "b": 0},
+        }
+        for kind, bad in bad_gates.items():
+            # gate 1 is malformed; the output, gate 3, reads gates 0 and 2
+            gates = [{"op": "in", "i": 0}, bad, {"op": "const", "c": 1},
+                     {"op": "add", "a": 0, "b": 2}]
+            circuit = workdir / f"dead_{kind}.json"
+            circuit.write_text(json.dumps({"p": 13, "v": 2, "gates": gates, "out": 3}))
+            cert = workdir / f"dead_{kind}_cert.json"
+            cert.write_text(json.dumps({"p": 13, "v": 3, "gates": gates, "out": 3}))
+            for argv, path in (
+                (("pit", "--circuit", circuit, "--field", "13"), circuit),
+                (("ips-verify", "--cnf", workdir / "phi.cnf", "--cert", cert,
+                  "--field", "13"), cert),
+            ):
+                code, out, err = run_cli(capsys, *argv)
+                assert code == 2 and out == "", argv
+                assert err.startswith(f"npl: error: {path}: malformed input: gate 1: "), err
+                assert err.count("\n") == 1, err
+
     def test_family_and_system_fields_are_checked(self, workdir, capsys):
         space = {"v": 2, "d": 2, "mode": "homogeneous"}
         cases = []

@@ -169,6 +169,19 @@ class TestCompose:
         comp = compose_system(sys7, cert)
         assert comp.size <= cert.size + sum(m.size for m in sys7.members)
 
+    def test_splices_only_the_members_read(self):
+        # C = y0 * y2 + y0 behind a dead gate reading y1 and y3: members 0
+        # and 2 are spliced once each, and 1 and 3 not at all
+        sys7 = cnf_to_system(Cnf(2, ((1, -2), (2,))), F7)
+        b = CircuitBuilder(F7, len(sys7.members))
+        b.mul(b.inp(1), b.inp(3))
+        y0 = b.inp(0)
+        cert = b.build(b.add(b.mul(y0, b.inp(2)), b.inp(0)))
+        comp = compose_system(sys7, cert)
+        f0, f2 = (sys7.members[j] for j in (0, 2))
+        assert comp.size == f0.size + f2.size + 2
+        assert sympy_poly(comp) == sympy_poly(f0) * sympy_poly(f2) + sympy_poly(f0)
+
     def test_arity_mismatch(self):
         f = single_var_circuit(F7, "x")
         b = CircuitBuilder(F7, 3)

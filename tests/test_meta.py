@@ -782,3 +782,9 @@ class TestCircuitMeta:
         c = b.build(b.mul(b.inp(0), b.inp(1)))
         with pytest.raises(ArityMismatch):
             CircuitMeta(SP22, c)
+        # a coefficient vector of the wrong length is refused by the circuit
+        T = discriminant(F7)
+        for cv in ([1, 2], [1, 2, 3, 4]):
+            with pytest.raises(ArityMismatch, match=f"circuit over 3 inputs, point of "
+                                                    f"length {len(cv)}"):
+                T.eval_at(cv)

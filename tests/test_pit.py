@@ -37,10 +37,13 @@ from npl.errors import (
 
 from helpers import (
     count_member_builds,
+    dead_cone_circuit,
     det_generator,
     distributivity_circuit,
     linear_meta,
     random_circuit,
+    reference_value,
+    splice,
 )
 
 F2 = PrimeField(2)
@@ -81,14 +84,6 @@ def det3_circuit(field):
     t3 = b.mul(x[2], m2(x[3], x[7], x[4], x[6]))
     neg_t2 = b.mul(b.const(field.p - 1), t2)
     return b.build(b.add(b.add(t1, neg_t2), t3))
-
-
-def splice(b, c):
-    """Copy circuit c's gates onto builder b; returns the index of its output."""
-    base = len(b.gates)
-    for g in c.gates:
-        b.gates.append(g if len(g) == 2 else (g[0], g[1] + base, g[2] + base))
-    return base + c.out
 
 
 class TestExhaustiveEngine:
@@ -185,29 +180,38 @@ class TestExhaustiveEngine:
             pit_exhaustive(c, enum_budget=39)
 
     def test_walk_costs_the_support_not_v(self, monkeypatch):
-        # a million declared inputs and a 2^12-point grid: every point but
-        # the witness's re-evaluation has the 12 coordinates of the support
+        # a million declared inputs and a 2^12-point grid: the walk writes
+        # the 12 support coordinates of each grid point into one reused
+        # point, and an evaluation visits the 23 gates of the program, so
+        # a point costs the support, not the million coordinates
         b = CircuitBuilder(F101, 10**6)
         out = b.inp(0)
         for i in range(1, 12):
             out = b.mul(out, b.inp(i))
         dead = b.add(b.inp(500_000), b.inp(999_999))
         c = b.build(out)
-        lengths = []
+        first, reused = [], []
         evaluate = Circuit.evaluate
 
         def recorded(self, point):
-            lengths.append(len(point))
-            # only the witness's re-evaluation spells out all v coordinates
-            assert len(point) == 12 or lengths[:-1] == [12] * 2**12
+            # hold only the first point: a regression to a fresh million-entry
+            # point per call must fail here, not fill memory
+            if not first:
+                first.append(point)
+            reused.append(point is first[0])
             return evaluate(self, point)
 
         monkeypatch.setattr(Circuit, "evaluate", recorded)
         v = pit_exhaustive(c)
         assert v.outcome == "proven-nonzero" and v.grid_points == 2**12
         assert v.witness == (1,) * 12 + (0,) * (10**6 - 12)
-        assert lengths == [12] * 2**12 + [10**6]
-        assert dead not in c._live
+        # every grid point, then the witness's re-evaluation, on one list
+        assert reused == [True] * (2**12 + 1)
+        # the program is the 12 inputs and 11 products: the dead addition
+        # and the two inputs only it reads are not in it
+        assert c.gates[dead] == ("add", dead - 2, dead - 1)
+        assert len(c._program) == 23 and all(g[0] != "add" for g in c._program)
+        assert not {("in", 500_000), ("in", 999_999)} & set(c._program)
 
     def test_reached_inputs_refused_before_degree_pass(self):
         # each reached input has degree >= 1, so r of them need 2^r points
@@ -335,6 +339,31 @@ class TestEngineAgreement:
         for rep in range(100):
             for c in nonzero[:5]:
                 assert pit_schwartz_zippel(c, 25, rep).outcome == "proven-nonzero"
+
+    def test_dead_cones_across_fields(self):
+        # circuits behind a dead cone: a randomized proven-nonzero never
+        # meets an exhaustive proven-zero, and every witness is nonzero under
+        # a walk of all the gates; the exhaustive side is skipped when some
+        # D_i >= p, which the product-set lemma does not cover
+        pairs = set()
+        for p in (5, 7, 13, 2**31 - 1):
+            field = PrimeField(p)
+            rng = random.Random(p)
+            for _ in range(40):
+                c, _ = dead_cone_circuit(rng, field, rng.randrange(1, 5), 16, 10)
+                verdicts = [pit_schwartz_zippel(c, 2, rng.randrange(1000))]
+                if max(c.variable_degrees.values(), default=0) < p:
+                    verdicts.append(pit_exhaustive(c))
+                pairs.add(tuple(v.outcome for v in verdicts))
+                for v in verdicts:
+                    if v.witness is not None:
+                        assert reference_value(c, v.witness) == v.value != 0
+        assert ("proven-nonzero", "proven-zero") not in pairs
+        # the corpus reaches every other pair, and skips after both outcomes
+        assert pairs == {("proven-nonzero", "proven-nonzero"),
+                         ("probably-zero", "proven-nonzero"),
+                         ("probably-zero", "proven-zero"),
+                         ("proven-nonzero",), ("probably-zero",)}
 
 
 def coeffs_at(desc, params):
