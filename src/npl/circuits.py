@@ -306,14 +306,14 @@ class FamilyDescriptor:
     the family is also a generator, a candidate succinct hitting set.
     ``param_degrees`` gives, per slot, the degree c_i of G in that one
     parameter: 2 for squares, 1 for every slot of the other classes, and
-    None for the rank slots of a sparse family.  Along a line of the grid
-    that varies only slot i, the coefficient vector is then a polynomial of
-    degree c_i in that parameter, which the exhaustive walk steps by
-    forward differences (see ``npl.pit``).  Random sampling draws the tuple
-    uniformly; exhaustive enumeration walks the full product grid.  Degenerate
-    draws are kept (the zero polynomial is a legitimate member).  Each class
-    is defined once, by one branch of ``__post_init__``: its checks, seed
-    layout, degrees and member map, which the accessors read.
+    None for the rank slots of a sparse family.  A test polynomial T of
+    degree D then has T o G of degree at most D * c_i in slot i, so an
+    exhaustive hitting check decides T on the grid prod {0..D * c_i} (see
+    ``npl.pit``), and the declared degrees are what its proofs rest on.
+    Random sampling draws the tuple uniformly.  Degenerate draws are kept
+    (the zero polynomial is a legitimate member).  Each class is defined
+    once, by one branch of ``__post_init__``: its checks, seed layout,
+    degrees and member map, which the accessors read.
     """
 
     class_id: str

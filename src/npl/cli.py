@@ -6,8 +6,10 @@ plan, so the body alone is enough to rerun the experiment, and reruns with
 the same plan produce byte-identical bodies.  Wall-clock time lives in the
 header, outside the body, precisely so it cannot break that guarantee; so
 do the counters of a family walk (``hit-check`` and ``audit``):
-``members_built``, the members built directly, and ``points_evaluated``,
-the evaluations of the test polynomial on members.
+``members_built``, the members built, and ``points_evaluated``, the
+evaluations of the test polynomial on members, the witness rebuild and the
+degree check included.  An exhaustive walk evaluates its degree grid, not
+all the members that the body's ``examined`` counts as covered.
 
 Exit codes: 0 for zero / none-found / accept, 1 for nonzero / witness /
 reject, 2 for usage errors, precondition failures and internal errors (a

@@ -9,16 +9,21 @@ only max D_i < p, and it evaluates the circuit at the prod(D_i + 1) points of
 that grid; an input the output never reaches takes the value 0 alone, so
 the walk writes only the reached coordinates into one reused point, and a
 point costs the gates the output depends on, not v.  It runs on Python
-integers, exact for every prime, and the library needs no numpy.  The family
-walk of a hitting check shares its row-major grid walk, and both refuse a
-grid past the enumeration budget before its first point.
-A family walk builds only a few members per line of its grid (the points
-that differ in the last parameter alone): along a line the member's
-coefficient vector is a polynomial of degree c, the family's declared degree
-in that parameter, so after c+1 built members each further vector is
-stepped by forward differences with c vector additions mod p.  That is exact
-over every F_p, since the (c+1)-th difference of a degree-c polynomial is 0,
-and the last point of each line is also built and compared with its step.
+integers, exact for every prime, and the library needs no numpy.
+An exhaustive hitting check is the same engine on T o G, T the test
+polynomial and G the family's map from parameters to coefficient vectors.
+T o G has degree at most deg(T) * c_i in parameter i, c_i its declared
+``param_degrees`` entry, so the check walks prod S_i, S_i = {0..deg(T) * c_i},
+or the slot's whole range when deg(T) * c_i reaches it or c_i is None (the
+rank slots of a sparse family).  That decides whether T vanishes on every
+member, a function of the parameters: reduced modulo x^p - x in the slots
+walked in full, T o G has degree below |S_i| in slot i.  The lemma applies
+as well to every restriction to fixed leading parameters, so the first
+nonzero point of this grid in row-major order is the first nonzero member
+of the whole one: a member before it differs first in some slot k at a value
+of S_k, and the grid points with those leading parameters, walked earlier,
+were all zero.  Both walks refuse a grid past the enumeration budget before
+its first point; a hitting check counts the family's p^s members there.
 The randomized engine samples points; a nonzero polynomial of degree
 d vanishes at a uniform point with probability at most d/p, so "probably
 zero" after t independent trials carries error at most (d/p)^t.  Fields
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .algebra import SparsePoly
 from .circuits import Circuit, FamilyDescriptor, _seeded_draws
@@ -110,14 +115,9 @@ def _nonzero_verdict(
     )
 
 
-def _walk(
-    ranges: Sequence[int], enum_budget: int, lines: bool = False
-) -> Tuple[int, Iterator[Tuple[int, ...]]]:
-    """The size of the product grid prod range(r) and its points in
-    row-major order; with ``lines``, only the prefixes of its lines, each
-    line being the ``ranges[-1]`` consecutive points that share a prefix.
-    A grid past ``enum_budget`` is refused before its first point, and its
-    size is never multiplied out past the budget."""
+def _grid_points(ranges: Sequence[int], enum_budget: int) -> int:
+    """The size of the product grid prod range(r), refused past
+    ``enum_budget`` and never multiplied out past it."""
     points = 1
     for r in ranges:
         points *= r
@@ -126,7 +126,15 @@ def _walk(
                 f"a grid over {len(ranges)} coordinates exceeds the budget of "
                 f"{enum_budget} points"
             )
-    return points, itertools.product(*map(range, ranges[:-1] if lines else ranges))
+    return points
+
+
+def _first_nonzero(
+    sizes: Sequence[int], value: Callable[[Tuple[int, ...]], int]
+) -> Optional[Tuple[int, ...]]:
+    """The first point of the grid prod range(sizes), in row-major order,
+    where ``value`` is nonzero; None when it vanishes on the whole grid."""
+    return next((x for x in itertools.product(*map(range, sizes)) if value(x)), None)
 
 
 def pit_exhaustive(
@@ -161,17 +169,21 @@ def pit_exhaustive(
         raise EnumerationBudgetExceeded(
             f"{circuit.v} inputs exceed the budget of {enum_budget}"
         )
-    points, grid_walk = _walk([degrees[i] + 1 for i in support], enum_budget)
+    sizes = [degrees[i] + 1 for i in support]
     grid = {
         "variable_degrees": tuple(degrees.get(i, 0) for i in range(circuit.v)),
-        "grid_points": points,
+        "grid_points": _grid_points(sizes, enum_budget),
     }
     point = [0] * circuit.v
-    for x in grid_walk:
+
+    def value(x: Tuple[int, ...]) -> int:
         for i, xi in zip(support, x):
             point[i] = xi
-        if circuit.evaluate(point):
-            return replace(_nonzero_verdict(circuit, point), **grid)
+        return circuit.evaluate(point)
+
+    # a nonzero grid point is left written into point
+    if _first_nonzero(sizes, value) is not None:
+        return replace(_nonzero_verdict(circuit, point), **grid)
     return PitVerdict(outcome=PROVEN_ZERO, degree_bound=circuit.formal_degree, p=p, **grid)
 
 
@@ -252,15 +264,10 @@ class HitReport:
     witness_poly: Optional[dict] = None
     witness_value: Optional[int] = None
     degenerate_suspected: bool = False
-    # the cost of the check, outside the body: members built directly (the
-    # witness rebuild included) and T evaluations on members
+    # the cost of the check, outside the body: members built and T
+    # evaluations on members, the witness rebuild and the degree check included
     members_built: int = field(default=0, compare=False)
-
-    @property
-    def points_evaluated(self) -> int:
-        """T evaluations on members: one per member examined, and one more
-        on the rebuilt witness."""
-        return self.examined + (self.witness_params is not None)
+    points_evaluated: int = field(default=0, compare=False)
 
     @property
     def mode(self) -> str:
@@ -305,60 +312,6 @@ def _check_spaces(desc: FamilyDescriptor, T) -> None:
         raise FieldMismatch(f"family in F_{desc.field.p}, meta-polynomial in F_{T.field.p}")
 
 
-def _family_walk(
-    desc: FamilyDescriptor,
-    coeffs: Callable[[Tuple[int, ...]], List[int]],
-    enum_budget: int,
-) -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
-    """(params, coefficient vector) of every member of the family, in the
-    row-major order of its parameter grid.
-
-    ``coeffs`` gives a member's coefficient vector from a direct build.  On
-    each line (prefix fixed, last parameter t = 0..L-1) the vector is a
-    polynomial of degree c = ``param_degrees[-1]`` in t, so the first c+1
-    points are built and every later one is stepped from a table of backward
-    differences with c vector additions mod p.  The step is exact over every
-    F_p: the (c+1)-th difference of a degree-c polynomial is 0.  The last
-    point of a longer line is also built and must equal its stepped vector;
-    a degree declared too low shows there, at t = p-1, as a difference of
-    lead * (-1)^(c+1) * (c+1)! != 0.  A stepped member of a sparse family
-    must have at most s nonzero coefficients, as ``validate_member`` checks
-    of a built one.
-    """
-    ranges = desc.param_ranges()
-    prefixes = _walk(ranges, enum_budget, lines=True)[1]
-    if not ranges:
-        yield (), coeffs(())
-        return
-    L, c = ranges[-1], desc.param_degrees[-1]
-    seeds = L if c is None else min(L, c + 1)
-    p = desc.field.p
-    sparsity = desc.sparsity
-    for prefix in prefixes:
-        table = []
-        for t in range(seeds):
-            params = prefix + (t,)
-            table.append(coeffs(params))
-            yield params, table[-1]
-        if seeds == L:
-            continue
-        # diffs[j] is the j-th backward difference at the last point reached
-        diffs = table[::-1]
-        for j in range(1, c + 1):
-            for i in range(c, j - 1, -1):
-                diffs[i] = [(x - y) % p for x, y in zip(diffs[i - 1], diffs[i])]
-        for t in range(seeds, L):
-            for j in range(c - 1, -1, -1):
-                diffs[j] = [(x + y) % p for x, y in zip(diffs[j], diffs[j + 1])]
-            params, cv = prefix + (t,), diffs[0]
-            if t == L - 1:
-                if coeffs(params) != cv:
-                    raise AssertionError(f"stepped member {params} differs from its build")
-            elif sparsity is not None and len(cv) - cv.count(0) > sparsity:
-                raise AssertionError(f"stepped member {params} has over {sparsity} terms")
-            yield params, cv
-
-
 def succinct_hitting_check(
     desc: FamilyDescriptor,
     T,
@@ -372,45 +325,61 @@ def succinct_hitting_check(
     """Search the family for a member on which T is nonzero.
 
     Random mode samples ``trials`` members from seeds derived from ``seed``.
-    Exhaustive mode walks the family's entire parameter grid, stepping each
-    line of it by forward differences (``_family_walk``); completing the
-    walk with no witness is a proof that T vanishes on the family.  A grid
-    past ``enum_budget`` members is refused before any member is built.  The
-    witness is rebuilt from its parameters and T re-evaluated on it before
-    it is reported.
+    Exhaustive mode decides whether T vanishes on all p^s members from the
+    grid prod S_i, S_i = {0..deg(T) * c_i} or a slot's whole range (see the
+    module docstring), walked in row-major order.  Its first nonzero point is
+    the first nonzero member of the whole grid, the witness; when T vanishes
+    on a grid smaller than the whole one, the whole grid's last member is
+    evaluated too, a check on the declared ``param_degrees``.  ``examined``
+    counts the members the verdict covers: p^s for a proof, the witness's
+    row-major index + 1 otherwise.  A family of more than ``enum_budget``
+    members is refused before any member is built.  The witness is rebuilt
+    from its parameters and T re-evaluated on it before it is reported.
     """
     _check_spaces(desc, T)
     space = desc.space
-    built = 0
+    built = evaluated = 0
+    last = None  # (params, coefficient vector, T-value) of the last member evaluated
 
     def build(params: Tuple[int, ...]) -> SparsePoly:
         nonlocal built
         built += 1
         return desc.member_from_params(params)
 
-    def coeffs(params: Tuple[int, ...]) -> List[int]:
-        return build(params).coeff_vector(space)
+    def value(params: Tuple[int, ...]) -> int:
+        nonlocal evaluated, last
+        evaluated += 1
+        cv = build(params).coeff_vector(space)
+        last = (params, cv, T.eval_at(cv))
+        return last[2]
 
-    if exhaustive:
-        points = _family_walk(desc, coeffs, enum_budget)
-    else:
-        draws = _seeded_draws(desc.param_ranges(), trials, seed)
-        points = ((params, coeffs(params)) for params in draws)
-    examined = 0
-    zeros = 0
+    ranges = desc.param_ranges()
     # (params, coefficient vector, T-value) of the first member where T is nonzero
     witness: Optional[Tuple[Tuple[int, ...], List[int], int]] = None
-    for params, cv in points:
-        examined += 1
-        val = T.eval_at(cv)
-        if not val:
-            zeros += 1
-            continue
-        if witness is None:
-            witness = (params, cv, val)
-        # an exhaustive walk stops at its witness; random mode may count on
-        if exhaustive or not collect_stats:
-            break
+    if exhaustive:
+        examined = zeros = _grid_points(ranges, enum_budget)
+        sizes = tuple(r if c is None else min(r, T.degree_bound * c + 1)
+                      for r, c in zip(ranges, desc.param_degrees))
+        if _first_nonzero(sizes, value) is not None:
+            witness = last
+            zeros = 0
+            for x, r in zip(witness[0], ranges):
+                zeros = zeros * r + x
+            examined = zeros + 1
+        elif sizes != ranges and value(tuple(r - 1 for r in ranges)):
+            raise AssertionError(f"T is nonzero at member {last[0]}, outside the "
+                                 "grid of the declared param_degrees")
+    else:
+        examined = zeros = 0
+        for params in _seeded_draws(ranges, trials, seed):
+            examined += 1
+            if not value(params):
+                zeros += 1
+                continue
+            if witness is None:
+                witness = last
+            if not collect_stats:
+                break
     degenerate = False
     witness_poly = None
     if witness is None:
@@ -418,6 +387,7 @@ def succinct_hitting_check(
     else:
         again = build(witness[0])
         cv = again.coeff_vector(space)
+        evaluated += 1
         if cv != witness[1] or T.eval_at(cv) != witness[2]:
             raise AssertionError("witness failed its rebuild and re-evaluation")
         witness_poly = again.to_json()
@@ -434,6 +404,7 @@ def succinct_hitting_check(
         witness_value=None if witness is None else witness[2],
         degenerate_suspected=degenerate,
         members_built=built,
+        points_evaluated=evaluated,
     )
 
 

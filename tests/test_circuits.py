@@ -245,7 +245,7 @@ class TestFamilies:
             assert f.is_zero or f.is_homogeneous(2)
 
     def test_exhaustive_walk_covers_grid(self):
-        # disc vanishes on every square, so the walk visits all 25 members
+        # disc vanishes on every square, so the verdict covers all 25 members
         desc = FamilyDescriptor("squares", PolySpace(2, 2, True), F5)
         r = succinct_hitting_check(desc, discriminant(F5), exhaustive=True)
         assert r.exhausted and r.examined == r.zeros == 25
@@ -262,12 +262,14 @@ class TestFamilies:
                 self.seen.append(tuple(cv))
                 return 0
 
-        # full-space members are their parameter tuples
+        # full-space members are their parameter tuples; a degree-1 T sees
+        # the grid {0, 1}^2 and the degree check at (4, 4), then the probe
         T = Recording()
         full = FamilyDescriptor("full-space", T.space, F5)
         r = succinct_hitting_check(full, T, exhaustive=True)
-        assert r.examined == 25
-        assert T.seen[:25] == list(itertools.product(range(5), repeat=2))
+        assert r.exhausted and r.examined == 25
+        assert r.points_evaluated <= 2 * 2 + 1
+        assert T.seen[: r.points_evaluated] == [(0, 0), (0, 1), (1, 0), (1, 1), (4, 4)]
 
     def test_exhaustive_walk_row_major_and_refused_unbuilt(self, monkeypatch):
         sp = PolySpace(2, 1, True)

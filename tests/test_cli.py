@@ -523,16 +523,17 @@ class TestExitCodes:
             assert json.loads(out)["body"]["result"]["shape"] == shape
 
     def test_internal_error_exits_two(self, capsys, monkeypatch):
-        # a family degree declared too low fails the walk's own check at a
-        # line end: one diagnostic line and exit 2, not the witness code 1
+        # family degrees declared too low fail the degree check at the whole
+        # grid's last member: one diagnostic line and exit 2, not the
+        # witness code 1
         monkeypatch.setattr(FamilyDescriptor, "param_degrees",
-                            property(lambda desc: (1,) * len(desc.param_ranges())))
-        code, out, err = run_cli(capsys, "hit-check", "--meta", "disc", "--family",
+                            property(lambda desc: (0,) * len(desc.param_ranges())))
+        code, out, err = run_cli(capsys, "hit-check", "--meta", "coord:0", "--family",
                                  "squares", "--space", "2:2", "--field", "7",
                                  "--exhaustive")
         assert (code, out) == (2, "")
-        assert err == ("npl: internal error: stepped member (0, 6) differs "
-                       "from its build\n")
+        assert err == ("npl: internal error: T is nonzero at member (6, 6), outside "
+                       "the grid of the declared param_degrees\n")
         assert "Traceback" not in err
 
     def test_argparse_usage_error(self, workdir, capsys):
@@ -615,14 +616,16 @@ class TestReports:
         assert "wall_clock_ms" not in json.dumps(doc["body"])
 
     def test_walk_counters_in_header(self, workdir, capsys):
-        # squares over F_7: 7 lines of c+1 = 3 seeds and a line end each
+        # squares over F_7: the grid {0..4}^2 of deg(disc) * c = 4 and the
+        # degree check at (6, 6)
         base = ("--meta", "disc", "--space", "2:2", "--field", "7", "--exhaustive")
         for argv, counters in (
             (("hit-check", "--family", "squares"),
-             {"members_built": 28, "points_evaluated": 49}),
-            # the witness at (0, 1, 0) is rebuilt and evaluated once more
+             {"members_built": 26, "points_evaluated": 26}),
+            # four grid points to the witness at (0, 1, 0), which is rebuilt
+            # and evaluated once more
             (("audit", "--family", "full", "--hard", workdir / "xy7.json"),
-             {"members_built": 5, "points_evaluated": 9}),
+             {"members_built": 5, "points_evaluated": 5}),
         ):
             _, out, _ = run_cli(capsys, *argv, *base)
             doc = json.loads(out)
@@ -631,6 +634,19 @@ class TestReports:
         _, out, _ = run_cli(capsys, "pit", "--circuit", workdir / "zero.json",
                             "--field", "13")
         assert set(json.loads(out)["header"]) == {"wall_clock_ms"}
+
+    def test_degree_grid_decides_a_large_family(self, capsys):
+        # 997^2 members, under the default budget, decided on the grid {0..4}^2
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "hit-check", "--meta", "disc", "--family",
+                               "squares", "--space", "2:2", "--field", "997",
+                               "--exhaustive")
+        assert time.perf_counter() - start < 0.5
+        doc = json.loads(out)
+        result = doc["body"]["result"]["hit_report"]
+        assert code == 0 and result["outcome"] == "none-found"
+        assert result["examined"] == result["zeros"] == 997 ** 2
+        assert doc["header"]["members_built"] <= 27
 
     def test_named_meta_variants(self, workdir, capsys):
         for meta in ("disc", "coord:1", "partials-minor:k=1,r=1",

@@ -15,6 +15,7 @@ from npl.circuits import (
     sample_family_with_params,
 )
 from npl.meta import (
+    CircuitMeta,
     MinorMeta,
     MinorSelection,
     RankMethodSpec,
@@ -618,10 +619,21 @@ class Recording:
         return 0
 
 
+def cubic_meta(space, field):
+    """cv[0]^3 - cv[0]: degree 3, so deg(T) * c_i >= p walks a slot in full
+    at small p; it vanishes as a function on F_2 and F_3, not formally."""
+    b = CircuitBuilder(field, space.dimension)
+    a = b.inp(0)
+    return CircuitMeta(space, b.build(b.sub(b.mul(b.mul(a, a), a), a)), "cubic")
+
+
 class TestSteppedWalk:
+    """The exhaustive family walk on its degree grid, against a walk that
+    builds every member."""
+
     @staticmethod
     def families(field):
-        return [
+        out = [
             FamilyDescriptor("squares", SP22, field),
             FamilyDescriptor("full-space", SP22, field),
             FamilyDescriptor("det-projection", PolySpace(2, 1, True), field, n=1),
@@ -630,11 +642,15 @@ class TestSteppedWalk:
             FamilyDescriptor("sps", SP22, field, top_fanin=0),  # a grid of one point
             FamilyDescriptor("sparse", SP22, field, sparsity=2),
         ]
+        if field.p <= 3:  # 8 parameters each, p^8 members
+            out += [FamilyDescriptor("det-projection", SP22, field, n=2),
+                    FamilyDescriptor("sps", SP22, field, top_fanin=2)]
+        return out
 
     @staticmethod
     def metas(space, field):
         # coordinate 0 varies slowest, so its witness comes late in the walk
-        out = [coordinate_meta(space, field, 0)]
+        out = [coordinate_meta(space, field, 0), cubic_meta(space, field)]
         if space == SP22:
             out.append(discriminant(field))
         if space.homogeneous and field.p > space.d:
@@ -643,19 +659,30 @@ class TestSteppedWalk:
         return out
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    def test_same_report_as_direct_builds(self, p):
+    def test_same_report_as_direct_builds(self, p, monkeypatch):
         field = PrimeField(p)
+        builds = count_member_builds(monkeypatch)
         outcomes = set()
         for desc in self.families(field):
-            # every member of the grid, vector by vector (the probe of T
-            # itself then records more)
+            # T sees only the members built, in build order; a degree-1 T that
+            # vanishes sees at most the grid prod {0..c_i} and one more member
+            # (the probe of T itself then records more)
             T = Recording(desc.space, field)
+            del builds[:]
             r = succinct_hitting_check(desc, T, exhaustive=True)
-            assert T.seen[: r.examined] == [
+            walked = builds[:]
+            assert r.exhausted and r.points_evaluated == r.members_built == len(walked)
+            assert T.seen[: len(walked)] == [
                 tuple(desc.member_from_params(params).coeff_vector(desc.space))
-                for params in itertools.product(*map(range, desc.param_ranges()))
+                for params in walked
             ], desc.class_id
+            assert len(walked) <= math.prod(
+                r if c is None else min(r, c + 1)
+                for r, c in zip(desc.param_ranges(), desc.param_degrees)
+            ) + 1, desc.class_id
             for T in self.metas(desc.space, field):
+                if T.meta_id == "cubic" and math.prod(desc.param_ranges()) > 1000:
+                    continue  # it vanishes on F_3: both walks would build all 3^8
                 r = succinct_hitting_check(desc, T, exhaustive=True)
                 got = (r.examined, r.zeros, r.witness_params, r.witness_poly,
                        r.witness_value)
@@ -664,26 +691,30 @@ class TestSteppedWalk:
         assert outcomes == {"witness", "none-found"}
 
     def test_under_declared_degree_caught_at_line_end(self, monkeypatch):
+        # degrees declared 0 leave the grid {(0, 0)}, where coord:0 vanishes;
+        # the whole grid's last member (6x + 6y)^2 has x^2 coefficient 1
         squares = FamilyDescriptor("squares", SP22, F7)
         monkeypatch.setattr(FamilyDescriptor, "param_degrees",
-                            property(lambda desc: (1,) * len(desc.param_ranges())))
-        with pytest.raises(AssertionError, match="differs from its build"):
-            succinct_hitting_check(squares, discriminant(F7), exhaustive=True)
+                            property(lambda desc: (0,) * len(desc.param_ranges())))
+        with pytest.raises(AssertionError, match=r"nonzero at member \(6, 6\)"):
+            succinct_hitting_check(squares, coordinate_meta(SP22, F7, 0), exhaustive=True)
 
     def test_builds_per_line(self, monkeypatch):
-        # c+1 seeds and the line end per line of 13 points, c = 2
+        # disc has degree 2 and squares c = 2: the grid {0..4}^2 and the
+        # degree check at (12, 12), one build and one evaluation each
         builds = count_member_builds(monkeypatch)
         squares = FamilyDescriptor("squares", SP22, F13)
         r = succinct_hitting_check(squares, discriminant(F13), exhaustive=True)
         assert r.exhausted and r.examined == 169
-        assert len(builds) == r.members_built <= 13 * (2 + 2) + 2
-        assert r.points_evaluated == 169
+        assert builds == list(itertools.product(range(5), repeat=2)) + [(12, 12)]
+        assert r.members_built == r.points_evaluated == 26
         # a witness is rebuilt and re-evaluated: one more build and evaluation
         full = FamilyDescriptor("full-space", SP22, F13)
         del builds[:]
         r = succinct_hitting_check(full, discriminant(F13), exhaustive=True)
-        assert r.witness_params == (0, 1, 0) and r.points_evaluated == r.examined + 1
-        assert builds[-1] == r.witness_params and r.members_built == len(builds)
+        assert r.witness_params == (0, 1, 0) and r.examined == 14
+        assert builds == [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 1, 0)]
+        assert r.members_built == r.points_evaluated == 5
 
 
 class TestAudit:
