@@ -5,11 +5,12 @@ executes it, and emits one JSON report.  The report body echoes the full
 plan, so the body alone is enough to rerun the experiment, and reruns with
 the same plan produce byte-identical bodies.  Wall-clock time lives in the
 header, outside the body, precisely so it cannot break that guarantee; so
-do the counters of a family walk (``hit-check`` and ``audit``):
-``members_built``, the members built, and ``points_evaluated``, the
-evaluations of the test polynomial on members, the witness rebuild and the
-degree check included.  An exhaustive walk evaluates its degree grid, not
-all the members that the body's ``examined`` counts as covered.
+do the counters: ``points_evaluated``, the engine's evaluations (of the
+circuit for ``pit`` and ``ips-verify``, none when C(0) != 1; of the test
+polynomial on members for ``hit-check`` and ``audit``), re-evaluations of
+the witness and the degree check included, and a family walk's
+``members_built``.  An exhaustive engine evaluates a lower set of the points
+the body's ``grid_points`` or ``examined`` count as covered.
 
 Exit codes: 0 for zero / none-found / accept, 1 for nonzero / witness /
 reject, 2 for usage errors, precondition failures and internal errors (a
@@ -192,6 +193,9 @@ def parse_plan(argv: Sequence[str], env: Optional[Mapping[str, str]] = None) -> 
             raise ValueError(f"{FIELD_ENV_VAR} is not an integer: {raw_default!r}")
     ns = vars(build_parser(default_field).parse_args(argv))
     PrimeField(ns["field"])  # reject composite moduli up front
+    for key in ("trials", "enum_budget"):
+        if ns.get(key, 1) < 1:
+            raise ValueError(f"--{key.replace('_', '-')} must be at least 1, got {ns[key]}")
     inputs = tuple((k, v) for k, v in ns.items() if k not in _PLAN_FIELDS)
     return ExperimentPlan(inputs=inputs, **{k: ns.get(k) for k in _PLAN_FIELDS})
 
@@ -335,7 +339,7 @@ def _run_pit(plan: ExperimentPlan) -> Report:
     with _about(path):
         verdict = identity_test(circuit, **plan.proof_mode)
     code = 1 if verdict.outcome == "proven-nonzero" else 0
-    return {"verdict": verdict.to_json()}, code, {}
+    return {"verdict": verdict.to_json()}, code, {"points_evaluated": verdict.points_evaluated}
 
 
 def _walk_counters(report: HitReport) -> Dict[str, int]:
@@ -423,7 +427,8 @@ def _run_ips_verify(plan: ExperimentPlan) -> Report:
     cert = _load_json(plan.input("cert"), Circuit.from_json)
     with _about(system_path, plan.input("cert")):
         report = verify_certificate(system, cert, **plan.proof_mode)
-    return {"verification": report.to_json()}, 0 if report.accepted else 1, {}
+    counters = {"points_evaluated": getattr(report.relation_verdict, "points_evaluated", 0)}
+    return {"verification": report.to_json()}, 0 if report.accepted else 1, counters
 
 
 def _run_ips_from_cnf(plan: ExperimentPlan) -> Report:

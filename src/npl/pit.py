@@ -1,29 +1,30 @@
 """Polynomial identity testing and coefficient-space hitting experiments.
 
-Two engines.  The exhaustive engine is a proof either way.  It rests on the
-product-set lemma (DeMillo-Lipton, Schwartz, Zippel; Alon's Combinatorial
-Nullstellensatz, 1999): a polynomial of degree at most D_i in each x_i that
-vanishes on {0..D_0} x ... x {0..D_(v-1)} is zero, provided every D_i < p.
-The engine takes D_i to be the circuit's formal degree in x_i, so it needs
-only max D_i < p, and it evaluates the circuit at the prod(D_i + 1) points of
-that grid; an input the output never reaches takes the value 0 alone, so
-the walk writes only the reached coordinates into one reused point, and a
-point costs the gates the output depends on, not v.  It runs on Python
-integers, exact for every prime, and the library needs no numpy.
-An exhaustive hitting check is the same engine on T o G, T the test
-polynomial and G the family's map from parameters to coefficient vectors.
-T o G has degree at most deg(T) * c_i in parameter i, c_i its declared
-``param_degrees`` entry, so the check walks prod S_i, S_i = {0..deg(T) * c_i},
-or the slot's whole range when deg(T) * c_i reaches it or c_i is None (the
-rank slots of a sparse family).  That decides whether T vanishes on every
-member, a function of the parameters: reduced modulo x^p - x in the slots
-walked in full, T o G has degree below |S_i| in slot i.  The lemma applies
-as well to every restriction to fixed leading parameters, so the first
-nonzero point of this grid in row-major order is the first nonzero member
-of the whole one: a member before it differs first in some slot k at a value
-of S_k, and the grid points with those leading parameters, walked earlier,
-were all zero.  Both walks refuse a grid past the enumeration budget before
-its first point; a hitting check counts the family's p^s members there.
+Two engines.  The exhaustive engine is a proof either way.  Let f have
+degree at most D_i < p in x_i and total degree at most D.  In the falling-
+factorial basis prod (x_i)_(e_i), (x)_e = x (x - 1) ... (x - e + 1), its
+support lies in the lower set {e : e_i <= D_i, sum e_i <= D}.  At the
+lex-least e of the support f(e) = c_e prod e_i! != 0, and f is zero at
+every point of the grid prod {0..D_i} before e in row-major order.  So a
+row-major walk of the lower set alone finds the grid's first nonzero point,
+and f = 0 when it vanishes there (the product-set lemma, Alon 1999, cut to
+the C(v + D, D)-point hitting set of total degree D, Shpilka & Yehudayoff
+2010).  The engine takes D_i and D to be the circuit's formal degrees, so it
+needs only max D_i < p; ``grid_points`` counts the whole grid covered.  The
+walk writes only the reached coordinates (the others take 0 alone) into one
+reused point, so a point costs the gates the output depends on, not v.  It
+runs on Python integers, exact for every prime; the library needs no numpy.
+An exhaustive hitting check is the same engine on T o G, G the family's map
+from parameters to coefficient vectors, of degree at most deg(T) * c_i in
+parameter i (``param_degrees``) and total degree deg(T) * ``param_degree``.
+It walks the lower set of prod S_i, S_i = {0..deg(T) * c_i} or the slot's
+whole range when deg(T) * c_i reaches it or c_i is None (a sparse family's
+rank slots; it has no ``param_degree`` and walks all of prod S_i).  Reduced
+modulo x^p - x in the slots walked in full, T o G keeps degree below |S_i|
+in slot i and its total degree, so the walk's first nonzero point is the
+family's first nonzero member, and T vanishes on all members when there is
+none.  Both walks refuse a grid past the enumeration budget before its first
+point; a hitting check counts the family's p^s members there.
 The randomized engine samples points; a nonzero polynomial of degree
 d vanishes at a uniform point with probability at most d/p, so "probably
 zero" after t independent trials carries error at most (d/p)^t.  Fields
@@ -36,7 +37,6 @@ Verdict witnesses are always re-evaluated before the verdict is built, so a
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -66,9 +66,11 @@ class PitVerdict:
     value: Optional[int] = None
     trials: Optional[int] = None
     warnings: Tuple[str, ...] = ()
-    # exhaustive verdicts only: the D_i and the size of the grid walked
+    # exhaustive verdicts only: the D_i and the size of the grid covered
     variable_degrees: Optional[Tuple[int, ...]] = None
     grid_points: Optional[int] = None
+    # outside the body: circuit evaluations, the witness re-evaluation included
+    points_evaluated: int = field(default=0, compare=False)
 
     @property
     def per_trial_error(self) -> Optional[str]:
@@ -97,9 +99,9 @@ class PitVerdict:
 def _nonzero_verdict(
     circuit: Circuit,
     point: Sequence[int],
-    trials: Optional[int] = None,
-    warnings: Tuple[str, ...] = (),
+    evaluated: int,
 ) -> PitVerdict:
+    """The verdict at a point where the last of ``evaluated`` evaluations was nonzero."""
     p = circuit.field.p
     value = circuit.evaluate(point) % p
     if not value:
@@ -110,8 +112,7 @@ def _nonzero_verdict(
         p=p,
         witness=tuple(int(x) for x in point),
         value=int(value),
-        trials=trials,
-        warnings=warnings,
+        points_evaluated=evaluated + 1,
     )
 
 
@@ -130,21 +131,29 @@ def _grid_points(ranges: Sequence[int], enum_budget: int) -> int:
 
 
 def _first_nonzero(
-    sizes: Sequence[int], value: Callable[[Tuple[int, ...]], int]
+    sizes: Sequence[int], total: int, value: Callable[[Tuple[int, ...]], int],
+    prefix: Tuple[int, ...] = (),
 ) -> Optional[Tuple[int, ...]]:
-    """The first point of the grid prod range(sizes), in row-major order,
-    where ``value`` is nonzero; None when it vanishes on the whole grid."""
-    return next((x for x in itertools.product(*map(range, sizes)) if value(x)), None)
+    """The first point prefix + x, x in the grid prod range(sizes) with
+    sum(x) <= total, in row-major order, where ``value`` is nonzero; None
+    when it vanishes on all of them."""
+    if not sizes:
+        return prefix if value(prefix) else None
+    for x in range(min(sizes[0], total + 1)):
+        found = _first_nonzero(sizes[1:], total - x, value, (*prefix, x))
+        if found is not None:
+            return found
+    return None
 
 
 def pit_exhaustive(
     circuit: Circuit, enum_budget: int = DEFAULT_ENUM_BUDGET
 ) -> PitVerdict:
-    """Evaluate the circuit on the product grid prod {0..D_i}, D_i its
-    formal degree in x_i, in row-major order.  Proof-grade either way.
+    """Evaluate the circuit, row-major, on the lower set {x : x_i <= D_i,
+    sum x_i <= D} of its formal degrees (module docstring).  Proof-grade either way.
 
-    ``enum_budget`` caps the grid points and the v coordinates that the
-    verdict lists.  The walk reuses one point of all v coordinates, zero
+    ``enum_budget`` caps the whole grid's points and the v coordinates that
+    the verdict lists.  The walk reuses one point of all v coordinates, zero
     outside the support, and writes each grid point's support coordinates
     into it, so a point costs the gates the output depends on, not v;
     refusals come before any point is evaluated."""
@@ -175,16 +184,20 @@ def pit_exhaustive(
         "grid_points": _grid_points(sizes, enum_budget),
     }
     point = [0] * circuit.v
+    evaluated = 0
 
     def value(x: Tuple[int, ...]) -> int:
+        nonlocal evaluated
+        evaluated += 1
         for i, xi in zip(support, x):
             point[i] = xi
         return circuit.evaluate(point)
 
     # a nonzero grid point is left written into point
-    if _first_nonzero(sizes, value) is not None:
-        return replace(_nonzero_verdict(circuit, point), **grid)
-    return PitVerdict(outcome=PROVEN_ZERO, degree_bound=circuit.formal_degree, p=p, **grid)
+    if _first_nonzero(sizes, circuit.formal_degree, value) is not None:
+        return replace(_nonzero_verdict(circuit, point, evaluated), **grid)
+    return PitVerdict(outcome=PROVEN_ZERO, degree_bound=circuit.formal_degree, p=p,
+                      points_evaluated=evaluated, **grid)
 
 
 def pit_schwartz_zippel(
@@ -211,10 +224,10 @@ def pit_schwartz_zippel(
         )
     for t, point in enumerate(_seeded_draws((p,) * circuit.v, trials, seed)):
         if circuit.evaluate(point):
-            return _nonzero_verdict(circuit, point, trials=t + 1, warnings=warnings)
-    return PitVerdict(
-        outcome=PROBABLY_ZERO, degree_bound=deg, p=p, trials=trials, warnings=warnings
-    )
+            return replace(_nonzero_verdict(circuit, point, t + 1), trials=t + 1,
+                           warnings=warnings)
+    return PitVerdict(outcome=PROBABLY_ZERO, degree_bound=deg, p=p, trials=trials,
+                      warnings=warnings, points_evaluated=trials)
 
 
 def identity_test(
@@ -326,11 +339,11 @@ def succinct_hitting_check(
 
     Random mode samples ``trials`` members from seeds derived from ``seed``.
     Exhaustive mode decides whether T vanishes on all p^s members from the
-    grid prod S_i, S_i = {0..deg(T) * c_i} or a slot's whole range (see the
-    module docstring), walked in row-major order.  Its first nonzero point is
-    the first nonzero member of the whole grid, the witness; when T vanishes
-    on a grid smaller than the whole one, the whole grid's last member is
-    evaluated too, a check on the declared ``param_degrees``.  ``examined``
+    lower set of the grid prod S_i, S_i = {0..deg(T) * c_i} or a slot's whole
+    range (see the module docstring), walked in row-major order.  Its first
+    nonzero point is the first nonzero member of the whole grid, the witness;
+    when the walk is smaller than the whole grid and vanishes, the grid's last
+    member is evaluated too, a check on the declared degrees.  ``examined``
     counts the members the verdict covers: p^s for a proof, the witness's
     row-major index + 1 otherwise.  A family of more than ``enum_budget``
     members is refused before any member is built.  The witness is rebuilt
@@ -360,13 +373,15 @@ def succinct_hitting_check(
         examined = zeros = _grid_points(ranges, enum_budget)
         sizes = tuple(r if c is None else min(r, T.degree_bound * c + 1)
                       for r, c in zip(ranges, desc.param_degrees))
-        if _first_nonzero(sizes, value) is not None:
+        full = sum(ranges) - len(ranges)
+        total = full if desc.param_degree is None else T.degree_bound * desc.param_degree
+        if _first_nonzero(sizes, total, value) is not None:
             witness = last
             zeros = 0
             for x, r in zip(witness[0], ranges):
                 zeros = zeros * r + x
             examined = zeros + 1
-        elif sizes != ranges and value(tuple(r - 1 for r in ranges)):
+        elif (sizes != ranges or total < full) and value(tuple(r - 1 for r in ranges)):
             raise AssertionError(f"T is nonzero at member {last[0]}, outside the "
                                  "grid of the declared param_degrees")
     else:

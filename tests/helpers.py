@@ -193,6 +193,32 @@ def dead_cone_circuit(
     return b.build(splice(b, live)), live
 
 
+def compose_affine(
+    c: Circuit, A: Sequence[Sequence[int]], shift: Sequence[int]
+) -> Circuit:
+    """c o (x -> A x + shift) from gates: each input gate i of c becomes the
+    affine form shift[i] + sum_j A[i][j] x_j over the columns of A."""
+    b = CircuitBuilder(c.field, len(A[0]))
+    xs = [b.inp(j) for j in range(len(A[0]))]
+    forms = []
+    for row, s in zip(A, shift):
+        acc = b.const(s)
+        for a, x in zip(row, xs):
+            acc = b.add(acc, b.mul(b.const(a), x))
+        forms.append(acc)
+    idx: List[int] = []
+    for g in c.gates:
+        if g[0] == "in":
+            idx.append(forms[g[1]])
+        elif g[0] == "const":
+            idx.append(b.const(g[1]))
+        elif g[0] == "add":
+            idx.append(b.add(idx[g[1]], idx[g[2]]))
+        else:
+            idx.append(b.mul(idx[g[1]], idx[g[2]]))
+    return b.build(idx[c.out])
+
+
 def reference_value(circuit: Circuit, point: Sequence[int]) -> int:
     """The output at the point by a walk of every gate, dead ones included:
     the evaluation order of ``gates`` itself, not the library's program."""

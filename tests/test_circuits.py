@@ -262,14 +262,15 @@ class TestFamilies:
                 self.seen.append(tuple(cv))
                 return 0
 
-        # full-space members are their parameter tuples; a degree-1 T sees
-        # the grid {0, 1}^2 and the degree check at (4, 4), then the probe
+        # full-space members are their parameter tuples, and G has total
+        # degree 1: a degree-1 T sees the points of {0, 1}^2 with x0 + x1 <= 1
+        # and the degree check at (4, 4), then the probe
         T = Recording()
         full = FamilyDescriptor("full-space", T.space, F5)
         r = succinct_hitting_check(full, T, exhaustive=True)
         assert r.exhausted and r.examined == 25
-        assert r.points_evaluated <= 2 * 2 + 1
-        assert T.seen[: r.points_evaluated] == [(0, 0), (0, 1), (1, 0), (1, 1), (4, 4)]
+        assert r.points_evaluated == 4
+        assert T.seen[: r.points_evaluated] == [(0, 0), (0, 1), (1, 0), (4, 4)]
 
     def test_exhaustive_walk_row_major_and_refused_unbuilt(self, monkeypatch):
         sp = PolySpace(2, 1, True)

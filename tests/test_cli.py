@@ -294,6 +294,32 @@ class TestExitCodes:
         assert doc["accepted"] is False
         assert doc["failed_condition"] in (1, 2)
 
+    def test_proof_budgets_below_one_blame_the_flag(self, workdir, capsys):
+        # refused when the plan is parsed, before any file is read: the one
+        # line names the flag, not an input
+        missing = workdir / "missing.json"
+        commands = [
+            ("pit", "--circuit", missing, "--field", "13"),
+            ("hit-check", "--meta", "disc", "--family", "squares", "--space", "2:2",
+             "--field", "7", "--exhaustive"),
+            ("audit", "--meta", "disc", "--family", "full", "--space", "2:2",
+             "--field", "7", "--hard", missing),
+            ("ips-verify", "--cnf", missing, "--cert", missing, "--field", "13"),
+        ]
+        for flag, value in (("--trials", "0"), ("--trials", "-3"),
+                            ("--enum-budget", "0"), ("--enum-budget", "-5")):
+            for argv in commands:
+                code, out, err = run_cli(capsys, *argv, flag, value)
+                assert (code, out) == (2, ""), argv
+                assert err == f"npl: error: {flag} must be at least 1, got {value}\n"
+        # one is the least budget of each
+        code, _, _ = run_cli(capsys, "pit", "--circuit", workdir / "circ.json",
+                             "--field", "13", "--trials", "1", "--enum-budget", "1")
+        assert code == 2  # two inputs past a budget of one point
+        code, _, _ = run_cli(capsys, "pit", "--circuit", workdir / "zero.json",
+                             "--field", "13", "--trials", "1")
+        assert code == 0
+
     def test_ips_from_cnf(self, workdir, capsys):
         out_path = workdir / "translated.json"
         code, out, _ = run_cli(
@@ -616,12 +642,13 @@ class TestReports:
         assert "wall_clock_ms" not in json.dumps(doc["body"])
 
     def test_walk_counters_in_header(self, workdir, capsys):
-        # squares over F_7: the grid {0..4}^2 of deg(disc) * c = 4 and the
-        # degree check at (6, 6)
+        # squares over F_7: the 15 points of {0..4}^2, deg(disc) * c = 4,
+        # with x0 + x1 <= deg(disc) * param_degree = 4, and the degree check
+        # at (6, 6)
         base = ("--meta", "disc", "--space", "2:2", "--field", "7", "--exhaustive")
         for argv, counters in (
             (("hit-check", "--family", "squares"),
-             {"members_built": 26, "points_evaluated": 26}),
+             {"members_built": 16, "points_evaluated": 16}),
             # four grid points to the witness at (0, 1, 0), which is rebuilt
             # and evaluated once more
             (("audit", "--family", "full", "--hard", workdir / "xy7.json"),
@@ -631,9 +658,28 @@ class TestReports:
             doc = json.loads(out)
             assert {k: doc["header"][k] for k in counters} == counters, argv[0]
             assert not any(k in json.dumps(doc["body"]) for k in counters)
-        _, out, _ = run_cli(capsys, "pit", "--circuit", workdir / "zero.json",
-                            "--field", "13")
-        assert set(json.loads(out)["header"]) == {"wall_clock_ms"}
+        # pit and ips-verify count the identity test's circuit evaluations,
+        # the witness re-evaluation included
+        b = CircuitBuilder(F13, 3)
+        (workdir / "c0.json").write_text(json.dumps(b.build(b.inp(0)).to_json()))
+        pit = ("pit", "--field", "13", "--circuit")
+        ips = ("ips-verify", "--cnf", workdir / "phi.cnf", "--field", "13", "--cert")
+        for argv, evaluated in (
+            ((*pit, workdir / "zero.json"), 25),
+            # the points of {0, 1}^2 with x0 + x1 <= 1, formal degree 1
+            ((*pit, workdir / "zero.json", "--exhaustive"), 3),
+            # x0 x1 + x0 is first nonzero at (1, 0), the third point
+            ((*pit, workdir / "circ.json", "--exhaustive"), 4),
+            ((*ips, workdir / "cert.json"), 25),
+            ((*ips, workdir / "cert.json", "--exhaustive"), 2),
+            # C(0) = 0 leaves no identity test to run
+            ((*ips, workdir / "c0.json", "--exhaustive"), 0),
+        ):
+            _, out, _ = run_cli(capsys, *argv)
+            doc = json.loads(out)
+            assert doc["header"].keys() == {"wall_clock_ms", "points_evaluated"}, argv
+            assert doc["header"]["points_evaluated"] == evaluated, argv
+            assert "points_evaluated" not in json.dumps(doc["body"])
 
     def test_degree_grid_decides_a_large_family(self, capsys):
         # 997^2 members, under the default budget, decided on the grid {0..4}^2

@@ -37,10 +37,12 @@ from npl.errors import (
 )
 
 from helpers import (
+    compose_affine,
     count_member_builds,
     dead_cone_circuit,
     det_generator,
     distributivity_circuit,
+    int_cofactor_det,
     linear_meta,
     random_circuit,
     reference_value,
@@ -85,6 +87,50 @@ def det3_circuit(field):
     t3 = b.mul(x[2], m2(x[3], x[7], x[4], x[6]))
     neg_t2 = b.mul(b.const(field.p - 1), t2)
     return b.build(b.add(b.add(t1, neg_t2), t3))
+
+
+def power_sum(rng, field, v, k):
+    """sum_i c_i x_i^k, c_i nonzero: degree k in each variable, total k."""
+    b = CircuitBuilder(field, v)
+    acc = b.const(0)
+    for i in range(v):
+        term = b.const(rng.randrange(1, field.p))
+        for _ in range(k):
+            term = b.mul(term, b.inp(i))
+        acc = b.add(acc, term)
+    return b.build(acc)
+
+
+def product_of_sums(rng, field, v, m):
+    """m affine forms multiplied: degree m in each variable, total m."""
+    b = CircuitBuilder(field, v)
+    acc = b.const(1)
+    for _ in range(m):
+        form = b.const(rng.randrange(field.p))
+        for i in range(v):
+            form = b.add(form, b.mul(b.const(rng.randrange(field.p)), b.inp(i)))
+        acc = b.mul(acc, form)
+    return b.build(acc)
+
+
+def falling_sum(field, terms):
+    """sum c * prod_i (x_i)_{e_i} over (c, e) in terms, (x)_e the falling
+    factorial x (x - 1) ... (x - e + 1): nonzero first at the lex-least e."""
+    b = CircuitBuilder(field, len(terms[0][1]))
+    acc = b.const(0)
+    for c, e in terms:
+        term = b.const(c)
+        for i, k in enumerate(e):
+            for j in range(k):
+                term = b.mul(term, b.sub(b.inp(i), b.const(j)))
+        acc = b.add(acc, term)
+    return b.build(acc)
+
+
+def lower_set(degrees, total):
+    """The points of prod {0..D_i} with sum(x) <= total, row-major."""
+    grid = itertools.product(*(range(d + 1) for d in degrees))
+    return [pt for pt in grid if sum(pt) <= total]
 
 
 class TestExhaustiveEngine:
@@ -235,6 +281,47 @@ class TestExhaustiveEngine:
             pit_exhaustive(c)
         assert "variable_degrees" not in c.__dict__
 
+    def test_total_degree_cuts_the_grid(self, monkeypatch):
+        # (A + B) C - A C - B C, A, B, C products of two forms in 4 variables:
+        # degree 4 in each, total 4, so the C(8, 4) = 70 points of sum(x) <= 4
+        # decide it in the 5^4 = 625-point grid that the verdict covers
+        c = distributivity_circuit(random.Random(41), PrimeField(17), 4, True)
+        assert c.variable_degrees == {0: 4, 1: 4, 2: 4, 3: 4} and c.formal_degree == 4
+        seen = []
+        evaluate = Circuit.evaluate
+
+        def recorded(self, point):
+            seen.append(tuple(point))
+            return evaluate(self, point)
+
+        monkeypatch.setattr(Circuit, "evaluate", recorded)
+        v = pit_exhaustive(c)
+        assert v.outcome == "proven-zero" and v.grid_points == 625
+        assert v.points_evaluated == len(seen) == math.comb(8, 4) == 70
+        assert seen == lower_set((4, 4, 4, 4), 4)
+
+    def test_outcome_invariant_under_affine_substitution(self):
+        # C and C o (x -> A x + b), A invertible, are zero together; the
+        # substitution makes every D_i the total degree of C
+        outcomes = set()
+        for p in (13, 2**31 - 1, 2**61 - 1):
+            field, rng = PrimeField(p), random.Random(p)
+            for t in range(12):
+                v = rng.randrange(1, 4)
+                c = (distributivity_circuit(rng, field, v, t % 2 == 0) if t % 3 else
+                     random_circuit(rng, field, v, 8, 4))
+                A = [[rng.randrange(p) for _ in range(v)] for _ in range(v)]
+                while not int_cofactor_det(A, p):
+                    A = [[rng.randrange(p) for _ in range(v)] for _ in range(v)]
+                ca = compose_affine(c, A, [rng.randrange(p) for _ in range(v)])
+                assert set(ca.variable_degrees.values()) <= {c.formal_degree}
+                before, after = pit_exhaustive(c), pit_exhaustive(ca)
+                assert before.outcome == after.outcome, (p, t)
+                if after.witness is not None:
+                    assert reference_value(ca, after.witness) == after.value != 0
+                outcomes.add(after.outcome)
+        assert outcomes == {"proven-zero", "proven-nonzero"}
+
     def test_verdict_matches_full_grid(self):
         # against a walk of all of F_p^v, which decides zero-ness whenever
         # every degree is below p; the witness is the first nonzero point
@@ -252,6 +339,21 @@ class TestExhaustiveEngine:
                 for c in (a, b.build(distributes), b.build(b.add(distributes, xyz)),
                           distributivity_circuit(rng, field, v, rng.random() < 0.5)):
                     self._check_against_full_grid(c)
+                # total degree well below sum D_i: the cut to sum(x) <= D bites
+                k, m = rng.randrange(1, p), rng.randrange(1, 4)
+                ps = power_sum(rng, field, v, k)
+                b = CircuitBuilder(field, v)
+                for c in (ps, b.build(b.sub(splice(b, ps), splice(b, ps))),
+                          product_of_sums(rng, field, v, m)):
+                    self._check_against_full_grid(c)
+                # the first nonzero point is the lex-least falling-factorial
+                # exponent, on the boundary sum(x) = D when D is the largest
+                terms = [(rng.randrange(1, p), tuple(rng.randrange(min(p, 4)) for _ in range(v)))
+                         for _ in range(rng.randrange(1, 4))]
+                if len({e for _, e in terms}) == len(terms):
+                    c = falling_sum(field, terms)
+                    assert pit_exhaustive(c).witness == min(e for _, e in terms)
+                    self._check_against_full_grid(c)
 
     @staticmethod
     def _check_against_full_grid(c):
@@ -268,6 +370,11 @@ class TestExhaustiveEngine:
         grid = itertools.product(*(range(d + 1) for d in degrees))
         assert v.witness == next((pt for pt in grid if c.evaluate(pt)), None)
         assert v.grid_points == math.prod(d + 1 for d in degrees)
+        # the walk: the lower set sum(x) <= formal degree, up to the witness
+        # and its re-evaluation
+        walk = lower_set(degrees, c.formal_degree)
+        assert v.points_evaluated == (len(walk) if v.witness is None
+                                      else walk.index(v.witness) + 2)
 
 
 class TestSchwartzZippel:
@@ -698,16 +805,26 @@ class TestSteppedWalk:
                             property(lambda desc: (0,) * len(desc.param_ranges())))
         with pytest.raises(AssertionError, match=r"nonzero at member \(6, 6\)"):
             succinct_hitting_check(squares, coordinate_meta(SP22, F7, 0), exhaustive=True)
+        # a total degree declared 0 cuts {0..2}^2 over F_3, each slot walked
+        # in full, to (0, 0); the last member (2x + 2y)^2 has x^2 coefficient 1
+        monkeypatch.undo()
+        monkeypatch.setattr(FamilyDescriptor, "param_degree", property(lambda desc: 0))
+        F3 = PrimeField(3)
+        squares = FamilyDescriptor("squares", SP22, F3)
+        with pytest.raises(AssertionError, match=r"nonzero at member \(2, 2\)"):
+            succinct_hitting_check(squares, coordinate_meta(SP22, F3, 0), exhaustive=True)
 
     def test_builds_per_line(self, monkeypatch):
-        # disc has degree 2 and squares c = 2: the grid {0..4}^2 and the
+        # disc has degree 2, and squares degree c = 2 in each slot and total
+        # degree 2: the 15 points of {0..4}^2 with x0 + x1 <= 4 and the
         # degree check at (12, 12), one build and one evaluation each
         builds = count_member_builds(monkeypatch)
         squares = FamilyDescriptor("squares", SP22, F13)
         r = succinct_hitting_check(squares, discriminant(F13), exhaustive=True)
         assert r.exhausted and r.examined == 169
-        assert builds == list(itertools.product(range(5), repeat=2)) + [(12, 12)]
-        assert r.members_built == r.points_evaluated == 26
+        assert builds == [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 1), (1, 2),
+                          (1, 3), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (4, 0), (12, 12)]
+        assert r.members_built == r.points_evaluated == 16
         # a witness is rebuilt and re-evaluated: one more build and evaluation
         full = FamilyDescriptor("full-space", SP22, F13)
         del builds[:]
