@@ -108,9 +108,7 @@ class PrimeField:
 
 
 def _num_monomials(v: int, d: int) -> int:
-    """Count of degree-d monomials in v variables."""
-    if v == 0:
-        return 1 if d == 0 else 0
+    """Count of degree-d monomials in v >= 1 variables."""
     return math.comb(v + d - 1, d)
 
 
@@ -421,12 +419,10 @@ class SparsePoly:
         span = self._degrees()
         return span[1] if span else -1
 
-    def is_homogeneous(self, d: Optional[int] = None) -> bool:
+    def is_homogeneous(self) -> bool:
+        """True when all terms share one degree, and for the zero polynomial."""
         span = self._degrees()
-        if span is None:
-            return True
-        lo, hi = span
-        return lo == hi and (d is None or lo == d)
+        return span is None or span[0] == span[1]
 
     def fits_space(self, space: PolySpace) -> bool:
         if self.v != space.v:
@@ -546,9 +542,6 @@ class SparsePoly:
             if e:
                 base = base.mul(base)
         return SparsePoly.constant(self.field, self.v, 1) if acc is None else acc
-
-    def __pow__(self, e: int) -> "SparsePoly":
-        return self.pow(e)
 
     # -- serialization and dunder plumbing -------------------------------
 

@@ -234,9 +234,7 @@ class CircuitBuilder:
         neg = self.mul(self.const(-1), b)
         return self.add(a, neg)
 
-    def build(self, out: Optional[int] = None) -> Circuit:
-        if out is None:
-            out = len(self.gates) - 1
+    def build(self, out: int) -> Circuit:
         return Circuit(self.field, self.v, tuple(self.gates), out)
 
 
@@ -352,7 +350,7 @@ class FamilyDescriptor:
             gen = (self.n, (p,) * count, (1,) * count, self.n, cls._det_projection)
         elif cid == "sps":
             fanin = self.top_fanin if self.top_fanin is not None else self.n
-            if fanin is None or fanin < 0:
+            if fanin < 0:
                 raise DescriptorInvalid("sps needs a non-negative top fan-in")
             degs = self.product_degrees
             degs = tuple(int(x) for x in (degs if degs is not None else (sp.d,) * fanin))

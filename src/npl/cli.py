@@ -5,12 +5,12 @@ executes it, and emits one JSON report.  The report body echoes the full
 plan, so the body alone is enough to rerun the experiment, and reruns with
 the same plan produce byte-identical bodies.  Wall-clock time lives in the
 header, outside the body, precisely so it cannot break that guarantee; so
-do the counters: ``points_evaluated``, the engine's evaluations (of the
+does the one counter, ``points_evaluated``: the engine's evaluations (of the
 circuit for ``pit`` and ``ips-verify``, none when C(0) != 1; of the test
-polynomial on members for ``hit-check`` and ``audit``), re-evaluations of
-the witness and the degree check included, and a family walk's
-``members_built``.  An exhaustive engine evaluates a lower set of the points
-the body's ``grid_points`` or ``examined`` count as covered.
+polynomial on members for ``hit-check`` and ``audit``, each member built for
+its evaluation), re-evaluations of the witness and the degree check
+included.  An exhaustive engine evaluates a lower set of the points the
+body's ``grid_points`` or ``examined`` count as covered.
 
 Exit codes: 0 for zero / none-found / accept, 1 for nonzero / witness /
 reject, 2 for usage errors, precondition failures and internal errors (a
@@ -54,7 +54,6 @@ from .meta import (
 from .pit import (
     DEFAULT_ENUM_BUDGET,
     DEFAULT_TRIALS,
-    HitReport,
     identity_test,
     natural_proof_audit,
     succinct_hitting_check,
@@ -87,11 +86,8 @@ class ExperimentPlan:
         return {"exhaustive": self.exhaustive, "trials": self.trials,
                 "seed": self.seed, "enum_budget": self.enum_budget}
 
-    def input(self, key: str, default=None):
-        for k, v in self.inputs:
-            if k == key:
-                return v
-        return default
+    def input(self, key: str):
+        return dict(self.inputs)[key]
 
     def to_json(self) -> dict:
         return {**vars(self), "inputs": dict(self.inputs)}
@@ -217,7 +213,7 @@ def _parse_kv(spec: str, *keys: str) -> Dict[str, int]:
     out: Dict[str, int] = {}
     for part in spec.split(":", 1)[1].split(","):
         if "=" not in part:
-            raise ValueError(f"expected key=value, got {part!r}")
+            raise ValueError(f"spec {spec!r} expects key=value, got {part!r}")
         k, v = part.split("=", 1)
         k = k.strip()
         if k in out:
@@ -342,13 +338,6 @@ def _run_pit(plan: ExperimentPlan) -> Report:
     return {"verdict": verdict.to_json()}, code, {"points_evaluated": verdict.points_evaluated}
 
 
-def _walk_counters(report: HitReport) -> Dict[str, int]:
-    """The header counters of a family walk: members built directly and
-    T evaluations on members."""
-    return {"members_built": report.members_built,
-            "points_evaluated": report.points_evaluated}
-
-
 def _run_hit_check(plan: ExperimentPlan) -> Report:
     field = PrimeField(plan.field)
     space = _parse_space(plan.input("space"))
@@ -356,7 +345,7 @@ def _run_hit_check(plan: ExperimentPlan) -> Report:
     desc = _resolve_family(plan.input("family"), space, field)
     report = succinct_hitting_check(desc, T, **plan.proof_mode)
     code = 1 if report.outcome == "witness" else 0
-    return {"hit_report": report.to_json()}, code, _walk_counters(report)
+    return {"hit_report": report.to_json()}, code, {"points_evaluated": report.points_evaluated}
 
 
 def _run_audit(plan: ExperimentPlan) -> Report:
@@ -367,7 +356,8 @@ def _run_audit(plan: ExperimentPlan) -> Report:
     hard = _load_json(plan.input("hard"), SparsePoly.from_json, plan.field, space)
     report = natural_proof_audit(T, desc, hard, **plan.proof_mode)
     code = 1 if report.classification == "refuted" else 0
-    return {"audit": report.to_json()}, code, _walk_counters(report.evidence)
+    counters = {"points_evaluated": report.evidence.points_evaluated}
+    return {"audit": report.to_json()}, code, counters
 
 
 def _run_rank(plan: ExperimentPlan) -> Report:
@@ -465,10 +455,9 @@ def execute_plan(plan: ExperimentPlan) -> Report:
 
 
 def render_report(
-    body: dict, wall_clock_ms: float, pretty: bool,
-    counters: Optional[Mapping[str, int]] = None,
+    body: dict, wall_clock_ms: float, pretty: bool, counters: Mapping[str, int]
 ) -> str:
-    header = {"wall_clock_ms": round(wall_clock_ms, 3), **(counters or {})}
+    header = {"wall_clock_ms": round(wall_clock_ms, 3), **counters}
     doc = {"header": header, "body": body}
     if pretty:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -277,9 +277,8 @@ class HitReport:
     witness_poly: Optional[dict] = None
     witness_value: Optional[int] = None
     degenerate_suspected: bool = False
-    # the cost of the check, outside the body: members built and T
-    # evaluations on members, the witness rebuild and the degree check included
-    members_built: int = field(default=0, compare=False)
+    # the cost of the check, outside the body: T evaluations on members, each
+    # on a member built for it, the witness rebuild and the degree check included
     points_evaluated: int = field(default=0, compare=False)
 
     @property
@@ -351,18 +350,13 @@ def succinct_hitting_check(
     """
     _check_spaces(desc, T)
     space = desc.space
-    built = evaluated = 0
+    evaluated = 0
     last = None  # (params, coefficient vector, T-value) of the last member evaluated
-
-    def build(params: Tuple[int, ...]) -> SparsePoly:
-        nonlocal built
-        built += 1
-        return desc.member_from_params(params)
 
     def value(params: Tuple[int, ...]) -> int:
         nonlocal evaluated, last
         evaluated += 1
-        cv = build(params).coeff_vector(space)
+        cv = desc.member_from_params(params).coeff_vector(space)
         last = (params, cv, T.eval_at(cv))
         return last[2]
 
@@ -382,8 +376,8 @@ def succinct_hitting_check(
                 zeros = zeros * r + x
             examined = zeros + 1
         elif (sizes != ranges or total < full) and value(tuple(r - 1 for r in ranges)):
-            raise AssertionError(f"T is nonzero at member {last[0]}, outside the "
-                                 "grid of the declared param_degrees")
+            raise AssertionError(f"T is nonzero at member {last[0]}, outside the lower "
+                                 "set of the declared param_degrees and param_degree")
     else:
         examined = zeros = 0
         for params in _seeded_draws(ranges, trials, seed):
@@ -400,7 +394,7 @@ def succinct_hitting_check(
     if witness is None:
         degenerate = _meta_looks_zero(T, seed)
     else:
-        again = build(witness[0])
+        again = desc.member_from_params(witness[0])
         cv = again.coeff_vector(space)
         evaluated += 1
         if cv != witness[1] or T.eval_at(cv) != witness[2]:
@@ -418,7 +412,6 @@ def succinct_hitting_check(
         witness_poly=witness_poly,
         witness_value=None if witness is None else witness[2],
         degenerate_suspected=degenerate,
-        members_built=built,
         points_evaluated=evaluated,
     )
 

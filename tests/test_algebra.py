@@ -225,9 +225,11 @@ class TestArithmetic:
 
     def test_is_homogeneous(self):
         f = SparsePoly(F7, 2, {(2, 0): 1, (1, 1): 1})
-        assert f.is_homogeneous(2) and f.is_homogeneous()
+        assert f.is_homogeneous() and f.degree == 2
         assert not (f + SparsePoly.constant(F7, 2, 1)).is_homogeneous()
-        assert SparsePoly.zero(F7, 2).is_homogeneous(5)
+        # the zero polynomial is homogeneous, with no degree
+        zero = SparsePoly.zero(F7, 2)
+        assert zero.is_homogeneous() and zero.degree == -1
 
     def test_term_cap(self):
         # each factor doubles the term count; 40 of them overflow any 2^20 cap
@@ -380,7 +382,7 @@ class TestPackedCoreAgainstSympy:
             assert f.to_json() == narrow.to_json()
             assert str(f) == str(narrow)
             assert f.coeff_vector(space) == narrow.coeff_vector(space)
-            assert f.degree == 2 and f.is_homogeneous(2)
+            assert f.is_homogeneous() and f.degree == 2
             assert f.fits_space(space)
             assert f.mul(f) == narrow.mul(narrow)
         assert detour != narrow + x[0].pow(300)

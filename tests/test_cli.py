@@ -559,8 +559,71 @@ class TestExitCodes:
                                  "--exhaustive")
         assert (code, out) == (2, "")
         assert err == ("npl: internal error: T is nonzero at member (6, 6), outside "
-                       "the grid of the declared param_degrees\n")
+                       "the lower set of the declared param_degrees and param_degree\n")
         assert "Traceback" not in err
+
+    # one line per input the program refuses before any work: the family and
+    # meta files it reads, the environment and command line around
+    # "hit-check --field 7 --trials 3", and the error line
+    REFUSAL_FILES = {
+        "sps_neg.json": {"class": "sps", "top_fanin": -1},
+        "sps_short.json": {"class": "sps", "top_fanin": 2, "product_degrees": [2]},
+        "sps_deg1.json": {"class": "sps", "top_fanin": 1, "product_degrees": [1]},
+        "shift.json": {"method": "partials", "k": 1, "shift": 1,
+                       "minor": {"kind": "leading", "size": 1}},
+        "no_rows.json": {"method": "partials", "k": 1,
+                         "minor": {"kind": "explicit", "size": 1, "cols": [0]}},
+        "no_seed.json": {"method": "partials", "k": 1,
+                         "minor": {"kind": "random", "size": 1}},
+        "short_rows.json": {"method": "partials", "k": 1,
+                            "minor": {"kind": "explicit", "size": 2, "rows": [0],
+                                      "cols": [0, 1]}},
+        "repeated.json": {"method": "partials", "k": 1,
+                          "minor": {"kind": "explicit", "size": 2, "rows": [0, 0],
+                                    "cols": [0, 1]}},
+    }
+
+    REFUSALS = [
+        ("disc squares 3:2", "squares family needs a homogeneous degree-2 space"),
+        ("disc detproj:n=3 2:2", "det-projection of size 3 lives in degree-3 spaces"),
+        ("disc sps_neg.json 2:2",
+         "sps_neg.json: malformed input: sps needs a non-negative top fan-in"),
+        ("disc sps_short.json 2:2",
+         "sps_short.json: malformed input: one product degree per summand required"),
+        ("disc sps_deg1.json 2:2", "sps_deg1.json: malformed input: homogeneous "
+         "space requires every product degree to equal d"),
+        ("coord:99 squares 2:2", "coordinate 99 outside [0, 3)"),
+        ("partials-minor:k=1,r=1 full 2:2:le", "rank methods operate on homogeneous spaces"),
+        ("shifted-minor:k=1,l=-1,r=1 squares 2:2", "negative shift"),
+        ("shift.json squares 2:2", "shift.json: malformed input: plain partials carries "
+         "no shift"),
+        ("no_rows.json squares 2:2", "no_rows.json: malformed input: explicit minor "
+         "needs row and column lists"),
+        ("no_seed.json squares 2:2",
+         "no_seed.json: malformed input: random minor needs a seed"),
+        ("short_rows.json squares 2:2", "short_rows.json: malformed input: explicit "
+         "index lists must match the minor size"),
+        ("repeated.json squares 2:2",
+         "repeated.json: malformed input: explicit indices must be distinct"),
+        ("disc detproj:3 2:2", "spec 'detproj:3' expects key=value, got '3'"),
+        # the default field is read, and refused, even when --field is given
+        ("NPL_DEFAULT_FIELD=abc disc squares 2:2",
+         "NPL_DEFAULT_FIELD is not an integer: 'abc'"),
+    ]
+
+    @pytest.mark.parametrize("argv, error", REFUSALS, ids=[argv for argv, _ in REFUSALS])
+    def test_refused_inputs(self, argv, error, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, doc in self.REFUSAL_FILES.items():
+            if "class" in doc:
+                doc = {**doc, "p": 7, "space": {"v": 2, "d": 2, "mode": "homogeneous"}}
+            (tmp_path / name).write_text(json.dumps(doc))
+        *env, meta, family, space = argv.split()
+        for assignment in env:
+            monkeypatch.setenv(*assignment.split("="))
+        code, out, err = run_cli(capsys, "hit-check", "--field", "7", "--trials", "3",
+                                 "--meta", meta, "--family", family, "--space", space)
+        assert (code, out, err) == (2, "", f"npl: error: {error}\n")
 
     def test_argparse_usage_error(self, workdir, capsys):
         assert run_cli(capsys, "pit")[0] == 2
@@ -648,14 +711,15 @@ class TestReports:
         base = ("--meta", "disc", "--space", "2:2", "--field", "7", "--exhaustive")
         for argv, counters in (
             (("hit-check", "--family", "squares"),
-             {"members_built": 16, "points_evaluated": 16}),
+             {"points_evaluated": 16}),
             # four grid points to the witness at (0, 1, 0), which is rebuilt
             # and evaluated once more
             (("audit", "--family", "full", "--hard", workdir / "xy7.json"),
-             {"members_built": 5, "points_evaluated": 5}),
+             {"points_evaluated": 5}),
         ):
             _, out, _ = run_cli(capsys, *argv, *base)
             doc = json.loads(out)
+            assert doc["header"].keys() == {"wall_clock_ms", *counters}, argv[0]
             assert {k: doc["header"][k] for k in counters} == counters, argv[0]
             assert not any(k in json.dumps(doc["body"]) for k in counters)
         # pit and ips-verify count the identity test's circuit evaluations,
@@ -692,7 +756,7 @@ class TestReports:
         result = doc["body"]["result"]["hit_report"]
         assert code == 0 and result["outcome"] == "none-found"
         assert result["examined"] == result["zeros"] == 997 ** 2
-        assert doc["header"]["members_built"] <= 27
+        assert doc["header"]["points_evaluated"] <= 27
 
     def test_named_meta_variants(self, workdir, capsys):
         for meta in ("disc", "coord:1", "partials-minor:k=1,r=1",
@@ -923,7 +987,7 @@ class TestFuzz:
         deleted = {}  # position in cases -> the one key that case removes
         for name, argv in inputs.items():
             assert run_cli(capsys, *argv(name))[0] in (0, 1), name
-            text = open(name, encoding="utf-8").read()
+            text = Path(name).read_text(encoding="utf-8")
             bad_texts = ["", "\x00", "nul", text + " x"]
             if name.endswith(".json"):
                 # a proper prefix of a JSON object never closes it

@@ -89,6 +89,19 @@ class TestTranslation:
             SparsePoly(F7, 2, {(0, 2): 1, (0, 1): 6}),
         ]
 
+    def test_empty_clause_is_the_constant_one(self):
+        # the empty clause has no satisfying assignment: its member is 1, and
+        # 1 - y_0 is an exact certificate
+        cnf = parse_dimacs("p cnf 1 1\n0\n")
+        assert cnf == Cnf(1, ((),))
+        sys7 = cnf_to_system(cnf, F7)
+        assert sys7.labels == ("clause:0", "axiom:x1")
+        assert sympy_poly(sys7.members[0]) == SparsePoly.constant(F7, 1, 1)
+        b = CircuitBuilder(F7, 2)
+        cert = b.build(b.sub(b.const(1), b.inp(0)))
+        rep = verify_certificate(sys7, cert, exhaustive=True)
+        assert rep.accepted and rep.grade == "exact"
+
     def test_clause_polys_vanish_exactly_on_satisfying(self):
         cnf = Cnf(3, ((1, 2, -3), (-1, 2), (3,)))
         sys7 = cnf_to_system(cnf, F7)
@@ -240,6 +253,40 @@ class TestVerification:
         b = CircuitBuilder(F13, len(sys13.members))
         rep = verify_certificate(sys13, b.build(b.const(3)), exhaustive=True)
         assert rep.failed_condition == 1 and rep.value_at_zero == 3
+
+    @pytest.mark.parametrize("mode", [{"exhaustive": True}, {"trials": 5, "seed": 3}])
+    def test_relabelling_keeps_the_verdict(self, mode):
+        # member j of the permuted system is member perm[j] of the original,
+        # so the certificate reads y_perm[j] where it read y_j: the same
+        # composition, the same C(0) and the same verdict.  The clauses are
+        # (1 - x1)(1 - x2), x1 and x2, so 1 - y0 - y1 - y2 + y1 y2 is a
+        # certificate; without y1 y2 it leaves -x1 x2, and 3 is not 1 at 0
+        sys13 = cnf_to_system(Cnf(2, ((1, 2), (-1,), (-2,))), F13)
+        m = len(sys13.members)
+        certs = []
+        for product in (True, False):
+            b = CircuitBuilder(F13, m)
+            acc = b.sub(b.sub(b.sub(b.const(1), b.inp(0)), b.inp(1)), b.inp(2))
+            if product:
+                acc = b.add(acc, b.mul(b.inp(1), b.inp(2)))
+            certs.append(b.build(acc))
+        b = CircuitBuilder(F13, m)
+        certs.append(b.build(b.const(3)))
+        rng = random.Random(24)
+        for cert in certs:
+            want = verify_certificate(sys13, cert, **mode)
+            for _ in range(4):
+                perm = rng.sample(range(m), m)
+                where = {old: new for new, old in enumerate(perm)}
+                permuted = PolynomialSystem(F13, sys13.n,
+                                            tuple(sys13.members[j] for j in perm))
+                relabelled = Circuit(F13, m, tuple(("in", where[g[1]]) if g[0] == "in"
+                                                   else g for g in cert.gates), cert.out)
+                got = verify_certificate(permuted, relabelled, **mode)
+                assert got.value_at_zero == want.value_at_zero
+                assert got.to_json() == want.to_json(), perm
+        assert [verify_certificate(sys13, c, **mode).failed_condition
+                for c in certs] == [None, 2, 1]
 
     def test_condition_one_reject(self):
         b = CircuitBuilder(F7, 2)

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from npl.algebra import PolySpace, PrimeField, SparsePoly, is_prime
-from npl.circuits import CircuitBuilder
+from npl.circuits import CircuitBuilder, FamilyDescriptor, sample_family_with_params
 from npl.meta import (
     CircuitMeta,
     MinorMeta,
@@ -241,6 +241,39 @@ class TestRankFactsAtLargePrimes:
             f = random_product_of_linear_forms(rng, field, v, d)
             for k in range(d + 1):
                 assert rank_mod_p(partials_matrix(f, k)) <= comb(d, k), (v, d, k)
+
+    @pytest.mark.parametrize("p", LARGE_PRIMES)
+    def test_rank_bounds_of_family_members(self, p):
+        # an order-k partial of a product of d forms lies in the span of the
+        # C(d, k) products of d - k of them, so a sum of t products has rank
+        # at most t C(d, k); one of det(L(x)), L affine, is a combination of
+        # the C(n, k)^2 minors of order n - k; a square l^2 has the partials
+        # a_i l, all multiples of one form
+        field = PrimeField(p)
+        cut = set()  # the bounds below the matrix's smaller side, which bite
+
+        def check(desc, seed, k, bound):
+            f = sample_family_with_params(desc, seed)[1]
+            matrix = partials_matrix(f, k)
+            assert rank_mod_p(matrix) <= bound, (desc.class_id, seed, desc.space, k)
+            if bound < min(matrix.shape):
+                cut.add(desc.class_id)
+
+        for seed in range(2):
+            for v, d in ((4, 3), (5, 3), (4, 4), (6, 4)):
+                for t in (1, 2, 3):
+                    desc = FamilyDescriptor("sps", PolySpace(v, d, True), field, top_fanin=t)
+                    for k in range(d + 1):
+                        check(desc, seed, k, t * comb(d, k))
+            for v, n in ((2, 2), (5, 2), (3, 3), (10, 3)):
+                desc = FamilyDescriptor("det-projection", PolySpace(v, n, True), field, n=n)
+                for k in range(n + 1):
+                    check(desc, seed, k, comb(n, k) ** 2)
+            for v in (2, 3, 4):
+                desc = FamilyDescriptor("squares", PolySpace(v, 2, True), field)
+                f = sample_family_with_params(desc, seed)[1]
+                assert rank_mod_p(partials_matrix(f, 1)) == 1, (seed, v)
+        assert cut == {"sps", "det-projection"}
 
 
 class TestShiftedPartials:
