@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, FieldMismatch, SpaceMismatch, TermCapExceeded
@@ -63,9 +63,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 
 
+@lru_cache(maxsize=16, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for every n below psi_13 ~ 3.3e24;
-    larger n raise ValueError rather than get a probable answer."""
+    larger n raise ValueError rather than get a probable answer.  Answers
+    are memoized (raises are not), so a process tests each modulus once,
+    however many fields it builds over it."""
     if n >= _MR_EXACT_BELOW:
         raise ValueError(
             f"modulus {n} is not below {_MR_EXACT_BELOW}, the bound of exact "

@@ -18,7 +18,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
     Exponents,
@@ -176,6 +176,64 @@ class Circuit:
             else:
                 vals.append(vals[g[1]] * vals[g[2]] % p)
         return vals[-1] % p
+
+    def staged_evaluator(self) -> Callable[[Sequence[int]], int]:
+        """``value(x)``: the output where the inputs of ``support`` take x,
+        in that order, for walks that move mostly the last coordinates.
+
+        Each program gate has a stage, the last support position among the
+        inputs it reaches; gates that reach none are folded once, here.  A
+        call recomputes only the stages from the first coordinate where x
+        differs from the previous call's, each after writing its input
+        gates, so a row-major walk pays mostly for the gates of its last
+        coordinates.  ``evaluate`` stays the plain reference path: the
+        randomized engine, C(0), ``CircuitMeta.eval_at`` and the
+        re-evaluation of every witness use it, so each ``proven-nonzero``
+        found here is re-checked by a pass that keeps no state."""
+        support = self.support
+        n, p = len(support), self.field.p
+        pos = {i: s for s, i in enumerate(support)}
+        # per stage: the program positions of its input gates, then its
+        # other gates as (position, is_mul, a, b)
+        stages: List[Tuple[List[int], List[Tuple[int, bool, int, int]]]] = [
+            ([], []) for _ in support]
+        stage: List[int] = []
+        vals: List[int] = []
+        for k, g in enumerate(self._program):
+            op, val = g[0], 0
+            if op == "in":
+                s = pos[g[1]]
+                stages[s][0].append(k)
+            elif op == "const":
+                s, val = -1, g[1]
+            else:
+                a, b = g[1], g[2]
+                s = max(stage[a], stage[b])
+                if s >= 0:
+                    stages[s][1].append((k, op == "mul", a, b))
+                else:
+                    val = vals[a] * vals[b] % p if op == "mul" else (vals[a] + vals[b]) % p
+            stage.append(s)
+            vals.append(val)
+        last: List[Optional[int]] = [None] * n
+
+        def value(x: Sequence[int]) -> int:
+            if len(x) != n:
+                raise ArityMismatch(f"circuit over {n} reached inputs, point of "
+                                    f"length {len(x)}")
+            j = 0
+            while j < n and x[j] == last[j]:
+                j += 1
+            for s in range(j, n):
+                xs = last[s] = x[s]
+                ins, gates = stages[s]
+                for k in ins:
+                    vals[k] = xs
+                for k, mul, a, b in gates:
+                    vals[k] = vals[a] * vals[b] % p if mul else (vals[a] + vals[b]) % p
+            return vals[-1] % p
+
+        return value
 
     def to_json(self) -> dict:
         gates = []

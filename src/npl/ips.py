@@ -15,8 +15,8 @@ common zero to {0, 1}^n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import PrimeField, _json_int
@@ -247,8 +247,10 @@ class VerificationReport:
         """(d/p)^trials for a randomized acceptance, d the degree bound."""
         if self.grade != "randomized":
             return None
-        eps = Fraction(self.relation_verdict.per_trial_error) ** self.relation_verdict.trials
-        return f"{eps.numerator}/{eps.denominator}"
+        verdict = self.relation_verdict
+        d, p = min(verdict.degree_bound, verdict.p), verdict.p
+        g = math.gcd(d, p)  # d/g and p/g are coprime, and so are their powers
+        return f"{(d // g) ** verdict.trials}/{(p // g) ** verdict.trials}"
 
     def to_json(self) -> dict:
         return {

@@ -11,9 +11,11 @@ and f = 0 when it vanishes there (the product-set lemma, Alon 1999, cut to
 the C(v + D, D)-point hitting set of total degree D, Shpilka & Yehudayoff
 2010).  The engine takes D_i and D to be the circuit's formal degrees, so it
 needs only max D_i < p; ``grid_points`` counts the whole grid covered.  The
-walk writes only the reached coordinates (the others take 0 alone) into one
-reused point, so a point costs the gates the output depends on, not v.  It
-runs on Python integers, exact for every prime; the library needs no numpy.
+walk passes only the reached coordinates (the others take 0 alone) to the
+circuit's staged evaluator, which recomputes only the gates that read a
+coordinate the step changed, so a row-major step costs mostly the gates of
+the last coordinates, not v.  It runs on Python integers, exact for every
+prime; the library needs no numpy.
 An exhaustive hitting check is the same engine on T o G, G the family's map
 from parameters to coefficient vectors, of degree at most deg(T) * c_i in
 parameter i (``param_degrees``) and total degree deg(T) * ``param_degree``.
@@ -153,10 +155,11 @@ def pit_exhaustive(
     sum x_i <= D} of its formal degrees (module docstring).  Proof-grade either way.
 
     ``enum_budget`` caps the whole grid's points and the v coordinates that
-    the verdict lists.  The walk reuses one point of all v coordinates, zero
-    outside the support, and writes each grid point's support coordinates
-    into it, so a point costs the gates the output depends on, not v;
-    refusals come before any point is evaluated."""
+    the verdict lists.  The walk hands each grid point's support coordinates
+    to ``Circuit.staged_evaluator``, which recomputes only the stages from
+    the first coordinate that changed; a witness alone becomes a point of
+    all v coordinates, zero outside the support, and ``Circuit.evaluate``
+    re-evaluates it there.  Refusals come before any point is evaluated."""
     p = circuit.field.p
     support = circuit.support
     # each reached input has D_i >= 1, so the grid has 2^|support| points at
@@ -183,18 +186,19 @@ def pit_exhaustive(
         "variable_degrees": tuple(degrees.get(i, 0) for i in range(circuit.v)),
         "grid_points": _grid_points(sizes, enum_budget),
     }
-    point = [0] * circuit.v
+    staged = circuit.staged_evaluator()
     evaluated = 0
 
     def value(x: Tuple[int, ...]) -> int:
         nonlocal evaluated
         evaluated += 1
-        for i, xi in zip(support, x):
-            point[i] = xi
-        return circuit.evaluate(point)
+        return staged(x)
 
-    # a nonzero grid point is left written into point
-    if _first_nonzero(sizes, circuit.formal_degree, value) is not None:
+    found = _first_nonzero(sizes, circuit.formal_degree, value)
+    if found is not None:
+        point = [0] * circuit.v
+        for i, xi in zip(support, found):
+            point[i] = xi
         return replace(_nonzero_verdict(circuit, point, evaluated), **grid)
     return PitVerdict(outcome=PROVEN_ZERO, degree_bound=circuit.formal_degree, p=p,
                       points_evaluated=evaluated, **grid)

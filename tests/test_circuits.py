@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npl.algebra import PolySpace, PrimeField, SparsePoly
 from npl.circuits import (
@@ -176,7 +178,7 @@ class TestDeterminant:
             L = [row + [zero] * 3 for row in A] + [[zero] * 2 + row for row in C]
             assert det(L) == det(A) * det(C)
 
-    def test_berkowitz_entry_type(self):
+    def test_affine_entries_in_one_variable(self):
         x, one = ((1,), 0), ((0,), 1)
         wheel = affine_params([[x, one], [one, x]])
         assert det_projection(F7, PolySpace(1, 2, False), 2, wheel) == SparsePoly(
@@ -464,6 +466,82 @@ class TestVariableDegrees:
                 assert all(a <= d for a, d in zip(e, bound)), (c, e)
             poly = sympy.Poly(sympy_value(c, xs), *xs, modulus=c.field.p)
             assert all(poly.degree(x) <= d for x, d in zip(xs, bound)), c
+
+
+STAGED_PRIMES = (13, 2**31 - 1, 2**61 - 1, 2**64 - 59)
+
+
+def full_point(c, x, rng):
+    """x at the support coordinates of c, arbitrary residues elsewhere."""
+    point = [rng.randrange(c.field.p) for _ in range(c.v)]
+    for i, xi in zip(c.support, x):
+        point[i] = xi
+    return point
+
+
+class TestStagedEvaluator:
+    """The walk's evaluator against ``evaluate`` on point sequences that are
+    not row-major: a stage recomputed late or skipped would leave a stale
+    gate, and a vanishing walk would then be an unsound proven-zero."""
+
+    @given(seed=st.integers(0, 2**32), p=st.sampled_from(STAGED_PRIMES),
+           v=st.integers(1, 5), moves=st.lists(
+               st.sampled_from(("fresh", "repeat", "first", "last", "one")),
+               min_size=1, max_size=12))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_matches_evaluate(self, seed, p, v, moves):
+        rng = random.Random(seed)
+        field = PrimeField(p)
+        # the output is any gate, so constant-only and input-only outputs
+        # and zero-support outputs all occur
+        c = random_circuit(rng, field, v, 14, 6)
+        n = len(c.support)
+        value = c.staged_evaluator()
+        x = [rng.randrange(p) for _ in range(n)]
+        for move in moves:
+            if move == "fresh":
+                x = [rng.randrange(p) for _ in range(n)]
+            elif n and move != "repeat":
+                j = 0 if move == "first" else n - 1 if move == "last" else rng.randrange(n)
+                # small residues make equal neighbours and repeats likely too
+                x[j] = rng.choice((0, 1, p - 1, rng.randrange(p)))
+            assert value(tuple(x)) == c.evaluate(full_point(c, x, rng)), (c, x, move)
+
+    @pytest.mark.parametrize("p", STAGED_PRIMES)
+    def test_folded_constants_and_every_stage_order(self, p):
+        F = PrimeField(p)
+        b = CircuitBuilder(F, 4)
+        k = b.mul(b.add(b.const(p - 1), b.const(3)), b.const(p - 2))  # -4, folded
+        x1, x3 = b.inp(1), b.inp(3)
+        u = b.add(b.mul(k, x1), b.inp(1))  # stage 0, a second gate on x1
+        w = b.mul(b.add(u, x3), b.mul(x3, x3))  # stage 1
+        c = b.build(b.add(w, k))
+        assert c.support == (1, 3)
+        value = c.staged_evaluator()
+        rng = random.Random(p)
+        # changes at the first coordinate only, at the last only, repeats,
+        # and both, in an order no row-major walk takes
+        for x in ((0, 0), (5, 0), (5, 0), (5, 7), (2, 7), (2, 7), (0, 0), (p - 1, 1),
+                  (p - 1, p - 1), (1, p - 1), (1, 2)):
+            assert value(x) == c.evaluate(full_point(c, x, rng)), x
+        with pytest.raises(ArityMismatch):
+            value((1,))
+
+    @pytest.mark.parametrize("p", STAGED_PRIMES)
+    def test_zero_support_and_input_outputs(self, p):
+        F = PrimeField(p)
+        b = CircuitBuilder(F, 3)
+        x = b.inp(2)
+        k = b.mul(b.const(p - 1), b.add(b.const(p - 1), b.const(p - 2)))
+        folded = b.build(k)  # (-1) * (-3): no input, folded before any call
+        assert folded.support == () and folded.staged_evaluator()(()) == 3
+        assert folded.evaluate((1, 2, 3)) == 3
+        ident = b.build(x)
+        value = ident.staged_evaluator()
+        assert [value((t,)) for t in (4, 4, 0, p - 1)] == [4, 4, 0, p - 1]
+        b = CircuitBuilder(F, 0)
+        const = b.build(b.const(7 % p))
+        assert const.staged_evaluator()(()) == const.evaluate(()) == 7 % p
 
 
 @pytest.mark.parametrize("p", (13, 2**61 - 1, 2**64 - 59))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from npl.algebra import PrimeField, SparsePoly
+from npl.algebra import PrimeField, SparsePoly, is_prime
 from npl.circuits import CircuitBuilder, FamilyDescriptor
 from npl.ips import Cnf, cnf_to_system
 from npl.cli import DEFAULT_FIELD, build_parser, main, parse_plan
@@ -776,6 +776,26 @@ class TestReports:
                 "--space", "2:2", "--field", "7", "--trials", "5",
             )
             assert code in (0, 1), family
+
+    def test_each_modulus_proven_prime_once(self, workdir, capsys):
+        # the plan's check, the CNF system and the certificate each build a
+        # field over 2^61 - 1; Miller-Rabin runs for the first only
+        p = 2**61 - 1
+        b = CircuitBuilder(PrimeField(p), 3)
+        cert = b.build(b.sub(b.sub(b.const(1), b.inp(0)), b.inp(1)))
+        (workdir / "cert61.json").write_text(json.dumps(cert.to_json()))
+        is_prime.cache_clear()
+        code, out, _ = run_cli(capsys, "ips-verify", "--cnf", workdir / "phi.cnf",
+                               "--cert", workdir / "cert61.json", "--field", p,
+                               "--exhaustive")
+        info = is_prime.cache_info()
+        assert code == 0 and json.loads(out)["body"]["result"]["verification"]["accepted"]
+        assert (info.misses, info.currsize) == (1, 1) and info.hits >= 1
+        # a refusal is raised again, not remembered
+        for _ in range(2):
+            with pytest.raises(ValueError, match="bound of exact primality"):
+                is_prime(3317044064679887385961981)
+        assert is_prime.cache_info().currsize == 1
 
 
 class TestEntryPoint:

@@ -9,11 +9,13 @@ from npl.circuits import Circuit, CircuitBuilder
 from npl.ips import (
     Cnf,
     PolynomialSystem,
+    VerificationReport,
     cnf_to_system,
     compose_system,
     parse_dimacs,
     verify_certificate,
 )
+from npl.pit import PitVerdict
 from npl.errors import (
     ArityMismatch,
     ClauseTooWide,
@@ -328,6 +330,16 @@ class TestVerification:
         )
         assert rep.accepted and rep.grade == "randomized"
         assert Fraction(rep.error_bound) == Fraction(1, 7) ** 10
+
+    def test_error_bound_in_lowest_terms(self):
+        # (d/p)^trials, d = min(degree bound, p), against Fraction
+        for d, p, trials in ((1, 7, 10), (0, 13, 3), (13, 13, 2), (20, 13, 4),
+                             (6, 2**61 - 1, 25), (2**61, 2**61 - 1, 1), (9, 3, 5)):
+            verdict = PitVerdict("probably-zero", d, p, trials=trials)
+            rep = VerificationReport(1, verdict)
+            assert rep.grade == "randomized"
+            want = Fraction(min(d, p), p) ** trials
+            assert rep.error_bound == f"{want.numerator}/{want.denominator}", (d, p, trials)
 
     def test_accept_stability_random_to_exhaustive(self):
         cases = [

@@ -598,6 +598,18 @@ class TestEliminationKernel:
         square = [[p - 2 if i == j else p - 1 for j in range(n)] for i in range(n)]
         assert matrix_rank(square, p) == row_rank(square, p)
 
+    @pytest.mark.parametrize("p", (2**31 - 1, 2**61 - 1, 2**64 - 59))
+    def test_slots_at_their_widest(self, p):
+        # M = L U mod p, L the all-ones unit lower-triangular matrix and U
+        # unit upper-triangular with p - 1 above the diagonal: det M = 1, and
+        # each elimination step adds (p - 1)^2 to the slots of every row below
+        # it, so the last row's slots take n - 1 such updates.  A slot two
+        # bits narrower carries into its neighbour here.
+        n = 127
+        M = [[(1 - j if j <= i else -(i + 1)) % p for j in range(n)] for i in range(n)]
+        assert matrix_det(M, p) == 1
+        assert matrix_rank(M, p) == n
+
     @pytest.mark.parametrize("p", (13, 2**61 - 1, 2**64 - 59))
     def test_det_against_sympy(self, p):
         sympy = pytest.importorskip("sympy")

@@ -127,6 +127,22 @@ def falling_sum(field, terms):
     return b.build(acc)
 
 
+def record_walk(monkeypatch, record):
+    """Patch ``Circuit.staged_evaluator`` so that each walk call hands its
+    point to ``record`` first."""
+    staged_evaluator = Circuit.staged_evaluator
+
+    def recording(self):
+        value = staged_evaluator(self)
+
+        def recorded(x):
+            record(x)
+            return value(x)
+        return recorded
+
+    monkeypatch.setattr(Circuit, "staged_evaluator", recording)
+
+
 def lower_set(degrees, total):
     """The points of prod {0..D_i} with sum(x) <= total, row-major."""
     grid = itertools.product(*(range(d + 1) for d in degrees))
@@ -182,6 +198,25 @@ class TestExhaustiveEngine:
             if v.outcome == "proven-nonzero":
                 assert c.evaluate(v.witness) == v.value != 0
 
+    def test_witness_failing_reevaluation_is_an_internal_error(
+            self, tmp_path, monkeypatch, capsys):
+        # the walk and the witness's re-evaluation are independent code: a
+        # reference path that answers 0 everywhere contradicts the walk's
+        # witness, and the contradiction is raised, never reported
+        b = CircuitBuilder(F13, 2)
+        xy = b.build(b.mul(b.inp(0), b.inp(1)))
+        (tmp_path / "xy.json").write_text(json.dumps(xy.to_json()))
+        monkeypatch.setattr(Circuit, "evaluate", lambda self, point: 0)
+        # the randomized engine reads the reference path
+        assert pit_schwartz_zippel(xy, 5, 0).outcome == "probably-zero"
+        with pytest.raises(AssertionError, match="^witness failed its re-evaluation$"):
+            pit_exhaustive(xy)
+        monkeypatch.chdir(tmp_path)
+        assert main(["pit", "--circuit", "xy.json", "--field", "13", "--exhaustive"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "npl: internal error: witness failed its re-evaluation\n"
+
     def test_budget_boundary(self, monkeypatch):
         # the grid is {0,1} x {0,1}: 4 points, whatever the field
         c = commutator_circuit(F101)
@@ -227,33 +262,34 @@ class TestExhaustiveEngine:
             pit_exhaustive(c, enum_budget=39)
 
     def test_walk_costs_the_support_not_v(self, monkeypatch):
-        # a million declared inputs and a 2^12-point grid: the walk writes
-        # the 12 support coordinates of each grid point into one reused
-        # point, and an evaluation visits the 23 gates of the program, so
-        # a point costs the support, not the million coordinates
+        # a million declared inputs and a 2^12-point grid: the walk hands the
+        # staged evaluator the 12 support coordinates of each grid point, and
+        # an evaluation visits at most the 23 gates of the program, so a point
+        # costs the support, not the million coordinates
         b = CircuitBuilder(F101, 10**6)
         out = b.inp(0)
         for i in range(1, 12):
             out = b.mul(out, b.inp(i))
         dead = b.add(b.inp(500_000), b.inp(999_999))
         c = b.build(out)
-        first, reused = [], []
+        walked, reevaluated = [], []
+        record_walk(monkeypatch, lambda x: walked.append(len(x)))
         evaluate = Circuit.evaluate
 
-        def recorded(self, point):
-            # hold only the first point: a regression to a fresh million-entry
-            # point per call must fail here, not fill memory
-            if not first:
-                first.append(point)
-            reused.append(point is first[0])
+        def recorded_evaluate(self, point):
+            # hold only lengths: a point of a million entries per call must
+            # fail here, not fill memory
+            reevaluated.append(len(point))
             return evaluate(self, point)
 
-        monkeypatch.setattr(Circuit, "evaluate", recorded)
+        monkeypatch.setattr(Circuit, "evaluate", recorded_evaluate)
         v = pit_exhaustive(c)
         assert v.outcome == "proven-nonzero" and v.grid_points == 2**12
         assert v.witness == (1,) * 12 + (0,) * (10**6 - 12)
-        # every grid point, then the witness's re-evaluation, on one list
-        assert reused == [True] * (2**12 + 1)
+        # every grid point as a support tuple, then the witness's one
+        # re-evaluation at all v coordinates through the reference path
+        assert walked == [12] * 2**12
+        assert reevaluated == [10**6]
         # the program is the 12 inputs and 11 products: the dead addition
         # and the two inputs only it reads are not in it
         assert c.gates[dead] == ("add", dead - 2, dead - 1)
@@ -288,13 +324,7 @@ class TestExhaustiveEngine:
         c = distributivity_circuit(random.Random(41), PrimeField(17), 4, True)
         assert c.variable_degrees == {0: 4, 1: 4, 2: 4, 3: 4} and c.formal_degree == 4
         seen = []
-        evaluate = Circuit.evaluate
-
-        def recorded(self, point):
-            seen.append(tuple(point))
-            return evaluate(self, point)
-
-        monkeypatch.setattr(Circuit, "evaluate", recorded)
+        record_walk(monkeypatch, lambda x: seen.append(tuple(x)))
         v = pit_exhaustive(c)
         assert v.outcome == "proven-zero" and v.grid_points == 625
         assert v.points_evaluated == len(seen) == math.comb(8, 4) == 70
@@ -410,6 +440,14 @@ class TestSchwartzZippel:
     def test_trials_positive(self):
         with pytest.raises(ValueError):
             pit_schwartz_zippel(commutator_circuit(F7), 0, 0)
+
+    def test_degree_one_over_f2_warns(self):
+        # p = 2 * deg is the boundary: a degree-1 circuit over F_2 errs with
+        # probability up to 1/2 per trial, and says so
+        b = CircuitBuilder(F2, 1)
+        v = pit_schwartz_zippel(b.build(b.inp(0)), 5, 0)
+        assert v.warnings == ("field size 2 is at most twice the formal degree 1; "
+                              "per-trial error bound degraded",)
 
     def test_inputs_past_budget_refused(self, tmp_path, monkeypatch, capsys):
         # each point lists v coordinates: v = 10^9 is refused before any draw
@@ -797,7 +835,7 @@ class TestSteppedWalk:
                 outcomes.add(r.outcome)
         assert outcomes == {"witness", "none-found"}
 
-    def test_under_declared_degree_caught_at_line_end(self, monkeypatch):
+    def test_under_declared_degree_caught_at_last_member(self, monkeypatch):
         # degrees declared 0 leave the grid {(0, 0)}, where coord:0 vanishes;
         # the whole grid's last member (6x + 6y)^2 has x^2 coefficient 1
         squares = FamilyDescriptor("squares", SP22, F7)
