@@ -1,0 +1,166 @@
+#!/usr/bin/env python3
+"""Mutation runner: tier-1 must fail whenever a proof-bearing line is broken.
+
+Each mutant replaces one exact text of a module of ``src/npl`` by another.
+For each mutant the runner copies ``src/npl`` into a temporary directory,
+applies the mutant to the copy (the checkout is never edited) and runs
+tier-1 with ``-x`` against it, writing no pytest cache or bytecode.  A
+mutant is killed when tier-1 fails; the runner names the first failing test
+and checks it against the one listed.  An equivalent mutant cannot change
+any result; it carries its proof instead of a test and must survive.
+
+    python3 scripts/mutants.py    # every mutant, about 20 s each
+
+Prints one table row per mutant and exits 0 when every mutant is killed by
+its listed test or, if equivalent, survives.  A tier-1 run past TIMEOUT
+seconds is reported as a hang, which names no test and so fails the run.
+The tests that run a script under ``scripts/`` in a subprocess still import
+the checkout's ``src``.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple, Optional, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # under src/npl
+    old: str  # occurs exactly once in src/npl
+    new: str
+    killed_by: Optional[str]  # the first test tier-1 fails, in collection order
+    equivalent: Optional[str] = None  # why no test can kill it
+
+
+SLOT_WIDTH = "w = 2 * p.bit_length() + n_rows.bit_length() + 1"
+
+MUTANTS = [
+    Mutant("slot-two-bits-narrower", "meta.py", SLOT_WIDTH,
+           "w = 2 * p.bit_length() + n_rows.bit_length() - 1",
+           "tests/test_meta.py::TestEliminationKernel::test_slots_at_their_widest"),
+    Mutant("slot-one-bit-narrower", "meta.py", SLOT_WIDTH,
+           "w = 2 * p.bit_length() + n_rows.bit_length()", None,
+           "a slot never exceeds (p-1) + (n_rows-1)(p-1)^2 <= n_rows (p-1)^2, "
+           "which is below 2^(2 bitlen(p) + bitlen(n_rows))"),
+    Mutant("slot-without-row-term", "meta.py", SLOT_WIDTH,
+           "w = 2 * p.bit_length() + 1",
+           "tests/test_acceptance.py::test_criterion_03_rank_method_shape"),
+    Mutant("unreduced-pivot-row", "meta.py",
+           "pivot = pivot << w | (r >> j * w & mask) % p",
+           "pivot = pivot << w | (r >> j * w & mask)",
+           "tests/test_acceptance.py::test_criterion_03_rank_method_shape"),
+    Mutant("shifted-rank-drops-a-basis-row", "meta.py",
+           "basis = sorted(_eliminate(rows[:n_derivs], p, False)[0])",
+           "basis = sorted(_eliminate(rows[:n_derivs], p, False)[0])[1:]",
+           "tests/test_golden.py::test_golden_body"),
+    Mutant("sz-warning-one-short", "pit.py", "if p <= 2 * deg:", "if p < 2 * deg:",
+           "tests/test_pit.py::TestSchwartzZippel::test_degree_one_over_f2_warns"),
+    Mutant("pit-witness-not-reevaluated", "pit.py", "if not value:", "if False:",
+           "tests/test_pit.py::TestExhaustiveEngine::"
+           "test_witness_failing_reevaluation_is_an_internal_error"),
+    Mutant("pit-lower-set-loses-top-layer", "pit.py",
+           "_lower_set(sizes, circuit.formal_degree)",
+           "_lower_set(sizes, circuit.formal_degree - 1)",
+           "tests/test_acceptance.py::test_criterion_04_pit_cross_validation"),
+    Mutant("hit-slot-grid-one-short", "pit.py", "min(r, T.degree_bound * c + 1)",
+           "min(r, T.degree_bound * c)",
+           "tests/test_circuits.py::TestFamilies::test_exhaustive_walk_covers_grid"),
+    Mutant("hit-degree-check-removed", "pit.py", "elif sizes != ranges or total < full:",
+           "elif False:",
+           "tests/test_circuits.py::TestFamilies::test_exhaustive_walk_covers_grid"),
+    Mutant("hit-witness-not-rebuilt", "pit.py",
+           "if cv != witness[1] or T.eval_at(cv) != witness[2]:", "if False:",
+           "tests/test_pit.py::TestHittingCheck::test_witness_that_does_not_rebuild_raises"),
+    Mutant("walk-total-one-short", "pit.py", "x, left = [0] * len(sizes), total",
+           "x, left = [0] * len(sizes), total - 1",
+           "tests/test_acceptance.py::test_criterion_04_pit_cross_validation"),
+    Mutant("walk-slot-one-short", "pit.py", "x[i] + 1 < sizes[i]", "x[i] + 2 < sizes[i]",
+           "tests/test_acceptance.py::test_criterion_04_pit_cross_validation"),
+    Mutant("add-degree-as-minimum", "circuits.py",
+           "degs.append(max(degs[g[1]], degs[g[2]]))",
+           "degs.append(min(degs[g[1]], degs[g[2]]))",
+           "tests/test_acceptance.py::test_criterion_04_pit_cross_validation"),
+    Mutant("squares-total-degree-under", "circuits.py",
+           "(2,) * sp.v, 2, cls._squares)", "(2,) * sp.v, 1, cls._squares)",
+           "tests/test_acceptance.py::test_criterion_08_toy_equivalence"),
+    Mutant("det-projection-total-degree-under", "circuits.py",
+           "self.n, cls._det_projection)", "self.n - 1, cls._det_projection)",
+           "tests/test_circuits.py::TestParamDegree::test_sound_and_tight"),
+    Mutant("sps-total-degree-under", "circuits.py",
+           "max(degs, default=0), cls._sps)", "max(degs, default=0) - 1, cls._sps)",
+           "tests/test_circuits.py::TestParamDegree::test_sound_and_tight"),
+    Mutant("staged-evaluator-restarts-late", "circuits.py", "for s in range(j, n):",
+           "for s in range(j + 1, n):",
+           "tests/test_acceptance.py::test_criterion_04_pit_cross_validation"),
+    Mutant("ips-accepts-c0-two", "ips.py", "if self.value_at_zero != 1:",
+           "if self.value_at_zero not in (1, 2):",
+           "tests/test_acceptance.py::test_criterion_09_ips_verification"),
+    Mutant("ips-grades-every-acceptance-exact", "ips.py",
+           'return "exact" if self.relation_verdict.outcome == PROVEN_ZERO else "randomized"',
+           'return "exact"', "tests/test_golden.py::test_golden_body"),
+]
+
+
+def first_failure(stdout: str) -> Optional[str]:
+    """The id of the first test pytest's short summary lists as failed, its
+    path from the root of the repository."""
+    for line in stdout.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            path, sep, rest = line.split()[1].partition("::")
+            return path[path.rindex("tests/"):] + sep + rest
+    return None
+
+
+def run(mutant: Mutant) -> Tuple[str, Optional[str]]:
+    """('killed', 'hang' or 'survived'; the first failing test)."""
+    with tempfile.TemporaryDirectory(prefix="npl-mutant-") as tmp:
+        copy = Path(tmp) / "src" / "npl"
+        shutil.copytree(ROOT / "src" / "npl", copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        target = copy / mutant.path
+        text = target.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"{mutant.name}: old text not found once in {mutant.path}")
+        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(copy.parent), PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+               "--rootdir", str(ROOT), "-c", str(ROOT / "pyproject.toml"),
+               str(ROOT / "tests")]
+        try:
+            proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True,
+                                  timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return "hang", None
+    if proc.returncode == 0:
+        return "survived", None
+    return "killed", first_failure(proc.stdout) or f"pytest exit {proc.returncode}"
+
+
+def main() -> int:
+    print("| mutant | file | old → new | result | first failing test |")
+    print("|---|---|---|---|---|")
+    ok = True
+    for m in MUTANTS:
+        result, test = run(m)
+        if m.equivalent is not None:
+            good = result == "survived"
+            note = f"equivalent: {m.equivalent}"
+        else:
+            good = result == "killed" and test.startswith(m.killed_by)
+            note = test or "-"
+        ok &= good
+        change = f"`{m.old}` → `{m.new}`".replace("|", "\\|")
+        print(f"| {m.name} | {m.path} | {change} | {result}{'' if good else ' (UNEXPECTED)'} "
+              f"| {note} |", flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -471,6 +471,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         plan = parse_plan(argv)
         body, code, counters = execute_plan(plan)
+        wall_ms = (time.perf_counter() - start) * 1000.0
+        text = render_report(body, wall_ms, plan.pretty, counters)
+        if plan.out:
+            # written first, so that a failure leaves stdout empty
+            with open(plan.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except SystemExit as exc:
         # argparse usage failures (including --help, which exits 0)
         return int(exc.code or 0)
@@ -480,16 +486,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except AssertionError as exc:
         print(f"npl: internal error: {exc}", file=sys.stderr)
         return 2
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    text = render_report(body, wall_ms, plan.pretty, counters)
-    if plan.out:
-        # written first, so that a failure leaves stdout empty
-        try:
-            with open(plan.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"npl: error: {exc}", file=sys.stderr)
-            return 2
     sys.stdout.write(text)
     return code
 

@@ -11,7 +11,8 @@ and f = 0 when it vanishes there (the product-set lemma, Alon 1999, cut to
 the C(v + D, D)-point hitting set of total degree D, Shpilka & Yehudayoff
 2010).  The engine takes D_i and D to be the circuit's formal degrees, so it
 needs only max D_i < p; ``grid_points`` counts the whole grid covered.  The
-walk passes only the reached coordinates (the others take 0 alone) to the
+walk, one iterator over the lower set with no recursion and so no width limit
+but the budget, passes only the reached coordinates (the others take 0) to the
 circuit's staged evaluator, which recomputes only the gates that read a
 coordinate the step changed, so a row-major step costs mostly the gates of
 the last coordinates, not v.  It runs on Python integers, exact for every
@@ -40,7 +41,7 @@ Verdict witnesses are always re-evaluated before the verdict is built, so a
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import SparsePoly
 from .circuits import Circuit, FamilyDescriptor, _seeded_draws
@@ -132,20 +133,21 @@ def _grid_points(ranges: Sequence[int], enum_budget: int) -> int:
     return points
 
 
-def _first_nonzero(
-    sizes: Sequence[int], total: int, value: Callable[[Tuple[int, ...]], int],
-    prefix: Tuple[int, ...] = (),
-) -> Optional[Tuple[int, ...]]:
-    """The first point prefix + x, x in the grid prod range(sizes) with
-    sum(x) <= total, in row-major order, where ``value`` is nonzero; None
-    when it vanishes on all of them."""
-    if not sizes:
-        return prefix if value(prefix) else None
-    for x in range(min(sizes[0], total + 1)):
-        found = _first_nonzero(sizes[1:], total - x, value, (*prefix, x))
-        if found is not None:
-            return found
-    return None
+def _lower_set(sizes: Sequence[int], total: int) -> Iterator[Tuple[int, ...]]:
+    """The points x of prod range(sizes) with sum(x) <= total, in row-major
+    order, for sizes >= 1 and total >= 0 (the origin comes first): one list
+    and the degree ``left`` still free, each step raising the last coordinate
+    that can rise and zeroing those after it; no recursion."""
+    x, left = [0] * len(sizes), total
+    while True:
+        yield tuple(x)
+        for i in reversed(range(len(x))):
+            if left and x[i] + 1 < sizes[i]:
+                x[i], left = x[i] + 1, left - 1
+                break
+            x[i], left = 0, left + x[i]
+        else:
+            return
 
 
 def pit_exhaustive(
@@ -154,12 +156,13 @@ def pit_exhaustive(
     """Evaluate the circuit, row-major, on the lower set {x : x_i <= D_i,
     sum x_i <= D} of its formal degrees (module docstring).  Proof-grade either way.
 
-    ``enum_budget`` caps the whole grid's points and the v coordinates that
-    the verdict lists.  The walk hands each grid point's support coordinates
-    to ``Circuit.staged_evaluator``, which recomputes only the stages from
-    the first coordinate that changed; a witness alone becomes a point of
-    all v coordinates, zero outside the support, and ``Circuit.evaluate``
-    re-evaluates it there.  Refusals come before any point is evaluated."""
+    ``enum_budget`` caps the grid's points and the v coordinates the verdict
+    lists; nothing else bounds the walk's width.  It hands each point's support
+    coordinates to ``Circuit.staged_evaluator``, which recomputes only the
+    stages from the first coordinate that changed; a witness alone becomes a
+    point of all v coordinates, zero outside the support, and
+    ``Circuit.evaluate`` re-evaluates it there.  Refusals come before any
+    point is evaluated."""
     p = circuit.field.p
     support = circuit.support
     # each reached input has D_i >= 1, so the grid has 2^|support| points at
@@ -187,19 +190,12 @@ def pit_exhaustive(
         "grid_points": _grid_points(sizes, enum_budget),
     }
     staged = circuit.staged_evaluator()
-    evaluated = 0
-
-    def value(x: Tuple[int, ...]) -> int:
-        nonlocal evaluated
-        evaluated += 1
-        return staged(x)
-
-    found = _first_nonzero(sizes, circuit.formal_degree, value)
-    if found is not None:
-        point = [0] * circuit.v
-        for i, xi in zip(support, found):
-            point[i] = xi
-        return replace(_nonzero_verdict(circuit, point, evaluated), **grid)
+    for evaluated, x in enumerate(_lower_set(sizes, circuit.formal_degree), 1):
+        if staged(x):
+            point = [0] * circuit.v
+            for i, xi in zip(support, x):
+                point[i] = xi
+            return replace(_nonzero_verdict(circuit, point, evaluated), **grid)
     return PitVerdict(outcome=PROVEN_ZERO, degree_bound=circuit.formal_degree, p=p,
                       points_evaluated=evaluated, **grid)
 
@@ -343,26 +339,23 @@ def succinct_hitting_check(
     Random mode samples ``trials`` members from seeds derived from ``seed``.
     Exhaustive mode decides whether T vanishes on all p^s members from the
     lower set of the grid prod S_i, S_i = {0..deg(T) * c_i} or a slot's whole
-    range (see the module docstring), walked in row-major order.  Its first
-    nonzero point is the first nonzero member of the whole grid, the witness;
-    when the walk is smaller than the whole grid and vanishes, the grid's last
-    member is evaluated too, a check on the declared degrees.  ``examined``
-    counts the members the verdict covers: p^s for a proof, the witness's
-    row-major index + 1 otherwise.  A family of more than ``enum_budget``
-    members is refused before any member is built.  The witness is rebuilt
-    from its parameters and T re-evaluated on it before it is reported.
+    range (see the module docstring), iterated in row-major order with no
+    width limit but the budget.  Its first nonzero point is the first nonzero
+    member of the whole grid, the witness; when the walk is smaller than the
+    whole grid and vanishes, the grid's last member is evaluated too, a check
+    on the declared degrees.  ``examined`` counts the members the verdict
+    covers: p^s for a proof, the witness's row-major index + 1 otherwise.  A
+    family of more than ``enum_budget`` members is refused before any member
+    is built.  The witness is rebuilt from its parameters and T re-evaluated
+    on it before it is reported.
     """
     _check_spaces(desc, T)
     space = desc.space
-    evaluated = 0
-    last = None  # (params, coefficient vector, T-value) of the last member evaluated
 
-    def value(params: Tuple[int, ...]) -> int:
-        nonlocal evaluated, last
-        evaluated += 1
+    def member(params: Tuple[int, ...]) -> Tuple[Tuple[int, ...], List[int], int]:
+        """(params, coefficient vector, T-value) of the member at ``params``."""
         cv = desc.member_from_params(params).coeff_vector(space)
-        last = (params, cv, T.eval_at(cv))
-        return last[2]
+        return params, cv, T.eval_at(cv)
 
     ranges = desc.param_ranges()
     # (params, coefficient vector, T-value) of the first member where T is nonzero
@@ -373,26 +366,32 @@ def succinct_hitting_check(
                       for r, c in zip(ranges, desc.param_degrees))
         full = sum(ranges) - len(ranges)
         total = full if desc.param_degree is None else T.degree_bound * desc.param_degree
-        if _first_nonzero(sizes, total, value) is not None:
-            witness = last
+        for evaluated, params in enumerate(_lower_set(sizes, total), 1):
+            if (found := member(params))[2]:
+                witness = found
+                break
+        if witness is not None:
             zeros = 0
             for x, r in zip(witness[0], ranges):
                 zeros = zeros * r + x
             examined = zeros + 1
-        elif (sizes != ranges or total < full) and value(tuple(r - 1 for r in ranges)):
-            raise AssertionError(f"T is nonzero at member {last[0]}, outside the lower "
-                                 "set of the declared param_degrees and param_degree")
+        elif sizes != ranges or total < full:
+            evaluated += 1
+            if (last := member(tuple(r - 1 for r in ranges)))[2]:
+                raise AssertionError(f"T is nonzero at member {last[0]}, outside the lower "
+                                     "set of the declared param_degrees and param_degree")
     else:
         examined = zeros = 0
         for params in _seeded_draws(ranges, trials, seed):
             examined += 1
-            if not value(params):
+            if not (found := member(params))[2]:
                 zeros += 1
                 continue
             if witness is None:
-                witness = last
+                witness = found
             if not collect_stats:
                 break
+        evaluated = examined
     degenerate = False
     witness_poly = None
     if witness is None:

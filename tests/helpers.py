@@ -180,6 +180,19 @@ def splice(b: CircuitBuilder, c: Circuit) -> int:
     return base + c.out
 
 
+def wide_identity(field: PrimeField, v: int) -> Circuit:
+    """sum x_i - sum x_i over v inputs, the two sums built apart: zero, of
+    degree 1 in every input and total degree 1."""
+    b = CircuitBuilder(field, v)
+    sums = []
+    for _ in range(2):
+        acc = b.inp(0)
+        for i in range(1, v):
+            acc = b.add(acc, b.inp(i))
+        sums.append(acc)
+    return b.build(b.sub(*sums))
+
+
 def dead_cone_circuit(
     rng: random.Random, field: PrimeField, v: int, max_extra_gates: int, degree_cap: int
 ) -> Tuple[Circuit, Circuit]:

@@ -17,6 +17,8 @@ from npl.ips import Cnf, cnf_to_system
 from npl.cli import DEFAULT_FIELD, build_parser, main, parse_plan
 from npl.meta import discriminant
 
+from helpers import wide_identity
+
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 F7 = PrimeField(7)
@@ -684,6 +686,19 @@ class TestReports:
         assert (code, out) == (2, "")
         assert err.startswith("npl: error: ") and err.count("\n") == 1
         assert str(target) in err
+
+    def test_exhaustive_pit_over_1200_inputs(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(wide_identity(F13, 1200).to_json()))
+        code, out, err = run_cli(capsys, "pit", "--circuit", path, "--field", "13",
+                                 "--exhaustive", "--enum-budget", 2**1300)
+        assert (code, err) == (0, "")
+        # degree 1 in each input and total degree 1: the walk is the origin
+        # and the 1200 unit points, one coordinate per input
+        doc = json.loads(out)
+        verdict = doc["body"]["result"]["verdict"]
+        assert verdict["outcome"] == "proven-zero" and verdict["grid_points"] == 2**1200
+        assert doc["header"]["points_evaluated"] == 1201
 
     def test_pretty_is_same_object(self, workdir, capsys):
         argv = ("hit-check", "--meta", "disc", "--family", "squares",

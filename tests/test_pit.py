@@ -23,6 +23,7 @@ from npl.meta import (
     discriminant,
 )
 from npl.pit import (
+    _lower_set,
     natural_proof_audit,
     pit_exhaustive,
     pit_schwartz_zippel,
@@ -329,6 +330,17 @@ class TestExhaustiveEngine:
         assert v.outcome == "proven-zero" and v.grid_points == 625
         assert v.points_evaluated == len(seen) == math.comb(8, 4) == 70
         assert seen == lower_set((4, 4, 4, 4), 4)
+
+    def test_lower_set_walks_row_major(self):
+        # random shapes, those of no coordinates and of total 0 included,
+        # against the filtered product grid
+        rng = random.Random(27)
+        for _ in range(300):
+            sizes = [rng.randrange(1, 5) for _ in range(rng.randrange(6))]
+            total = rng.randrange(12)
+            grid = itertools.product(*map(range, sizes))
+            assert list(_lower_set(sizes, total)) == [
+                x for x in grid if sum(x) <= total], (sizes, total)
 
     def test_outcome_invariant_under_affine_substitution(self):
         # C and C o (x -> A x + b), A invertible, are zero together; the
@@ -657,6 +669,16 @@ class TestHittingCheck:
         assert small.exhausted and large.exhausted
         assert small.examined == large.examined
 
+    def test_family_of_1100_parameters(self):
+        # one parameter per coordinate, degree 1 in each: the second point of
+        # the walk, the last parameter 1, is the witness for coordinate 1099
+        space = PolySpace(1100, 1, True)
+        desc = FamilyDescriptor("det-projection", space, F13, n=1)
+        r = succinct_hitting_check(desc, coordinate_meta(space, F13, 1099),
+                                   exhaustive=True, enum_budget=13**1100)
+        assert r.witness_params[-3:] == (0, 0, 1) and r.examined == 2
+        assert r.points_evaluated == 3
+
     def test_random_mode_determinism(self):
         full = FamilyDescriptor("full-space", SP22, F7)
         a = succinct_hitting_check(full, discriminant(F7), trials=20, seed=3)
@@ -772,7 +794,7 @@ def cubic_meta(space, field):
     return CircuitMeta(space, b.build(b.sub(b.mul(b.mul(a, a), a), a)), "cubic")
 
 
-class TestSteppedWalk:
+class TestFamilyWalk:
     """The exhaustive family walk on its degree grid, against a walk that
     builds every member."""
 

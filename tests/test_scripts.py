@@ -65,3 +65,23 @@ def test_tracer_names_resolve():
             unresolved.add(name)
     assert "circuits.Circuit.evaluate" in names and "ips.compose_system" in names
     assert unresolved == STALE_TRACER_NAMES
+
+
+def test_mutants_name_texts_of_the_source():
+    # each mutant's old text occurs exactly once in src/npl, so a refactor
+    # that moves a listed line must move its mutant; each names a test that
+    # kills it or, equivalent, a proof instead
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in (ROOT / "src" / "npl").glob("*.py")}
+    assert len(mutants.MUTANTS) == 20
+    for m in mutants.MUTANTS:
+        assert m.old != m.new and m.old in sources[m.path], m.name
+        assert sum(text.count(m.old) for text in sources.values()) == 1, m.name
+        assert (m.killed_by is None) != (m.equivalent is None), m.name
+        if m.killed_by is not None:
+            path, *names = m.killed_by.split("::")
+            test_file = (ROOT / path).read_text(encoding="utf-8")
+            assert all(f" {name}" in test_file for name in names), m.name
