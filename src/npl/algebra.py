@@ -32,6 +32,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, FieldMismatch, SpaceMismatch, TermCapExceeded
@@ -115,6 +116,16 @@ def _num_monomials(v: int, d: int) -> int:
     return math.comb(v + d - 1, d)
 
 
+def _capped_num_monomials(v: int, d: int) -> int:
+    """``_num_monomials(v, d)``, or MAX_SPACE_DIM + 1 for every count past
+    MAX_SPACE_DIM.  C(a + b, b) >= 2^min(a, b), so a count with min(v - 1, d)
+    above log2(MAX_SPACE_DIM) passes the cap without being computed, and any
+    other count takes at most that many factors."""
+    if min(v - 1, d) >= MAX_SPACE_DIM.bit_length():
+        return MAX_SPACE_DIM + 1
+    return min(_num_monomials(v, d), MAX_SPACE_DIM + 1)
+
+
 @dataclass(frozen=True)
 class PolySpace:
     """Polynomials in v variables of degree exactly d (homogeneous) or at most d.
@@ -135,10 +146,8 @@ class PolySpace:
             raise ValueError("space needs at least one variable")
         if self.d < 0:
             raise ValueError("degree bound must be non-negative")
-        if self.dimension > MAX_SPACE_DIM:
-            raise ValueError(
-                f"space dimension {self.dimension} exceeds cap {MAX_SPACE_DIM}"
-            )
+        if _capped_num_monomials(self.v + (not self.homogeneous), self.d) > MAX_SPACE_DIM:
+            raise ValueError(f"space dimension exceeds cap {MAX_SPACE_DIM}")
 
     @cached_property
     def dimension(self) -> int:
@@ -274,44 +283,18 @@ def _degree_of(v: int, w: int) -> Callable[[int], int]:
     return lambda k: k * ones >> top & mask
 
 
-class _Terms(Mapping):
-    """Read-only view of a polynomial's terms, keyed by exponent tuples."""
-
-    __slots__ = ("_poly",)
-
-    def __init__(self, poly: "SparsePoly") -> None:
-        self._poly = poly
-
-    def __len__(self) -> int:
-        return len(self._poly._terms)
-
-    def __iter__(self) -> Iterator[Exponents]:
-        f = self._poly
-        return map(_unpacker(f.v, f._w), f._terms)
-
-    def __getitem__(self, e) -> int:
-        f = self._poly
-        limit = 1 << f._w
-        if (type(e) is tuple and len(e) == f.v
-                and all(isinstance(x, int) and 0 <= x < limit for x in e)):
-            c = f._terms.get(_pack(e, f._w))
-            if c is not None:
-                return c
-        raise KeyError(e)
-
-
 class SparsePoly:
     """Sparse multivariate polynomial over a prime field.
 
     Instances behave as immutable values: all arithmetic returns new objects
-    and the term map is exposed read-only, which is what makes polynomials
-    safe to share across threads and to reuse as dict keys.
+    and the term map is exposed only as a read-only copy, which is what makes
+    polynomials safe to share across threads and to reuse as dict keys.
     """
 
     # _terms maps packed monomials to coefficients; _d bounds the total degree
     # and _w = _width(_d); _span is the (lowest, highest) total degree of the
     # terms once known, None before that and for zero
-    __slots__ = ("field", "v", "_terms", "_d", "_w", "_span", "_hash")
+    __slots__ = ("field", "v", "_terms", "_d", "_w", "_span")
 
     def __init__(self, field: PrimeField, v: int, terms: Mapping[Exponents, int]):
         if v < 0:
@@ -334,7 +317,6 @@ class SparsePoly:
         self._d = d
         self._w = w
         self._span = (min(degs), d) if degs else None
-        self._hash: Optional[int] = None
 
     @classmethod
     def _make(
@@ -354,7 +336,6 @@ class SparsePoly:
         f._d = d
         f._w = _width(d)
         f._span = span
-        f._hash = None
         return f
 
     # -- constructors -------------------------------------------------
@@ -402,7 +383,9 @@ class SparsePoly:
 
     @property
     def terms(self) -> Mapping[Exponents, int]:
-        return _Terms(self)
+        """A read-only copy of the term map, keyed by exponent tuples."""
+        unpack = _unpacker(self.v, self._w)
+        return MappingProxyType({unpack(k): c for k, c in self._terms.items()})
 
     @property
     def is_zero(self) -> bool:
@@ -580,11 +563,7 @@ class SparsePoly:
         return self._packed(w) == other._packed(w)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(
-                (self.field.p, self.v, frozenset(self.terms.items()))
-            )
-        return self._hash
+        return hash((self.field.p, self.v, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
         if not self._terms:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
+    MAX_SPACE_DIM,
     Exponents,
     PolySpace,
     PrimeField,
@@ -351,6 +352,14 @@ def sps_build(
 # ---------------------------------------------------------------------------
 
 
+def _param_count(cid: str, count: int) -> int:
+    """The parameter count of a cid family, refused past MAX_SPACE_DIM before
+    any tuple of that length is built."""
+    if count > MAX_SPACE_DIM:
+        raise DescriptorInvalid(f"{cid} family has over {MAX_SPACE_DIM} parameters")
+    return count
+
+
 @dataclass(frozen=True)
 class FamilyDescriptor:
     """A named, finitely parameterized class of polynomials in one space.
@@ -404,12 +413,13 @@ class FamilyDescriptor:
                 raise DescriptorInvalid(f"det-projection of size {self.n} lives in "
                                         f"degree-{self.n} spaces")
             # det is linear in each entry's parameters, and reads n entries per term
-            count = self.n * self.n * (sp.v if sp.homogeneous else sp.v + 1)
+            count = _param_count(cid, self.n * self.n * (sp.v + (not sp.homogeneous)))
             gen = (self.n, (p,) * count, (1,) * count, self.n, cls._det_projection)
         elif cid == "sps":
             fanin = self.top_fanin if self.top_fanin is not None else self.n
             if fanin < 0:
                 raise DescriptorInvalid("sps needs a non-negative top fan-in")
+            _param_count(cid, fanin * sp.v)  # valid degrees give at least this many
             degs = self.product_degrees
             degs = tuple(int(x) for x in (degs if degs is not None else (sp.d,) * fanin))
             if len(degs) != fanin:
@@ -421,12 +431,13 @@ class FamilyDescriptor:
                                         "degree to equal d")
             object.__setattr__(self, "top_fanin", fanin)
             object.__setattr__(self, "product_degrees", degs)
-            count = sum(degs) * sp.v
+            count = _param_count(cid, sum(degs) * sp.v)
             gen = (fanin, (p,) * count, (1,) * count, max(degs, default=0), cls._sps)
         else:  # sparse: a monomial rank and a coefficient per slot
             s = self.sparsity
             if s is None or s < 1:
                 raise DescriptorInvalid("sparse family needs sparsity >= 1")
+            _param_count(cid, 2 * s)
             gen = (s, (sp.dimension,) * s + (p,) * s, (None,) * s + (1,) * s, None,
                    cls._sparse)
         n = gen[0]

@@ -45,6 +45,7 @@ from .algebra import (
     PolySpace,
     PrimeField,
     SparsePoly,
+    _capped_num_monomials,
     _json_int,
     _num_monomials,
     _pack,
@@ -155,11 +156,12 @@ def _shifted_labels(
         raise OrderOutOfRange("negative shift")
     if p <= d:
         raise CharacteristicTooSmall(f"characteristic {p} must exceed degree {d}")
-    rows_n = _num_monomials(v, k) * _num_monomials(v, shift)
-    cols_n = _num_monomials(v, d - k + shift)
-    if rows_n > DIMENSION_CAP or cols_n > DIMENSION_CAP:
+    # DIMENSION_CAP is below MAX_SPACE_DIM, so capped counts decide it exactly
+    count = _capped_num_monomials
+    if max(count(v, k) * count(v, shift), count(v, d - k + shift)) > DIMENSION_CAP:
         raise DimensionCapExceeded(
-            f"matrix of shape ({rows_n}, {cols_n}) exceeds cap {DIMENSION_CAP}"
+            f"order-{k} matrix with shift {shift} has over {DIMENSION_CAP} rows "
+            "or columns"
         )
     return tuple(
         tuple(PolySpace(v, deg, True).monomials()) for deg in (shift, k, d - k + shift)

@@ -68,7 +68,7 @@ class TestPrimeField:
             assert is_prime(n) == sympy.isprime(n), n
 
 
-class TestMonomialIndex:
+class TestPolySpaceIndex:
     """A PolySpace is its own monomial index: rank, unrank and monomials."""
 
     def test_worked_ranks(self):
@@ -139,6 +139,11 @@ class TestPolySpace:
             PolySpace(0, 2, True)
         with pytest.raises(ValueError):
             PolySpace(2, -1, True)
+        # the dimension cap 2^26, at its boundary and far past it
+        assert PolySpace(2, 2**26 - 1).dimension == 2**26
+        for v, d in ((2, 2**26), (2**26, 2), (300000, 300000)):
+            with pytest.raises(ValueError, match="^space dimension exceeds cap 67108864$"):
+                PolySpace(v, d)
 
     def test_json_round_trip(self):
         for sp in (PolySpace(2, 2, True), PolySpace(3, 4, False)):
@@ -379,6 +384,12 @@ class TestPackedCoreAgainstSympy:
             assert dict(f.terms) == dict(narrow.terms) == {(1, 1, 0): 1, (0, 0, 2): 5}
             assert f.terms[(0, 0, 2)] == 5 and (2, 0, 0) not in f.terms
             assert f.terms.get((0, 0, 2), 0) == 5 and f.terms.get((300, 0, 0), 0) == 0
+            with pytest.raises(TypeError):
+                f.terms[(0, 0, 2)] = 1
+            copy = dict(f.terms)
+            copy[(0, 0, 2)] = 1
+            del copy[(1, 1, 0)]
+            assert dict(f.terms) == {(1, 1, 0): 1, (0, 0, 2): 5}
             assert f.to_json() == narrow.to_json()
             assert str(f) == str(narrow)
             assert f.coeff_vector(space) == narrow.coeff_vector(space)

@@ -550,6 +550,25 @@ class TestExitCodes:
             assert code == 0
             assert json.loads(out)["body"]["result"]["shape"] == shape
 
+    def test_oversized_spaces_refused_before_counting(self, tmp_path, capsys):
+        # C(599999, 300000) alone takes seconds and has more digits than an
+        # int may print; both refusals must come from a bounded count
+        x0 = SparsePoly(F7, 300000, {(1,) + (0,) * 299999: 1})
+        (tmp_path / "x0.json").write_text(json.dumps(x0.to_json()))
+        cases = (
+            (("hit-check", "--meta", "disc", "--family", "squares",
+              "--space", "300000:300000"), "space dimension exceeds cap 67108864"),
+            (("rank", "--method", "shifted", "--k", "0", "--shift", "300000",
+              "--poly", tmp_path / "x0.json"),
+             f"{tmp_path / 'x0.json'}: order-0 matrix with shift 300000 has over "
+             "4096 rows or columns"),
+        )
+        for argv, error in cases:
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv, "--field", "7")
+            assert time.perf_counter() - start < 0.5, argv[0]
+            assert (code, out, err) == (2, "", f"npl: error: {error}\n")
+
     def test_internal_error_exits_two(self, capsys, monkeypatch):
         # family degrees declared too low fail the degree check at the whole
         # grid's last member: one diagnostic line and exit 2, not the
@@ -608,6 +627,11 @@ class TestExitCodes:
         ("repeated.json squares 2:2",
          "repeated.json: malformed input: explicit indices must be distinct"),
         ("disc detproj:3 2:2", "spec 'detproj:3' expects key=value, got '3'"),
+        # parameter tuples this long would not fit in memory
+        ("disc detproj:n=100000 100000:2",
+         "det-projection family has over 67108864 parameters"),
+        ("disc sps:t=100000000000 2:2", "sps family has over 67108864 parameters"),
+        ("disc sparse:s=100000000000 2:2", "sparse family has over 67108864 parameters"),
         # the default field is read, and refused, even when --field is given
         ("NPL_DEFAULT_FIELD=abc disc squares 2:2",
          "NPL_DEFAULT_FIELD is not an integer: 'abc'"),

@@ -4,6 +4,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from npl.algebra import PolySpace, PrimeField, SparsePoly, is_prime
 from npl.circuits import CircuitBuilder, FamilyDescriptor, sample_family_with_params
@@ -241,6 +243,36 @@ class TestRankFactsAtLargePrimes:
             f = random_product_of_linear_forms(rng, field, v, d)
             for k in range(d + 1):
                 assert rank_mod_p(partials_matrix(f, k)) <= comb(d, k), (v, d, k)
+
+    @given(v=st.integers(1, 7), d=st.integers(1, 6), p=st.sampled_from(LARGE_PRIMES),
+           seed=st.integers(0, 2**32))
+    @example(v=7, d=6, p=2**64 - 59, seed=0)
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    def test_facts_at_larger_shapes(self, v, d, p, seed):
+        # the two tests above at up to 7 variables and degree 6, with shift 1
+        # only where k <= d / 2, which keeps every matrix within 588 x 1716
+        field, rng = PrimeField(p), random.Random(seed)
+        shapes = [(k, 0) for k in range(d + 1)] + [(k, 1) for k in range(d // 2 + 1)]
+
+        def ranks(f):
+            return [rank_mod_p(partials_matrix(f, k, shift)) for k, shift in shapes]
+
+        while True:
+            A = [[rng.randrange(p) for _ in range(v)] for _ in range(v)]
+            if matrix_rank(A, p) == v:
+                break
+        monos = exponents_of_degree(v, d)
+        f = SparsePoly(field, v, {m: rng.randrange(1, p)
+                                  for m in rng.sample(monos, min(2, len(monos)))})
+        assert ranks(compose_linear(f, A)) == ranks(f), (v, d)
+        r = rng.randrange(1, 4)
+        powers = SparsePoly.zero(field, v)
+        for _ in range(r):
+            powers = powers + random_linear_form(rng, field, v).pow(d)
+        product = random_product_of_linear_forms(rng, field, v, d)
+        for k in range(d + 1):
+            assert rank_mod_p(partials_matrix(powers, k)) <= r, (v, d, r, k)
+            assert rank_mod_p(partials_matrix(product, k)) <= comb(d, k), (v, d, k)
 
     @pytest.mark.parametrize("p", LARGE_PRIMES)
     def test_rank_bounds_of_family_members(self, p):
