@@ -39,27 +39,39 @@ class Mutant(NamedTuple):
     equivalent: Optional[str] = None  # why no test can kill it
 
 
-SLOT_WIDTH = "w = 2 * p.bit_length() + n_rows.bit_length() + 1"
+SLOT_WIDTH = "return -(-(2 * p.bit_length() + n_rows.bit_length() + 1) // 8) * 8"
 
 MUTANTS = [
-    Mutant("slot-two-bits-narrower", "meta.py", SLOT_WIDTH,
-           "w = 2 * p.bit_length() + n_rows.bit_length() - 1",
-           "tests/test_meta.py::TestEliminationKernel::test_slots_at_their_widest"),
+    Mutant("slot-one-byte-narrower", "meta.py", SLOT_WIDTH, SLOT_WIDTH + " - 8",
+           "tests/test_meta.py::TestPartialsMatrix::test_rank_transposition_exhaustive_small"),
     Mutant("slot-one-bit-narrower", "meta.py", SLOT_WIDTH,
-           "w = 2 * p.bit_length() + n_rows.bit_length()", None,
+           "return -(-(2 * p.bit_length() + n_rows.bit_length()) // 8) * 8", None,
            "a slot never exceeds (p-1) + (n_rows-1)(p-1)^2 <= n_rows (p-1)^2, "
-           "which is below 2^(2 bitlen(p) + bitlen(n_rows))"),
+           "which is below 2^(2 bitlen(p) + bitlen(n_rows)), and rounding up to "
+           "whole bytes only widens the slot"),
     Mutant("slot-without-row-term", "meta.py", SLOT_WIDTH,
-           "w = 2 * p.bit_length() + 1",
-           "tests/test_acceptance.py::test_criterion_03_rank_method_shape"),
+           "return -(-(2 * p.bit_length() + 1) // 8) * 8",
+           "tests/test_meta.py::TestRankFactsAtLargePrimes::"
+           "test_invertible_change_of_variables_keeps_ranks"),
     Mutant("unreduced-pivot-row", "meta.py",
            "pivot = pivot << w | (r >> j * w & mask) % p",
            "pivot = pivot << w | (r >> j * w & mask)",
            "tests/test_acceptance.py::test_criterion_03_rank_method_shape"),
     Mutant("shifted-rank-drops-a-basis-row", "meta.py",
-           "basis = sorted(_eliminate(rows[:n_derivs], p, False)[0])",
-           "basis = sorted(_eliminate(rows[:n_derivs], p, False)[0])[1:]",
+           "final, w = matrix._rows(sorted(pivots))",
+           "final, w = matrix._rows(sorted(pivots)[1:])",
+           "tests/test_cli.py::TestReports::test_rank_counts_rows_eliminated_in_header"),
+    Mutant("entries-scaled-by-t-factorial", "meta.py",
+           "scale = [pow(prod(map(fact.__getitem__, t)), -1, p)",
+           "scale = [pow(prod(map(fact.__getitem__, t)), 1, p)",
            "tests/test_golden.py::test_golden_body"),
+    Mutant("g-without-m-factorial", "meta.py",
+           "g = {key: c * prod(map(fact.__getitem__, unpack(key))) % p",
+           "g = {key: c % p", "tests/test_acceptance.py::test_criterion_03_rank_method_shape"),
+    Mutant("rank-in-the-wide-orientation", "meta.py",
+           "if not matrix.shift and len(tails) > len(derivs):",
+           "if not matrix.shift and len(tails) < len(derivs):",
+           "tests/test_cli.py::TestReports::test_rank_counts_rows_eliminated_in_header"),
     Mutant("sz-warning-one-short", "pit.py", "if p <= 2 * deg:", "if p < 2 * deg:",
            "tests/test_pit.py::TestSchwartzZippel::test_degree_one_over_f2_warns"),
     Mutant("pit-witness-not-reevaluated", "pit.py", "if not value:", "if False:",

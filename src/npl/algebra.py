@@ -546,13 +546,25 @@ class SparsePoly:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "SparsePoly":
+        """Parse and check the terms in one pass, adding up repeated exponents,
+        then pack the nonzero ones for ``_make``."""
         field = PrimeField(_json_int(data["p"]))
         v = _json_int(data["v"])
+        if v < 0:
+            raise ValueError("negative variable count")
         terms: Dict[Exponents, int] = {}
         for entry in data["terms"]:
-            e = tuple(_json_int(x) for x in entry["e"])
+            e = tuple(entry["e"])
+            if not {*map(type, e)} <= {int}:  # bool is not int
+                tuple(map(_json_int, e))  # names the first non-integer
+            if len(e) != v or e and min(e) < 0:
+                raise ValueError(f"bad exponent tuple {e} for {v} variables")
             terms[e] = terms.get(e, 0) + _json_int(entry["c"])
-        return cls(field, v, terms)
+        terms = {e: r for e, c in terms.items() if (r := c % field.p)}
+        degs = list(map(sum, terms))
+        w = _width(d := max(degs, default=0))
+        span = (min(degs), d) if degs else None
+        return cls._make(field, v, {_pack(e, w): c for e, c in terms.items()}, d, span)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePoly):

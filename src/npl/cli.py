@@ -5,12 +5,13 @@ executes it, and emits one JSON report.  The report body echoes the full
 plan, so the body alone is enough to rerun the experiment, and reruns with
 the same plan produce byte-identical bodies.  Wall-clock time lives in the
 header, outside the body, precisely so it cannot break that guarantee; so
-does the one counter, ``points_evaluated``: the engine's evaluations (of the
+do the counters.  ``points_evaluated`` counts the engine's evaluations (of the
 circuit for ``pit`` and ``ips-verify``, none when C(0) != 1; of the test
 polynomial on members for ``hit-check`` and ``audit``, each member built for
 its evaluation), re-evaluations of the witness and the degree check
 included.  An exhaustive engine evaluates a lower set of the points the
-body's ``grid_points`` or ``examined`` count as covered.
+body's ``grid_points`` or ``examined`` count as covered.  ``rank`` counts
+``rows_eliminated``, the rows it packs for elimination.
 
 Exit codes: 0 for zero / none-found / accept, 1 for nonzero / witness /
 reject, 2 for usage errors, precondition failures and internal errors (a
@@ -369,8 +370,9 @@ def _run_rank(plan: ExperimentPlan) -> Report:
         raise ValueError("plain partials carries no shift")
     with _about(path):
         matrix = partials_matrix(poly, k, shift)
+    rank, rows_eliminated = rank_mod_p(matrix)
     result = {
-        "rank": rank_mod_p(matrix),
+        "rank": rank,
         "shape": list(matrix.shape),
         "method": plan.input("method"),
         "k": k,
@@ -378,7 +380,7 @@ def _run_rank(plan: ExperimentPlan) -> Report:
     }
     if plan.input("include_matrix"):
         result["matrix"] = [list(row) for row in matrix.entries]
-    return result, 0, {}
+    return result, 0, {"rows_eliminated": rows_eliminated}
 
 
 def _run_gen(plan: ExperimentPlan) -> Report:

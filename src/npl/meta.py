@@ -3,33 +3,30 @@
 The rank methods live here.  For a homogeneous f of degree d in v variables,
 the order-k matrix with shift l has a row (beta, alpha), standing for
 x^beta * d^alpha with |beta| = l and |alpha| = k, and a column per monomial m
-of degree d-k+l; plain partials are the case l = 0, beta = 0.  The entry is
-coeff(f, alpha+t) times prod_i (t_i+1)...(t_i+alpha_i) if the tail t = m - beta
-is >= 0, else 0.  True derivatives carry those falling factors, so the field
-characteristic must exceed d; then no factor vanishes.
+of degree d-k+l; plain partials are the case l = 0, beta = 0.  d^alpha takes
+x^(alpha+t) to (alpha+t)!/t! x^t (t! is the product of the t_i!), so with
+g(m) = m! coeff(f, m) the entry is g(alpha+t) / t! where the tail t = m - beta
+is >= 0, else 0.  The characteristic must exceed d; then t! is a unit.  Every
+entry is a linear form in the N meta-variables, None (zero) or (meta-variable
+rank, scalar), and every (r+1) x (r+1) minor has degree <= r+1 in them.
 
-Every entry is thus a scalar multiple of one coefficient of f, a linear form
-in the N meta-variables: None (identically zero) or (meta-variable rank,
-scalar).  Every (r+1) x (r+1) minor is a meta-polynomial of degree <= r+1.
-
-``partials_matrix(f, k, shift)`` builds the matrix from one pass over
-d^alpha f per alpha, with monomials keyed by packed ints so that adding
-exponents is adding keys; the row (beta, alpha) moves the alpha row by beta.
-Its falling factors come from a table of the (k+1)(d-k+1) pairs (a, t) it
-reads.  The symbolic form is computed on first access; a rank never reads it.
+``partials_matrix(f, k, shift)`` keeps a matrix as its labels and g on packed
+monomials (adding exponents is adding keys); a rank reads no entry.  Scaling
+columns by units keeps the rank and the pivot rows, so the plain matrix has
+the rank of H[alpha][t] = g(alpha+t).  H is symmetric in its two roles and is
+eliminated with one row per derivative or, when the tails outnumber them,
+one row per tail; each row is one join of slot bytes encoded per term of g.
 
 A shifted matrix is ranked from a basis of the derivatives.  If the d^alpha f
 for alpha in B are a basis of V = span{d^alpha f}, then span{x^beta d^alpha f}
-over all (beta, alpha) equals span{x^beta d^alpha f : alpha in B}.  The rows
-are beta-major, so the first block is x^beta0 * d^alpha f for every alpha;
-multiplying by x^beta0 is injective, so the pivot rows of that block index
-such a B.  This is linear algebra over any field, exact for every input, and
-only |B| rows per shift are eliminated.
+over all (beta, alpha) equals span{x^beta d^alpha f : alpha in B}, and the
+pivot rows of H index such a B.  This is linear algebra over any field, exact
+for every input, and only |B| rows per shift are packed, in one join each.
 
 Ranks and determinants over F_p come from one elimination kernel on Python
-ints, without numpy: each row is one int with a slot of
-w = 2*bitlen(p) + bitlen(n_rows) + 1 bits per column, wide enough that the
-multiply-adds of elimination never carry across slots, for any prime.
+ints, without numpy: each row is one int with a slot of whole bytes per
+column, at least 2*bitlen(p) + bitlen(n_rows) + 1 bits, so that elimination
+never carries across slots, for any prime.
 """
 
 from __future__ import annotations
@@ -37,8 +34,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import perm, prod
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
     Exponents,
@@ -47,8 +45,8 @@ from .algebra import (
     SparsePoly,
     _capped_num_monomials,
     _json_int,
-    _num_monomials,
     _pack,
+    _unpacker,
     _width,
 )
 from .circuits import Circuit, CircuitBuilder
@@ -101,19 +99,21 @@ def _symbolic_cells(
 
 @dataclass
 class CoeffMatrix:
-    """A matrix whose entries are linear in the coefficients of f.
-
-    ``row_labels`` are the (beta, alpha) pairs of its rows and ``entries``
-    is the numeric instantiation at a concrete f.  ``symbolic`` gives every
-    entry as a Cell, from ``_symbolic_cells``; it is computed on first
-    access, and is None for spaces of dimension above SYMBOLIC_SPACE_CAP.
-    Instantiating it at a coefficient vector must reproduce ``entries``.
+    """A derivative matrix of a concrete f: ``row_labels`` are the (beta,
+    alpha) pairs of its rows, beta-major over the shifts and ``derivs``, the
+    ``tails`` are the monomials of the d^alpha f, and ``g`` maps each monomial
+    m of f, packed at ``_width(d + shift)``, to m! coeff(f, m) mod p.  The
+    numeric ``entries`` and their Cells, ``symbolic`` (None for spaces of
+    dimension above SYMBOLIC_SPACE_CAP), are computed on first access;
+    instantiating ``symbolic`` at a coefficient vector must give ``entries``.
     """
 
     field: PrimeField
     row_labels: Tuple[Label, ...]
     col_labels: Tuple[Exponents, ...]
-    entries: Tuple[Tuple[int, ...], ...]
+    derivs: Tuple[Exponents, ...]
+    tails: Tuple[Exponents, ...]
+    g: Dict[int, int]
     space: PolySpace
     shift: int
 
@@ -122,10 +122,48 @@ class CoeffMatrix:
         return (len(self.row_labels), len(self.col_labels))
 
     @cached_property
+    def entries(self) -> Tuple[Tuple[int, ...], ...]:
+        rows, w = self._rows(range(len(self.derivs)))
+        size = w // 8
+        slots = range(0, len(self.col_labels) * size, size)
+        return tuple(tuple(int.from_bytes(b[i:i + size], "little") for i in slots)
+                     for b in (r.to_bytes(len(slots) * size, "little") for r in rows))
+
+    @cached_property
     def symbolic(self) -> Optional[Tuple[Tuple[Cell, ...], ...]]:
         if self.space.dimension > SYMBOLIC_SPACE_CAP:
             return None
         return _symbolic_cells(self.space, self.row_labels, self.col_labels, self.field.p)
+
+    def _keys(self, labels: Sequence[Exponents]) -> List[int]:
+        w = _width(self.space.d + self.shift)
+        return [_pack(e, w) for e in labels]
+
+    def _rows(self, alphas: Sequence[int]) -> Tuple[List[int], int]:
+        """The rows (beta, derivs[a]) for a in alphas, beta-major, packed for
+        ``_reduce``, and their slot width: x^beta d^alpha f has g(alpha + t) / t!
+        in the column of t + beta."""
+        p, g, fact = self.field.p, self.g, _factorials(self.space.d, self.field.p)
+        tails, derivs = self._keys(self.tails), self._keys(self.derivs)
+        scale = [pow(prod(map(fact.__getitem__, t)), -1, p) for t in self.tails]
+        betas = self._keys([b for b, _ in self.row_labels[::len(derivs)]])
+        size = _slot_width(p, len(betas) * len(alphas)) // 8
+        # the slot bytes of each d^alpha f by tail, then a zero slot at index -1
+        slots = [[(g.get(derivs[a] + kt, 0) * s % p).to_bytes(size, "little")
+                  for kt, s in zip(tails, scale)] + [bytes(size)] for a in alphas]
+        col_at = {k: j for j, k in enumerate(self._keys(self.col_labels))}
+        rows = []
+        for kb in betas:
+            at = [-1] * len(col_at)
+            for i, kt in enumerate(tails):
+                at[col_at[kt + kb]] = i
+            rows += [int.from_bytes(b"".join([row[i] for i in at]), "little") for row in slots]
+        return rows, 8 * size
+
+
+def _factorials(n: int, p: int) -> List[int]:
+    """i! mod p for i in [0, n]."""
+    return list(accumulate(range(1, n + 1), lambda f, i: f * i % p, initial=1))
 
 
 def _space_for(f: SparsePoly, space: Optional[PolySpace]) -> PolySpace:
@@ -179,76 +217,41 @@ def partials_matrix(
     space = _space_for(f, space)
     p = f.field.p
     shifts, derivs, cols = _shifted_labels(space, k, shift, p)
-    v, d = space.v, space.d
     # monomials are keyed the way SparsePoly packs them, at a field width that
     # holds every exponent of a column, so adding keys never carries
-    w = _width(d + shift)
-    coef = f._packed(w)
-    # fall[a][t] = (t+1)(t+2)...(t+a) mod p: d^a takes x^(t+a) to fall[a][t] x^t
-    fall = [[1] * (d - k + 1)]
-    for a in range(1, k + 1):
-        fall.append([c * (t + a) % p for t, c in enumerate(fall[-1])])
-    tails = tuple(PolySpace(v, d - k, True).monomials()) if shift else cols
-    tail_keys = [_pack(t, w) for t in tails]
-
-    # one row of d^alpha f per alpha, indexed by the tail t of its monomials
-    entries = []
-    for alpha in derivs:
-        ka = _pack(alpha, w)
-        support = [(i, fall[a]) for i, a in enumerate(alpha) if a]
-        row = []
-        for t, kt in zip(tails, tail_keys):
-            c = coef.get(ka + kt, 0)
-            for i, fa in support:
-                c *= fa[t[i]]
-            row.append(c % p)
-        entries.append(tuple(row))
-    if shift:
-        # row (beta, alpha) is x^beta * d^alpha f: tail t lands in column t+beta
-        col_at = {_pack(m, w): j for j, m in enumerate(cols)}
-        alpha_rows, entries = entries, []
-        for beta in shifts:
-            kb = _pack(beta, w)
-            at = [col_at[kt + kb] for kt in tail_keys]
-            for arow in alpha_rows:
-                row = [0] * len(cols)
-                for j, c in zip(at, arow):
-                    row[j] = c
-                entries.append(tuple(row))
+    w = _width(space.d + shift)
+    unpack = _unpacker(space.v, w)
+    fact = _factorials(space.d, p)
+    g = {key: c * prod(map(fact.__getitem__, unpack(key))) % p
+         for key, c in f._packed(w).items()}
+    tails = tuple(PolySpace(space.v, space.d - k, True).monomials()) if shift else cols
     rows = tuple((b, a) for b in shifts for a in derivs)
-    return CoeffMatrix(f.field, rows, cols, tuple(entries), space, shift)
+    return CoeffMatrix(f.field, rows, cols, derivs, tails, g, space, shift)
 
 
-def _eliminate(
-    rows: Sequence[Sequence[int]], p: int, square: bool
-) -> Tuple[List[int], int]:
-    """(pivots, det) of rows over F_p by Gaussian elimination.
+def _slot_width(p: int, n_rows: int) -> int:
+    """Bits per slot of n_rows rows packed for ``_reduce``, in whole bytes."""
+    return -(-(2 * p.bit_length() + n_rows.bit_length() + 1) // 8) * 8
 
-    pivots are the indices into rows of the pivot rows, one per pivot column
-    in column order, so they index a basis of the row space and the rank is
-    their number.  det means something for square input only: with
-    ``square`` the elimination stops at the first column without a pivot,
-    where det is 0.
+
+def _reduce(packed: List[int], n_cols: int, w: int, p: int, square: bool) -> Tuple[List[int], int]:
+    """(pivots, det) over F_p of packed rows by Gaussian elimination.
+
+    Each row is one int with a w-bit slot per column, column 0 in the lowest
+    slot, every slot in [0, p), and w is ``_slot_width(p, len(packed))``.
+    pivots are the indices of the pivot rows, one per pivot column in column
+    order, so they index a basis of the row space and the rank is their
+    number.  det means something for square input only: with ``square`` the
+    elimination stops at the first column without a pivot, where det is 0.
     """
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
-    # Each row is one int with a w-bit slot per column, the current column in
-    # the lowest slot.  Entries are reduced into [0, p) when packed; after
-    # that only pivot rows are reduced.  Eliminating adds m * P to a row, m
-    # and the slots of the pivot row P below p, so a slot gains less than p^2
-    # per update and takes at most n_rows updates: it stays below
-    # p + n_rows * p^2 < 2^w, and no carry crosses into the next slot, for
-    # every prime.
-    w = 2 * p.bit_length() + n_rows.bit_length() + 1
+    # The current column is in the lowest slot.  Only pivot rows are reduced.
+    # Eliminating adds m * P to a row, m and the slots of the pivot row P below
+    # p, so a slot gains less than p^2 per update and takes at most n_rows
+    # updates: it stays below p + n_rows * p^2 < 2^w, and no carry crosses
+    # into the next slot, for every prime.
     mask = (1 << w) - 1
-    packed = []
-    for row in rows:
-        r = 0
-        for x in reversed(row):
-            r = r << w | x % p
-        packed.append(r)
-    # order[i] is the index into rows of packed[i]
-    order = list(range(n_rows))
+    # a copy of the rows, and order[i] the index of the row packed[i]
+    packed, order = list(packed), list(range(len(packed)))
     pivots: List[int] = []
     det = 1
     for col in range(n_cols):
@@ -281,6 +284,28 @@ def _eliminate(
     return pivots, det % p
 
 
+def _eliminate(rows: Sequence[Sequence[int]], p: int, square: bool) -> Tuple[List[int], int]:
+    """``_reduce`` on rows of entries, each reduced into [0, p) as it is packed."""
+    w = _slot_width(p, len(rows))
+    packed = []
+    for row in rows:
+        r = 0
+        for x in reversed(row):
+            r = r << w | x % p
+        packed.append(r)
+    return _reduce(packed, len(rows[0]) if rows else 0, w, p, square)
+
+
+def _hankel_rows(g: Mapping[int, int], row_keys, col_keys, p: int) -> Tuple[List[int], int]:
+    """The rows of H[r][c] = g(r + c) over packed keys, packed for ``_reduce``,
+    and their slot width: a row joins slot bytes encoded once per value of g."""
+    size = _slot_width(p, len(row_keys)) // 8
+    slot = {k: c.to_bytes(size, "little") for k, c in g.items()}
+    get, zero = slot.get, bytes(size)
+    return [int.from_bytes(b"".join([get(kr + kc, zero) for kc in col_keys]), "little")
+            for kr in row_keys], 8 * size
+
+
 def matrix_rank(rows: Sequence[Sequence[int]], p: int) -> int:
     """Exact rank over F_p by Gaussian elimination."""
     return len(_eliminate(rows, p, False)[0])
@@ -293,19 +318,20 @@ def matrix_det(rows: Sequence[Sequence[int]], p: int) -> int:
     return _eliminate(rows, p, True)[1]
 
 
-def rank_mod_p(matrix: CoeffMatrix) -> int:
-    """Rank of a derivative matrix over its field; a shifted one is ranked
-    from a basis of the derivatives (see the module docstring)."""
+def rank_mod_p(matrix: CoeffMatrix) -> Tuple[int, int]:
+    """(rank, rows eliminated) of a derivative matrix over its field, from H
+    and, if shifted, from a basis of the derivatives (see the module docstring)."""
     p = matrix.field.p
-    rows = matrix.entries
+    derivs, tails = matrix._keys(matrix.derivs), matrix._keys(matrix.tails)
+    if not matrix.shift and len(tails) > len(derivs):
+        derivs, tails = tails, derivs  # H is symmetric: one row per tail
+    packed, w = _hankel_rows(matrix.g, derivs, tails, p)
+    pivots = _reduce(packed, len(tails), w, p, False)[0]
     if not matrix.shift:
-        return matrix_rank(rows, p)
-    n_derivs = len(rows) // _num_monomials(matrix.space.v, matrix.shift)
-    # the first block's pivot rows are x^beta0 * d^alpha f for alpha in a basis
-    basis = sorted(_eliminate(rows[:n_derivs], p, False)[0])
-    return matrix_rank(
-        [rows[b + a] for b in range(0, len(rows), n_derivs) for a in basis], p
-    )
+        return len(pivots), len(derivs)
+    # the pivot rows of H are the d^alpha f for alpha in a basis
+    final, w = matrix._rows(sorted(pivots))
+    return len(_reduce(final, len(matrix.col_labels), w, p, False)[0]), len(derivs) + len(final)
 
 
 @dataclass(frozen=True)

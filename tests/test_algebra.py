@@ -301,6 +301,47 @@ class TestSerialization:
         exps = [tuple(t["e"]) for t in f.to_json()["terms"]]
         assert exps == sorted(exps, reverse=True)
 
+    @pytest.mark.parametrize("p", (7, 2**61 - 1))
+    def test_one_pass_load_equals_the_constructor(self, p):
+        # repeated exponents add up, the sum of some is 0 mod p, coefficients
+        # are negative or at least p, and exponents of 256 and more widen the
+        # packing; the load must give the constructor's packed terms, degree
+        # bound and width
+        field = PrimeField(p)
+        rng = random.Random(p)
+        for _ in range(300):
+            v = rng.randrange(0, 5)
+            top = rng.choice((4, 300, 70000))
+            pool = [tuple(rng.randrange(top) for _ in range(v)) for _ in range(6)]
+            entries = [(rng.choice(pool), rng.choice((rng.randrange(-3 * p, 3 * p), p, -1)))
+                       for _ in range(rng.randrange(12))]
+            # a top-degree term that cancels, so the degree must come from the rest
+            c = rng.randrange(1, p)
+            entries += [((top,) * v, c), ((top,) * v, 2 * p - c)]
+            rng.shuffle(entries)
+            summed = {}
+            for e, c in entries:
+                summed[e] = summed.get(e, 0) + c
+            want = SparsePoly(field, v, summed)
+            got = SparsePoly.from_json(
+                {"p": p, "v": v, "terms": [{"e": list(e), "c": c} for e, c in entries]})
+            assert (got._terms, got._d, got._w, got._span) == (
+                want._terms, want._d, want._w, want._span)
+            assert got == want and got.to_json() == want.to_json()
+
+    def test_load_refuses_what_is_not_an_integer(self):
+        ok = {"p": 7, "v": 2, "terms": [{"e": [1, 1], "c": 3}]}
+        assert SparsePoly.from_json(ok) == SparsePoly(F7, 2, {(1, 1): 3})
+        for e, c in (([True, 1], 3), ([1.0, 1], 3), ([1, 1], False), ([1, 1], 3.0),
+                     ([1, "1"], 3), ([1, None], 3)):
+            with pytest.raises(TypeError, match="expected an integer"):
+                SparsePoly.from_json({"p": 7, "v": 2, "terms": [{"e": e, "c": c}]})
+        for e in ([1], [1, 1, 0], [2, -1]):
+            with pytest.raises(ValueError, match="bad exponent tuple"):
+                SparsePoly.from_json({"p": 7, "v": 2, "terms": [{"e": e, "c": 1}]})
+        with pytest.raises(ValueError, match="negative variable count"):
+            SparsePoly.from_json({"p": 7, "v": -1, "terms": []})
+
     def test_semantic_equality_and_hash(self):
         a = SparsePoly(F7, 2, {(1, 1): 8})
         b = SparsePoly(F7, 2, {(1, 1): 1})

@@ -784,6 +784,28 @@ class TestReports:
             assert doc["header"]["points_evaluated"] == evaluated, argv
             assert "points_evaluated" not in json.dumps(doc["body"])
 
+    def test_rank_counts_rows_eliminated_in_header(self, workdir, capsys):
+        # 3x^2 + 5xy + 2y^2 over F_7 at order 1: 2 derivatives over 2 tails,
+        # and H = [[6, 5], [5, 4]] is invertible, so at shift 1 the 2 rows of H
+        # are followed by both basis rows for each of the 2 shifts
+        poly = workdir / "poly7.json"
+        power = workdir / "power.json"
+        field = PrimeField(2**31 - 1)
+        power.write_text(json.dumps(
+            SparsePoly(field, 2, {(3000, 0): 1, (0, 3000): 1}).to_json()))
+        for argv, rows in (
+            ((poly, "--k", "1", "--field", "7"), 2),
+            ((poly, "--k", "1", "--method", "shifted", "--shift", "1", "--field", "7"), 6),
+            # 2 derivatives over 3000 tails: one row per tail
+            ((power, "--k", "1", "--field", str(field.p)), 3000),
+        ):
+            code, out, _ = run_cli(capsys, "rank", "--poly", *argv)
+            doc = json.loads(out)
+            assert code == 0
+            assert doc["header"].keys() == {"wall_clock_ms", "rows_eliminated"}, argv
+            assert doc["header"]["rows_eliminated"] == rows, argv
+            assert "rows_eliminated" not in json.dumps(doc["body"])
+
     def test_degree_grid_decides_a_large_family(self, capsys):
         # 997^2 members, under the default budget, decided on the grid {0..4}^2
         start = time.perf_counter()

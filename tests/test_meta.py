@@ -21,7 +21,8 @@ from npl.meta import (
     partials_matrix,
     rank_mod_p,
 )
-from npl.meta import _derivative_cell, _eliminate
+from npl import meta
+from npl.meta import CoeffMatrix, _derivative_cell, _eliminate, _hankel_rows, _reduce
 from npl.errors import (
     ArityMismatch,
     CharacteristicTooSmall,
@@ -76,13 +77,13 @@ class TestPartialsMatrix:
         f = SparsePoly(F7, 2, {(1, 1): 1})
         m = partials_matrix(f, 1)
         assert m.entries == ((0, 1), (1, 0))
-        assert rank_mod_p(m) == 2
+        assert rank_mod_p(m)[0] == 2
 
     def test_worked_x_squared(self):
         f = SparsePoly(F7, 2, {(2, 0): 1})
         m = partials_matrix(f, 1, space=SP22)
         assert m.entries == ((2, 0), (0, 0))
-        assert rank_mod_p(m) == 1
+        assert rank_mod_p(m)[0] == 1
 
     def test_symbolic_generic_quadratic(self):
         # the k=1 matrix of a x^2 + b xy + c y^2 is [[2a, b], [b, 2c]]
@@ -192,7 +193,7 @@ class TestPartialsMatrix:
             f = random_dense_poly(rng, F101, 3, 3)
             k = rng.randrange(0, 4)
             m = partials_matrix(f, k)
-            assert rank_mod_p(m) == row_rank(m.entries, 101)
+            assert rank_mod_p(m)[0] == row_rank(m.entries, 101)
 
 
 LARGE_PRIMES = (2**31 - 1, 2**61 - 1, 2**64 - 59)
@@ -206,7 +207,7 @@ class TestRankFactsAtLargePrimes:
 
     @staticmethod
     def _ranks(f, space, d):
-        return [rank_mod_p(partials_matrix(f, k, shift, space=space))
+        return [rank_mod_p(partials_matrix(f, k, shift, space=space))[0]
                 for k in range(d + 1) for shift in (0, 1, 2)]
 
     @pytest.mark.parametrize("p", LARGE_PRIMES)
@@ -239,10 +240,10 @@ class TestRankFactsAtLargePrimes:
                 for _ in range(r):
                     f = f + random_linear_form(rng, field, v).pow(d)
                 for k in range(d + 1):
-                    assert rank_mod_p(partials_matrix(f, k)) <= r, (v, d, r, k)
+                    assert rank_mod_p(partials_matrix(f, k))[0] <= r, (v, d, r, k)
             f = random_product_of_linear_forms(rng, field, v, d)
             for k in range(d + 1):
-                assert rank_mod_p(partials_matrix(f, k)) <= comb(d, k), (v, d, k)
+                assert rank_mod_p(partials_matrix(f, k))[0] <= comb(d, k), (v, d, k)
 
     @given(v=st.integers(1, 7), d=st.integers(1, 6), p=st.sampled_from(LARGE_PRIMES),
            seed=st.integers(0, 2**32))
@@ -255,7 +256,7 @@ class TestRankFactsAtLargePrimes:
         shapes = [(k, 0) for k in range(d + 1)] + [(k, 1) for k in range(d // 2 + 1)]
 
         def ranks(f):
-            return [rank_mod_p(partials_matrix(f, k, shift)) for k, shift in shapes]
+            return [rank_mod_p(partials_matrix(f, k, shift))[0] for k, shift in shapes]
 
         while True:
             A = [[rng.randrange(p) for _ in range(v)] for _ in range(v)]
@@ -271,8 +272,8 @@ class TestRankFactsAtLargePrimes:
             powers = powers + random_linear_form(rng, field, v).pow(d)
         product = random_product_of_linear_forms(rng, field, v, d)
         for k in range(d + 1):
-            assert rank_mod_p(partials_matrix(powers, k)) <= r, (v, d, r, k)
-            assert rank_mod_p(partials_matrix(product, k)) <= comb(d, k), (v, d, k)
+            assert rank_mod_p(partials_matrix(powers, k))[0] <= r, (v, d, r, k)
+            assert rank_mod_p(partials_matrix(product, k))[0] <= comb(d, k), (v, d, k)
 
     @pytest.mark.parametrize("p", LARGE_PRIMES)
     def test_rank_bounds_of_family_members(self, p):
@@ -287,7 +288,7 @@ class TestRankFactsAtLargePrimes:
         def check(desc, seed, k, bound):
             f = sample_family_with_params(desc, seed)[1]
             matrix = partials_matrix(f, k)
-            assert rank_mod_p(matrix) <= bound, (desc.class_id, seed, desc.space, k)
+            assert rank_mod_p(matrix)[0] <= bound, (desc.class_id, seed, desc.space, k)
             if bound < min(matrix.shape):
                 cut.add(desc.class_id)
 
@@ -304,7 +305,7 @@ class TestRankFactsAtLargePrimes:
             for v in (2, 3, 4):
                 desc = FamilyDescriptor("squares", PolySpace(v, 2, True), field)
                 f = sample_family_with_params(desc, seed)[1]
-                assert rank_mod_p(partials_matrix(f, 1)) == 1, (seed, v)
+                assert rank_mod_p(partials_matrix(f, 1))[0] == 1, (seed, v)
         assert cut == {"sps", "det-projection"}
 
 
@@ -408,7 +409,7 @@ class TestShiftedRankFromBasis:
                 for k in range(d + 1):
                     for shift in (1, 2):
                         m = partials_matrix(f, k, shift, space=space)
-                        got = rank_mod_p(m)
+                        got = rank_mod_p(m)[0]
                         assert got == matrix_rank(m.entries, p), (kind, v, d, k, shift)
                         n, c = m.shape
                         if n * c <= 400:
@@ -425,7 +426,80 @@ class TestShiftedRankFromBasis:
                 m = partials_matrix(zero, k, shift, space=space)
                 # no derivative is nonzero, so the basis is empty
                 assert _eliminate(m.entries, 101, False)[0] == []
-                assert rank_mod_p(m) == 0
+                assert rank_mod_p(m)[0] == 0
+
+
+class TestRankFromScaledRows:
+    """rank_mod_p eliminates H[alpha][t] = g(alpha + t), the matrix with its
+    column t scaled by t!, and never builds the entries: the same rank as the
+    entries, and for a shifted matrix the same basis of the derivatives as the
+    pivots of their first block."""
+
+    @pytest.mark.parametrize("p", (2**31 - 1, 2**61 - 1, 2**64 - 59))
+    def test_rank_and_basis_match_the_entries(self, p, monkeypatch):
+        field = PrimeField(p)
+        rng = random.Random(p)
+        built = []
+        rows_of = CoeffMatrix._rows
+        monkeypatch.setattr(CoeffMatrix, "_rows", lambda m, alphas: rows_of(
+            m, built.append(list(alphas)) or built[-1]))
+        for v, d in ((2, 6), (3, 4), (4, 5), (5, 3)):
+            space = PolySpace(v, d, True)
+            polys = (random_dense_poly(rng, field, v, d),
+                     random_product_of_linear_forms(rng, field, v, d))
+            for f in polys:
+                for k in range(d + 1):
+                    for shift in (0, 1, 2):
+                        m = partials_matrix(f, k, shift, space=space)
+                        built.clear()
+                        rank, rows = rank_mod_p(m)
+                        assert "entries" not in m.__dict__
+                        n = len(m.derivs)
+                        assert rank == matrix_rank(m.entries, p), (v, d, k, shift)
+                        if not shift:
+                            # the rank built no row; entries built them all
+                            assert built == [list(range(n))]
+                            assert rows == max(n, len(m.tails))
+                            continue
+                        basis = sorted(_eliminate(m.entries[:n], p, False)[0])
+                        assert built[0] == basis, (v, d, k, shift)
+                        assert rows == n + len(m.row_labels) // n * len(basis)
+
+    def test_both_orientations_give_one_rank(self):
+        p = 2**61 - 1
+        field = PrimeField(p)
+        rng = random.Random(8)
+        for v, d, k in ((2, 9, 1), (2, 8, 7), (3, 6, 1), (3, 6, 5), (4, 4, 3), (3, 5, 2)):
+            ell = random_linear_form(rng, field, v)
+            polys = (random_dense_poly(rng, field, v, d),
+                     random_product_of_linear_forms(rng, field, v, d), ell.pow(d))
+            for f in polys:
+                m = partials_matrix(f, k)
+                derivs, tails = m._keys(m.derivs), m._keys(m.tails)
+                ranks = set()
+                for rows, cols in ((derivs, tails), (tails, derivs)):
+                    packed, w = _hankel_rows(m.g, rows, cols, p)
+                    ranks.add(len(_reduce(packed, len(cols), w, p, False)[0]))
+                assert ranks == {matrix_rank(m.entries, p)}, (v, d, k)
+
+    def test_wide_rank_in_its_narrow_orientation(self, monkeypatch):
+        # x0^3000 + x1^3000 at order 1 is 2 x 3000: H is packed as 3000 rows
+        # of 2 slots, so the kernel does not shift 3000-slot rows 3000 times
+        shapes = []
+        reduce = meta._reduce
+        monkeypatch.setattr(meta, "_reduce", lambda packed, n_cols, *rest: shapes.append(
+            (len(packed), n_cols)) or reduce(packed, n_cols, *rest))
+        field = PrimeField(2**31 - 1)
+        m = partials_matrix(SparsePoly(field, 2, {(3000, 0): 1, (0, 3000): 1}), 1)
+        assert m.shape == (2, 3000)
+        assert rank_mod_p(m) == (2, 3000)
+        assert shapes == [(3000, 2)]
+        # more derivatives than tails: one row per derivative
+        shapes.clear()
+        m = partials_matrix(SparsePoly(field, 3, {(4, 0, 0): 1, (0, 2, 2): 3}), 3)
+        assert m.shape == (10, 3)
+        assert rank_mod_p(m) == (3, 10)  # x0, x1 and x2
+        assert shapes == [(10, 3)]
 
 
 class TestBuildKernel:
@@ -641,6 +715,19 @@ class TestEliminationKernel:
         M = [[(1 - j if j <= i else -(i + 1)) % p for j in range(n)] for i in range(n)]
         assert matrix_det(M, p) == 1
         assert matrix_rank(M, p) == n
+
+    @pytest.mark.parametrize("p", (2**31 - 1, 2**61 - 1, 2**64 - 59))
+    def test_joined_slots_at_their_widest(self, p):
+        # the L U matrix above through _hankel_rows: row r at key 256 r and
+        # column c at key c, so that g(256 r + c) = M[r][c]; the joined bytes
+        # must pack each row as shifting does, and keep det M = 1
+        n = 127
+        M = [[(1 - j if j <= i else -(i + 1)) % p for j in range(n)] for i in range(n)]
+        g = {256 * i + j: x for i, row in enumerate(M) for j, x in enumerate(row) if x}
+        rows, w = _hankel_rows(g, [256 * i for i in range(n)], range(n), p)
+        assert rows == [sum(x << w * j for j, x in enumerate(row)) for row in M]
+        assert _reduce(list(rows), n, w, p, True)[1] == 1
+        assert len(_reduce(rows, n, w, p, False)[0]) == n
 
     @pytest.mark.parametrize("p", (13, 2**61 - 1, 2**64 - 59))
     def test_det_against_sympy(self, p):
