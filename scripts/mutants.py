@@ -95,6 +95,16 @@ MUTANTS = [
            "tests/test_acceptance.py::test_criterion_04_pit_cross_validation"),
     Mutant("walk-slot-one-short", "pit.py", "x[i] + 1 < sizes[i]", "x[i] + 2 < sizes[i]",
            "tests/test_acceptance.py::test_criterion_04_pit_cross_validation"),
+    Mutant("repeated-exponents-overwrite", "algebra.py",
+           "summed[e] = get(e, 0) + (c if type(c) is int else _json_int(c))",
+           "summed[e] = (c if type(c) is int else _json_int(c))",
+           "tests/test_algebra.py::TestSerialization::test_constructor_adds_up_repeated_exponents"),
+    Mutant("coefficient-not-an-integer", "algebra.py",
+           "(c if type(c) is int else _json_int(c))", "c",
+           "tests/test_algebra.py::TestSerialization::test_load_refuses_what_is_not_an_integer"),
+    Mutant("operand-type-unchecked", "circuits.py",
+           "len(g) == 3 and type(g[1]) is int and type(g[2]) is int", "len(g) == 3",
+           "tests/test_circuits.py::TestCircuitBasics::test_validation"),
     Mutant("add-degree-as-minimum", "circuits.py",
            "degs.append(max(degs[g[1]], degs[g[2]]))",
            "degs.append(min(degs[g[1]], degs[g[2]]))",

@@ -16,8 +16,9 @@ Representation notes:
   across fields, and a product whose bound needs more bits is computed at a
   wider w.  A polynomial is a map from monomial to nonzero canonical
   coefficient; the zero polynomial is the empty map and has degree -1.
-* Only external input (``SparsePoly(...)``, ``from_json``) is validated;
-  arithmetic results come from the trusted ``SparsePoly._make``.
+* A polynomial is checked once, by ``SparsePoly(...)``: ``from_json`` only
+  reads the JSON and hands it the terms, and arithmetic results come from
+  the trusted ``SparsePoly._make``.
 * A ``PolySpace`` is its own monomial index and fixes the coordinate order
   used everywhere: monomials of one degree are ranked in descending
   lexicographic order on the exponent tuple, and at-most-degree spaces list
@@ -32,8 +33,9 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import index, itemgetter
 from types import MappingProxyType
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, FieldMismatch, SpaceMismatch, TermCapExceeded
 
@@ -50,10 +52,13 @@ _MIN_WIDTH = 8
 
 
 def _json_int(value) -> int:
-    """An integer field of a JSON input.  A float, bool or string there is
-    malformed input, not a value to round or parse."""
+    """An integer field of an input: an int, or a value that converts to one
+    exactly (``operator.index``: sympy and numpy integers).  A bool, float
+    or string there is malformed input, not a value to round or parse."""
     if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
+        if type(value) is bool or not hasattr(type(value), "__index__"):
+            raise TypeError(f"expected an integer, got {value!r}")
+        value = index(value)
     return value
 
 
@@ -296,26 +301,29 @@ class SparsePoly:
     # terms once known, None before that and for zero
     __slots__ = ("field", "v", "_terms", "_d", "_w", "_span")
 
-    def __init__(self, field: PrimeField, v: int, terms: Mapping[Exponents, int]):
-        if v < 0:
+    def __init__(self, field: PrimeField, v: int,
+                 terms: Mapping[Exponents, int] | Iterable[Tuple[Exponents, int]]):
+        """The polynomial sum of c * x^e over terms, a map or (e, c) pairs:
+        repeated exponents add up.  This is the one check of a polynomial
+        from outside: v, the exponents and the coefficients must be integers
+        (``_json_int``), and each e must hold v non-negative exponents."""
+        if (v := _json_int(v)) < 0:
             raise ValueError("negative variable count")
-        p = field.p
-        clean: Dict[Exponents, int] = {}
-        for e, c in terms.items():
+        summed: Dict[Exponents, int] = {}
+        get = summed.get
+        for e, c in terms.items() if isinstance(terms, Mapping) else terms:
             e = tuple(e)
-            if len(e) != v or any(x < 0 for x in e):
+            if not {*map(type, e)} <= {int}:  # bool is not int
+                e = tuple(map(_json_int, e))
+            if len(e) != v or e and min(e) < 0:
                 raise ValueError(f"bad exponent tuple {e} for {v} variables")
-            c %= p
-            if c:
-                clean[e] = c
-        degs = [sum(e) for e in clean]
-        d = max(degs, default=0)
-        w = _width(d)
-        self.field = field
-        self.v = v
-        self._terms = {_pack(e, w): c for e, c in clean.items()}
-        self._d = d
-        self._w = w
+            summed[e] = get(e, 0) + (c if type(c) is int else _json_int(c))
+        p = field.p
+        summed = {e: r for e, c in summed.items() if (r := c % p)}
+        degs = list(map(sum, summed))
+        w = _width(d := max(degs, default=0))
+        self.field, self.v, self._d, self._w = field, v, d, w
+        self._terms = {_pack(e, w): c for e, c in summed.items()}
         self._span = (min(degs), d) if degs else None
 
     @classmethod
@@ -376,8 +384,7 @@ class SparsePoly:
             raise ArityMismatch(
                 f"vector of length {len(vec)} against dimension {space.dimension}"
             )
-        terms = dict(zip(space.monomials(), vec))
-        return cls(field, space.v, terms)
+        return cls(field, space.v, zip(space.monomials(), vec))
 
     # -- inspection ----------------------------------------------------
 
@@ -546,25 +553,8 @@ class SparsePoly:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "SparsePoly":
-        """Parse and check the terms in one pass, adding up repeated exponents,
-        then pack the nonzero ones for ``_make``."""
-        field = PrimeField(_json_int(data["p"]))
-        v = _json_int(data["v"])
-        if v < 0:
-            raise ValueError("negative variable count")
-        terms: Dict[Exponents, int] = {}
-        for entry in data["terms"]:
-            e = tuple(entry["e"])
-            if not {*map(type, e)} <= {int}:  # bool is not int
-                tuple(map(_json_int, e))  # names the first non-integer
-            if len(e) != v or e and min(e) < 0:
-                raise ValueError(f"bad exponent tuple {e} for {v} variables")
-            terms[e] = terms.get(e, 0) + _json_int(entry["c"])
-        terms = {e: r for e, c in terms.items() if (r := c % field.p)}
-        degs = list(map(sum, terms))
-        w = _width(d := max(degs, default=0))
-        span = (min(degs), d) if degs else None
-        return cls._make(field, v, {_pack(e, w): c for e, c in terms.items()}, d, span)
+        field, v, terms = PrimeField(_json_int(data["p"])), data["v"], data["terms"]
+        return cls(field, v, zip(map(itemgetter("e"), terms), map(itemgetter("c"), terms)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePoly):

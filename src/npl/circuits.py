@@ -22,7 +22,6 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 
 from .algebra import (
     MAX_SPACE_DIM,
-    Exponents,
     PolySpace,
     PrimeField,
     SparsePoly,
@@ -71,28 +70,30 @@ class Circuit:
     out: int
 
     def __post_init__(self) -> None:
-        if self.v < 0:
-            raise ValueError("negative input count")
+        if type(self.v) is not int or self.v < 0:
+            raise ValueError("negative input count" if type(self.v) is int
+                             else f"bad input count {self.v!r}")
         if not self.gates:
             raise ValueError("circuit needs at least one gate")
-        p = self.field.p
+        p, v = self.field.p, self.v
         for idx, g in enumerate(self.gates):
             op = g[0]
-            if op == "in":
-                if not (len(g) == 2 and 0 <= g[1] < self.v):
+            if op == "add" or op == "mul":
+                if not (len(g) == 3 and type(g[1]) is int and type(g[2]) is int
+                        and 0 <= g[1] < idx and 0 <= g[2] < idx):
+                    raise ValueError(f"gate {idx}: bad operand references {g}")
+            elif op == "in":
+                if not (len(g) == 2 and type(g[1]) is int and 0 <= g[1] < v):
                     raise ValueError(f"gate {idx}: bad input reference {g}")
             elif op == "const":
-                if len(g) != 2 or not isinstance(g[1], int):
+                if len(g) != 2 or type(g[1]) is not int:
                     raise ValueError(f"gate {idx}: bad constant {g}")
                 if not 0 <= g[1] < p:
                     raise ValueError(f"gate {idx}: constant not canonical mod {p}")
-            elif op in ("add", "mul"):
-                if len(g) != 3 or not (0 <= g[1] < idx and 0 <= g[2] < idx):
-                    raise ValueError(f"gate {idx}: bad operand references {g}")
             else:
                 raise ValueError(f"gate {idx}: unknown op {op!r}")
-        if not 0 <= self.out < len(self.gates):
-            raise ValueError(f"output index {self.out} out of range")
+        if type(self.out) is not int or not 0 <= self.out < len(self.gates):
+            raise ValueError(f"output index {self.out!r} out of range")
 
     @property
     def size(self) -> int:
@@ -251,18 +252,12 @@ class Circuit:
     def from_json(cls, data: Mapping) -> "Circuit":
         field = PrimeField(_json_int(data["p"]))
         v = _json_int(data["v"])
-        gates: List[Gate] = []
-        for idx, g in enumerate(data["gates"]):
-            op = g["op"]
-            if op == "in":
-                gates.append(("in", _json_int(g["i"])))
-            elif op == "const":
-                gates.append(("const", _json_int(g["c"]) % field.p))
-            elif op in ("add", "mul"):
-                gates.append((op, _json_int(g["a"]), _json_int(g["b"])))
-            else:
-                raise ValueError(f"gate {idx}: unknown op {op!r}")
-        return cls(field, v, tuple(gates), _json_int(data["out"]))
+        # each op reads its own keys, and the constructor checks what they hold
+        gates = tuple((op, _json_int(g["c"]) % field.p) if op == "const" else
+                      (op, g["i"]) if op == "in" else
+                      (op, g["a"], g["b"]) if op in ("add", "mul") else (op,)
+                      for g in data["gates"] for op in (g["op"],))
+        return cls(field, v, gates, _json_int(data["out"]))
 
 
 class CircuitBuilder:
@@ -496,12 +491,9 @@ class FamilyDescriptor:
                                          for k in self.product_degrees or ()])
 
     def _sparse(self, params: Sequence[int]) -> SparsePoly:
-        # s monomial ranks, then their s coefficients
-        terms: Dict[Exponents, int] = {}
-        for rank, coeff in zip(params[: self.sparsity], params[self.sparsity :]):
-            e = self.space.unrank(rank)
-            terms[e] = terms.get(e, 0) + coeff
-        return SparsePoly(self.field, self.space.v, terms)
+        # s monomial ranks, then their s coefficients; repeated ranks add up
+        s, unrank = self.sparsity, self.space.unrank
+        return SparsePoly(self.field, self.space.v, zip(map(unrank, params[:s]), params[s:]))
 
     def to_json(self) -> dict:
         out = {

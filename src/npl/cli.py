@@ -14,9 +14,9 @@ body's ``grid_points`` or ``examined`` count as covered.  ``rank`` counts
 ``rows_eliminated``, the rows it packs for elimination.
 
 Exit codes: 0 for zero / none-found / accept, 1 for nonzero / witness /
-reject, 2 for usage errors, precondition failures and internal errors (a
-failed consistency check of the library, reported as ``npl: internal
-error``).
+reject, 2 for usage errors, precondition failures, running out of memory
+and internal errors (a failed consistency check of the library, reported
+as ``npl: internal error``).
 """
 
 from __future__ import annotations
@@ -487,6 +487,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except AssertionError as exc:
         print(f"npl: internal error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("npl: error: out of memory", file=sys.stderr)
         return 2
     sys.stdout.write(text)
     return code

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from math import comb
 
@@ -175,6 +176,9 @@ class TestCoeffVectors:
         sp = PolySpace(2, 2, True)
         with pytest.raises(SpaceMismatch):
             SparsePoly(F7, 2, {(1, 0): 1}).coeff_vector(sp)
+        for vec in ([1, 2], [1, 2, 3, 4]):
+            with pytest.raises(ArityMismatch, match="against dimension 3"):
+                SparsePoly.from_coeff_vector(F7, sp, vec)
 
 
 class TestEvaluation:
@@ -251,6 +255,8 @@ class TestArithmetic:
             F7, 1, {(2,): 1, (1,): 2, (0,): 1}
         )
         assert x.pow(0) == SparsePoly.constant(F7, 1, 1)
+        with pytest.raises(ValueError, match="negative polynomial power"):
+            x.pow(-1)
 
     def test_cross_field_rejected(self):
         with pytest.raises(FieldMismatch):
@@ -295,11 +301,33 @@ class TestSerialization:
         f = SparsePoly(F7, 2, {(2, 0): 3, (1, 1): 5, (0, 2): 2})
         assert SparsePoly.from_json(f.to_json()) == f
         assert SparsePoly.from_json(SparsePoly.zero(F7, 2).to_json()).is_zero
+        # whatever the constructor accepts, its JSON rebuilds
+        for value in (0, 1, -1, 6, 7, 300, 2**70, True, False, 1.0, 1.5, "1", None):
+            for v, terms in ((1, {(value,): 1}), (2, {(value, 1): 2}), (1, {(1,): value}),
+                             (0, {(): value}), (value, {})):
+                try:
+                    g = SparsePoly(F7, v, terms)
+                except (TypeError, ValueError):
+                    continue
+                assert SparsePoly.from_json(json.loads(json.dumps(g.to_json()))) == g
 
     def test_json_terms_sorted_for_determinism(self):
         f = SparsePoly(F7, 2, {(0, 2): 2, (2, 0): 3, (1, 1): 5})
         exps = [tuple(t["e"]) for t in f.to_json()["terms"]]
         assert exps == sorted(exps, reverse=True)
+
+    def test_constructor_adds_up_repeated_exponents(self):
+        sympy = pytest.importorskip("sympy")
+        # pairs with a repeated exponent add up, to 0 mod p as well; integers
+        # that are not ints convert exactly, and a map gives the same polynomial
+        pairs = [((1, 1), 3), ((2, 0), 5), ((1, 1), 6), ((2, 0), 2), ((0, 2), 4),
+                 ((0, 2), sympy.Integer(-4)), ((0, 2), 7)]
+        f = SparsePoly(F7, 2, pairs)
+        assert dict(f.terms) == {(1, 1): 2}
+        assert f == SparsePoly(F7, 2, {(1, 1): 9}) == SparsePoly(F7, 2, iter(pairs))
+        assert all(type(c) is int for c in f.terms.values())
+        assert SparsePoly(F7, 2, [((2, 0), 3), ((2, 0), 4)]).is_zero
+        assert SparsePoly(F7, 1, [((sympy.Integer(2),), 1)]) == SparsePoly(F7, 1, {(2,): 1})
 
     @pytest.mark.parametrize("p", (7, 2**61 - 1))
     def test_one_pass_load_equals_the_constructor(self, p):
@@ -332,15 +360,25 @@ class TestSerialization:
     def test_load_refuses_what_is_not_an_integer(self):
         ok = {"p": 7, "v": 2, "terms": [{"e": [1, 1], "c": 3}]}
         assert SparsePoly.from_json(ok) == SparsePoly(F7, 2, {(1, 1): 3})
+        # the constructor refuses each term the load refuses, with its diagnostic
         for e, c in (([True, 1], 3), ([1.0, 1], 3), ([1, 1], False), ([1, 1], 3.0),
-                     ([1, "1"], 3), ([1, None], 3)):
-            with pytest.raises(TypeError, match="expected an integer"):
-                SparsePoly.from_json({"p": 7, "v": 2, "terms": [{"e": e, "c": c}]})
+                     ([1, "1"], 3), ([1, None], 3), ([1, 1], "3"), ([1, 1], None)):
+            for build in (lambda: SparsePoly.from_json(
+                              {"p": 7, "v": 2, "terms": [{"e": e, "c": c}]}),
+                          lambda: SparsePoly(F7, 2, {tuple(e): c}),
+                          lambda: SparsePoly(F7, 2, [(e, c)])):
+                with pytest.raises(TypeError, match="expected an integer"):
+                    build()
         for e in ([1], [1, 1, 0], [2, -1]):
             with pytest.raises(ValueError, match="bad exponent tuple"):
                 SparsePoly.from_json({"p": 7, "v": 2, "terms": [{"e": e, "c": 1}]})
-        with pytest.raises(ValueError, match="negative variable count"):
-            SparsePoly.from_json({"p": 7, "v": -1, "terms": []})
+            with pytest.raises(ValueError, match="bad exponent tuple"):
+                SparsePoly(F7, 2, [(e, 1)])
+        for v, error in ((-1, ValueError), (True, TypeError), (2.0, TypeError)):
+            with pytest.raises(error, match="negative variable count|expected an integer"):
+                SparsePoly.from_json({"p": 7, "v": v, "terms": []})
+            with pytest.raises(error, match="negative variable count|expected an integer"):
+                SparsePoly(F7, v, {})
 
     def test_semantic_equality_and_hash(self):
         a = SparsePoly(F7, 2, {(1, 1): 8})

@@ -82,6 +82,11 @@ class TestCircuitBasics:
     def test_size(self):
         assert mul_circuit(F7).size == 5
 
+    # gates that the constructor refuses: operands are ints, never a bool or a float
+    BAD_GATES = [("add", 0, 1), ("in", 5), ("const", 9), ("const", True), ("in", 1.0),
+                 ("in", True), ("add", 0, 0.0), ("mul", 0.0, 0), ("add", False, 0),
+                 ("mul", 0, "0"), ("add", 0), ("nand", 0, 0)]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Circuit(F7, 2, (("add", 0, 1), ("in", 0)), 0)
@@ -91,6 +96,15 @@ class TestCircuitBasics:
             Circuit(F7, 2, (("const", 9),), 0)
         with pytest.raises(ValueError):
             Circuit(F7, 2, (("in", 0),), 3)
+        for gate in self.BAD_GATES:
+            with pytest.raises(ValueError, match="gate 1: "):
+                Circuit(F7, 2, (("in", 0), gate), 1)
+        # and so are the input count and the output index
+        for v, out in ((True, 1), (2.0, 1), (-1, 1), (2, True), (2, 1.0), (2, 2)):
+            with pytest.raises(ValueError, match="input count|output index"):
+                Circuit(F7, v, (("in", 0), ("in", 0)), out)
+        with pytest.raises(ValueError, match="circuit needs at least one gate"):
+            Circuit(F7, 2, (), 0)
 
     def test_json_round_trip(self):
         c = mul_circuit(F7)
@@ -100,6 +114,18 @@ class TestCircuitBasics:
         bad["gates"][0] = {"op": "nand", "a": 0, "b": 0}
         with pytest.raises(ValueError):
             Circuit.from_json(bad)
+        # whatever the constructor accepts, its JSON rebuilds
+        rng = random.Random(30)
+        circuits = [random_circuit(rng, F13, rng.randrange(1, 5), 8, 6) for _ in range(50)]
+        for gate in self.BAD_GATES + [("in", 1), ("const", 0), ("const", 6), ("mul", 0, 0)]:
+            for gates in ((("in", 0), gate), (gate,)):
+                try:
+                    circuits.append(Circuit(F7, 2, gates, len(gates) - 1))
+                except ValueError:
+                    pass
+        assert len(circuits) == 50 + 7
+        for c in circuits:
+            assert Circuit.from_json(json.loads(json.dumps(c.to_json()))) == c
 
     def test_eval_expand_agreement_random(self):
         pytest.importorskip("sympy")
@@ -298,7 +324,7 @@ class TestFamilies:
             assert r.outcome == "witness"
             assert desc.member_from_params(r.witness_params).to_json() == r.witness_poly
 
-    def test_descriptor_validation(self):
+    def test_descriptor_validation(self, monkeypatch):
         sp = PolySpace(2, 2, True)
         with pytest.raises(DescriptorInvalid):
             FamilyDescriptor("no-such-class", sp, F7)
@@ -308,6 +334,19 @@ class TestFamilies:
             FamilyDescriptor("sps", sp, F7, top_fanin=1, product_degrees=(3,))
         with pytest.raises(DescriptorInvalid):
             FamilyDescriptor("sparse", sp, F7, sparsity=0)
+        # and a member's parameters: one per slot, each in its range
+        squares = FamilyDescriptor("squares", sp, F7)
+        for params in ((1,), (1, 2, 3)):
+            with pytest.raises(ArityMismatch, match="expected 2 parameters"):
+                squares.member_from_params(params)
+        for params in ((7, 0), (0, -1)):
+            with pytest.raises(ValueError, match="outside its range"):
+                squares.member_from_params(params)
+        # a member map that leaves the space is a library fault
+        monkeypatch.setattr(FamilyDescriptor, "_squares",
+                            lambda desc, params: SparsePoly(F7, 2, {(1, 0): 1}))
+        with pytest.raises(AssertionError, match="sampler produced an invalid member"):
+            FamilyDescriptor("squares", sp, F7).member_from_params((0, 0))
 
     def test_descriptor_json_round_trip(self):
         for desc in self.descriptors():
@@ -322,6 +361,10 @@ class TestFamilies:
         zero = sparse.member_from_params((0, 1, 0, 0))
         assert zero.is_zero
         assert validate_member(sparse, zero)
+        # repeated ranks add up, to zero too
+        sparse = FamilyDescriptor("sparse", PolySpace(2, 2, True), F7, sparsity=3)
+        assert dict(sparse.member_from_params((1, 1, 0, 3, 5, 4)).terms) == {(2, 0): 4, (1, 1): 1}
+        assert sparse.member_from_params((2, 2, 2, 3, 1, 3)).is_zero
 
 
 class TestSeedDerivation:

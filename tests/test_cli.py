@@ -583,6 +583,18 @@ class TestExitCodes:
                        "the lower set of the declared param_degrees and param_degree\n")
         assert "Traceback" not in err
 
+    def test_out_of_memory_exits_two(self, capsys, monkeypatch):
+        # a member too large for memory, as a full-space family over a space
+        # just under the cap may ask for: one diagnostic line and exit 2
+        def exhausted(desc, params):
+            raise MemoryError()
+
+        monkeypatch.setattr(FamilyDescriptor, "_full_space", exhausted)
+        for proof in ("--exhaustive", "--trials=3"):
+            code, out, err = run_cli(capsys, "hit-check", "--meta", "coord:0", "--family",
+                                     "full", "--space", "1:2", "--field", "7", proof)
+            assert (code, out, err) == (2, "", "npl: error: out of memory\n"), proof
+
     # one line per input the program refuses before any work: the family and
     # meta files it reads, the environment and command line around
     # "hit-check --field 7 --trials 3", and the error line

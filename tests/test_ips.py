@@ -143,6 +143,9 @@ class TestTranslation:
         c2 = b.build(b.inp(1))
         with pytest.raises(ArityMismatch):
             PolynomialSystem(F7, 1, (c7, c2))
+        for labels in ((), ("a",), ("a", "b", "c")):
+            with pytest.raises(ValueError, match="one label per member required"):
+                PolynomialSystem(F7, 1, (c7, c7), labels=labels)
 
     def test_system_json_round_trip(self):
         sys7 = cnf_to_system(Cnf(2, ((1, -2),)), F7)

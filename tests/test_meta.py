@@ -29,6 +29,7 @@ from npl.errors import (
     DimensionCapExceeded,
     MinorOutOfRange,
     OrderOutOfRange,
+    SpaceMismatch,
 )
 
 from helpers import (
@@ -125,6 +126,12 @@ class TestPartialsMatrix:
             partials_matrix(g, 3, space=SP22)
         with pytest.raises(OrderOutOfRange):
             partials_matrix(g, -1, space=SP22)
+        for space, error in ((PolySpace(2, 3, True), "does not fit"),
+                             (PolySpace(3, 2, True), "does not fit"),
+                             (PolySpace(2, 2, False), "need a homogeneous space")):
+            for shift in (0, 1):
+                with pytest.raises(SpaceMismatch, match=error):
+                    partials_matrix(g, 1, shift, space=space)
 
     def test_size_cap(self, monkeypatch):
         monkeypatch.setattr("npl.meta.DIMENSION_CAP", 10)
