@@ -72,6 +72,13 @@ MUTANTS = [
            "if not matrix.shift and len(tails) > len(derivs):",
            "if not matrix.shift and len(tails) < len(derivs):",
            "tests/test_cli.py::TestReports::test_rank_counts_rows_eliminated_in_header"),
+    Mutant("minor-rows-skip-the-rule", "meta.py", 'tuples=("rows", "cols")', 'tuples=("cols",)',
+           "tests/test_cli.py::TestExitCodes::test_malformed_inputs_exit_two"),
+    Mutant("minor-size-and-seed-skip-the-rule", "meta.py",
+           '_int_fields(self, "size", optional=("seed",), ', "_int_fields(self, ",
+           "tests/test_cli.py::TestExitCodes::test_malformed_inputs_exit_two"),
+    Mutant("rank-spec-skips-the-rule", "meta.py", '_int_fields(self, "k", "shift")', "pass",
+           "tests/test_meta.py::TestMinorMeta::test_spec_json_round_trip"),
     Mutant("sz-warning-one-short", "pit.py", "if p <= 2 * deg:", "if p < 2 * deg:",
            "tests/test_pit.py::TestSchwartzZippel::test_degree_one_over_f2_warns"),
     Mutant("pit-witness-not-reevaluated", "pit.py", "if not value:", "if False:",
@@ -102,9 +109,29 @@ MUTANTS = [
     Mutant("coefficient-not-an-integer", "algebra.py",
            "(c if type(c) is int else _json_int(c))", "c",
            "tests/test_algebra.py::TestSerialization::test_load_refuses_what_is_not_an_integer"),
+    Mutant("constant-skips-the-rule", "algebra.py", "c = _json_int(c) % field.p",
+           "c %= field.p",
+           "tests/test_algebra.py::TestSerialization::test_load_refuses_what_is_not_an_integer"),
+    Mutant("linear-skips-the-rule", "algebra.py",
+           "(x if type(x) is int else _json_int(x))", "x",
+           "tests/test_algebra.py::TestSerialization::test_load_refuses_what_is_not_an_integer"),
+    Mutant("prime-field-skips-the-rule", "algebra.py", '_int_fields(self, "p")', "pass",
+           "tests/test_algebra.py::TestPolySpace::test_json_round_trip"),
+    Mutant("space-skips-the-rule", "algebra.py", '_int_fields(self, "v", "d")', "pass",
+           "tests/test_algebra.py::TestPolySpace::test_json_round_trip"),
+    Mutant("homogeneous-not-held-to-bool", "algebra.py",
+           "if type(self.homogeneous) is not bool:", "if False:",
+           "tests/test_algebra.py::TestPolySpace::test_json_round_trip"),
     Mutant("operand-type-unchecked", "circuits.py",
            "len(g) == 3 and type(g[1]) is int and type(g[2]) is int", "len(g) == 3",
            "tests/test_circuits.py::TestCircuitBasics::test_validation"),
+    Mutant("sps-degrees-truncated", "circuits.py", ', tuples=("product_degrees",))',
+           '); object.__setattr__(self, "product_degrees", self.product_degrees and '
+           'tuple(int(x) for x in self.product_degrees))',
+           "tests/test_circuits.py::TestFamilies::test_descriptor_json_round_trip"),
+    Mutant("family-scalars-skip-the-rule", "circuits.py",
+           '_int_fields(self, "n", optional=("top_fanin", "sparsity"), ', "_int_fields(self, ",
+           "tests/test_circuits.py::TestFamilies::test_descriptor_json_round_trip"),
     Mutant("add-degree-as-minimum", "circuits.py",
            "degs.append(max(degs[g[1]], degs[g[2]]))",
            "degs.append(min(degs[g[1]], degs[g[2]]))",
@@ -127,6 +154,16 @@ MUTANTS = [
     Mutant("ips-grades-every-acceptance-exact", "ips.py",
            'return "exact" if self.relation_verdict.outcome == PROVEN_ZERO else "randomized"',
            'return "exact"', "tests/test_golden.py::test_golden_body"),
+    Mutant("system-count-skips-the-rule", "ips.py", '_int_fields(self, "n")', "pass",
+           "tests/test_ips.py::TestTranslation::test_system_json_round_trip"),
+    Mutant("negative-variable-count-accepted", "ips.py", "if self.n < 0:", "if False:",
+           "tests/test_cli.py::TestExitCodes::test_family_and_system_fields_are_checked"),
+    Mutant("provenance-type-unchecked", "ips.py",
+           "if not isinstance(self.provenance, str):", "if False:",
+           "tests/test_cli.py::TestExitCodes::test_family_and_system_fields_are_checked"),
+    Mutant("labels-type-unchecked", "ips.py",
+           "if type(self.labels) not in (list, tuple) or not {*map(type, self.labels)} <= {str}:",
+           "if False:", "tests/test_cli.py::TestFuzz::test_malformed_files_exit_two"),
 ]
 
 

@@ -16,9 +16,10 @@ Representation notes:
   across fields, and a product whose bound needs more bits is computed at a
   wider w.  A polynomial is a map from monomial to nonzero canonical
   coefficient; the zero polynomial is the empty map and has degree -1.
-* A polynomial is checked once, by ``SparsePoly(...)``: ``from_json`` only
-  reads the JSON and hands it the terms, and arithmetic results come from
-  the trusted ``SparsePoly._make``.
+* Every input value is checked once, by its type's constructor, which holds
+  each integer field to one rule (``_json_int``) and stores a plain int:
+  ``from_json`` only reads the JSON and hands the constructor its keys, and
+  arithmetic results come from the trusted ``SparsePoly._make``.
 * A ``PolySpace`` is its own monomial index and fixes the coordinate order
   used everywhere: monomials of one degree are ranked in descending
   lexicographic order on the exponent tuple, and at-most-degree spaces list
@@ -60,6 +61,18 @@ def _json_int(value) -> int:
             raise TypeError(f"expected an integer, got {value!r}")
         value = index(value)
     return value
+
+
+def _int_fields(obj, *required: str, optional=(), tuples=()) -> None:
+    """Hold the named fields of a frozen dataclass to ``_json_int``, storing
+    plain ints: a required field holds an integer, an optional one an integer
+    or None, a tuple field None or a sequence of integers, stored as a tuple."""
+    for name in (*required, *optional, *tuples):
+        x = getattr(obj, name)
+        if name in tuples and x is not None:
+            object.__setattr__(obj, name, tuple(map(_json_int, x)))
+        elif type(x) is not int and (x is not None or name in required):
+            object.__setattr__(obj, name, _json_int(x))
 
 
 # Miller-Rabin on the first 13 primes is exact below psi_13, the least strong
@@ -109,6 +122,7 @@ class PrimeField:
     p: int
 
     def __post_init__(self) -> None:
+        _int_fields(self, "p")
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
@@ -147,6 +161,9 @@ class PolySpace:
     homogeneous: bool = True
 
     def __post_init__(self) -> None:
+        _int_fields(self, "v", "d")
+        if type(self.homogeneous) is not bool:
+            raise TypeError(f"homogeneous must be a bool, got {self.homogeneous!r}")
         if self.v < 1:
             raise ValueError("space needs at least one variable")
         if self.d < 0:
@@ -219,7 +236,7 @@ class PolySpace:
         mode = data.get("mode", "homogeneous")
         if mode not in ("homogeneous", "at-most"):
             raise ValueError(f"unknown space mode {mode!r}")
-        return cls(_json_int(data["v"]), _json_int(data["d"]), mode == "homogeneous")
+        return cls(data["v"], data["d"], mode == "homogeneous")
 
     def __repr__(self) -> str:
         cmp = "" if self.homogeneous else "<="
@@ -354,9 +371,9 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, field: PrimeField, v: int, c: int) -> "SparsePoly":
-        if v < 0:
+        if (v := _json_int(v)) < 0:
             raise ValueError("negative variable count")
-        c %= field.p
+        c = _json_int(c) % field.p
         return cls._make(field, v, {0: c} if c else {}, 0, (0, 0) if c else None)
 
     @classmethod
@@ -367,10 +384,10 @@ class SparsePoly:
         v = len(coeffs) variables, packed at the narrowest width."""
         p = field.p
         v = len(coeffs)
-        terms = {1 << _MIN_WIDTH * (v - 1 - i): r
-                 for i, c in enumerate(coeffs) if (r := c % p)}
+        terms = {1 << _MIN_WIDTH * (v - 1 - i): r for i, x in enumerate(coeffs)
+                 if (r := (x if type(x) is int else _json_int(x)) % p)}
         d = 1 if terms else 0
-        const %= p
+        const = _json_int(const) % p
         if const:
             terms[0] = const
         span = (0 if const else 1, d) if terms else None
@@ -553,7 +570,7 @@ class SparsePoly:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "SparsePoly":
-        field, v, terms = PrimeField(_json_int(data["p"])), data["v"], data["terms"]
+        field, v, terms = PrimeField(data["p"]), data["v"], data["terms"]
         return cls(field, v, zip(map(itemgetter("e"), terms), map(itemgetter("c"), terms)))
 
     def __eq__(self, other) -> bool:

@@ -25,6 +25,7 @@ from .algebra import (
     PolySpace,
     PrimeField,
     SparsePoly,
+    _int_fields,
     _json_int,
 )
 from .errors import ArityMismatch, DescriptorInvalid
@@ -250,7 +251,7 @@ class Circuit:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Circuit":
-        field = PrimeField(_json_int(data["p"]))
+        field = PrimeField(data["p"])
         v = _json_int(data["v"])
         # each op reads its own keys, and the constructor checks what they hold
         gates = tuple((op, _json_int(g["c"]) % field.p) if op == "const" else
@@ -385,6 +386,7 @@ class FamilyDescriptor:
     sparsity: Optional[int] = None
 
     def __post_init__(self) -> None:
+        _int_fields(self, "n", optional=("top_fanin", "sparsity"), tuples=("product_degrees",))
         cid, sp, p, cls = self.class_id, self.space, self.field.p, type(self)
         if cid not in FAMILY_CLASSES:
             raise DescriptorInvalid(f"unknown family class {cid!r}")
@@ -415,8 +417,7 @@ class FamilyDescriptor:
             if fanin < 0:
                 raise DescriptorInvalid("sps needs a non-negative top fan-in")
             _param_count(cid, fanin * sp.v)  # valid degrees give at least this many
-            degs = self.product_degrees
-            degs = tuple(int(x) for x in (degs if degs is not None else (sp.d,) * fanin))
+            degs = self.product_degrees if self.product_degrees is not None else (sp.d,) * fanin
             if len(degs) != fanin:
                 raise DescriptorInvalid("one product degree per summand required")
             if any(not 1 <= x <= sp.d for x in degs):
@@ -514,15 +515,8 @@ class FamilyDescriptor:
     def from_json(cls, data: Mapping) -> "FamilyDescriptor":
         degs = data.get("product_degrees")
         fanin, sparsity = data.get("top_fanin"), data.get("sparsity")
-        return cls(
-            class_id=data["class"],
-            space=PolySpace.from_json(data["space"]),
-            field=PrimeField(_json_int(data["p"])),
-            n=_json_int(data.get("n", 0)),
-            top_fanin=_json_int(fanin) if fanin is not None else None,
-            product_degrees=tuple(map(_json_int, degs)) if degs is not None else None,
-            sparsity=_json_int(sparsity) if sparsity is not None else None,
-        )
+        return cls(data["class"], PolySpace.from_json(data["space"]), PrimeField(data["p"]),
+                   data.get("n", 0), fanin, degs, sparsity)
 
 
 def validate_member(desc: FamilyDescriptor, poly: SparsePoly) -> bool:
@@ -531,7 +525,7 @@ def validate_member(desc: FamilyDescriptor, poly: SparsePoly) -> bool:
     every member it builds."""
     if not poly.fits_space(desc.space):
         return False
-    return desc.sparsity is None or len(poly.terms) <= desc.sparsity
+    return desc.sparsity is None or len(poly._terms) <= desc.sparsity
 
 
 def sample_family_with_params(

@@ -403,7 +403,7 @@ def _run_gen(plan: ExperimentPlan) -> Report:
                     f"monomials, more than the term cap of {DEFAULT_TERM_CAP}"
                 )
             member = sample_family_with_params(desc, plan.seed)[1]
-            row["sample_nonzero_coords"] = len(member.terms)
+            row["sample_nonzero_coords"] = len(member._terms)
         rows.append(row)
     return {"generators": rows}, 0, {}
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import PrimeField, _json_int
+from .algebra import PrimeField, _int_fields
 from .circuits import Circuit, CircuitBuilder
 from .errors import ArityMismatch, ClauseTooWide, FieldMismatch
 from .pit import (
@@ -118,11 +118,20 @@ class PolynomialSystem:
     labels: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.provenance, str):
+            raise TypeError("provenance must be a string")
+        if self.labels is not None:
+            if type(self.labels) not in (list, tuple) or not {*map(type, self.labels)} <= {str}:
+                raise TypeError("labels must be a list of strings")
+            object.__setattr__(self, "labels", tuple(self.labels))
+        _int_fields(self, "n")
         for c in self.members:
             if c.field.p != self.field.p:
                 raise FieldMismatch("system member in a different field")
             if c.v != self.n:
                 raise ArityMismatch("system member over a different variable count")
+        if self.n < 0:
+            raise ValueError("negative variable count")
         if self.labels is not None and len(self.labels) != len(self.members):
             raise ValueError("one label per member required")
 
@@ -137,23 +146,9 @@ class PolynomialSystem:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "PolynomialSystem":
-        field = PrimeField(_json_int(data["p"]))
+        field = PrimeField(data["p"])
         members = tuple(Circuit.from_json(c) for c in data["members"])
-        provenance = data.get("provenance", "raw")
-        if not isinstance(provenance, str):
-            raise TypeError("provenance must be a string")
-        labels = data.get("labels")
-        if labels is not None and not (
-            isinstance(labels, list) and all(isinstance(x, str) for x in labels)
-        ):
-            raise TypeError("labels must be a list of strings")
-        return cls(
-            field=field,
-            n=_json_int(data["n"]),
-            members=members,
-            provenance=provenance,
-            labels=tuple(labels) if labels is not None else None,
-        )
+        return cls(field, data["n"], members, data.get("provenance", "raw"), data.get("labels"))
 
 
 def cnf_to_system(cnf: Cnf, field: PrimeField) -> PolynomialSystem:

@@ -44,7 +44,7 @@ from .algebra import (
     PrimeField,
     SparsePoly,
     _capped_num_monomials,
-    _json_int,
+    _int_fields,
     _pack,
     _unpacker,
     _width,
@@ -343,6 +343,7 @@ class MinorSelection:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
+        _int_fields(self, "size", optional=("seed",), tuples=("rows", "cols"))
         if self.kind not in ("leading", "explicit", "random"):
             raise ValueError(f"unknown minor kind {self.kind!r}")
         if self.size < 1:
@@ -360,13 +361,7 @@ class MinorSelection:
     @classmethod
     def from_json(cls, data: Mapping) -> "MinorSelection":
         rows, cols, seed = data.get("rows"), data.get("cols"), data.get("seed")
-        return cls(
-            kind=data["kind"],
-            size=_json_int(data["size"]),
-            rows=tuple(map(_json_int, rows)) if rows is not None else None,
-            cols=tuple(map(_json_int, cols)) if cols is not None else None,
-            seed=_json_int(seed) if seed is not None else None,
-        )
+        return cls(data["kind"], data["size"], rows, cols, seed)
 
 
 @dataclass(frozen=True)
@@ -377,6 +372,7 @@ class RankMethodSpec:
     minor: MinorSelection
 
     def __post_init__(self) -> None:
+        _int_fields(self, "k", "shift")
         if self.method not in ("partials", "shifted"):
             raise ValueError(f"unknown rank method {self.method!r}")
         if self.method == "partials" and self.shift != 0:
@@ -384,12 +380,8 @@ class RankMethodSpec:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "RankMethodSpec":
-        return cls(
-            method=data["method"],
-            k=_json_int(data["k"]),
-            shift=_json_int(data.get("shift", 0)),
-            minor=MinorSelection.from_json(data["minor"]),
-        )
+        return cls(data["method"], data["k"], data.get("shift", 0),
+                   MinorSelection.from_json(data["minor"]))
 
 
 def _select_indices(
@@ -403,7 +395,7 @@ def _select_indices(
     if sel.kind == "leading":
         return tuple(range(size)), tuple(range(size))
     if sel.kind == "explicit":
-        rows, cols = tuple(sel.rows), tuple(sel.cols)  # type: ignore[arg-type]
+        rows, cols = sel.rows, sel.cols
         if len(rows) != size or len(cols) != size:
             raise MinorOutOfRange("explicit index lists must match the minor size")
         if len(set(rows)) != size or len(set(cols)) != size:

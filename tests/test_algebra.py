@@ -147,8 +147,28 @@ class TestPolySpace:
                 PolySpace(v, d)
 
     def test_json_round_trip(self):
+        sympy = pytest.importorskip("sympy")
         for sp in (PolySpace(2, 2, True), PolySpace(3, 4, False)):
             assert PolySpace.from_json(sp.to_json()) == sp
+        # whatever the constructor accepts is stored as ints and a bool, and
+        # its JSON rebuilds it; the rest raises
+        values = (0, 1, 2, -1, sympy.Integer(2), True, False, 1.0, 2.5, "2", None)
+        for v, d, hom in itertools.product(values, values, (True, False, 1, 0, "no", None)):
+            try:
+                sp = PolySpace(v, d, hom)
+            except (TypeError, ValueError):
+                continue
+            assert (type(sp.v), type(sp.d), type(sp.homogeneous)) == (int, int, bool)
+            assert PolySpace.from_json(json.loads(json.dumps(sp.to_json()))) == sp
+        assert PolySpace(sympy.Integer(2), sympy.Integer(3)) == PolySpace(2, 3)
+        for v, d, hom in ((True, 2, True), (2, True, True), (2.0, 2, True), (2, 2, "no"),
+                          (2, 2, 1), (2, 2, None)):
+            with pytest.raises(TypeError, match="expected an integer|must be a bool"):
+                PolySpace(v, d, hom)
+        # and the field: its modulus is an int too
+        F = PrimeField(sympy.Integer(7))
+        assert type(F.p) is int and F == F7
+        assert json.loads(json.dumps(SparsePoly(F, 1, {(1,): 3}).to_json()))["p"] == 7
 
     def test_contains(self):
         sp = PolySpace(2, 2, True)
@@ -379,6 +399,26 @@ class TestSerialization:
                 SparsePoly.from_json({"p": 7, "v": v, "terms": []})
             with pytest.raises(error, match="negative variable count|expected an integer"):
                 SparsePoly(F7, v, {})
+            # and the other public constructors
+            for build in (lambda: SparsePoly.zero(F7, v),
+                          lambda: SparsePoly.constant(F7, v, 3)):
+                with pytest.raises(error, match="negative variable count|expected an integer"):
+                    build()
+        for build in (lambda: SparsePoly.constant(F7, 1, True),
+                      lambda: SparsePoly.constant(F7, 1, 2.5),
+                      lambda: SparsePoly.constant(F7, 1, "3"),
+                      lambda: SparsePoly.zero(F7, 1.0),
+                      lambda: SparsePoly.linear(F7, [1.5, 2]),
+                      lambda: SparsePoly.linear(F7, (1, True)),
+                      lambda: SparsePoly.linear(F7, [1, 2], 1.0)):
+            with pytest.raises(TypeError, match="expected an integer"):
+                build()
+        # and the field, whose modulus a float would turn into float arithmetic
+        for p in (7.0, True, "7", None):
+            with pytest.raises(TypeError, match="expected an integer"):
+                PrimeField(p)
+            with pytest.raises(TypeError, match="expected an integer"):
+                SparsePoly.from_json({"p": p, "v": 1, "terms": []})
 
     def test_semantic_equality_and_hash(self):
         a = SparsePoly(F7, 2, {(1, 1): 8})

@@ -349,8 +349,41 @@ class TestFamilies:
             FamilyDescriptor("squares", sp, F7).member_from_params((0, 0))
 
     def test_descriptor_json_round_trip(self):
+        sympy = pytest.importorskip("sympy")
         for desc in self.descriptors():
             assert FamilyDescriptor.from_json(desc.to_json()) == desc
+        # whatever the constructor accepts is stored as ints, and its JSON
+        # rebuilds it; the rest raises
+        hom, le = PolySpace(2, 2, True), PolySpace(2, 2, False)
+        values = (0, 1, 2, 3, -1, sympy.Integer(2), True, 1.0, 1.5, "2", None)
+        cases = [("det-projection", hom, {"n": x}) for x in values]
+        cases += [("squares", hom, {"n": x}) for x in values]
+        cases += [("sparse", hom, {"sparsity": x}) for x in values]
+        cases += [("sps", sp, {"top_fanin": x}) for sp in (hom, le) for x in values]
+        cases += [("sps", sp, {"top_fanin": 1, "product_degrees": (x,)})
+                  for sp in (hom, le) for x in values]
+        cases += [("sps", le, {"top_fanin": 2, "product_degrees": [1, sympy.Integer(2)]})]
+        accepted = 0
+        for cid, sp, fields in cases:
+            try:
+                desc = FamilyDescriptor(cid, sp, F7, **fields)
+            except (TypeError, ValueError, DescriptorInvalid):
+                continue
+            accepted += 1
+            assert {type(x) for x in (desc.n, desc.top_fanin, desc.sparsity,
+                                      *(desc.product_degrees or ()))} <= {int, type(None)}
+            assert FamilyDescriptor.from_json(json.loads(json.dumps(desc.to_json()))) == desc
+        assert accepted == 27
+        for cid, sp, fields in (
+            ("det-projection", PolySpace(2, 1, True), {"n": True}),
+            ("sps", hom, {"top_fanin": True}),
+            ("sps", le, {"top_fanin": 1, "product_degrees": (1.5,)}),
+            ("sps", le, {"top_fanin": 1, "product_degrees": (2.0,)}),
+            ("sparse", hom, {"sparsity": 1.0}),
+            ("squares", hom, {"n": None}),
+        ):
+            with pytest.raises(TypeError, match="expected an integer"):
+                FamilyDescriptor(cid, sp, F7, **fields)
 
     def test_zero_members_kept(self):
         desc = FamilyDescriptor("squares", PolySpace(2, 2, True), F5)

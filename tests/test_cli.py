@@ -462,11 +462,17 @@ class TestExitCodes:
             (workdir / f"sys{i}.json").write_text(json.dumps({**system, **change}))
             cases.append(("ips-verify", "--system", workdir / f"sys{i}.json",
                           "--cert", workdir / "cert.json", "--field", "13"))
+        # a negative variable count is the system's fault, not the certificate's
+        (workdir / "sys-neg.json").write_text(json.dumps({"p": 13, "n": -1, "members": []}))
+        cases.append(("ips-verify", "--system", workdir / "sys-neg.json",
+                      "--cert", workdir / "cert.json", "--field", "13"))
         for argv in cases:
             code, _, err = run_cli(capsys, *argv)
             assert code == 2, argv
             lines = err.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("npl: error: "), (argv, err)
+        assert err == (f"npl: error: {workdir / 'sys-neg.json'}: malformed input: "
+                       "negative variable count\n")
 
     def test_certificate_field_is_checked(self, workdir, capsys, monkeypatch):
         # a constant-3 certificate over F_7 against a system over F_13: refused,

@@ -153,6 +153,27 @@ class TestTranslation:
         assert rt.members == sys7.members
         assert rt.labels == sys7.labels
         assert rt.provenance == sys7.provenance
+        # whatever the constructor accepts is stored as an int and a tuple, and
+        # its JSON rebuilds it; the rest raises
+        sympy = pytest.importorskip("sympy")
+        c = single_var_circuit(F7, "x")
+        for n, members, labels in ((1, (c,), ["a"]), (sympy.Integer(1), (c, c), None),
+                                   (0, (), ()), (3, (), None)):
+            s = PolynomialSystem(F7, n, members, "cnf-derived", labels)
+            assert type(s.n) is int and (labels is None or type(s.labels) is tuple)
+            assert PolynomialSystem.from_json(json.loads(json.dumps(s.to_json()))) == s
+        for n, members, kwargs, error in (
+            (True, (c,), {}, TypeError),
+            (1.0, (c,), {}, TypeError),
+            (None, (), {}, TypeError),
+            (-1, (), {}, ValueError),
+            (1, (c,), {"labels": (3,)}, TypeError),
+            (1, (c,), {"labels": "a"}, TypeError),
+            (1, (c,), {"provenance": 5}, TypeError),
+        ):
+            with pytest.raises(error, match="expected an integer|negative variable count|"
+                                            "must be a"):
+                PolynomialSystem(F7, n, members, **kwargs)
 
 
 class TestCompose:

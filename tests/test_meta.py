@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from math import comb
@@ -931,6 +932,36 @@ class TestMinorMeta:
              )),
         ):
             assert RankMethodSpec.from_json(doc) == spec
+        # whatever the constructor accepts is stored as ints, and its JSON
+        # document rebuilds it; the rest raises
+        sympy = pytest.importorskip("sympy")
+        two = sympy.Integer(2)
+        accepted = [
+            RankMethodSpec("partials", two, 0, MinorSelection("leading", two)),
+            RankMethodSpec("shifted", 1, two, MinorSelection("random", 2, seed=two)),
+            RankMethodSpec("partials", 1, 0, MinorSelection("explicit", 2, rows=[0, two],
+                                                            cols=(1, 0))),
+        ]
+        for spec in accepted:
+            sel = spec.minor
+            assert {type(x) for x in (spec.k, spec.shift, sel.size, sel.seed,
+                                      *(sel.rows or ()), *(sel.cols or ()))} <= {int, type(None)}
+            minor = {key: list(x) if type(x) is tuple else x
+                     for key, x in vars(sel).items() if x is not None}
+            doc = {"method": spec.method, "k": spec.k, "shift": spec.shift, "minor": minor}
+            assert RankMethodSpec.from_json(json.loads(json.dumps(doc))) == spec
+        assert accepted[2].minor.rows == (0, 2)
+        leading = MinorSelection("leading", 2)
+        for build in (lambda: MinorSelection("leading", 2.0),
+                      lambda: MinorSelection("leading", None),
+                      lambda: MinorSelection("random", 2, seed=1.5),
+                      lambda: MinorSelection("explicit", 2, rows=(0, 1.0), cols=(0, 1)),
+                      lambda: MinorSelection("explicit", 2, rows=(0, 1), cols=(True, 0)),
+                      lambda: RankMethodSpec("partials", 1.0, 0, leading),
+                      lambda: RankMethodSpec("shifted", True, True, leading),
+                      lambda: RankMethodSpec("shifted", 1, None, leading)):
+            with pytest.raises(TypeError, match="expected an integer"):
+                build()
 
 
 class TestCircuitMeta:
