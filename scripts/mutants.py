@@ -95,8 +95,17 @@ MUTANTS = [
            "elif False:",
            "tests/test_circuits.py::TestFamilies::test_exhaustive_walk_covers_grid"),
     Mutant("hit-witness-not-rebuilt", "pit.py",
-           "if cv != witness[1] or T.eval_at(cv) != witness[2]:", "if False:",
+           "if (rebuilt := again.coeff_vector(space)) != cv "
+           "or T.eval_at(rebuilt) != witness_value:",
+           "if False:",
            "tests/test_pit.py::TestHittingCheck::test_witness_that_does_not_rebuild_raises"),
+    Mutant("scan-stops-at-witness-under-every", "pit.py", "if not every:", "if True:",
+           "tests/test_golden.py::test_golden_body"),
+    Mutant("scan-keeps-last-witness", "pit.py", "elif witness is None:", "else:",
+           "tests/test_golden.py::test_golden_body"),
+    Mutant("degeneracy-probe-skipped", "pit.py",
+           "degenerate = _scan(T.eval_at, probe)[0] is None", "degenerate = False",
+           "tests/test_pit.py::TestGenerator::test_degenerate_meta_flagged"),
     Mutant("walk-total-one-short", "pit.py", "x, left = [0] * len(sizes), total",
            "x, left = [0] * len(sizes), total - 1",
            "tests/test_acceptance.py::test_criterion_04_pit_cross_validation"),
@@ -163,7 +172,10 @@ MUTANTS = [
            "tests/test_cli.py::TestExitCodes::test_family_and_system_fields_are_checked"),
     Mutant("labels-type-unchecked", "ips.py",
            "if type(self.labels) not in (list, tuple) or not {*map(type, self.labels)} <= {str}:",
-           "if False:", "tests/test_cli.py::TestFuzz::test_malformed_files_exit_two"),
+           "if False:",
+           "tests/test_cli.py::TestExitCodes::test_family_and_system_fields_are_checked"),
+    Mutant("non-object-root-parsed", "cli.py", "if type(data) is not dict:", "if False:",
+           "tests/test_cli.py::TestExitCodes::test_malformed_inputs_exit_two"),
 ]
 
 

@@ -248,6 +248,10 @@ def _load_json(
             raise ValueError(f"{path}: malformed input: nested too deeply") from None
         except ValueError as exc:  # bad UTF-8 or bad JSON
             raise ValueError(f"{path}: malformed input: {exc}") from None
+    if type(data) is not dict:
+        kind = {bool: "boolean", int: "number", float: "number", str: "string", list: "array"}
+        raise ValueError(f"{path}: malformed input: expected a JSON object, got "
+                         f"{kind.get(type(data), 'null')}")
     try:
         obj = parse(data)
     except KeyError as exc:

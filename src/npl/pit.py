@@ -1,38 +1,38 @@
 """Polynomial identity testing and coefficient-space hitting experiments.
 
-Two engines.  The exhaustive engine is a proof either way.  Let f have
-degree at most D_i < p in x_i and total degree at most D.  In the falling-
-factorial basis prod (x_i)_(e_i), (x)_e = x (x - 1) ... (x - e + 1), its
-support lies in the lower set {e : e_i <= D_i, sum e_i <= D}.  At the
-lex-least e of the support f(e) = c_e prod e_i! != 0, and f is zero at
-every point of the grid prod {0..D_i} before e in row-major order.  So a
-row-major walk of the lower set alone finds the grid's first nonzero point,
-and f = 0 when it vanishes there (the product-set lemma, Alon 1999, cut to
-the C(v + D, D)-point hitting set of total degree D, Shpilka & Yehudayoff
-2010).  The engine takes D_i and D to be the circuit's formal degrees, so it
-needs only max D_i < p; ``grid_points`` counts the whole grid covered.  The
-walk, one iterator over the lower set with no recursion and so no width limit
-but the budget, passes only the reached coordinates (the others take 0) to the
-circuit's staged evaluator, which recomputes only the gates that read a
-coordinate the step changed, so a row-major step costs mostly the gates of
-the last coordinates, not v.  It runs on Python integers, exact for every
-prime; the library needs no numpy.
-An exhaustive hitting check is the same engine on T o G, G the family's map
-from parameters to coefficient vectors, of degree at most deg(T) * c_i in
-parameter i (``param_degrees``) and total degree deg(T) * ``param_degree``.
-It walks the lower set of prod S_i, S_i = {0..deg(T) * c_i} or the slot's
-whole range when deg(T) * c_i reaches it or c_i is None (a sparse family's
-rank slots; it has no ``param_degree`` and walks all of prod S_i).  Reduced
-modulo x^p - x in the slots walked in full, T o G keeps degree below |S_i|
-in slot i and its total degree, so the walk's first nonzero point is the
-family's first nonzero member, and T vanishes on all members when there is
-none.  Both walks refuse a grid past the enumeration budget before its first
-point; a hitting check counts the family's p^s members there.
-The randomized engine samples points; a nonzero polynomial of degree
-d vanishes at a uniform point with probability at most d/p, so "probably
-zero" after t independent trials carries error at most (d/p)^t.  Fields
-larger than twice the degree keep the per-trial error below 1/2; smaller
-fields are allowed but the verdict records the degraded bound.
+One engine per proof mode, and both are one scan (``_scan``): evaluate at
+points in order and stop at the first nonzero value.  The exhaustive mode
+scans the lower set of a degree grid, the randomized mode seeded draws, for a
+circuit and for T o G alike, G the family's map from parameters to
+coefficient vectors.
+
+Exhaustive is a proof either way.  Let f have degree at most D_i < p in x_i
+and total degree at most D.  In the falling-factorial basis prod (x_i)_(e_i),
+(x)_e = x (x - 1) ... (x - e + 1), its support lies in the lower set
+{e : e_i <= D_i, sum e_i <= D}.  At the lex-least e of the support
+f(e) = c_e prod e_i! != 0, and f is zero at every point of the grid
+prod {0..D_i} before e in row-major order.  So a row-major scan of the lower
+set alone finds the grid's first nonzero point, and f = 0 when it vanishes
+there (the product-set lemma, Alon 1999, cut to the C(v + D, D)-point hitting
+set of total degree D, Shpilka & Yehudayoff 2010).  A circuit's D_i and D are
+its formal degrees.  The lower set is one iterator with no recursion, so no
+width limit but the budget; a circuit's points hold only the coordinates the
+output reaches (the others take 0), and its staged evaluator recomputes only
+the gates that read a coordinate the step changed.  T o G has degree at most
+deg(T) * c_i in parameter i (``param_degrees``) and total degree
+deg(T) * ``param_degree``; its grid is prod S_i, S_i = {0..deg(T) * c_i}, or
+a slot's whole range when deg(T) * c_i reaches it or c_i is None (a sparse
+family's rank slots; it has no ``param_degree`` and scans all of prod S_i).
+Reduced modulo x^p - x in the slots scanned in full, T o G keeps degree below
+|S_i| in slot i and its total degree, so the first nonzero point is the
+family's first nonzero member.  A grid past the enumeration budget is refused
+before its first point; a hitting check counts the family's p^s members there.
+
+Randomized: a nonzero polynomial of degree d vanishes at a uniform point with
+probability at most d/p, so "probably zero" after t independent trials carries
+error at most (d/p)^t.  A field of at most twice the degree is allowed, but
+the verdict records the degraded bound.  An audit scans every draw, to count
+the zeros, and reports the first witness.
 
 Verdict witnesses are always re-evaluated before the verdict is built, so a
 "proven nonzero" object cannot exist with a stale or wrong witness.
@@ -41,7 +41,7 @@ Verdict witnesses are always re-evaluated before the verdict is built, so a
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .algebra import SparsePoly
 from .circuits import Circuit, FamilyDescriptor, _seeded_draws
@@ -133,6 +133,23 @@ def _grid_points(ranges: Sequence[int], enum_budget: int) -> int:
     return points
 
 
+def _scan(value, points, every: bool = False):
+    """(witness, evaluated, zeros) of ``value`` at ``points``, in order: the
+    first (x, value(x)) with a truthy value or None, the points evaluated and
+    those of them where the value was zero.  It stops at the witness unless
+    ``every`` is set."""
+    witness, evaluated, zeros = None, 0, 0
+    for x in points:
+        evaluated += 1
+        if not (y := value(x)):
+            zeros += 1
+        elif witness is None:
+            witness = (x, y)
+            if not every:
+                break
+    return witness, evaluated, zeros
+
+
 def _lower_set(sizes: Sequence[int], total: int) -> Iterator[Tuple[int, ...]]:
     """The points x of prod range(sizes) with sum(x) <= total, in row-major
     order, for sizes >= 1 and total >= 0 (the origin comes first): one list
@@ -153,16 +170,12 @@ def _lower_set(sizes: Sequence[int], total: int) -> Iterator[Tuple[int, ...]]:
 def pit_exhaustive(
     circuit: Circuit, enum_budget: int = DEFAULT_ENUM_BUDGET
 ) -> PitVerdict:
-    """Evaluate the circuit, row-major, on the lower set {x : x_i <= D_i,
-    sum x_i <= D} of its formal degrees (module docstring).  Proof-grade either way.
-
-    ``enum_budget`` caps the grid's points and the v coordinates the verdict
-    lists; nothing else bounds the walk's width.  It hands each point's support
-    coordinates to ``Circuit.staged_evaluator``, which recomputes only the
-    stages from the first coordinate that changed; a witness alone becomes a
-    point of all v coordinates, zero outside the support, and
-    ``Circuit.evaluate`` re-evaluates it there.  Refusals come before any
-    point is evaluated."""
+    """Scan the circuit's staged evaluator, row-major, over the lower set
+    {x : x_i <= D_i, sum x_i <= D} of its formal degrees (module docstring).
+    Proof-grade either way.  ``enum_budget`` caps the grid's points and the v
+    coordinates the verdict lists; refusals come before any point is
+    evaluated.  A witness alone becomes a point of all v coordinates, zero
+    outside the support, where ``Circuit.evaluate`` re-evaluates it."""
     p = circuit.field.p
     support = circuit.support
     # each reached input has D_i >= 1, so the grid has 2^|support| points at
@@ -189,13 +202,13 @@ def pit_exhaustive(
         "variable_degrees": tuple(degrees.get(i, 0) for i in range(circuit.v)),
         "grid_points": _grid_points(sizes, enum_budget),
     }
-    staged = circuit.staged_evaluator()
-    for evaluated, x in enumerate(_lower_set(sizes, circuit.formal_degree), 1):
-        if staged(x):
-            point = [0] * circuit.v
-            for i, xi in zip(support, x):
-                point[i] = xi
-            return replace(_nonzero_verdict(circuit, point, evaluated), **grid)
+    witness, evaluated, _ = _scan(circuit.staged_evaluator(),
+                                  _lower_set(sizes, circuit.formal_degree))
+    if witness is not None:
+        point = [0] * circuit.v
+        for i, xi in zip(support, witness[0]):
+            point[i] = xi
+        return replace(_nonzero_verdict(circuit, point, evaluated), **grid)
     return PitVerdict(outcome=PROVEN_ZERO, degree_bound=circuit.formal_degree, p=p,
                       points_evaluated=evaluated, **grid)
 
@@ -222,10 +235,11 @@ def pit_schwartz_zippel(
             f"field size {p} is at most twice the formal degree {deg}; "
             "per-trial error bound degraded",
         )
-    for t, point in enumerate(_seeded_draws((p,) * circuit.v, trials, seed)):
-        if circuit.evaluate(point):
-            return replace(_nonzero_verdict(circuit, point, t + 1), trials=t + 1,
-                           warnings=warnings)
+    draws = _seeded_draws((p,) * circuit.v, trials, seed)
+    witness, evaluated, _ = _scan(circuit.evaluate, draws)
+    if witness is not None:
+        return replace(_nonzero_verdict(circuit, witness[0], evaluated), trials=evaluated,
+                       warnings=warnings)
     return PitVerdict(outcome=PROBABLY_ZERO, degree_bound=deg, p=p, trials=trials,
                       warnings=warnings, points_evaluated=trials)
 
@@ -247,15 +261,6 @@ def identity_test(
 
 _PROBE_TRIALS = 16
 _PROBE_SEED_SALT = 0x9E3779B9
-
-
-def _meta_looks_zero(T, seed: int) -> bool:
-    """Randomized probe of T itself: True when T vanished at every one of
-    _PROBE_TRIALS random coefficient vectors."""
-    cvs = _seeded_draws(
-        (T.field.p,) * T.space.dimension, _PROBE_TRIALS, seed, salt=_PROBE_SEED_SALT
-    )
-    return not any(T.eval_at(cv) for cv in cvs)
 
 
 # ---------------------------------------------------------------------------
@@ -334,42 +339,39 @@ def succinct_hitting_check(
     enum_budget: int = DEFAULT_ENUM_BUDGET,
     collect_stats: bool = False,
 ) -> HitReport:
-    """Search the family for a member on which T is nonzero.
+    """Search the family for a member on which T is nonzero: the identity
+    test of T o G, one scan of T on the members built from its points.
 
-    Random mode samples ``trials`` members from seeds derived from ``seed``.
-    Exhaustive mode decides whether T vanishes on all p^s members from the
-    lower set of the grid prod S_i, S_i = {0..deg(T) * c_i} or a slot's whole
-    range (see the module docstring), iterated in row-major order with no
-    width limit but the budget.  Its first nonzero point is the first nonzero
-    member of the whole grid, the witness; when the walk is smaller than the
-    whole grid and vanishes, the grid's last member is evaluated too, a check
-    on the declared degrees.  ``examined`` counts the members the verdict
-    covers: p^s for a proof, the witness's row-major index + 1 otherwise.  A
-    family of more than ``enum_budget`` members is refused before any member
-    is built.  The witness is rebuilt from its parameters and T re-evaluated
-    on it before it is reported.
+    Random mode scans the ``trials`` seeded draws of the parameters, and with
+    ``collect_stats`` (an audit) goes on past the first witness to count the
+    zeros.  Exhaustive mode decides whether T vanishes on all p^s members by
+    scanning the lower set of the grid prod S_i (module docstring), refused
+    before any member is built when p^s exceeds ``enum_budget``.  Its first
+    nonzero point is the first nonzero member of the whole grid; when the
+    lower set is smaller than the grid and vanishes, the grid's last member is
+    evaluated too, a check on the declared degrees.  ``examined`` counts the
+    members the verdict covers: p^s for a proof, the witness's row-major index
+    + 1 otherwise.  The witness is rebuilt from its parameters and T
+    re-evaluated on it before it is reported.
     """
     _check_spaces(desc, T)
     space = desc.space
 
-    def member(params: Tuple[int, ...]) -> Tuple[Tuple[int, ...], List[int], int]:
-        """(params, coefficient vector, T-value) of the member at ``params``."""
+    def member(params: Tuple[int, ...]):
+        """0 where T vanishes on the member at ``params``, else (T-value,
+        coefficient vector)."""
         cv = desc.member_from_params(params).coeff_vector(space)
-        return params, cv, T.eval_at(cv)
+        return (t := T.eval_at(cv)) and (t, cv)
 
     ranges = desc.param_ranges()
-    # (params, coefficient vector, T-value) of the first member where T is nonzero
-    witness: Optional[Tuple[Tuple[int, ...], List[int], int]] = None
+    # the witness: (params, (T-value, coefficient vector)) of the first nonzero member
     if exhaustive:
         examined = zeros = _grid_points(ranges, enum_budget)
         sizes = tuple(r if c is None else min(r, T.degree_bound * c + 1)
                       for r, c in zip(ranges, desc.param_degrees))
         full = sum(ranges) - len(ranges)
         total = full if desc.param_degree is None else T.degree_bound * desc.param_degree
-        for evaluated, params in enumerate(_lower_set(sizes, total), 1):
-            if (found := member(params))[2]:
-                witness = found
-                break
+        witness, evaluated, _ = _scan(member, _lower_set(sizes, total))
         if witness is not None:
             zeros = 0
             for x, r in zip(witness[0], ranges):
@@ -377,30 +379,24 @@ def succinct_hitting_check(
             examined = zeros + 1
         elif sizes != ranges or total < full:
             evaluated += 1
-            if (last := member(tuple(r - 1 for r in ranges)))[2]:
-                raise AssertionError(f"T is nonzero at member {last[0]}, outside the lower "
+            if member(last := tuple(r - 1 for r in ranges)):
+                raise AssertionError(f"T is nonzero at member {last}, outside the lower "
                                      "set of the declared param_degrees and param_degree")
     else:
-        examined = zeros = 0
-        for params in _seeded_draws(ranges, trials, seed):
-            examined += 1
-            if not (found := member(params))[2]:
-                zeros += 1
-                continue
-            if witness is None:
-                witness = found
-            if not collect_stats:
-                break
+        witness, examined, zeros = _scan(member, _seeded_draws(ranges, trials, seed),
+                                         collect_stats)
         evaluated = examined
-    degenerate = False
-    witness_poly = None
+    degenerate, witness_params, witness_value, witness_poly = False, None, None, None
     if witness is None:
-        degenerate = _meta_looks_zero(T, seed)
+        # a probe of T itself: does it vanish at _PROBE_TRIALS random coefficient vectors?
+        probe = _seeded_draws((T.field.p,) * T.space.dimension, _PROBE_TRIALS, seed,
+                              salt=_PROBE_SEED_SALT)
+        degenerate = _scan(T.eval_at, probe)[0] is None
     else:
-        again = desc.member_from_params(witness[0])
-        cv = again.coeff_vector(space)
+        witness_params, (witness_value, cv) = witness
+        again = desc.member_from_params(witness_params)
         evaluated += 1
-        if cv != witness[1] or T.eval_at(cv) != witness[2]:
+        if (rebuilt := again.coeff_vector(space)) != cv or T.eval_at(rebuilt) != witness_value:
             raise AssertionError("witness failed its rebuild and re-evaluation")
         witness_poly = again.to_json()
     return HitReport(
@@ -411,9 +407,9 @@ def succinct_hitting_check(
         zeros=zeros,
         seed=seed,
         trials=trials,
-        witness_params=None if witness is None else witness[0],
+        witness_params=witness_params,
         witness_poly=witness_poly,
-        witness_value=None if witness is None else witness[2],
+        witness_value=witness_value,
         degenerate_suspected=degenerate,
         points_evaluated=evaluated,
     )

@@ -403,6 +403,29 @@ class TestExitCodes:
             assert code == 2, argv
             assert len(err.strip().splitlines()) == 1, (argv, err)
             assert "Traceback" not in err, argv
+        # every loader refuses a root that is not an object, naming its JSON type
+        roots = {"0": "number", "[1]": "array", '"x"': "string", "null": "null",
+                 "true": "boolean"}
+        for i, (text, kind) in enumerate(roots.items()):
+            root = workdir / f"root{i}.json"
+            root.write_text(text)
+            for argv in (
+                ("pit", "--circuit", root, "--field", "13"),
+                ("rank", "--poly", root, "--k", "1", "--field", "7"),
+                ("audit", "--meta", "disc", "--family", "squares", "--space", "2:2",
+                 "--field", "7", "--hard", root),
+                ("hit-check", "--meta", "disc", "--family", root, "--space", "2:2",
+                 "--field", "7"),
+                ("hit-check", "--meta", root, "--family", "squares", "--space", "2:2",
+                 "--field", "7"),
+                ("ips-verify", "--system", root, "--cert", workdir / "cert.json",
+                 "--field", "13"),
+                ("ips-verify", "--cnf", workdir / "phi.cnf", "--cert", root,
+                 "--field", "13"),
+            ):
+                assert run_cli(capsys, *argv) == (2, "", (
+                    f"npl: error: {root}: malformed input: expected a JSON object, "
+                    f"got {kind}\n")), argv
 
     def test_malformed_gates_outside_the_output_cone_exit_two(self, workdir, capsys):
         # construction checks every gate, so one the output never reads is
@@ -455,9 +478,9 @@ class TestExitCodes:
         for i, change in enumerate((
             {"provenance": [1]},
             {"provenance": None},
-            {"labels": [{}, 5]},
-            {"labels": "ab"},
-            {"labels": {"a": 1, "b": 2}},
+            {"labels": [{}, 5, "x"]},
+            {"labels": "abc"},
+            {"labels": {"a": 1, "b": 2, "c": 3}},
         )):
             (workdir / f"sys{i}.json").write_text(json.dumps({**system, **change}))
             cases.append(("ips-verify", "--system", workdir / f"sys{i}.json",

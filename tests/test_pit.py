@@ -11,6 +11,7 @@ from npl.circuits import (
     Circuit,
     CircuitBuilder,
     FamilyDescriptor,
+    _seeded_draws,
     derive_seed,
     sample_family_with_params,
 )
@@ -23,6 +24,8 @@ from npl.meta import (
     discriminant,
 )
 from npl.pit import (
+    _PROBE_SEED_SALT,
+    _PROBE_TRIALS,
     _lower_set,
     natural_proof_audit,
     pit_exhaustive,
@@ -439,11 +442,29 @@ class TestSchwartzZippel:
             assert v.outcome == "proven-nonzero"
             assert c.evaluate(v.witness) == v.value != 0
 
-    def test_determinism_and_trial_derivation(self):
+    def test_determinism_and_trial_derivation(self, monkeypatch):
         c = det3_circuit(F101)
         a = pit_schwartz_zippel(c, 10, 42)
         b = pit_schwartz_zippel(c, 10, 42)
         assert a == b
+        # the test evaluates the seeded draws in order: all of them for a zero
+        # circuit, up to the first nonzero one, then the witness again
+        seen, real = [], Circuit.evaluate
+        monkeypatch.setattr(Circuit, "evaluate",
+                            lambda circ, x: seen.append(tuple(x)) or real(circ, x))
+        zero = commutator_circuit(F7)
+        assert pit_schwartz_zippel(zero, 12, 5).outcome == "probably-zero"
+        assert seen == list(_seeded_draws((7,) * zero.v, 12, 5))
+        xy = CircuitBuilder(F2, 2)
+        xy = xy.build(xy.mul(xy.inp(0), xy.inp(1)))
+        draws = list(_seeded_draws((2, 2), 40, 3))
+        first = next(t for t, x in enumerate(draws) if x == (1, 1))
+        assert first == 3  # the draws before the witness vanish
+        del seen[:]
+        v = pit_schwartz_zippel(xy, 40, 3)
+        assert seen == draws[: first + 1] + [draws[first]]
+        assert v.witness == draws[first] and v.trials == first + 1
+        assert v.points_evaluated == first + 2
 
     def test_degraded_field_warning(self):
         v = pit_schwartz_zippel(commutator_circuit(F2), 5, 0)
@@ -686,7 +707,7 @@ class TestHittingCheck:
         assert a == b
         assert a.mode == "random" and a.seed == 3
 
-    def test_random_mode_uses_derived_seeds(self):
+    def test_random_mode_uses_derived_seeds(self, monkeypatch):
         full = FamilyDescriptor("full-space", SP22, F7)
         r = succinct_hitting_check(full, discriminant(F7), trials=10, seed=9)
         if r.outcome == "witness":
@@ -696,8 +717,20 @@ class TestHittingCheck:
                 if params == r.witness_params:
                     found = True
             assert found
+        # the check builds the seeded draws in order and stops at the first
+        # member where T is nonzero, which it then rebuilds
+        # (over F_2 a full-space member's coefficient vector is its params)
+        full = FamilyDescriptor("full-space", SP22, F2)
+        builds = count_member_builds(monkeypatch)
+        draws = list(_seeded_draws(full.param_ranges(), 30, 3))
+        first = next(t for t, x in enumerate(draws) if x[0])
+        assert first == 3 and sum(1 for x in draws if x[0]) > 1
+        r = succinct_hitting_check(full, coordinate_meta(SP22, F2, 0), trials=30, seed=3)
+        assert builds == draws[: first + 1] + [draws[first]]
+        assert r.witness_params == draws[first] and r.witness_value == draws[first][0]
+        assert (r.examined, r.zeros, r.points_evaluated) == (first + 1, first, first + 2)
 
-    def test_collect_stats_scans_everything(self):
+    def test_collect_stats_scans_everything(self, monkeypatch):
         full = FamilyDescriptor("full-space", SP22, F7)
         r = succinct_hitting_check(
             full, discriminant(F7), trials=30, seed=1, collect_stats=True
@@ -710,6 +743,20 @@ class TestHittingCheck:
                 sample_family_with_params(full, derive_seed(1, t))[1].coeff_vector(SP22),
             )
         ) == 30
+        # an audit builds all of the seeded draws, in order, past its first
+        # witness, and reports that first witness, not the last
+        full = FamilyDescriptor("full-space", SP22, F2)
+        builds = count_member_builds(monkeypatch)
+        draws = list(_seeded_draws(full.param_ranges(), 30, 3))
+        hits = [x for x in draws if x[0]]
+        assert len(hits) > 1 and hits[0] != hits[-1]
+        xy = SparsePoly(F2, 2, {(1, 1): 1})
+        audit = natural_proof_audit(coordinate_meta(SP22, F2, 0), full, xy, trials=30, seed=3)
+        assert builds == draws + [hits[0]]
+        r = audit.evidence
+        assert r.witness_params == hits[0] and r.witness_value == hits[0][0]
+        assert (r.examined, r.zeros, r.points_evaluated) == (30, 30 - len(hits), 31)
+        assert audit.classification == "refuted"
 
     def test_space_mismatch(self):
         desc = FamilyDescriptor("full-space", PolySpace(2, 4, True), F7)
@@ -758,6 +805,21 @@ class TestHittingCheck:
         r = succinct_hitting_check(full, Tzero, trials=10, seed=0)
         assert r.outcome == "none-found"
         assert r.degenerate_suspected
+        # with no witness, T itself is probed at _PROBE_TRIALS seeded vectors
+        # after the members; a T that vanishes on all of them is flagged
+        T = Recording(SP22, F7)
+        for kwargs in ({"trials": 10, "seed": 4}, {"exhaustive": True}):
+            r = succinct_hitting_check(full, T, **kwargs)
+            probe = list(_seeded_draws((7,) * 3, _PROBE_TRIALS, kwargs.get("seed", 0),
+                                       salt=_PROBE_SEED_SALT))
+            assert T.seen[-_PROBE_TRIALS:] == probe and r.degenerate_suspected
+            assert len(T.seen) == r.points_evaluated + _PROBE_TRIALS
+            del T.seen[:]
+        # a T with a witness is never probed: it sees only the members
+        T.eval_at = lambda cv: T.seen.append(tuple(cv)) or cv[0]
+        r = succinct_hitting_check(full, T, trials=10, seed=4)
+        assert r.outcome == "witness" and not r.degenerate_suspected
+        assert len(T.seen) == r.points_evaluated
 
 
 def direct_walk(desc, T):
