@@ -20,7 +20,8 @@ def product_of_linear_forms(rng, field, v, d):
         coeffs = [rng.randrange(field.p) for _ in range(v)]
         if not any(coeffs):
             coeffs[rng.randrange(v)] = 1 + rng.randrange(field.p - 1)
-        f = f.mul(SparsePoly.linear(field, coeffs))
+        f = f.mul(SparsePoly(field, v, {
+            tuple(int(j == i) for j in range(v)): c for i, c in enumerate(coeffs)}))
     return f
 
 

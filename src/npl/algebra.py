@@ -44,6 +44,7 @@ Exponents = Tuple[int, ...]
 
 # every product that grows past this many monomials raises TermCapExceeded
 DEFAULT_TERM_CAP = 1 << 20
+_TABLE_CAP = 1 << 22  # ranks in a space's successor tables, about 250 MB to build
 
 # Refuse to build spaces whose dense dimension cannot be addressed.
 MAX_SPACE_DIM = 1 << 26
@@ -225,6 +226,23 @@ class PolySpace:
         ``_width(d)``; filled by ``SparsePoly.coeff_vector``."""
         return {}
 
+    @cached_property
+    def _successors(self) -> List[List[List[int]]]:
+        """succ[r][i][m], r < d: the rank in degree r + 1 of x_i times the
+        monomial of rank m in degree r.  Degree r + 1's keys at ``_width(d)``
+        in rank order are degree r's plus each unit key, sorted descending.
+        They hold d times the degree-d block's ranks, refused before any is
+        built when that block passes the term cap or the tables _TABLE_CAP."""
+        if (top := _num_monomials(self.v, self.d)) > DEFAULT_TERM_CAP or self.d * top > _TABLE_CAP:
+            raise TermCapExceeded(f"the tables of {self} hold {self.d * top} ranks over {top} top "
+                                  f"monomials, past a cap of {_TABLE_CAP} or {DEFAULT_TERM_CAP}")
+        units = [1 << _width(self.d) * i for i in range(self.v - 1, -1, -1)]  # x_0 first
+        keys = [[0]]
+        for _ in range(self.d):
+            keys.append(sorted({k + u for k in keys[-1] for u in units}, reverse=True))
+        ranks = [{k: m for m, k in enumerate(high)} for high in keys[1:]]
+        return [[[at[k + u] for k in low] for u in units] for low, at in zip(keys, ranks)]
+
     def mode(self) -> str:
         return "homogeneous" if self.homogeneous else "at-most"
 
@@ -258,17 +276,19 @@ def _hom_rank(e: Exponents, d: int) -> int:
 
 
 def _hom_unrank(r: int, v: int, d: int) -> Exponents:
-    e: List[int] = []
-    rem = d
+    e, rem = [0] * v, d
     for i in range(v - 1):
-        for t in range(rem, -1, -1):
+        if rem and r >= (held := _num_monomials(v - i, rem - 1)):
+            r -= held  # past every monomial holding x_i, which come first
+            continue
+        for t in range(rem, 0, -1):
             block = _num_monomials(v - i - 1, rem - t)
             if r < block:
-                e.append(t)
+                e[i] = t
                 rem -= t
                 break
             r -= block
-    e.append(rem)
+    e[-1] = rem
     return tuple(e)
 
 
@@ -377,31 +397,11 @@ class SparsePoly:
         return cls._make(field, v, {0: c} if c else {}, 0, (0, 0) if c else None)
 
     @classmethod
-    def linear(
-        cls, field: PrimeField, coeffs: Sequence[int], const: int = 0
-    ) -> "SparsePoly":
-        """The affine form c_0*x_0 + ... + c_(v-1)*x_(v-1) + const in
-        v = len(coeffs) variables, packed at the narrowest width."""
-        p = field.p
-        v = len(coeffs)
-        terms = {1 << _MIN_WIDTH * (v - 1 - i): r for i, x in enumerate(coeffs)
-                 if (r := (x if type(x) is int else _json_int(x)) % p)}
-        d = 1 if terms else 0
-        const = _json_int(const) % p
-        if const:
-            terms[0] = const
-        span = (0 if const else 1, d) if terms else None
-        return cls._make(field, v, terms, d, span)
-
-    @classmethod
-    def from_coeff_vector(
-        cls, field: PrimeField, space: PolySpace, vec: Sequence[int]
-    ) -> "SparsePoly":
+    def from_coeff_vector(cls, field: PrimeField, space: PolySpace,
+                          vec: Sequence[int]) -> "SparsePoly":
         if len(vec) != space.dimension:
-            raise ArityMismatch(
-                f"vector of length {len(vec)} against dimension {space.dimension}"
-            )
-        return cls(field, space.v, zip(space.monomials(), vec))
+            raise ArityMismatch(f"vector of length {len(vec)} against dimension {space.dimension}")
+        return cls(field, space.v, ((space.unrank(r), c) for r, c in enumerate(vec) if c))
 
     # -- inspection ----------------------------------------------------
 

@@ -24,9 +24,9 @@ from .algebra import (
     MAX_SPACE_DIM,
     PolySpace,
     PrimeField,
-    SparsePoly,
     _int_fields,
     _json_int,
+    _num_monomials,
 )
 from .errors import ArityMismatch, DescriptorInvalid
 
@@ -293,54 +293,74 @@ class CircuitBuilder:
         return Circuit(self.field, self.v, tuple(self.gates), out)
 
 
+def _times_form(space: PolySpace, f: Dict[int, List[int]], coeffs: Sequence[int],
+                const: int, acc: Dict[int, List[int]]) -> Dict[int, List[int]]:
+    """acc += f * (coeffs . x + const), unreduced.  A dense polynomial maps a
+    degree r to its block, the coefficients of the degree-r monomials in rank
+    order; x_i takes rank m of degree r to ``space._successors[r][i][m]``."""
+    for r, a in f.items():
+        if const:
+            acc[r] = [y + const * x for x, y in zip(a, acc.get(r) or [0] * len(a))]
+        b = acc.get(r + 1) or acc.setdefault(r + 1, [0] * _num_monomials(space.v, r + 1))
+        for col, c in zip(space._successors[r], coeffs):
+            if c:
+                for k, x in zip(col, a):
+                    b[k] += c * x
+    return acc
+
+
+def _vector(space: PolySpace, p: int, f: Dict[int, List[int]]) -> List[int]:
+    """The coefficient vector of f mod p: its degree-d block, or on an at-most
+    space the blocks of degrees d, d-1, ..., 0."""
+    degrees = [space.d] if space.homogeneous else range(space.d, -1, -1)
+    return [x % p for r in degrees for x in f.get(r) or [0] * _num_monomials(space.v, r)]
+
+
 def det_projection(
     field: PrimeField, space: PolySpace, n: int, params: Sequence[int]
-) -> SparsePoly:
-    """det(L(x)) for the n x n matrix L of affine forms in the space's
-    variables that params lays out entry-major: per entry its v coefficients,
-    then its constant when the space is not homogeneous.
+) -> List[int]:
+    """The coefficient vector of det(L(x)), L the n x n matrix of affine forms
+    in the space's variables that params lays out entry-major: per entry its
+    v coefficients, then its constant when the space is not homogeneous.
 
     The determinant is expanded by cofactors along the rows, memoized on
-    column subsets: after row r, minors[S] is the determinant of rows 0..r
-    restricted to the columns in the bitmask S, |S| = r + 1.  That takes
+    column subsets: after row r, minors[S] is the dense determinant of rows
+    0..r restricted to the columns in the bitmask S, |S| = r + 1.  That takes
     n * 2^(n-1) products of a linear form by a minor and no division, so it
     is exact over every prime field."""
-    v = space.v
+    v, p = space.v, field.p
     width = v if space.homogeneous else v + 1
     if len(params) != n * n * width:
         raise ArityMismatch(f"expected {n * n * width} parameters, got {len(params)}")
-    entries = [
-        SparsePoly.linear(field, params[i : i + v], 0 if width == v else params[i + v])
-        for i in range(0, len(params), width)
-    ]
-    minors = {0: SparsePoly.constant(field, v, 1)}
+    minors = {0: {0: [1]}}
     for r in range(n):
-        grown: Dict[int, SparsePoly] = {}
+        grown: Dict[int, Dict[int, List[int]]] = {}
         for s, minor in minors.items():
             for j in range(n):
                 if s >> j & 1:
                     continue
-                term = entries[r * n + j].mul(minor)
+                i, t = (r * n + j) * width, s | 1 << j
                 # the sign of entry (r, j) in the minor on S | {j}
-                if (s >> j).bit_count() & 1:
-                    term = -term
-                t = s | 1 << j
-                grown[t] = grown[t] + term if t in grown else term
-        minors = grown
-    return minors[(1 << n) - 1]
+                sign = -1 if (s >> j).bit_count() & 1 else 1
+                _times_form(space, minor, [sign * c for c in params[i : i + v]],
+                            sign * params[i + v] if width > v else 0, grown.setdefault(t, {}))
+        minors = {t: {d: [x % p for x in b] for d, b in f.items()} for t, f in grown.items()}
+    return _vector(space, p, minors[(1 << n) - 1])
 
 
 def sps_build(
-    field: PrimeField, v: int, products: Sequence[Sequence[SparsePoly]]
-) -> SparsePoly:
-    """Sum over the given products of polynomials in v variables."""
-    acc = SparsePoly.zero(field, v)
-    for factors in products:
-        term = SparsePoly.constant(field, v, 1)
-        for f in factors:
-            term = term.mul(f)
-        acc = acc + term
-    return acc
+    field: PrimeField, space: PolySpace, products: Sequence[Sequence[Sequence[int]]]
+) -> List[int]:
+    """The coefficient vector of the sum over the given nonempty products of
+    linear forms, each form its v coefficients."""
+    acc: Dict[int, List[int]] = {}
+    for *head, last in products:
+        term = {0: [1]}
+        for coeffs in head:
+            term = {d: [x % field.p for x in b]
+                    for d, b in _times_form(space, term, coeffs, 0, {}).items()}
+        _times_form(space, term, last, 0, acc)
+    return _vector(space, field.p, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +381,11 @@ class FamilyDescriptor:
     """A named, finitely parameterized class of polynomials in one space.
 
     The family is a map G from parameter tuples, one value per slot of
-    ``param_ranges``, to members, each a SparsePoly: ``member_from_params``
-    evaluates it.  For every class but sparse, each coefficient of G(params)
-    is a polynomial of total degree ``param_degree`` in the parameters, so
-    the family is also a generator, a candidate succinct hitting set.
+    ``param_ranges``, to members, each built as its coefficient vector in
+    the space's coordinates: ``member_from_params`` evaluates it.  For every
+    class but sparse, each coefficient of G(params) is a polynomial of total
+    degree ``param_degree`` in the parameters, so the family is also a
+    generator, a candidate succinct hitting set.
     ``param_degrees`` gives, per slot, the degree c_i of G in that one
     parameter: 2 for squares, 1 for every slot of the other classes, and
     None for the rank slots of a sparse family.  A test polynomial T of
@@ -459,42 +480,43 @@ class FamilyDescriptor:
         None for sparse families, whose rank parameters are not polynomial."""
         return self._generator[2]
 
-    def member_from_params(self, params: Sequence[int]) -> SparsePoly:
-        """G(params): the member those parameters name, checked against the
-        declared space by ``validate_member``."""
+    def member_from_params(self, params: Sequence[int]) -> List[int]:
+        """G(params): the coefficient vector of the member those parameters
+        name, checked by ``validate_member``."""
         ranges, member = self._generator[0], self._generator[3]
         if len(params) != len(ranges):
             raise ArityMismatch(f"expected {len(ranges)} parameters, got {len(params)}")
         for x, r in zip(params, ranges):
             if not 0 <= x < r:
                 raise ValueError(f"parameter {x} outside its range [0, {r})")
-        poly = member(self, params)
-        if not validate_member(self, poly):
+        vec = member(self, params)
+        if not validate_member(self, vec):
             raise AssertionError("sampler produced an invalid member")
-        return poly
+        return vec
 
     # the member maps call det_projection and sps_build by module name (patchable)
-    def _squares(self, params: Sequence[int]) -> SparsePoly:
-        return SparsePoly.linear(self.field, params).pow(2)
+    def _squares(self, params: Sequence[int]) -> List[int]:
+        return sps_build(self.field, self.space, [[params, params]])
 
-    def _full_space(self, params: Sequence[int]) -> SparsePoly:
-        return SparsePoly.from_coeff_vector(self.field, self.space, list(params))
+    def _full_space(self, params: Sequence[int]) -> List[int]:
+        return list(params)
 
-    def _det_projection(self, params: Sequence[int]) -> SparsePoly:
+    def _det_projection(self, params: Sequence[int]) -> List[int]:
         return det_projection(self.field, self.space, self.n, params)
 
-    def _sps(self, params: Sequence[int]) -> SparsePoly:
+    def _sps(self, params: Sequence[int]) -> List[int]:
         # a linear form per v parameters; summand i takes the next product_degrees[i]
         v = self.space.v
-        forms = (SparsePoly.linear(self.field, params[i : i + v])
-                 for i in range(0, len(params), v))
-        return sps_build(self.field, v, [list(itertools.islice(forms, k))
-                                         for k in self.product_degrees or ()])
+        forms = (params[i : i + v] for i in range(0, len(params), v))
+        return sps_build(self.field, self.space, [list(itertools.islice(forms, k))
+                                                  for k in self.product_degrees or ()])
 
-    def _sparse(self, params: Sequence[int]) -> SparsePoly:
+    def _sparse(self, params: Sequence[int]) -> List[int]:
         # s monomial ranks, then their s coefficients; repeated ranks add up
-        s, unrank = self.sparsity, self.space.unrank
-        return SparsePoly(self.field, self.space.v, zip(map(unrank, params[:s]), params[s:]))
+        s, vec = self.sparsity, [0] * self.space.dimension
+        for r, c in zip(params[:s], params[s:]):
+            vec[r] = (vec[r] + c) % self.field.p
+        return vec
 
     def to_json(self) -> dict:
         out = {
@@ -519,18 +541,17 @@ class FamilyDescriptor:
                    data.get("n", 0), fanin, degs, sparsity)
 
 
-def validate_member(desc: FamilyDescriptor, poly: SparsePoly) -> bool:
-    """Structural check of a member: it lies in the declared space, and a
-    sparse member has at most s terms.  ``member_from_params`` runs this on
-    every member it builds."""
-    if not poly.fits_space(desc.space):
-        return False
-    return desc.sparsity is None or len(poly._terms) <= desc.sparsity
+def validate_member(desc: FamilyDescriptor, vec: Sequence[int]) -> bool:
+    """Structural check of a member's coefficient vector: it has the space's
+    dimension, and a sparse member at most s nonzero coordinates.
+    ``member_from_params`` runs this on every member it builds."""
+    return len(vec) == desc.space.dimension and (
+        desc.sparsity is None or len(vec) - vec.count(0) <= desc.sparsity)
 
 
 def sample_family_with_params(
     desc: FamilyDescriptor, seed: int
-) -> Tuple[Tuple[int, ...], SparsePoly]:
+) -> Tuple[Tuple[int, ...], List[int]]:
     """(params, member) for a uniform draw of the parameters; deterministic
     in (descriptor, seed)."""
     params = next(_seeded_draws(desc.param_ranges(), 1, seed))

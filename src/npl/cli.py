@@ -407,7 +407,7 @@ def _run_gen(plan: ExperimentPlan) -> Report:
                     f"monomials, more than the term cap of {DEFAULT_TERM_CAP}"
                 )
             member = sample_family_with_params(desc, plan.seed)[1]
-            row["sample_nonzero_coords"] = len(member._terms)
+            row["sample_nonzero_coords"] = len(member) - member.count(0)
         rows.append(row)
     return {"generators": rows}, 0, {}
 

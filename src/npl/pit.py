@@ -355,12 +355,11 @@ def succinct_hitting_check(
     re-evaluated on it before it is reported.
     """
     _check_spaces(desc, T)
-    space = desc.space
 
     def member(params: Tuple[int, ...]):
         """0 where T vanishes on the member at ``params``, else (T-value,
         coefficient vector)."""
-        cv = desc.member_from_params(params).coeff_vector(space)
+        cv = desc.member_from_params(params)
         return (t := T.eval_at(cv)) and (t, cv)
 
     ranges = desc.param_ranges()
@@ -396,9 +395,9 @@ def succinct_hitting_check(
         witness_params, (witness_value, cv) = witness
         again = desc.member_from_params(witness_params)
         evaluated += 1
-        if (rebuilt := again.coeff_vector(space)) != cv or T.eval_at(rebuilt) != witness_value:
+        if again != cv or T.eval_at(again) != witness_value:
             raise AssertionError("witness failed its rebuild and re-evaluation")
-        witness_poly = again.to_json()
+        witness_poly = SparsePoly.from_coeff_vector(desc.field, desc.space, again).to_json()
     return HitReport(
         meta_id=getattr(T, "meta_id", "meta"),
         family=desc,

@@ -299,14 +299,14 @@ def affine_poly(field: PrimeField, coeffs: Sequence[int], const: int = 0) -> Spa
 
 def unit_form(field: PrimeField, v: int, i: int) -> SparsePoly:
     """The variable x_i of v, as the linear form on the i-th unit vector."""
-    return SparsePoly.linear(field, [int(j == i) for j in range(v)])
+    return affine_poly(field, [int(j == i) for j in range(v)])
 
 
 def compose_linear(f: SparsePoly, A: Sequence[Sequence[int]]) -> SparsePoly:
     """f o A, the polynomial f(A x): x_i becomes the linear form on row i of
     A, and each term is multiplied out with ``mul`` and ``pow``."""
     v = len(A[0])
-    forms = [SparsePoly.linear(f.field, row) for row in A]
+    forms = [affine_poly(f.field, row) for row in A]
     out = SparsePoly.zero(f.field, v)
     for e, c in f.terms.items():
         term = SparsePoly.constant(f.field, v, c)

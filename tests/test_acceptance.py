@@ -198,7 +198,7 @@ def test_criterion_05_generator_accounting():
                 for j in range(n):
                     base = (i * n + j) * (n * n)
                     seed[base + i * n + j] = 1
-            cv = g.member_from_params(seed).coeff_vector(g.space)
+            cv = g.member_from_params(seed)
             # a generic n x n determinant has n! monomials with +-1 coeffs
             from math import factorial
 
@@ -220,7 +220,7 @@ def test_criterion_06_generator_hitting():
         for i, T in enumerate(metas):
             r = succinct_hitting_check(g, T, trials=10**5, seed=6000 + i)
             if r.outcome == "witness":
-                cv = g.member_from_params(r.witness_params).coeff_vector(g.space)
+                cv = g.member_from_params(r.witness_params)
                 assert T.eval_at(cv) == r.witness_value != 0
                 hits += 1
         assert hits == 60, f"{hits}/60 hit"

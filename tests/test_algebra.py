@@ -134,6 +134,51 @@ class TestPolySpaceIndex:
             assert list(sp.monomials()) == [sp.unrank(i) for i in range(sp.dimension)]
 
 
+class TestProductTables:
+    # the tables depend on v and d only; at d >= 256 a field is wider than 8 bits
+    SPACES = [PolySpace(1, 4, True), PolySpace(3, 3, True), PolySpace(4, 4, True),
+              PolySpace(3, 4, False), PolySpace(2, 257, True)]
+
+    @pytest.mark.parametrize("space", SPACES, ids=repr)
+    def test_successors_against_rank(self, space):
+        # succ[r][i][m] is the rank, in degree r + 1, of x_i times the
+        # degree-r monomial of rank m; at d >= 256 a field is wider than 8 bits
+        v, succ = space.v, space._successors
+        assert len(succ) == space.d
+        for r, table in enumerate(succ):
+            low, high = PolySpace(v, r, True), PolySpace(v, r + 1, True)
+            assert len(table) == v
+            for i, col in enumerate(table):
+                assert len(col) == low.dimension
+                for m, got in enumerate(col):
+                    e = list(low.unrank(m))
+                    e[i] += 1
+                    assert got == high.rank(tuple(e)), (r, i, m)
+
+    def test_tables_only_for_products(self):
+        # coeff_vector and a minor meta rank by the lazy memo: a space past the
+        # table cap still takes them, and no table is built
+        space = PolySpace(2, 1200, True)
+        f = SparsePoly(F7, 2, {(1200, 0): 3, (600, 600): 1})
+        assert f.coeff_vector(space)[:1] == [3] and f.coeff_vector(space)[600] == 1
+        from npl.meta import MinorMeta, MinorSelection, RankMethodSpec
+        spec = RankMethodSpec("partials", 4, 0, MinorSelection("leading", 3))
+        MinorMeta(spec, space, PrimeField(2**31 - 1))
+        assert "_successors" not in vars(space)
+
+    def test_tables_belong_to_the_instance_and_are_capped(self):
+        # each space builds its own tables, once; none is shared through a cache
+        a, b = PolySpace(3, 3, True), PolySpace(3, 3, True)
+        assert a == b and a._successors is a._successors
+        assert a._successors == b._successors and a._successors is not b._successors
+        # d times the degree-d block's ranks: refused, before any is built, past
+        # the table cap (2048 * 2049 ranks) or when the block passes the term cap
+        for space in (PolySpace(2, 2048, True), PolySpace(40, 6, True)):
+            with pytest.raises(TermCapExceeded, match="past a cap of 4194304 or 1048576"):
+                space._successors
+        assert len(PolySpace(2, 1200, True)._successors) == 1200
+
+
 class TestPolySpace:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -285,37 +330,6 @@ class TestArithmetic:
             unit_form(F7, 1, 0) + unit_form(F7, 2, 0)
 
 
-class TestLinear:
-    """``SparsePoly.linear`` builds through the trusted ``_make``, so it must
-    pack exactly as the validating constructor does."""
-
-    @pytest.mark.parametrize("p", [7, 2**64 - 59])
-    def test_matches_validating_constructor(self, p):
-        field = PrimeField(p)
-        rng = random.Random(p)
-        cases = [
-            ((2, 3), 1),
-            ((p + 2, -3, 2 * p), -1),  # unreduced and negative coefficients
-            ((0, 0, 0), p),  # the zero form
-            ((0, 0), 5 * p + 4),  # constant only
-            ((-1,), 0), ((3,), 2), ((p,), 0),  # v = 1
-            ((), 3),
-        ]
-        cases += [(tuple(rng.randrange(-p, 2 * p) * rng.randrange(2) for _ in range(v)),
-                   rng.randrange(-p, 2 * p) * rng.randrange(2))
-                  for v in range(1, 13) for _ in range(4)]
-        for coeffs, const in cases:
-            got = SparsePoly.linear(field, coeffs, const)
-            want = affine_poly(field, coeffs, const)
-            assert got == want and hash(got) == hash(want)
-            assert (got.v, got._terms, got._d, got._w, got._span) == (
-                want.v, want._terms, want._d, want._w, want._span)
-            assert got.to_json() == want.to_json()
-        assert SparsePoly.linear(F7, (2, 3), 1) == SparsePoly(
-            F7, 2, {(1, 0): 2, (0, 1): 3, (0, 0): 1})
-        assert SparsePoly.linear(F7, (1, 5)) == SparsePoly.linear(F7, (1, 5), 0)
-
-
 class TestSerialization:
     def test_poly_json_round_trip(self):
         f = SparsePoly(F7, 2, {(2, 0): 3, (1, 1): 5, (0, 2): 2})
@@ -407,10 +421,7 @@ class TestSerialization:
         for build in (lambda: SparsePoly.constant(F7, 1, True),
                       lambda: SparsePoly.constant(F7, 1, 2.5),
                       lambda: SparsePoly.constant(F7, 1, "3"),
-                      lambda: SparsePoly.zero(F7, 1.0),
-                      lambda: SparsePoly.linear(F7, [1.5, 2]),
-                      lambda: SparsePoly.linear(F7, (1, True)),
-                      lambda: SparsePoly.linear(F7, [1, 2], 1.0)):
+                      lambda: SparsePoly.zero(F7, 1.0)):
             with pytest.raises(TypeError, match="expected an integer"):
                 build()
         # and the field, whose modulus a float would turn into float arithmetic

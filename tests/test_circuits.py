@@ -148,11 +148,12 @@ class TestDeterminant:
     def test_generic_2x2(self):
         # entry k of the homogeneous map reads x_k
         params = [int(i == j) for i in range(4) for j in range(4)]
-        det = det_projection(F7, PolySpace(4, 2, True), 2, params)
+        space = PolySpace(4, 2, True)
+        det = det_projection(F7, space, 2, params)
         assert det == SparsePoly(F7, 4, {
             (1, 0, 0, 1): 1,
             (0, 1, 1, 0): 6,
-        })
+        }).coeff_vector(space)
         with pytest.raises(ArityMismatch):
             det_projection(F7, PolySpace(4, 2, True), 2, params[:-1])
 
@@ -161,10 +162,11 @@ class TestDeterminant:
         zero, one = ((0, 0), 0), ((0, 0), 1)
         affine = PolySpace(2, 2, False)
         diag = affine_params([[x, zero], [zero, y]])
-        assert det_projection(F7, affine, 2, diag) == SparsePoly(F7, 2, {(1, 1): 1})
+        assert det_projection(F7, affine, 2, diag) == SparsePoly(
+            F7, 2, {(1, 1): 1}).coeff_vector(affine)
         wheel = affine_params([[x, one], [one, x]])
         assert det_projection(F7, affine, 2, wheel) == SparsePoly(
-            F7, 2, {(2, 0): 1, (0, 0): 6})
+            F7, 2, {(2, 0): 1, (0, 0): 6}).coeff_vector(affine)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_against_cofactor_oracle(self, n):
@@ -178,8 +180,9 @@ class TestDeterminant:
                     for _ in range(n)
                 ]
                 oracle = cofactor_det([[affine_poly(F, *e) for e in row] for row in rows])
-                got = det_projection(F, PolySpace(3, n, False), n, affine_params(rows))
-                assert got == oracle
+                space = PolySpace(3, n, False)
+                got = det_projection(F, space, n, affine_params(rows))
+                assert got == oracle.coeff_vector(space)
 
     def test_block_diagonal_multiplicative(self):
         rng = random.Random(9)
@@ -191,7 +194,8 @@ class TestDeterminant:
         def det(rows):
             n = len(rows)
             params = [x for row in rows for form in row for x in form]
-            return det_projection(F13, PolySpace(8, n, True), n, params)
+            space = PolySpace(8, n, True)
+            return SparsePoly.from_coeff_vector(F13, space, det_projection(F13, space, n, params))
 
         for _ in range(10):
             A = [[rand_form() for _ in range(2)] for _ in range(2)]
@@ -207,23 +211,20 @@ class TestDeterminant:
     def test_affine_entries_in_one_variable(self):
         x, one = ((1,), 0), ((0,), 1)
         wheel = affine_params([[x, one], [one, x]])
-        assert det_projection(F7, PolySpace(1, 2, False), 2, wheel) == SparsePoly(
+        line = PolySpace(1, 2, False)
+        assert det_projection(F7, line, 2, wheel) == SparsePoly(
             F7, 1, {(2,): 1, (0,): 6}
-        )
+        ).coeff_vector(line)
 
 
 class TestBuilders:
     def test_sps_worked(self):
-        x1 = SparsePoly.linear(F7, (1, 0))
-        x2 = SparsePoly.linear(F7, (0, 1))
-        minus = SparsePoly.linear(F7, (1, 6))
-        plus = SparsePoly.linear(F7, (1, 1))
-        c = sps_build(F7, 2, [[plus, minus]])
-        assert c == SparsePoly(F7, 2, {(2, 0): 1, (0, 2): 6})
-        c2 = sps_build(F7, 2, [[x1, x1], [x2, x2]])
-        assert c2 == SparsePoly(F7, 2, {(2, 0): 1, (0, 2): 1})
-        c3 = sps_build(F7, 2, [])
-        assert c3.is_zero
+        # each form is its coefficient tuple, and the result is in (x^2, xy, y^2)
+        sp = PolySpace(2, 2, True)
+        x1, x2, minus, plus = (1, 0), (0, 1), (1, 6), (1, 1)
+        assert sps_build(F7, sp, [[plus, minus]]) == [1, 0, 6]
+        assert sps_build(F7, sp, [[x1, x1], [x2, x2]]) == [1, 0, 1]
+        assert sps_build(F7, sp, []) == [0, 0, 0]
 
 
 class TestFamilies:
@@ -247,14 +248,14 @@ class TestFamilies:
                 params, member = sample_family_with_params(desc, seed)
                 assert desc.member_from_params(params) == member
                 assert validate_member(desc, member)
-                assert member.fits_space(desc.space)
+                assert len(member) == desc.space.dimension
+                assert all(type(c) is int and 0 <= c < 7 for c in member)
         # the structural check rejects what no member of the family can be
         sp = PolySpace(2, 2, True)
         squares = FamilyDescriptor("squares", sp, F7)
-        for outside in (SparsePoly(F7, 2, {(3, 0): 1}), SparsePoly(F7, 2, {(1, 0): 1}),
-                        SparsePoly(F7, 3, {(2, 0, 0): 1})):
+        for outside in ([1, 0], [0, 0, 0, 1], []):
             assert not validate_member(squares, outside)
-        two_terms = SparsePoly(F7, 2, {(2, 0): 1, (0, 2): 3})
+        two_terms = [1, 0, 3]
         for s, valid in ((1, False), (2, True)):
             sparse = FamilyDescriptor("sparse", sp, F7, sparsity=s)
             assert validate_member(sparse, two_terms) is valid
@@ -264,13 +265,15 @@ class TestFamilies:
         for seed in range(20):
             (c0, c1), member = sample_family_with_params(desc, seed)
             form = SparsePoly(F7, 2, {(1, 0): c0, (0, 1): c1})
-            assert member == form * form
+            assert member == (form * form).coeff_vector(desc.space)
 
     def test_det_projection_homogeneous_or_zero(self):
         desc = FamilyDescriptor("det-projection", PolySpace(2, 2, True), F7, n=2)
         for seed in range(100):
-            f = sample_family_with_params(desc, seed)[1]
-            assert f.fits_space(desc.space)
+            params, f = sample_family_with_params(desc, seed)
+            forms = [affine_poly(F7, params[i : i + 2]) for i in range(0, 8, 2)]
+            # coeff_vector refuses a reference that leaves the space
+            assert f == cofactor_det([forms[:2], forms[2:]]).coeff_vector(desc.space)
 
     def test_exhaustive_walk_covers_grid(self):
         # disc vanishes on every square, so the verdict covers all 25 members
@@ -322,7 +325,8 @@ class TestFamilies:
         for i in range(sp.dimension):
             r = succinct_hitting_check(desc, coordinate_meta(sp, F5, i), exhaustive=True)
             assert r.outcome == "witness"
-            assert desc.member_from_params(r.witness_params).to_json() == r.witness_poly
+            member = desc.member_from_params(r.witness_params)
+            assert SparsePoly.from_coeff_vector(F5, sp, member).to_json() == r.witness_poly
 
     def test_descriptor_validation(self, monkeypatch):
         sp = PolySpace(2, 2, True)
@@ -343,8 +347,7 @@ class TestFamilies:
             with pytest.raises(ValueError, match="outside its range"):
                 squares.member_from_params(params)
         # a member map that leaves the space is a library fault
-        monkeypatch.setattr(FamilyDescriptor, "_squares",
-                            lambda desc, params: SparsePoly(F7, 2, {(1, 0): 1}))
+        monkeypatch.setattr(FamilyDescriptor, "_squares", lambda desc, params: [1, 0])
         with pytest.raises(AssertionError, match="sampler produced an invalid member"):
             FamilyDescriptor("squares", sp, F7).member_from_params((0, 0))
 
@@ -388,16 +391,81 @@ class TestFamilies:
     def test_zero_members_kept(self):
         desc = FamilyDescriptor("squares", PolySpace(2, 2, True), F5)
         zero = desc.member_from_params((0, 0))
-        assert zero.is_zero
+        assert zero == [0, 0, 0]
         assert validate_member(desc, zero)
         sparse = FamilyDescriptor("sparse", PolySpace(2, 2, True), F5, sparsity=2)
         zero = sparse.member_from_params((0, 1, 0, 0))
-        assert zero.is_zero
+        assert zero == [0, 0, 0]
         assert validate_member(sparse, zero)
         # repeated ranks add up, to zero too
         sparse = FamilyDescriptor("sparse", PolySpace(2, 2, True), F7, sparsity=3)
-        assert dict(sparse.member_from_params((1, 1, 0, 3, 5, 4)).terms) == {(2, 0): 4, (1, 1): 1}
-        assert sparse.member_from_params((2, 2, 2, 3, 1, 3)).is_zero
+        assert sparse.member_from_params((1, 1, 0, 3, 5, 4)) == [4, 1, 0]
+        assert sparse.member_from_params((2, 2, 2, 3, 1, 3)) == [0, 0, 0]
+
+
+def sparse_member(desc, params):
+    """G(params) by SparsePoly arithmetic, from the documented parameter
+    layout of each class: the reference the dense member maps are held to."""
+    F, sp, cid = desc.field, desc.space, desc.class_id
+    v = sp.v
+    if cid == "squares":
+        return affine_poly(F, params).pow(2)
+    if cid == "full-space":
+        return SparsePoly.from_coeff_vector(F, sp, params)
+    if cid == "sparse":
+        s = desc.sparsity
+        return SparsePoly(F, v, zip(map(sp.unrank, params[:s]), params[s:]))
+    if cid == "det-projection":
+        n, width = desc.n, v if sp.homogeneous else v + 1
+        forms = [affine_poly(F, params[i : i + v], 0 if width == v else params[i + v])
+                 for i in range(0, len(params), width)]
+        return cofactor_det([forms[r * n : (r + 1) * n] for r in range(n)])
+    forms = iter([affine_poly(F, params[i : i + v]) for i in range(0, len(params), v)])
+    acc = SparsePoly.zero(F, v)
+    for k in desc.product_degrees:
+        term = SparsePoly.constant(F, v, 1)
+        for form in itertools.islice(forms, k):
+            term = term * form
+        acc = acc + term
+    return acc
+
+
+@pytest.mark.parametrize("p", (2, 7, 2**31 - 1, 2**61 - 1))
+class TestDenseMembers:
+    """Every member map, which builds in the space's coordinates, against
+    the SparsePoly reference, on homogeneous and at-most spaces."""
+
+    def families(self, F):
+        hom, le = (lambda v, d: PolySpace(v, d, True)), (lambda v, d: PolySpace(v, d, False))
+        return [
+            FamilyDescriptor("squares", hom(3, 2), F),
+            FamilyDescriptor("det-projection", hom(3, 2), F, n=2),
+            FamilyDescriptor("det-projection", hom(3, 3), F, n=3),
+            FamilyDescriptor("det-projection", le(2, 3), F, n=3),  # affine entries
+            FamilyDescriptor("det-projection", le(1, 4), F, n=4),
+            FamilyDescriptor("sps", hom(3, 3), F, top_fanin=2),
+            FamilyDescriptor("sps", le(3, 4), F, top_fanin=3, product_degrees=(4, 2, 1)),
+            FamilyDescriptor("sparse", le(3, 3), F, sparsity=3),
+            FamilyDescriptor("full-space", le(2, 3), F),
+            # exponent fields wider than 8 bits
+            FamilyDescriptor("sps", hom(2, 300), F, top_fanin=1),
+            FamilyDescriptor("sps", le(2, 300), F, top_fanin=2, product_degrees=(300, 7)),
+        ]
+
+    def test_against_sparse_products(self, p):
+        F = PrimeField(p)
+        rng = random.Random(p)
+        for desc in self.families(F):
+            for trial in range(4):
+                # half the draws put zeros in about half the slots
+                params = tuple(0 if trial % 2 and rng.random() < 0.5 else rng.randrange(r)
+                               for r in desc.param_ranges())
+                got = desc.member_from_params(params)
+                assert got == sparse_member(desc, params).coeff_vector(desc.space), \
+                    (desc.class_id, desc.space, params)
+            ones = tuple(1 % r for r in desc.param_ranges())
+            assert desc.member_from_params(ones) == \
+                sparse_member(desc, ones).coeff_vector(desc.space), desc.class_id
 
 
 class TestSeedDerivation:
@@ -469,7 +537,8 @@ class TestParamDegree:
         for _ in range(5):
             params = tuple(rng.randrange(r) for r in desc.param_ranges())
             want = sympy_terms(G.as_expr().subs(dict(zip(a, params))), xs, p)
-            assert dict(desc.member_from_params(params).terms) == want
+            assert desc.member_from_params(params) == SparsePoly(
+                desc.field, desc.space.v, want).coeff_vector(desc.space)
 
     @pytest.mark.parametrize("desc", CASES, ids=lambda d: d.class_id)
     def test_param_degrees_sound_and_tight(self, desc):
@@ -492,8 +561,7 @@ class TestParamDegree:
         for ranks in itertools.product(range(3), repeat=2):
             for slot in (2, 3):
                 line = [sparse.member_from_params(ranks + tuple(
-                    t if i == slot else 1 for i in (2, 3))).coeff_vector(sparse.space)
-                    for t in range(3)]
+                    t if i == slot else 1 for i in (2, 3))) for t in range(3)]
                 assert line[1] != line[0]
                 assert all((x - 2 * y + z) % 5 == 0 for x, y, z in zip(*line))
 
@@ -632,7 +700,9 @@ class TestAgainstSympy:
                 [(tuple(rng.randrange(p) for _ in xs), rng.randrange(p)) for _ in range(n)]
                 for _ in range(n)
             ]
-            got = det_projection(F, PolySpace(3, n, False), n, affine_params(forms))
+            space = PolySpace(3, n, False)
+            got = det_projection(F, space, n, affine_params(forms))
             M = sympy.Matrix(n, n, lambda i, j: sum(
                 c * x for c, x in zip(forms[i][j][0], xs)) + forms[i][j][1])
-            assert dict(got.terms) == sympy_terms(M.det(method="laplace"), xs, p)
+            want = sympy_terms(M.det(method="laplace"), xs, p)
+            assert got == SparsePoly(F, 3, want).coeff_vector(space)

@@ -223,6 +223,23 @@ class TestExitCodes:
         assert json.loads(out)["body"]["result"]["hit_report"]["outcome"] == \
             "witness"
 
+    def test_hit_check_long_products_in_two_variables(self, capsys):
+        # one product of 1200 linear forms: 1201 monomials and tables of
+        # 1200 * 1201 ranks, inside both caps, so its witness is found
+        code, out, _ = run_cli(capsys, "hit-check", "--meta", "coord:0", "--family", "sps:t=1",
+                               "--space", "1200:2", "--trials", "2")
+        assert code == 1
+        report = json.loads(out)["body"]["result"]["hit_report"]
+        assert report["outcome"] == "witness" and len(report["witness"]["poly"]["terms"]) == 1201
+        # at degree 2048 the tables would hold 2048 * 2049 ranks: refused before any is built
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "hit-check", "--meta", "coord:0", "--family", "sps:t=1",
+                                 "--space", "2048:2", "--trials", "2")
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert err == ("npl: error: the tables of Poly^2048(2) hold 4196352 ranks over 2049 "
+                       "top monomials, past a cap of 4194304 or 1048576\n")
+
     def test_audit(self, workdir, capsys):
         code, out, _ = run_cli(
             capsys, "audit", "--meta", "disc", "--family", "squares",

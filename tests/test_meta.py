@@ -293,8 +293,12 @@ class TestRankFactsAtLargePrimes:
         field = PrimeField(p)
         cut = set()  # the bounds below the matrix's smaller side, which bite
 
+        def member(desc, seed):
+            cv = sample_family_with_params(desc, seed)[1]
+            return SparsePoly.from_coeff_vector(field, desc.space, cv)
+
         def check(desc, seed, k, bound):
-            f = sample_family_with_params(desc, seed)[1]
+            f = member(desc, seed)
             matrix = partials_matrix(f, k)
             assert rank_mod_p(matrix)[0] <= bound, (desc.class_id, seed, desc.space, k)
             if bound < min(matrix.shape):
@@ -312,7 +316,7 @@ class TestRankFactsAtLargePrimes:
                     check(desc, seed, k, comb(n, k) ** 2)
             for v in (2, 3, 4):
                 desc = FamilyDescriptor("squares", PolySpace(v, 2, True), field)
-                f = sample_family_with_params(desc, seed)[1]
+                f = member(desc, seed)
                 assert rank_mod_p(partials_matrix(f, 1))[0] == 1, (seed, v)
         assert cut == {"sps", "det-projection"}
 

@@ -546,7 +546,7 @@ class TestEngineAgreement:
 
 
 def coeffs_at(desc, params):
-    return desc.member_from_params(params).coeff_vector(desc.space)
+    return desc.member_from_params(params)
 
 
 class TestGenerator:
@@ -740,7 +740,7 @@ class TestHittingCheck:
             1
             for t in range(30)
             if discriminant(F7).eval_at(
-                sample_family_with_params(full, derive_seed(1, t))[1].coeff_vector(SP22),
+                sample_family_with_params(full, derive_seed(1, t))[1],
             )
         ) == 30
         # an audit builds all of the seeded draws, in order, past its first
@@ -781,8 +781,9 @@ class TestHittingCheck:
         real, builds = npl.circuits.det_projection, itertools.count(1)
 
         def drifting(field, space, n, params):
-            drift = SparsePoly(field, space.v, {(2, 0): next(builds)})
-            return real(field, space, n, params) + drift
+            vec = real(field, space, n, params)
+            vec[space.rank((2, 0))] = (vec[space.rank((2, 0))] + next(builds)) % field.p
+            return vec
 
         monkeypatch.setattr(npl.circuits, "det_projection", drifting)
         desc = FamilyDescriptor("det-projection", SP22, F7, n=2)
@@ -829,9 +830,10 @@ def direct_walk(desc, T):
     for params in itertools.product(*map(range, desc.param_ranges())):
         member = desc.member_from_params(params)
         examined += 1
-        val = T.eval_at(member.coeff_vector(desc.space))
+        val = T.eval_at(member)
         if val:
-            return examined, zeros, params, member.to_json(), val
+            poly = SparsePoly.from_coeff_vector(desc.field, desc.space, member)
+            return examined, zeros, params, poly.to_json(), val
         zeros += 1
     return examined, zeros, None, None, None
 
@@ -902,7 +904,7 @@ class TestFamilyWalk:
             walked = builds[:]
             assert r.exhausted and r.points_evaluated == len(walked)
             assert T.seen[: len(walked)] == [
-                tuple(desc.member_from_params(params).coeff_vector(desc.space))
+                tuple(desc.member_from_params(params))
                 for params in walked
             ], desc.class_id
             assert len(walked) <= math.prod(
