@@ -66,8 +66,8 @@ MUTANTS = [
            "scale = [pow(prod(map(fact.__getitem__, t)), 1, p)",
            "tests/test_golden.py::test_golden_body"),
     Mutant("g-without-m-factorial", "meta.py",
-           "g = {key: c * prod(map(fact.__getitem__, unpack(key))) % p",
-           "g = {key: c % p", "tests/test_acceptance.py::test_criterion_03_rank_method_shape"),
+           "g = {_pack(e, w): c * prod(map(fact.__getitem__, e)) % p",
+           "g = {_pack(e, w): c % p", "tests/test_acceptance.py::test_criterion_03_rank_method_shape"),
     Mutant("rank-in-the-wide-orientation", "meta.py",
            "if not matrix.shift and len(tails) > len(derivs):",
            "if not matrix.shift and len(tails) < len(derivs):",
@@ -161,6 +161,14 @@ MUTANTS = [
     Mutant("unrank-skips-by-a-short-count", "algebra.py",
            "r >= (held := _num_monomials(v - i, rem - 1))",
            "r >= (held := _num_monomials(v - i - 1, rem - 1))",
+           "tests/test_acceptance.py::test_criterion_01_monomial_indexing"),
+    Mutant("product-width-one-degree-short", "algebra.py",
+           "w = _width(self.degree + other.degree)", "w = _width(self.degree + other.degree - 1)",
+           "tests/test_algebra.py::TestPackedCoreAgainstSympy::"
+           "test_products_across_the_width_boundary"),
+    Mutant("at-most-rank-one-block-short", "algebra.py",
+           "r += self.dimension - _num_monomials(self.v + 1, deg)",
+           "r += self.dimension - _num_monomials(self.v + 1, deg + 1)",
            "tests/test_acceptance.py::test_criterion_01_monomial_indexing"),
     Mutant("table-cap-dropped", "algebra.py", " or self.d * top > _TABLE_CAP:", ":",
            "tests/test_algebra.py::TestProductTables::"

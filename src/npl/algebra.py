@@ -4,18 +4,17 @@ Representation notes:
 
 * Field values are canonical integers in ``[0, p)``; polynomial and matrix
   internals stay on raw ints for speed, with the field carried alongside.
-* A monomial is a vector of non-negative exponents, one per variable, and
-  the public API speaks tuples: ``terms``, ``to_json``, ``coeff_vector`` and
-  the rank and unrank of a ``PolySpace``.  Inside ``SparsePoly`` a monomial
-  is one int with a w-bit field per variable, variable 0 in the top field,
-  so int order is tuple lex order and multiplying monomials is adding ints
-  (the packed layout of Monagan & Pearce, "Parallel sparse polynomial
-  multiplication using heaps", ISSAC 2009).  Each polynomial carries a bound
-  on its total degree and w is sized from it (at least ``_MIN_WIDTH`` bits):
-  every monomial's total degree stays below 2^w, so no exponent sum carries
-  across fields, and a product whose bound needs more bits is computed at a
-  wider w.  A polynomial is a map from monomial to nonzero canonical
-  coefficient; the zero polynomial is the empty map and has degree -1.
+* A monomial is a tuple of non-negative exponents, one per variable, and a
+  polynomial is a map from monomial to nonzero canonical coefficient; the
+  zero polynomial is the empty map and has degree -1.  The loops that add
+  monomials (``SparsePoly.mul``, the derivative matrices of ``meta`` and a
+  space's successor tables) pack each one into an int with a w-bit field
+  per variable, variable 0 in the top field, so int order is tuple lex
+  order and multiplying monomials is adding ints (the packed layout of
+  Monagan & Pearce, "Parallel sparse polynomial multiplication using
+  heaps", ISSAC 2009).  w is sized from the largest total degree a loop
+  reaches (``_width``, at least ``_MIN_WIDTH`` bits), so no exponent sum
+  carries across fields.
 * Every input value is checked once, by its type's constructor, which holds
   each integer field to one rule (``_json_int``) and stores a plain int:
   ``from_json`` only reads the JSON and hands the constructor its keys, and
@@ -49,7 +48,7 @@ _TABLE_CAP = 1 << 22  # ranks in a space's successor tables, about 250 MB to bui
 # Refuse to build spaces whose dense dimension cannot be addressed.
 MAX_SPACE_DIM = 1 << 26
 
-# packed exponent fields are at least this wide, so degrees below 256 never repack
+# packed exponent fields are at least this wide, so degrees below 256 pack by bytes
 _MIN_WIDTH = 8
 
 
@@ -190,9 +189,9 @@ class PolySpace:
         deg = sum(e)
         r = _hom_rank(e, deg)
         if not self.homogeneous:
-            # blocks of degree d, d-1, ..., deg+1 precede this one
-            for dd in range(self.d, deg, -1):
-                r += _num_monomials(self.v, dd)
+            # blocks of degree d, d-1, ..., deg+1 precede this one: all the
+            # monomials of degree <= d but those of degree <= deg
+            r += self.dimension - _num_monomials(self.v + 1, deg)
         return r
 
     def unrank(self, i: int) -> Exponents:
@@ -219,12 +218,6 @@ class PolySpace:
                     for s in (degrees if i == v - 1 else range(d + 1))}
         for dd in degrees:
             yield from ends[dd]
-
-    @cached_property
-    def _ranks(self) -> Dict[int, int]:
-        """Ranks of the monomials met so far, by packed key at the width
-        ``_width(d)``; filled by ``SparsePoly.coeff_vector``."""
-        return {}
 
     @cached_property
     def _successors(self) -> List[List[List[int]]]:
@@ -315,28 +308,18 @@ def _unpacker(v: int, w: int) -> Callable[[int], Exponents]:
     return lambda k: tuple([k >> s & mask for s in shifts])
 
 
-def _degree_of(v: int, w: int) -> Callable[[int], int]:
-    """The map from a packed key to its total degree.  Multiplying by a one in
-    every field sums all fields into the top one; no partial sum carries,
-    since every total degree is below 2^w."""
-    ones = _pack((1,) * v, w)
-    top = w * (v - 1) if v else 0
-    mask = (1 << w) - 1
-    return lambda k: k * ones >> top & mask
-
-
 class SparsePoly:
     """Sparse multivariate polynomial over a prime field.
 
     Instances behave as immutable values: all arithmetic returns new objects
-    and the term map is exposed only as a read-only copy, which is what makes
+    and the term map is exposed only as a read-only view, which is what makes
     polynomials safe to share across threads and to reuse as dict keys.
     """
 
-    # _terms maps packed monomials to coefficients; _d bounds the total degree
-    # and _w = _width(_d); _span is the (lowest, highest) total degree of the
-    # terms once known, None before that and for zero
-    __slots__ = ("field", "v", "_terms", "_d", "_w", "_span")
+    # _terms maps exponent tuples to coefficients in [1, p); _span is the
+    # (lowest, highest) total degree of the terms once read, None before that
+    # and for zero
+    __slots__ = ("field", "v", "_terms", "_span")
 
     def __init__(self, field: PrimeField, v: int,
                  terms: Mapping[Exponents, int] | Iterable[Tuple[Exponents, int]]):
@@ -356,31 +339,15 @@ class SparsePoly:
                 raise ValueError(f"bad exponent tuple {e} for {v} variables")
             summed[e] = get(e, 0) + (c if type(c) is int else _json_int(c))
         p = field.p
-        summed = {e: r for e, c in summed.items() if (r := c % p)}
-        degs = list(map(sum, summed))
-        w = _width(d := max(degs, default=0))
-        self.field, self.v, self._d, self._w = field, v, d, w
-        self._terms = {_pack(e, w): c for e, c in summed.items()}
-        self._span = (min(degs), d) if degs else None
+        self.field, self.v, self._span = field, v, None
+        self._terms = {e: r for e, c in summed.items() if (r := c % p)}
 
     @classmethod
-    def _make(
-        cls,
-        field: PrimeField,
-        v: int,
-        terms: Dict[int, int],
-        d: int,
-        span: Optional[Tuple[int, int]] = None,
-    ) -> "SparsePoly":
-        """Trusted constructor of arithmetic results: terms are packed at
-        _width(d), coefficients lie in [1, p), and no total degree exceeds d."""
+    def _make(cls, field: PrimeField, v: int, terms: Dict[Exponents, int]) -> "SparsePoly":
+        """Trusted constructor of arithmetic results: each key holds v
+        non-negative ints, and coefficients lie in [1, p)."""
         f = object.__new__(cls)
-        f.field = field
-        f.v = v
-        f._terms = terms
-        f._d = d
-        f._w = _width(d)
-        f._span = span
+        f.field, f.v, f._terms, f._span = field, v, terms, None
         return f
 
     # -- constructors -------------------------------------------------
@@ -394,7 +361,7 @@ class SparsePoly:
         if (v := _json_int(v)) < 0:
             raise ValueError("negative variable count")
         c = _json_int(c) % field.p
-        return cls._make(field, v, {0: c} if c else {}, 0, (0, 0) if c else None)
+        return cls._make(field, v, {(0,) * v: c} if c else {})
 
     @classmethod
     def from_coeff_vector(cls, field: PrimeField, space: PolySpace,
@@ -407,9 +374,8 @@ class SparsePoly:
 
     @property
     def terms(self) -> Mapping[Exponents, int]:
-        """A read-only copy of the term map, keyed by exponent tuples."""
-        unpack = _unpacker(self.v, self._w)
-        return MappingProxyType({unpack(k): c for k, c in self._terms.items()})
+        """A read-only view of the term map, keyed by exponent tuples."""
+        return MappingProxyType(self._terms)
 
     @property
     def is_zero(self) -> bool:
@@ -417,9 +383,9 @@ class SparsePoly:
 
     def _degrees(self) -> Optional[Tuple[int, int]]:
         """(lowest, highest) total degree of the terms, None for zero; read
-        from the packed keys at most once."""
+        from the terms at most once."""
         if self._span is None and self._terms:
-            degs = list(map(_degree_of(self.v, self._w), self._terms))
+            degs = list(map(sum, self._terms))
             self._span = (min(degs), max(degs))
         return self._span
 
@@ -446,24 +412,10 @@ class SparsePoly:
     def coeff_vector(self, space: PolySpace) -> List[int]:
         if not self.fits_space(space):
             raise SpaceMismatch(f"polynomial does not fit {space}")
-        # every degree is at most space.d, so the memo's width holds the terms
-        w = _width(space.d)
-        terms = self._packed(w)
-        ranks = space._ranks
         vec = [0] * space.dimension
-        for k, c in terms.items():
-            r = ranks.get(k)
-            if r is None:
-                r = ranks[k] = space.rank(_unpacker(space.v, w)(k))
-            vec[r] = c
+        for e, c in self._terms.items():
+            vec[space.rank(e)] = c
         return vec
-
-    def _packed(self, w: int) -> Dict[int, int]:
-        """The term map packed at width w, which must hold every exponent."""
-        if w == self._w:
-            return self._terms
-        unpack = _unpacker(self.v, self._w)
-        return {_pack(unpack(k), w): c for k, c in self._terms.items()}
 
     # -- arithmetic ----------------------------------------------------
 
@@ -479,34 +431,31 @@ class SparsePoly:
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_compatible(other)
-        w = max(self._w, other._w)
-        b = other._packed(w)
         p = self.field.p
-        out = dict(self._packed(w))
+        out = dict(self._terms)
         get = out.get
-        for k, c in b.items():
-            s = get(k, 0) + c
+        for e, c in other._terms.items():
+            s = get(e, 0) + c
             if s >= p:
                 s -= p
             if s:
-                out[k] = s
+                out[e] = s
             else:
-                del out[k]
-        return SparsePoly._make(self.field, self.v, out, max(self._d, other._d))
+                del out[e]
+        return SparsePoly._make(self.field, self.v, out)
 
     def __neg__(self) -> "SparsePoly":
         p = self.field.p
-        terms = {k: p - c for k, c in self._terms.items()}
-        return SparsePoly._make(self.field, self.v, terms, self._d, self._span)
+        return SparsePoly._make(self.field, self.v, {e: p - c for e, c in self._terms.items()})
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
 
     def mul(self, other: "SparsePoly") -> "SparsePoly":
         self._check_compatible(other)
-        d = self._d + other._d
-        w = _width(d)
-        a, b = self._packed(w), other._packed(w)
+        # packed at a width that holds every total degree of the product
+        w = _width(self.degree + other.degree)
+        a, b = ({_pack(e, w): c for e, c in f._terms.items()} for f in (self, other))
         # rows run over the shorter operand, unless the product may pass the
         # cap: then over the longer one, so the check after each row stops it
         # early.  Coefficients are reduced mod p once, at the end, and the cap
@@ -531,11 +480,9 @@ class SparsePoly:
                     )
                 for k in zeros:
                     del out[k]
-        terms = {k: r for k, c in out.items() if (r := c % p)}
-        # over a field the lowest and the highest degree parts multiply to nonzero
-        sa, sb = self._span, other._span
-        span = (sa[0] + sb[0], sa[1] + sb[1]) if sa and sb else None
-        return SparsePoly._make(self.field, self.v, terms, d, span)
+        unpack = _unpacker(self.v, w)
+        return SparsePoly._make(self.field, self.v,
+                                {unpack(k): r for k, c in out.items() if (r := c % p)})
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         return self.mul(other)
@@ -556,10 +503,8 @@ class SparsePoly:
     # -- serialization and dunder plumbing -------------------------------
 
     def _sorted_terms(self) -> List[Tuple[Exponents, int]]:
-        """Terms in descending lex order of their exponent tuples, which is
-        descending order of their packed keys."""
-        unpack = _unpacker(self.v, self._w)
-        return [(unpack(k), c) for k, c in sorted(self._terms.items(), reverse=True)]
+        """Terms in descending lex order of their exponent tuples."""
+        return sorted(self._terms.items(), reverse=True)
 
     def to_json(self) -> dict:
         return {
@@ -576,13 +521,10 @@ class SparsePoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        if self.field.p != other.field.p or self.v != other.v:
-            return False
-        w = max(self._w, other._w)
-        return self._packed(w) == other._packed(w)
+        return (self.field.p, self.v, self._terms) == (other.field.p, other.v, other._terms)
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.v, frozenset(self.terms.items())))
+        return hash((self.field.p, self.v, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
         if not self._terms:

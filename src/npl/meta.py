@@ -46,7 +46,6 @@ from .algebra import (
     _capped_num_monomials,
     _int_fields,
     _pack,
-    _unpacker,
     _width,
 )
 from .circuits import Circuit, CircuitBuilder
@@ -217,13 +216,12 @@ def partials_matrix(
     space = _space_for(f, space)
     p = f.field.p
     shifts, derivs, cols = _shifted_labels(space, k, shift, p)
-    # monomials are keyed the way SparsePoly packs them, at a field width that
-    # holds every exponent of a column, so adding keys never carries
+    # monomials are packed into ints at a field width that holds every
+    # exponent of a column, so multiplying monomials is adding keys, which
+    # never carries
     w = _width(space.d + shift)
-    unpack = _unpacker(space.v, w)
     fact = _factorials(space.d, p)
-    g = {key: c * prod(map(fact.__getitem__, unpack(key))) % p
-         for key, c in f._packed(w).items()}
+    g = {_pack(e, w): c * prod(map(fact.__getitem__, e)) % p for e, c in f.terms.items()}
     tails = tuple(PolySpace(space.v, space.d - k, True).monomials()) if shift else cols
     rows = tuple((b, a) for b in shifts for a in derivs)
     return CoeffMatrix(f.field, rows, cols, derivs, tails, g, space, shift)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npl.algebra import PolySpace, PrimeField, SparsePoly, is_prime
+from npl.circuits import FamilyDescriptor
 from npl.errors import (
     ArityMismatch,
     FieldMismatch,
@@ -156,7 +157,7 @@ class TestProductTables:
                     assert got == high.rank(tuple(e)), (r, i, m)
 
     def test_tables_only_for_products(self):
-        # coeff_vector and a minor meta rank by the lazy memo: a space past the
+        # coeff_vector and a minor meta rank each monomial: a space past the
         # table cap still takes them, and no table is built
         space = PolySpace(2, 1200, True)
         f = SparsePoly(F7, 2, {(1200, 0): 3, (600, 600): 1})
@@ -177,6 +178,16 @@ class TestProductTables:
             with pytest.raises(TermCapExceeded, match="past a cap of 4194304 or 1048576"):
                 space._successors
         assert len(PolySpace(2, 1200, True)._successors) == 1200
+        # beside its fields, a space caches its dimension and successor tables
+        # and nothing else
+        space = PolySpace(3, 3, False)
+        f = SparsePoly(F7, 3, {(1, 1, 1): 2, (0, 2, 0): 3, (0, 0, 0): 1})
+        assert space.unrank(space.rank((0, 2, 0))) == (0, 2, 0)
+        assert f.coeff_vector(space)[space.rank((1, 1, 1))] == 2
+        assert len(list(space.monomials())) == space.dimension
+        sps = FamilyDescriptor("sps", space, F7, top_fanin=2)
+        assert any(sps.member_from_params([1] * len(sps.param_ranges())))
+        assert set(vars(space)) <= {"v", "d", "homogeneous", "dimension", "_successors"}
 
 
 class TestPolySpace:
@@ -247,7 +258,7 @@ class TestCoeffVectors:
 
 
 class TestEvaluation:
-    """Evaluation is a ring map, so values at points check the packed
+    """Evaluation is a ring map, so values at points check the
     arithmetic against the naive term-by-term evaluator of the helpers."""
 
     def test_worked_values(self):
@@ -366,9 +377,8 @@ class TestSerialization:
     @pytest.mark.parametrize("p", (7, 2**61 - 1))
     def test_one_pass_load_equals_the_constructor(self, p):
         # repeated exponents add up, the sum of some is 0 mod p, coefficients
-        # are negative or at least p, and exponents of 256 and more widen the
-        # packing; the load must give the constructor's packed terms, degree
-        # bound and width
+        # are negative or at least p, and exponents reach 256 and more; the
+        # load must give the constructor's term map and degree
         field = PrimeField(p)
         rng = random.Random(p)
         for _ in range(300):
@@ -387,8 +397,7 @@ class TestSerialization:
             want = SparsePoly(field, v, summed)
             got = SparsePoly.from_json(
                 {"p": p, "v": v, "terms": [{"e": list(e), "c": c} for e, c in entries]})
-            assert (got._terms, got._d, got._w, got._span) == (
-                want._terms, want._d, want._w, want._span)
+            assert (got._terms, got.degree) == (want._terms, want.degree)
             assert got == want and got.to_json() == want.to_json()
 
     def test_load_refuses_what_is_not_an_integer(self):
@@ -451,8 +460,10 @@ def _terms_of(g, p):
 
 
 class TestPackedCoreAgainstSympy:
-    """SparsePoly stores a monomial as one int with a bit field per variable;
-    sympy's Poly over GF(p) is the independent oracle for its arithmetic."""
+    """The packed core is the kernel of SparsePoly.mul, which packs each
+    monomial locally into one int with a bit field per variable, at a width
+    that holds the product's degree; sympy's Poly over GF(p) is the
+    independent oracle for its arithmetic."""
 
     @pytest.mark.parametrize("p", [2, 7, 2**31 - 1, 2**64 - 59])
     @pytest.mark.parametrize("v", [1, 3, 16, 40])

@@ -76,7 +76,7 @@ def test_mutants_name_texts_of_the_source():
     spec.loader.exec_module(mutants)
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in (ROOT / "src" / "npl").glob("*.py")}
-    assert len(mutants.MUTANTS) == 48
+    assert len(mutants.MUTANTS) == 50
     for m in mutants.MUTANTS:
         assert m.old != m.new and m.old in sources[m.path], m.name
         assert sum(text.count(m.old) for text in sources.values()) == 1, m.name
